@@ -27,7 +27,7 @@ from .authsim import (
     make_soa,
     policy_label,
 )
-from .transport import ClientEndpoint, DatagramBus, ManualClock, SimDatagram
+from .transport import ClientEndpoint, DatagramBus, ManualClock, SimDatagram, exchange_message
 from .tsig import TsigKey
 from .wire import (
     AddRecord,
@@ -37,11 +37,9 @@ from .wire import (
     DnsName,
     MxData,
     RClass,
-    Rcode,
     ResourceRecord,
     RType,
     TxtData,
-    decode_message,
     encode_message,
     make_query,
     make_update,
@@ -182,27 +180,17 @@ class AttackLab:
 
     # -- attacker actions --
 
-    def send_update(self, changes: Iterable, *, source: Optional[str] = None) -> Optional[Rcode]:
-        """Fire one UPDATE at the victim; None when no reply reaches the attacker."""
+    def send_update(self, changes: Iterable, *, source: Optional[str] = None) -> None:
+        """Fire one UPDATE at the victim; scenarios judge its effect by querying afterwards."""
         if source is not None and not self.spoofing_enabled:
             source = None  # transport refuses to forge; the claim collapses to the truth
         msg = make_update(VICTIM_APEX, list(changes), rng=self.rng)
-        raw = self.attacker.exchange(encode_message(msg), VICTIM_NS_ADDRESS, timeout=1.0,
-                                     source=source)
-        if raw is None:
-            return None
-        try:
-            return decode_message(raw).rcode
-        except DecodeError:
-            return None
+        self.attacker.exchange(encode_message(msg), VICTIM_NS_ADDRESS, timeout=1.0, source=source)
 
     def query(self, name: DnsName, rtype: int, server: str = VICTIM_NS_ADDRESS) -> Optional[DnsMessage]:
-        raw = self.attacker.exchange(encode_message(make_query(name, rtype, rng=self.rng)),
-                                     server, timeout=1.0)
-        if raw is None:
-            return None
+        """The reply answering one query; None on timeout or a reply that does not answer."""
         try:
-            return decode_message(raw)
+            return exchange_message(self.attacker, server, make_query(name, rtype, rng=self.rng))
         except DecodeError:
             return None
 

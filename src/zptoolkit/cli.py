@@ -20,7 +20,7 @@ from ipaddress import ip_address
 from . import analytics, attacklab, authsim, ingest, scanner
 from .transport import DatagramBus, ManualClock, SimDatagram, SimTransport, SystemClock, UdpTransport
 from .tsig import TsigKey
-from .wire import DnsName
+from .wire import DnsName, WireError
 
 ATTRIBUTION_ENV = "ZPTOOL_ATTRIBUTION"
 
@@ -101,11 +101,9 @@ def _cmd_scan(args) -> int:
             raise RuntimeError("auto-resolve mode needs --resolver")
         with open(args.domains, encoding="utf-8") as fh:
             zones = ingest.read_domain_lines(fh)
-        universe, _ = ingest.resolve_targets(zones, args.resolver, transport)
+        universe, _ = ingest.resolve_targets(zones, args.resolver, transport,
+                                             rng=random.Random(args.seed))
         targets = [scanner.ProbeTarget(zone, addr) for zone, addr in sorted(universe.pairs)]
-    if args.transport == "udp":
-        targets = [scanner.ProbeTarget(t.zone, t.nameserver, scanner.TransportKind.UDP_SOCKET)
-                   for t in targets]
     result = scanner.run_scan(targets, cfg, transport, clock, rng)
     lines = [json.dumps(o.to_json_obj()) for o in result.outcomes]
     _write_or_print(args.out, "\n".join(lines) + ("\n" if lines else ""))
@@ -205,7 +203,8 @@ def _cmd_ingest(args) -> int:
     bus, _ = _build_sim(args.fleet, args.keys, args.seed)
     transport = SimTransport(bus)
     cfg = ingest.IngestConfig(require_soa=args.require_soa, include_ipv6=args.ipv6)
-    universe, stats = ingest.resolve_targets(registrable, args.resolver, transport, cfg)
+    universe, stats = ingest.resolve_targets(registrable, args.resolver, transport, cfg,
+                                             random.Random(args.seed))
     pair_lines = sorted(f"{zone.to_text()},{addr}" for zone, addr in universe.pairs)
     _write_or_print(args.pairs_out, "".join(line + "\n" for line in pair_lines))
     summary = dict(universe.counts(), **vars(stats))
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (OSError, RuntimeError, ValueError, KeyError, scanner.ScannerError,
+    except (OSError, RuntimeError, ValueError, KeyError, WireError, scanner.ScannerError,
             attacklab.AttackLabError, analytics.AnalyticsError) as exc:
         print(f"zptool: {exc}", file=sys.stderr)
         return 2

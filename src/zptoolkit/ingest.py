@@ -5,14 +5,17 @@ into the domain-nameserver pair universe the scanner consumes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional
 
 from .transport import Transport, exchange_message
-from .wire import DnsName, Rcode, RType, make_query
+from .wire import DecodeError, DnsName, Rcode, RType, make_query
 
 _DEFAULT_SNAPSHOT = "data/public_suffix_snapshot.dat"
+QUERY_TIMEOUT = 1.0  # seconds per attempt at the resolver
+QUERY_RETRIES = 1
 
 
 @dataclass(frozen=True)
@@ -146,20 +149,21 @@ class ResolutionStats:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    timeout: float = 1.0
-    retries: int = 1
     require_soa: bool = False     # optional liveness pre-filter
     include_ipv6: bool = False    # also collect AAAA glue
 
 
 def resolve_targets(domains: Iterable[DnsName], resolver_address: str,
-                    transport: Transport, cfg: IngestConfig = IngestConfig()) -> tuple[TargetUniverse, ResolutionStats]:
+                    transport: Transport, cfg: IngestConfig = IngestConfig(),
+                    rng: Optional[random.Random] = None) -> tuple[TargetUniverse, ResolutionStats]:
     """NS-then-address resolution with caching and negative memoization.
 
     NS data is taken from answers or, for delegations, from referral
     authority sections; glue arriving in additional sections is harvested
     so it is not re-queried. Domains whose nameservers cannot be resolved
-    contribute no pairs and are counted, never fatal.
+    contribute no pairs and are counted, never fatal; a reply that does not
+    decode or does not answer its query counts as no answer. Query ids come
+    from ``rng``, or from the global ``random`` when it is None.
     """
     universe = TargetUniverse()
     stats = ResolutionStats()
@@ -168,8 +172,11 @@ def resolve_targets(domains: Iterable[DnsName], resolver_address: str,
     address_types = (RType.A, RType.AAAA) if cfg.include_ipv6 else (RType.A,)
 
     def query(name: DnsName, rtype: int):
-        reply = exchange_message(transport, resolver_address, make_query(name, rtype),
-                                 timeout=cfg.timeout, retries=cfg.retries)
+        try:
+            reply = exchange_message(transport, resolver_address, make_query(name, rtype, rng=rng),
+                                     timeout=QUERY_TIMEOUT, retries=QUERY_RETRIES)
+        except DecodeError:
+            return None
         if reply is None or reply.rcode != Rcode.NOERROR:
             return None
         for rr in reply.additional:

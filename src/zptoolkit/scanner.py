@@ -9,14 +9,13 @@ the scanner did not create are never deleted.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv4Address, IPv6Address
 from typing import Iterable, Iterator, Optional, Union
 
 from .analytics import CategoryCounts, ScanSnapshot
-from .transport import Transport, UdpTransport
+from .transport import SystemClock, Transport, UdpTransport, exchange_message
 from .wire import (
     AddRecord,
     DecodeError,
@@ -27,7 +26,6 @@ from .wire import (
     Rcode,
     ResourceRecord,
     RType,
-    decode_message,
     encode_message,
     make_query,
     make_update,
@@ -44,16 +42,10 @@ class AttestationRequired(ScannerError):
     """Real-socket probing demands the probe-address ownership attestation."""
 
 
-class TransportKind(Enum):
-    SIM_BUS = "sim"
-    UDP_SOCKET = "udp"
-
-
 @dataclass(frozen=True)
 class ProbeTarget:
     zone: DnsName
     nameserver: str
-    transport: TransportKind = TransportKind.SIM_BUS
 
     def __post_init__(self):
         if not len(self.zone):
@@ -72,9 +64,10 @@ class ProbeConfig:
     attempts for the probe UPDATE and the verification lookups (each
     retransmission only ever follows a timeout); ``retries_cleanup`` is the
     number of delete-and-recheck rounds before a failed cleanup is
-    surfaced. Pacing is ``per_nameserver_rate`` probes/second per target
-    address with a global in-flight cap of ``max_in_flight`` (the serial
-    runner never exceeds one).
+    surfaced. Probes run one at a time, paced to ``per_nameserver_rate``
+    probes/second per target address. A reply counts only when it answers
+    the request (id, opcode and question); any other reply is a
+    ``MALFORMED_REPLY``.
     """
 
     probe_address: Union[IPv4Address, IPv6Address] = IPv4Address("192.0.2.80")
@@ -84,7 +77,6 @@ class ProbeConfig:
     retries_verify: int = 2
     retries_cleanup: int = 5
     per_nameserver_rate: float = 2.0
-    max_in_flight: int = 1
     probe_address_attested: bool = False
 
     def __post_init__(self):
@@ -156,35 +148,20 @@ def build_probe(target: ProbeTarget, cfg: ProbeConfig, *,
     return make_update(target.zone, [AddRecord(record)], msg_id=msg_id, rng=rng)
 
 
-class _Clock:
-    """Fallback wall clock for run_probe callers that pass none."""
-
-    def now(self) -> float:
-        return time.time()
-
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
-
-
-def _check_attestation(target: ProbeTarget, cfg: ProbeConfig, transport: Transport) -> None:
-    if target.transport is TransportKind.UDP_SOCKET or isinstance(transport, UdpTransport):
-        if not cfg.probe_address_attested:
-            raise AttestationRequired(
-                "refusing real-socket probes without --i-own-the-probe-address")
-
-
 def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
               clock=None, rng: Optional[random.Random] = None) -> ProbeOutcome:
     """Classify one domain-nameserver pair.
 
     Phase 1 sends the probe UPDATE: a refusal rcode is NotVulnerable,
-    silence after retries is Unreachable. Phase 2 queries the nameserver
+    silence after retries is Unreachable, and a reply that does not answer
+    the request is MalformedReply, as in phase 2. Phase 2 queries the nameserver
     directly for the sentinel record. Phase 3 deletes it and confirms the
     removal. Every path is an outcome, never an exception.
     """
-    clock = clock or _Clock()
+    clock = clock or SystemClock()
     rng = rng or random.Random()
-    _check_attestation(target, cfg, transport)
+    if isinstance(transport, UdpTransport) and not cfg.probe_address_attested:
+        raise AttestationRequired("refusing real-socket probes without --i-own-the-probe-address")
     sentinel = sentinel_name(target, cfg)
     started = clock.now()
 
@@ -200,56 +177,42 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
 
     # phase 1: one UPDATE datagram decides; retransmit only after a timeout
     probe = build_probe(target, cfg, rng=rng)
-    payload = encode_message(probe)
     t0 = clock.now()
-    raw = None
+    reply = None
     detection_sends = 0
-    for _ in range(cfg.retries_verify + 1):
-        detection_sends += 1
-        raw = transport.exchange(payload, target.nameserver, cfg.timeout)
-        if raw is not None:
-            break
-    t_update = clock.now() - t0
-    if raw is None:
-        return outcome(Verdict.UNREACHABLE, t_update=t_update, detection_sends=detection_sends)
     try:
-        reply = decode_message(raw)
+        while reply is None and detection_sends <= cfg.retries_verify:
+            detection_sends += 1
+            reply = exchange_message(transport, target.nameserver, probe, cfg.timeout)
     except DecodeError:
-        return outcome(Verdict.MALFORMED_REPLY, t_update=t_update, detection_sends=detection_sends)
-    if reply.id != probe.id:
-        return outcome(Verdict.MALFORMED_REPLY, t_update=t_update, detection_sends=detection_sends)
+        return outcome(Verdict.MALFORMED_REPLY, t_update=clock.now() - t0,
+                       detection_sends=detection_sends)
+    t_update = clock.now() - t0
+    if reply is None:
+        return outcome(Verdict.UNREACHABLE, t_update=t_update, detection_sends=detection_sends)
     if reply.rcode != Rcode.NOERROR:
         return outcome(Verdict.NOT_VULNERABLE, reply.rcode, t_update=t_update,
                        detection_sends=detection_sends)
 
     # phase 2: the update claims success; look for the sentinel record
     t1 = clock.now()
-    answers = _query_addresses(transport, target.nameserver, sentinel, cfg, rng)
-    t_verify = clock.now() - t1
-    common = dict(t_update=t_update, t_verify=t_verify, detection_sends=detection_sends)
-    if answers is _MALFORMED:
-        removed, sends, t_clean = _cleanup_own_record(target, cfg, transport, clock, rng,
-                                                      exact_only=True)
-        return outcome(Verdict.MALFORMED_REPLY, Rcode.NOERROR, cleanup_confirmed=removed,
-                       cleanup_sends=sends, t_cleanup=t_clean, **common)
-    if answers is None or cfg.probe_address not in answers:
+    verdict = Verdict.UPDATE_ACCEPTED_NOT_VISIBLE
+    try:
+        answers = _query_addresses(transport, target.nameserver, sentinel, cfg, rng)
+    except DecodeError:
+        answers, verdict = None, Verdict.MALFORMED_REPLY
+    common = dict(t_update=t_update, t_verify=clock.now() - t1, detection_sends=detection_sends)
+    if answers is not None and cfg.probe_address not in answers:
         # nothing of ours is visible; issue no deletion for data we did not create
-        if answers is None:
-            # unverifiable (timeout): the insert may have landed, remove our
-            # exact record just in case; it cannot touch foreign data
-            removed, sends, t_clean = _cleanup_own_record(target, cfg, transport, clock, rng,
-                                                          exact_only=True)
-            return outcome(Verdict.UPDATE_ACCEPTED_NOT_VISIBLE, Rcode.NOERROR,
-                           cleanup_confirmed=removed, cleanup_sends=sends, t_cleanup=t_clean,
-                           **common)
         return outcome(Verdict.UPDATE_ACCEPTED_NOT_VISIBLE, Rcode.NOERROR, **common)
     if answers != {cfg.probe_address}:
-        # collision with a pre-existing sentinel rrset: remove only our triple
+        # unverifiable (timeout or bad reply): the insert may have landed; or a
+        # collision with a pre-existing sentinel rrset. Either way remove only
+        # our exact record, which cannot touch foreign data
         removed, sends, t_clean = _cleanup_own_record(target, cfg, transport, clock, rng,
                                                       exact_only=True)
-        return outcome(Verdict.UPDATE_ACCEPTED_NOT_VISIBLE, Rcode.NOERROR,
-                       cleanup_confirmed=removed, cleanup_sends=sends, t_cleanup=t_clean,
-                       **common)
+        return outcome(verdict, Rcode.NOERROR, cleanup_confirmed=removed, cleanup_sends=sends,
+                       t_cleanup=t_clean, **common)
 
     # phase 3: the rrset is exactly our record; delete it and confirm removal
     removed, cleanup_sends, t_cleanup = _cleanup_own_record(target, cfg, transport, clock, rng,
@@ -261,29 +224,20 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
                    cleanup_sends=cleanup_sends, t_cleanup=t_cleanup, **common)
 
 
-_MALFORMED = object()
-
-
 def _query_addresses(transport, destination, name, cfg, rng):
     """Resolve the sentinel rrset directly at the target nameserver.
 
-    Returns the answer address set, None after all attempts time out, or
-    the _MALFORMED marker for an undecodable reply.
+    Returns the answer address set, or None after all attempts time out;
+    a reply that does not decode or does not answer the query raises
+    DecodeError.
     """
     query = make_query(name, cfg.record_type, rng=rng)
-    payload = encode_message(query)
-    for _ in range(cfg.retries_verify + 1):
-        raw = transport.exchange(payload, destination, cfg.timeout)
-        if raw is None:
-            continue
-        try:
-            reply = decode_message(raw)
-        except DecodeError:
-            return _MALFORMED
-        return {rr.rdata for rr in reply.answers
-                if rr.rtype == cfg.record_type and rr.name == name
-                and isinstance(rr.rdata, (IPv4Address, IPv6Address))}
-    return None
+    reply = exchange_message(transport, destination, query, cfg.timeout, cfg.retries_verify)
+    if reply is None:
+        return None
+    return {rr.rdata for rr in reply.answers
+            if rr.rtype == cfg.record_type and rr.name == name
+            and isinstance(rr.rdata, (IPv4Address, IPv6Address))}
 
 
 def _cleanup_own_record(target, cfg, transport, clock, rng, *, exact_only: bool):
@@ -301,8 +255,11 @@ def _cleanup_own_record(target, cfg, transport, clock, rng, *, exact_only: bool)
         sends += 1
         delete = make_update(target.zone, [change], rng=rng)
         transport.exchange(encode_message(delete), target.nameserver, cfg.timeout)
-        answers = _query_addresses(transport, target.nameserver, sentinel, cfg, rng)
-        if answers is not None and answers is not _MALFORMED and cfg.probe_address not in answers:
+        try:
+            answers = _query_addresses(transport, target.nameserver, sentinel, cfg, rng)
+        except DecodeError:
+            continue
+        if answers is not None and cfg.probe_address not in answers:
             return True, sends, clock.now() - t0
     return False, sends, clock.now() - t0
 
@@ -332,7 +289,7 @@ class ScanResult:
 def run_scan(targets: Iterable[ProbeTarget], cfg: ProbeConfig, transport: Transport,
              clock=None, rng: Optional[random.Random] = None) -> ScanResult:
     """Probe every distinct target once, paced per nameserver, and fold a snapshot."""
-    clock = clock or _Clock()
+    clock = clock or SystemClock()
     rng = rng or random.Random()
     pacer = Pacer(clock, cfg.per_nameserver_rate)
     seen: set[tuple[DnsName, str]] = set()

@@ -54,9 +54,6 @@ class SystemClock:
     def now(self) -> float:
         return time.time()
 
-    def advance(self, seconds: float) -> None:  # real time cannot be advanced
-        pass
-
     def sleep(self, seconds: float) -> None:
         time.sleep(seconds)
 
@@ -145,7 +142,6 @@ class ClientEndpoint:
         self.address = address
         self.allow_spoofing = allow_spoofing
         self.inbox: deque[SimDatagram] = deque()
-        self.sent: list[SimDatagram] = []
         bus.attach(address, self._receive)
 
     def _receive(self, dgram: SimDatagram, now: float) -> list:
@@ -155,9 +151,7 @@ class ClientEndpoint:
     def send(self, payload: bytes, destination: str, source: Optional[str] = None) -> None:
         if source is not None and source != self.address and not self.allow_spoofing:
             raise PermissionError("source spoofing is disabled on this endpoint")
-        dgram = SimDatagram(source or self.address, destination, payload)
-        self.sent.append(dgram)
-        self.bus.send(dgram)
+        self.bus.send(SimDatagram(source or self.address, destination, payload))
 
     def exchange(self, payload: bytes, destination: str, timeout: float,
                  source: Optional[str] = None) -> Optional[bytes]:
@@ -214,23 +208,31 @@ class UdpTransport:
         return data
 
 
-class SimTransport:
-    """Adapts a ClientEndpoint to the scanner's Transport protocol."""
+class SimTransport(ClientEndpoint):
+    """The scanner's Transport on the bus: a ClientEndpoint that never forges its source."""
 
     def __init__(self, bus: DatagramBus, address: str = "scanner.client"):
-        self.endpoint = ClientEndpoint(bus, address, allow_spoofing=False)
-        self.bus = bus
-
-    def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
-        return self.endpoint.exchange(payload, destination, timeout)
+        super().__init__(bus, address, allow_spoofing=False)
 
 
 def exchange_message(transport: Transport, destination: str, msg: "wire.DnsMessage",
                      timeout: float = 1.0, retries: int = 0) -> Optional["wire.DnsMessage"]:
-    """Send one message and decode the reply; None after all attempts time out."""
+    """Send one message and return the reply that answers it.
+
+    The message is encoded once and retransmitted only after a timeout;
+    None means every attempt timed out. A reply answers the request when it
+    is a response with the request's id, opcode and question (RFC 5452
+    section 9.1, less the source address). A reply that does not decode or
+    does not answer raises ``wire.DecodeError``.
+    """
     payload = wire.encode_message(msg)
     for _ in range(retries + 1):
         raw = transport.exchange(payload, destination, timeout)
-        if raw is not None:
-            return wire.decode_message(raw)
+        if raw is None:
+            continue
+        reply = wire.decode_message(raw)
+        if not (reply.is_response and reply.id == msg.id and reply.opcode == msg.opcode
+                and reply.question == msg.question):
+            raise wire.DecodeError(f"reply {reply.id} does not answer request {msg.id}")
+        return reply
     return None

@@ -271,3 +271,12 @@ class TestExitCodes:
     def test_runtime_error_is_2(self, tmp_path):
         assert main(["report", "rates", "--snapshot", str(tmp_path / "missing.json")]) == 2
         assert main(["scan"]) == 2  # neither --pairs nor --domains
+
+    def test_wire_error_is_2_with_one_line(self, tmp_path, fleet_file, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"{'a' * 64}.example.com,10.0.0.1\n")
+        code = main(["scan", "--pairs", str(pairs), "--fleet", fleet_file,
+                     "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zptool: ") and err.count("\n") == 1

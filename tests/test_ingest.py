@@ -17,7 +17,7 @@ from zptoolkit.ingest import (
     subdomain_split,
 )
 from zptoolkit.scanner import ProbeConfig, ProbeTarget, Verdict, run_scan
-from zptoolkit.transport import SimTransport
+from zptoolkit.transport import SimDatagram, SimTransport
 from zptoolkit.wire import DnsName, RClass, ResourceRecord, RType
 
 from conftest import SCANNER_SOURCE, attach_server, basic_zone
@@ -186,6 +186,23 @@ class TestResolveTargets:
                                           IngestConfig(require_soa=True))
         assert not universe.domains
         assert stats.domains_without_soa == 1
+
+    def test_undecodable_resolver_reply_counts_as_no_answer(self, bus, sim_transport):
+        bus.attach("10.0.53.53", lambda d, now: [SimDatagram("10.0.53.53", d.source, b"\xff\xff")])
+        universe, stats = resolve_targets([N("alpha.test")], "10.0.53.53", sim_transport)
+        assert not universe.domains
+        assert stats.domains_without_ns == 1
+
+    def test_query_ids_follow_the_rng_not_the_global_random(self, bus, sim_transport):
+        resolver_fixture(bus)
+        domains = [N("alpha.test"), N("beta.test"), N("gamma.test")]
+        runs = []
+        for global_seed in (1, 2):
+            random.seed(global_seed)
+            start = len(bus.tap)
+            resolve_targets(domains, "10.0.53.53", sim_transport, rng=random.Random(5))
+            runs.append([e.datagram.payload for e in bus.tap[start:]])
+        assert runs[0] == runs[1]
 
 
 def test_read_domain_lines():

@@ -12,7 +12,6 @@ from zptoolkit.scanner import (
     AttestationRequired,
     ProbeConfig,
     ProbeTarget,
-    TransportKind,
     Verdict,
     build_probe,
     parse_pair_lines,
@@ -167,6 +166,32 @@ class TestRunProbe:
         out = probe(bus, "10.0.0.9")
         assert out.verdict is Verdict.MALFORMED_REPLY
 
+    def test_unmatched_query_replies_are_malformed(self, bus):
+        # the UPDATE is answered properly, but every query reply carries the
+        # wrong id: the first shows the sentinel, the later ones do not. None
+        # of them may confirm the insert or its removal.
+        queries = []
+
+        def forger(dgram, now):
+            msg = decode_message(dgram.payload)
+            msg_id, answers = msg.id, ()
+            if msg.opcode == Opcode.QUERY:
+                queries.append(msg)
+                msg_id ^= 1
+                if len(queries) == 1:
+                    answers = (ResourceRecord(SENTINEL, RType.A, RClass.IN, 120,
+                                              CFG.probe_address),)
+            reply = type(msg)(id=msg_id, opcode=msg.opcode, rcode=Rcode.NOERROR,
+                              is_response=True, question=msg.question, answers=answers)
+            return [SimDatagram("10.0.0.9", dgram.source, encode_message(reply))]
+
+        bus.attach("10.0.0.9", forger)
+        out = probe(bus, "10.0.0.9")
+        assert out.verdict is Verdict.MALFORMED_REPLY
+        assert out.update_rcode == Rcode.NOERROR
+        assert out.cleanup_confirmed is False
+        assert len(queries) > 1
+
     def test_preexisting_sentinel_collision_preserved(self, bus):
         # a sentinel rrset already exists with someone else's address: verdict
         # degrades and only our own triple is deleted
@@ -202,9 +227,6 @@ class TestRunProbe:
         assert out.cleanup_updates_sent == 2
 
     def test_attestation_gate_for_udp(self):
-        target = ProbeTarget(APEX, "127.0.0.1:5399", TransportKind.UDP_SOCKET)
-        with pytest.raises(AttestationRequired):
-            run_probe(target, ProbeConfig(), UdpTransport())
         with pytest.raises(AttestationRequired):
             run_probe(ProbeTarget(APEX, "127.0.0.1:5399"), ProbeConfig(), UdpTransport())
 

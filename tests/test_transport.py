@@ -1,13 +1,27 @@
 """Bus semantics: tap, loss, delay, spoofed-reply routing, UDP endpoint parsing."""
 
+import dataclasses
 import random
+
+import pytest
 
 from zptoolkit.transport import (
     ClientEndpoint,
     DatagramBus,
     ManualClock,
     SimDatagram,
+    exchange_message,
     parse_endpoint,
+)
+from zptoolkit.wire import (
+    DecodeError,
+    DnsName,
+    Opcode,
+    Question,
+    RType,
+    decode_message,
+    encode_message,
+    make_query,
 )
 
 
@@ -81,6 +95,53 @@ def test_spoofing_disabled_endpoint_refuses_forged_source():
         pass
     else:
         raise AssertionError("expected PermissionError")
+
+
+def dns_server(address, reply_to):
+    """A server answering each request with ``reply_to(request)`` bytes."""
+
+    def handler(dgram, now):
+        return [SimDatagram(address, dgram.source, reply_to(decode_message(dgram.payload)))]
+
+    return handler
+
+
+def answer(msg, **changes):
+    return encode_message(dataclasses.replace(msg, is_response=True, **changes))
+
+
+QUERY = make_query(DnsName.from_text("www.example.com"), RType.A, msg_id=4242)
+
+
+def test_exchange_message_returns_the_matching_reply():
+    bus = DatagramBus(clock=ManualClock())
+    bus.attach("srv", dns_server("srv", answer))
+    reply = exchange_message(ClientEndpoint(bus, "cli"), "srv", QUERY)
+    assert reply.is_response and reply.id == QUERY.id and reply.question == QUERY.question
+
+
+@pytest.mark.parametrize("reply_to", [
+    lambda m: answer(m, id=m.id ^ 1),
+    lambda m: answer(m, question=(Question(DnsName.from_text("other.test"), RType.A),)),
+    lambda m: answer(m, opcode=Opcode.UPDATE),
+    lambda m: encode_message(m),  # the request echoed back, not a response
+    lambda m: b"\xff\xff\xff",
+], ids=["wrong-id", "wrong-question", "wrong-opcode", "not-a-response", "undecodable"])
+def test_exchange_message_rejects_a_reply_that_does_not_answer(reply_to):
+    bus = DatagramBus(clock=ManualClock())
+    bus.attach("srv", dns_server("srv", reply_to))
+    with pytest.raises(DecodeError):
+        exchange_message(ClientEndpoint(bus, "cli"), "srv", QUERY, retries=2)
+    assert len(bus.tap) == 2  # one request, one reply: no retransmission
+
+
+def test_exchange_message_timeout_after_retries_plus_one_sends():
+    bus = DatagramBus(clock=ManualClock(), drop_filter=lambda d: d.destination == "srv")
+    bus.attach("srv", dns_server("srv", answer))
+    assert exchange_message(ClientEndpoint(bus, "cli"), "srv", QUERY,
+                            timeout=0.5, retries=2) is None
+    assert [e.datagram.payload for e in bus.tap] == [encode_message(QUERY)] * 3
+    assert bus.clock.now() == 1.5
 
 
 def test_parse_endpoint_forms():
