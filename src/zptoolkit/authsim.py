@@ -2,16 +2,18 @@
 
 Zones carry one of four update-policy archetypes (deny / open / source-IP
 ACL / signed-key). Servers speak over the in-memory datagram bus, forward
-updates from secondaries to their primary, push full-state transfers to
-registered secondaries after every mutating update, and can journal every
-update attempt in honeypot mode.
+updates from secondaries to their primary, push a full-state transfer after
+every mutating update to the zone's registered secondaries only (a zone with
+none builds no transfer), and can journal every update attempt in honeypot
+mode.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import tsig as tsig_mod
@@ -113,7 +115,11 @@ class ZoneConfig:
     """One zone's full state: apex, role, policy, record set, serial.
 
     The record set is a mathematical set (no two records share name, type,
-    and rdata; adds replace the TTL instead of duplicating).
+    and rdata; adds replace the TTL instead of duplicating). Every lookup goes
+    through one owner-name index, ``name -> tuple of records``, built lazily
+    on the first read of each zone version. It lives in the instance
+    ``__dict__``, not in a field, so equality, hashing, repr and
+    ``dataclasses.replace`` see only the fields.
     """
 
     apex: DnsName
@@ -124,59 +130,72 @@ class ZoneConfig:
 
     def __post_init__(self):
         soas = [rr for rr in self.records if rr.rtype == RType.SOA]
-        if len(soas) != 1 or soas[0].name != self.apex:
-            raise ValueError("zone must hold exactly one SOA record at the apex")
+        if len(soas) != 1 or soas[0].name != self.apex or not isinstance(soas[0].rdata, SoaData):
+            raise ValueError("zone must hold exactly one SOA record, at the apex, with SOA rdata")
         if soas[0].rdata.serial != self.soa_serial:
             raise ValueError("soa_serial must equal the SOA record's serial field")
-        by_name: dict[DnsName, set[int]] = {}
-        for rr in self.records:
-            by_name.setdefault(rr.name, set()).add(rr.rtype)
-        for name, types in by_name.items():
-            if RType.CNAME in types and types != {RType.CNAME}:
-                raise ValueError(f"CNAME at {name.to_text()} cannot coexist with other types")
+        cnames = {rr.name for rr in self.records if rr.rtype == RType.CNAME}
+        for rr in self.records if cnames else ():
+            if rr.rtype != RType.CNAME and rr.name in cnames:
+                raise ValueError(f"CNAME at {rr.name.to_text()} cannot coexist with other types")
 
     @classmethod
     def build(cls, apex: DnsName, role: Role, policy: UpdatePolicy,
               records: Iterable[ResourceRecord]) -> "ZoneConfig":
+        """Zone whose serial is read from its one SOA; raises ValueError as the constructor does."""
         records = frozenset(records)
-        soas = [rr for rr in records if rr.rtype == RType.SOA]
-        if len(soas) != 1:
-            raise ValueError("zone must hold exactly one SOA record")
-        return cls(apex, role, policy, records, soas[0].rdata.serial)
+        serial = next((rr.rdata.serial for rr in records
+                       if rr.rtype == RType.SOA and isinstance(rr.rdata, SoaData)), 0)
+        return cls(apex, role, policy, records, serial)
+
+    @cached_property
+    def _by_name(self) -> dict[DnsName, tuple[ResourceRecord, ...]]:
+        index: dict[DnsName, list[ResourceRecord]] = {}
+        for rr in self.records:
+            index.setdefault(rr.name, []).append(rr)
+        return {name: tuple(rrs) for name, rrs in index.items()}
 
     @property
     def soa(self) -> ResourceRecord:
-        return next(rr for rr in self.records if rr.rtype == RType.SOA)
+        return self.rrset(self.apex, RType.SOA)[0]
 
     def rrset(self, name: DnsName, rtype: int) -> tuple[ResourceRecord, ...]:
-        return tuple(rr for rr in self.records if rr.name == name and rr.rtype == rtype)
+        return tuple(rr for rr in self.records_at(name) if rr.rtype == rtype)
 
     def records_at(self, name: DnsName) -> tuple[ResourceRecord, ...]:
-        return tuple(rr for rr in self.records if rr.name == name)
+        return self._by_name.get(name, ())
 
     def has_node(self, name: DnsName) -> bool:
         """True when the name exists, including as an empty non-terminal."""
-        return any(rr.name.is_subdomain_of(name) for rr in self.records)
+        return any(owner.is_subdomain_of(name) for owner in self._by_name)
 
-    def delegation_points(self) -> list[DnsName]:
-        return sorted(
-            {rr.name for rr in self.records if rr.rtype == RType.NS and rr.name != self.apex},
-            key=len,
-        )
+    def delegation(self, name: DnsName) -> Optional[DnsName]:
+        """The highest zone cut at or above ``name``, below the apex (RFC 1034 §4.3.2).
+
+        ``name`` must lie in the zone. Walks from just below the apex down to
+        ``name`` and returns the first owner with an NS rrset, or None.
+        """
+        for start in range(len(name) - len(self.apex) - 1, -1, -1):
+            owner = DnsName(name.labels[start:])
+            if self.rrset(owner, RType.NS):
+                return owner
+        return None
 
     def normalized_records(self) -> frozenset[ResourceRecord]:
         """Record set with the SOA serial zeroed, for before/after comparisons.
 
         Every mutating update bumps the serial by contract, so residue and
-        fixture-equality checks compare record sets modulo that field.
+        fixture-equality checks compare record sets modulo that field. The
+        copy is linear anyway, so the SOA is found by a scan: a version that
+        is only compared never builds its index.
         """
-        out = set()
-        for rr in self.records:
-            if rr.rtype == RType.SOA:
-                rr = ResourceRecord(rr.name, rr.rtype, rr.rclass, rr.ttl,
-                                    dataclasses.replace(rr.rdata, serial=0))
-            out.add(rr)
-        return frozenset(out)
+        soa = next(rr for rr in self.records if rr.rtype == RType.SOA)
+        return self.records - {soa} | {_with_serial(soa, 0)}
+
+
+def _with_serial(soa: ResourceRecord, serial: int) -> ResourceRecord:
+    return ResourceRecord(soa.name, soa.rtype, soa.rclass, soa.ttl,
+                          dataclasses.replace(soa.rdata, serial=serial))
 
 
 # --- ACL evaluation ---
@@ -255,19 +274,6 @@ def evaluate_prerequisites(zone: ZoneConfig, prereqs: Iterable[ResourceRecord]) 
 
 # --- update application (RFC 2136 §3.4) ---
 
-_Store = dict  # (name, rtype) -> {rdata: ResourceRecord}
-
-
-def _to_store(records: Iterable[ResourceRecord]) -> _Store:
-    store: _Store = {}
-    for rr in records:
-        store.setdefault((rr.name, rr.rtype), {})[rr.rdata] = rr
-    return store
-
-
-def _from_store(store: _Store) -> frozenset[ResourceRecord]:
-    return frozenset(rr for rrset in store.values() for rr in rrset.values())
-
 
 def _prescan_updates(zone: ZoneConfig, updates: Iterable[ResourceRecord]) -> Rcode:
     for rr in updates:
@@ -301,49 +307,41 @@ def apply_update(zone: ZoneConfig, msg: DnsMessage) -> tuple[ZoneConfig, Rcode]:
     rc = _prescan_updates(zone, msg.updates)
     if rc != Rcode.NOERROR:
         return zone, rc
-    store = _to_store(zone.records)
+    # only the names the UPDATE touches are copied: name -> {(rtype, rdata): rr}
+    touched = {rr.name: {(old.rtype, old.rdata): old for old in zone.records_at(rr.name)}
+               for rr in msg.updates}
     apex = zone.apex
     for rr in msg.updates:
-        key = (rr.name, rr.rtype)
+        at_name = touched[rr.name]
+        key = (rr.rtype, rr.rdata)
         if rr.rclass == RClass.IN:
             if rr.rtype == RType.SOA:
                 continue
-            types_at_name = {t for (n, t) in store if n == rr.name and store[(n, t)]}
+            types_at_name = {t for t, _ in at_name}
             if rr.rtype == RType.CNAME and types_at_name - {RType.CNAME}:
                 continue
             if rr.rtype != RType.CNAME and RType.CNAME in types_at_name:
                 continue
-            store.setdefault(key, {})[rr.rdata] = rr
+            at_name[key] = rr
         elif rr.rclass == RClass.ANY:
-            if rr.rtype == RType.ANY:
-                for (n, t) in list(store):
-                    if n == rr.name:
-                        if n == apex and t in (RType.SOA, RType.NS):
-                            continue
-                        del store[(n, t)]
-            else:
-                if rr.name == apex and rr.rtype in (RType.SOA, RType.NS):
-                    continue
-                store.pop(key, None)
+            protected = (RType.SOA, RType.NS) if rr.name == apex else ()
+            for t, rdata in list(at_name):
+                if t not in protected and rr.rtype in (RType.ANY, t):
+                    del at_name[(t, rdata)]
         else:  # RClass.NONE
-            if rr.rtype == RType.SOA:
+            if rr.rtype == RType.SOA or key not in at_name:
                 continue
-            rrset = store.get(key)
-            if not rrset or rr.rdata not in rrset:
+            if rr.name == apex and rr.rtype == RType.NS and \
+                    sum(t == RType.NS for t, _ in at_name) == 1:
                 continue
-            if rr.name == apex and rr.rtype == RType.NS and len(rrset) == 1:
-                continue
-            del rrset[rr.rdata]
-            if not rrset:
-                del store[key]
-    new_records = _from_store(store)
-    if new_records == zone.records:
+            del at_name[key]
+    before = frozenset(old for name in touched for old in zone.records_at(name))
+    after = frozenset(new for at_name in touched.values() for new in at_name.values())
+    if after == before:
         return zone, Rcode.NOERROR
     new_serial = (zone.soa_serial + 1) & 0xFFFFFFFF
     soa = zone.soa
-    new_soa = ResourceRecord(soa.name, soa.rtype, soa.rclass, soa.ttl,
-                             dataclasses.replace(soa.rdata, serial=new_serial))
-    new_records = frozenset(rr for rr in new_records if rr.rtype != RType.SOA) | {new_soa}
+    new_records = (zone.records - before | after) - {soa} | {_with_serial(soa, new_serial)}
     return dataclasses.replace(zone, records=new_records, soa_serial=new_serial), Rcode.NOERROR
 
 
@@ -454,14 +452,14 @@ class NameServer:
         zone = self._zone_for(q.name)
         if zone is None:
             return self._response(msg, Rcode.REFUSED)
-        for cut in zone.delegation_points():
-            if q.name.is_subdomain_of(cut):
-                ns_rrset = zone.rrset(cut, RType.NS)
-                glue = []
-                for ns in ns_rrset:
-                    glue += zone.rrset(ns.rdata, RType.A) + zone.rrset(ns.rdata, RType.AAAA)
-                return self._response(msg, Rcode.NOERROR, authority=ns_rrset,
-                                      additional=tuple(glue), authoritative=False)
+        cut = zone.delegation(q.name)
+        if cut is not None:
+            ns_rrset = zone.rrset(cut, RType.NS)
+            glue = []
+            for ns in ns_rrset:
+                glue += zone.rrset(ns.rdata, RType.A) + zone.rrset(ns.rdata, RType.AAAA)
+            return self._response(msg, Rcode.NOERROR, authority=ns_rrset,
+                                  additional=tuple(glue), authoritative=False)
         at_name = zone.records_at(q.name)
         if not at_name:
             if zone.has_node(q.name):
@@ -478,12 +476,12 @@ class NameServer:
         return self._response(msg, Rcode.NOERROR, answers=answers, authoritative=True)
 
     def _zone_for(self, name: DnsName) -> Optional[ZoneConfig]:
-        best = None
-        for zone in self.zones.values():
-            if name.is_subdomain_of(zone.apex):
-                if best is None or len(zone.apex) > len(best.apex):
-                    best = zone
-        return best
+        """The zone with the longest apex at or above ``name``: suffixes, longest first."""
+        for start in range(len(name) + 1):
+            zone = self.zones.get(DnsName(name.labels[start:]))
+            if zone is not None:
+                return zone
+        return None
 
     # -- updates --
 
@@ -523,9 +521,11 @@ class NameServer:
         return out
 
     def _transfers(self, zone: ZoneConfig) -> list[SimDatagram]:
+        secondaries = self.secondaries.get(zone.apex)
+        if not secondaries:
+            return []
         payload = encode_message(self._transfer_message(zone))
-        return [SimDatagram(self.address, addr, payload)
-                for addr in self.secondaries.get(zone.apex, [])]
+        return [SimDatagram(self.address, addr, payload) for addr in secondaries]
 
     def _transfer_message(self, zone: ZoneConfig) -> DnsMessage:
         answers = tuple(sorted(
@@ -558,11 +558,10 @@ class NameServer:
             return []
         if dgram.source != zone.role.primary_address:
             return []
-        records = frozenset(msg.answers)
-        soas = [rr for rr in records if rr.rtype == RType.SOA]
-        if len(soas) != 1:
-            return []
-        self.zones[apex] = dataclasses.replace(zone, records=records, soa_serial=soas[0].rdata.serial)
+        try:
+            self.zones[apex] = ZoneConfig.build(apex, zone.role, zone.policy, msg.answers)
+        except ValueError:
+            pass  # a transfer that is not a valid zone: keep serving the last good copy
         return []
 
     # -- plumbing --

@@ -322,7 +322,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("attack", help="run the attack taxonomy")
-    p.add_argument("--matrix", action="store_true", help="full scenario x policy matrix")
     p.add_argument("--scenario", choices=[s.value for s in attacklab.ScenarioName])
     p.add_argument("--policy", choices=["deny", "open", "ipacl", "signedkey"], default="open")
     p.add_argument("--no-spoofing", action="store_true")

@@ -365,9 +365,7 @@ def make_update(
 def _encode_rdata(rtype: int, rdata: Rdata) -> bytes:
     if isinstance(rdata, bytes):
         return rdata
-    if rtype == RType.A:
-        return rdata.packed
-    if rtype == RType.AAAA:
+    if rtype in (RType.A, RType.AAAA):
         return rdata.packed
     if rtype in (RType.NS, RType.CNAME):
         return rdata.to_wire()
@@ -485,55 +483,50 @@ def _decode_rdata(data: bytes, rdata_start: int, rdlength: int, rtype: int) -> R
     if rdlength == 0:
         return b""
     end = rdata_start + rdlength
-    try:
-        if rtype == RType.A and rdlength == 4:
-            return IPv4Address(raw)
-        if rtype == RType.AAAA and rdlength == 16:
-            return IPv6Address(raw)
-        if rtype in (RType.NS, RType.CNAME):
-            name, pos = _read_name(data, rdata_start)
-            return name if pos <= end else raw
-        if rtype == RType.MX and rdlength >= 3:
-            (pref,) = struct.unpack_from("!H", data, rdata_start)
-            name, pos = _read_name(data, rdata_start + 2)
-            return MxData(pref, name) if pos <= end else raw
-        if rtype == RType.TXT:
-            strings = []
-            pos = rdata_start
-            while pos < end:
-                n = data[pos]
-                if pos + 1 + n > end:
-                    raise TruncatedMessage("TXT character-string overruns rdata")
-                strings.append(data[pos + 1 : pos + 1 + n])
-                pos += 1 + n
-            return TxtData(tuple(strings))
-        if rtype == RType.SOA:
-            mname, pos = _read_name(data, rdata_start)
-            rname, pos = _read_name(data, pos)
-            if pos + 20 > end:
-                raise TruncatedMessage("SOA numeric fields truncated")
-            serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", data, pos)
-            return SoaData(mname, rname, serial, refresh, retry, expire, minimum)
-        if rtype == RType.TSIG:
-            alg, pos = _read_name(data, rdata_start)
-            if pos + 10 > end:
-                raise TruncatedMessage("TSIG fixed fields truncated")
-            time_signed = int.from_bytes(data[pos : pos + 6], "big")
-            (fudge, mac_size) = struct.unpack_from("!HH", data, pos + 6)
-            pos += 10
-            if pos + mac_size + 6 > end:
-                raise TruncatedMessage("TSIG MAC truncated")
-            mac = data[pos : pos + mac_size]
-            pos += mac_size
-            original_id, error, other_len = struct.unpack_from("!HHH", data, pos)
-            pos += 6
-            if pos + other_len > end:
-                raise TruncatedMessage("TSIG other data truncated")
-            return TsigData(alg, time_signed, fudge, bytes(mac), original_id, error, bytes(data[pos : pos + other_len]))
-    except MalformedPointer:
-        raise
-    except TruncatedMessage:
-        raise
+    if rtype == RType.A and rdlength == 4:
+        return IPv4Address(raw)
+    if rtype == RType.AAAA and rdlength == 16:
+        return IPv6Address(raw)
+    if rtype in (RType.NS, RType.CNAME):
+        name, pos = _read_name(data, rdata_start)
+        return name if pos <= end else raw
+    if rtype == RType.MX and rdlength >= 3:
+        (pref,) = struct.unpack_from("!H", data, rdata_start)
+        name, pos = _read_name(data, rdata_start + 2)
+        return MxData(pref, name) if pos <= end else raw
+    if rtype == RType.TXT:
+        strings = []
+        pos = rdata_start
+        while pos < end:
+            n = data[pos]
+            if pos + 1 + n > end:
+                raise TruncatedMessage("TXT character-string overruns rdata")
+            strings.append(data[pos + 1 : pos + 1 + n])
+            pos += 1 + n
+        return TxtData(tuple(strings))
+    if rtype == RType.SOA:
+        mname, pos = _read_name(data, rdata_start)
+        rname, pos = _read_name(data, pos)
+        if pos + 20 > end:
+            raise TruncatedMessage("SOA numeric fields truncated")
+        serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", data, pos)
+        return SoaData(mname, rname, serial, refresh, retry, expire, minimum)
+    if rtype == RType.TSIG:
+        alg, pos = _read_name(data, rdata_start)
+        if pos + 10 > end:
+            raise TruncatedMessage("TSIG fixed fields truncated")
+        time_signed = int.from_bytes(data[pos : pos + 6], "big")
+        (fudge, mac_size) = struct.unpack_from("!HH", data, pos + 6)
+        pos += 10
+        if pos + mac_size + 6 > end:
+            raise TruncatedMessage("TSIG MAC truncated")
+        mac = data[pos : pos + mac_size]
+        pos += mac_size
+        original_id, error, other_len = struct.unpack_from("!HHH", data, pos)
+        pos += 6
+        if pos + other_len > end:
+            raise TruncatedMessage("TSIG other data truncated")
+        return TsigData(alg, time_signed, fudge, bytes(mac), original_id, error, bytes(data[pos : pos + other_len]))
     # unknown types, or known types with off-contract lengths, stay opaque
     return bytes(raw)
 

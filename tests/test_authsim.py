@@ -15,6 +15,7 @@ from zptoolkit.authsim import (
     Deny,
     HoneypotEvent,
     IpAcl,
+    NameServer,
     Open,
     Primary,
     Refuse,
@@ -31,15 +32,17 @@ from zptoolkit.authsim import (
     parse_zone_text,
     propagate_zone,
 )
-from zptoolkit.transport import DatagramBus, ManualClock
+from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram
 from zptoolkit.tsig import TsigKey, sign_message
 from zptoolkit.wire import (
     AddRecord,
     DeleteAllAtName,
     DeleteExactRecord,
     DeleteRRset,
+    DnsMessage,
     DnsName,
     MxData,
+    Question,
     RClass,
     Rcode,
     ResourceRecord,
@@ -58,9 +61,51 @@ PROBE_IP = IPv4Address("192.0.2.80")
 KEY = TsigKey(DnsName.from_text("update-key"), b"update-key-secret-123456")
 
 
+def a_record(name, address, ttl=3600):
+    return ResourceRecord(name, RType.A, RClass.IN, ttl, IPv4Address(address))
+
+
+def ns_record(name, target):
+    return ResourceRecord(name, RType.NS, RClass.IN, 3600, target)
+
+
 def add_sentinel(msg_id=1, ttl=120):
     rr = ResourceRecord(SENTINEL, RType.A, RClass.IN, ttl, PROBE_IP)
     return make_update(APEX, [AddRecord(rr)], msg_id=msg_id)
+
+
+# --- read-path fixtures: cuts, glue, empty non-terminals, nested apexes ---
+
+CUT_A = APEX.prepend("a")
+CUT_B = CUT_A.prepend("b")
+CUT_A_NS = ns_record(CUT_A, CUT_A.prepend("ns"))
+CUT_A_GLUE = a_record(CUT_A.prepend("ns"), "192.0.2.7")
+CUT_B_NS = ns_record(CUT_B, CUT_B.prepend("ns"))
+CUT_B_GLUE = a_record(CUT_B.prepend("ns"), "192.0.2.8")
+DEEP_A = a_record(APEX.prepend("host").prepend("deep"), "192.0.2.9")
+SUB_APEX = APEX.prepend("sub")
+APEX_SOA = make_soa(APEX)
+APEX_RECORDS = (APEX_SOA, ns_record(APEX, APEX.prepend("ns1")), a_record(APEX, "192.0.2.1"))
+
+# (extra records in example.com, extra zones on the server, qname, qtype,
+#  rcode, authoritative, answers, authority, additional)
+READ_PATH_CASES = {
+    "empty-non-terminal": (
+        [DEEP_A], [], APEX.prepend("host"), RType.A,
+        Rcode.NOERROR, True, (), (APEX_SOA,), ()),
+    "nested-cuts-refer-the-higher": (
+        [CUT_A_NS, CUT_A_GLUE, CUT_B_NS, CUT_B_GLUE], [], CUT_B.prepend("www"), RType.A,
+        Rcode.NOERROR, False, (), (CUT_A_NS,), (CUT_A_GLUE,)),
+    "glue-name-below-cut-is-referred": (
+        [CUT_A_NS, CUT_A_GLUE], [], CUT_A_GLUE.name, RType.A,
+        Rcode.NOERROR, False, (), (CUT_A_NS,), (CUT_A_GLUE,)),
+    "longer-apex-answers": (
+        [], ["sub.example.com"], SUB_APEX, RType.SOA,
+        Rcode.NOERROR, True, (make_soa(SUB_APEX),), (), ()),
+    "any-returns-every-type": (
+        [], [], APEX, RType.ANY,
+        Rcode.NOERROR, True, APEX_RECORDS, (), ()),
+}
 
 
 class TestAclCheck:
@@ -320,6 +365,21 @@ class TestQueries:
         reply = self.run_query(bus, c, "10.0.0.1", alias, RType.A)
         assert [rr.rtype for rr in reply.answers] == [RType.CNAME]
 
+    @pytest.mark.parametrize(
+        "extra, extra_zones, qname, qtype, rcode, authoritative, answers, authority, additional",
+        list(READ_PATH_CASES.values()), ids=list(READ_PATH_CASES))
+    def test_read_path(self, bus, extra, extra_zones, qname, qtype, rcode, authoritative,
+                       answers, authority, additional):
+        zones = [basic_zone("example.com", Open(), extra=extra)]
+        zones += [basic_zone(apex, Open()) for apex in extra_zones]
+        attach_server(bus, "10.0.0.1", *zones)
+        reply = self.run_query(bus, client(bus), "10.0.0.1", qname, qtype)
+        assert reply.rcode == rcode
+        assert reply.authoritative is authoritative
+        assert set(reply.answers) == set(answers) and len(reply.answers) == len(answers)
+        assert reply.authority == authority
+        assert reply.additional == additional
+
     def test_malformed_payload_gets_formerr(self, bus):
         attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()))
         c = client(bus)
@@ -382,6 +442,43 @@ class TestForwardingAndPropagation:
         raw = c.exchange(encode_message(add_sentinel()), "10.0.1.2", 1.0)
         assert decode_message(raw).rcode == Rcode.REFUSED
         assert not primary.zones[APEX].rrset(SENTINEL, RType.A)
+
+    @pytest.mark.parametrize("forged, applied", [
+        pytest.param([make_soa(SUB_APEX, serial=9), ns_record(APEX, APEX.prepend("ns1"))],
+                     False, id="soa-off-the-apex"),
+        pytest.param([make_soa(APEX, serial=9),
+                      ResourceRecord(SENTINEL, RType.CNAME, RClass.IN, 60, APEX),
+                      a_record(SENTINEL, "192.0.2.80")],
+                     False, id="cname-beside-a"),
+        pytest.param([ResourceRecord(APEX, RType.SOA, RClass.IN, 3600, b"")],
+                     False, id="soa-without-rdata"),
+        pytest.param([make_soa(APEX, serial=9), a_record(SENTINEL, "192.0.2.80")],
+                     True, id="valid"),
+    ])
+    def test_forged_transfer_never_aborts_the_simulation(self, bus, forged, applied):
+        # the bus lets any endpoint claim the primary's address
+        _, secondary = self.build_pair(bus, Open(), Deny())
+        before = secondary.zones[APEX]
+        transfer = DnsMessage(id=9, is_response=True, authoritative=True,
+                              question=(Question(APEX, RType.AXFR, RClass.IN),),
+                              answers=tuple(forged))
+        client(bus).send(encode_message(transfer), "10.0.1.2", source="10.0.1.1")
+        bus.pump()
+        after = secondary.zones[APEX]
+        if applied:
+            assert after.records == frozenset(forged) and after.soa_serial == 9
+        else:
+            assert after == before
+
+    def test_update_to_large_zone_without_secondaries_is_answered(self):
+        # ~98 KB of zone data: a full transfer would not fit one message, but
+        # no transfer is built when no secondary is registered
+        hosts = [a_record(APEX.prepend(f"h{i}"), "192.0.2.10") for i in range(3000)]
+        server = NameServer("10.0.0.1", [basic_zone("example.com", Open(), extra=hosts)])
+        request = SimDatagram("198.51.100.99", "10.0.0.1", encode_message(add_sentinel()))
+        (reply,) = server.handle_datagram(request, 0.0)
+        assert decode_message(reply.payload).rcode == Rcode.NOERROR
+        assert server.zones[APEX].rrset(SENTINEL, RType.A)
 
     def test_propagate_zone_examples(self):
         primary7 = basic_zone("example.com", Open(), serial=7)

@@ -148,7 +148,7 @@ class TestSim:
 class TestAttack:
     def test_matrix_csv_open_column_all_success(self, tmp_path, capsys):
         out = tmp_path / "matrix.csv"
-        assert main(["attack", "--matrix", "--out", str(out), "--seed", "1"]) == 0
+        assert main(["attack", "--out", str(out), "--seed", "1"]) == 0
         header, *rows = out.read_text().strip().splitlines()
         cols = header.split(",")
         open_idx = cols.index("open")
