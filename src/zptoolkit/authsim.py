@@ -2,19 +2,22 @@
 
 Zones carry one of four update-policy archetypes (deny / open / source-IP
 ACL / signed-key). Servers speak over the in-memory datagram bus, forward
-updates from secondaries to their primary, push a full-state transfer after
-every mutating update to the zone's registered secondaries only (a zone with
-none builds no transfer), and can journal every update attempt in honeypot
-mode.
+updates from secondaries to their primary, and can journal every update
+attempt in honeypot mode. After a mutating update the primary pushes the
+zone's registered secondaries one IXFR diff (RFC 1995); a secondary whose
+copy is not the diff's base asks for the whole zone, which comes back as an
+AXFR stream split over as many messages as it needs (RFC 5936). Each zone
+version is derived from the last by patching only the names that changed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Union
 
 from . import tsig as tsig_mod
 from .transport import DatagramBus, SimDatagram
@@ -23,6 +26,7 @@ from .wire import (
     DnsMessage,
     DnsName,
     Opcode,
+    OversizeMessage,
     Question,
     RClass,
     Rcode,
@@ -31,6 +35,8 @@ from .wire import (
     SoaData,
     decode_message,
     encode_message,
+    encode_stream,
+    make_query,
     rdata_from_text,
     rdata_to_text,
     rtype_from_text,
@@ -117,9 +123,10 @@ class ZoneConfig:
     The record set is a mathematical set (no two records share name, type,
     and rdata; adds replace the TTL instead of duplicating). Every lookup goes
     through one owner-name index, ``name -> tuple of records``, built lazily
-    on the first read of each zone version. It lives in the instance
-    ``__dict__``, not in a field, so equality, hashing, repr and
-    ``dataclasses.replace`` see only the fields.
+    on the first read of a zone, and copied and patched by ``derive`` for
+    each later version. It lives in the instance ``__dict__``, not in a
+    field, so equality, hashing, repr and ``dataclasses.replace`` see only
+    the fields.
     """
 
     apex: DnsName
@@ -129,15 +136,20 @@ class ZoneConfig:
     soa_serial: int
 
     def __post_init__(self):
-        soas = [rr for rr in self.records if rr.rtype == RType.SOA]
-        if len(soas) != 1 or soas[0].name != self.apex or not isinstance(soas[0].rdata, SoaData):
-            raise ValueError("zone must hold exactly one SOA record, at the apex, with SOA rdata")
-        if soas[0].rdata.serial != self.soa_serial:
+        # a name breaks a rule only through an SOA or a CNAME, so only those
+        # names are checked: all of a CNAME owner's records, elsewhere its SOAs
+        marked = [rr for rr in self.records if rr.rtype in (RType.SOA, RType.CNAME)]
+        cnames = {rr.name for rr in marked if rr.rtype == RType.CNAME}
+        if cnames:
+            marked = [rr for rr in self.records if rr.rtype == RType.SOA or rr.name in cnames]
+        at_name: dict[DnsName, list[ResourceRecord]] = {self.apex: []}
+        for rr in marked:
+            at_name.setdefault(rr.name, []).append(rr)
+        for name, rrs in at_name.items():
+            _check_name(self.apex, name, rrs)
+        (soa,) = at_name[self.apex]  # a CNAME beside it would have failed the check
+        if soa.rdata.serial != self.soa_serial:
             raise ValueError("soa_serial must equal the SOA record's serial field")
-        cnames = {rr.name for rr in self.records if rr.rtype == RType.CNAME}
-        for rr in self.records if cnames else ():
-            if rr.rtype != RType.CNAME and rr.name in cnames:
-                raise ValueError(f"CNAME at {rr.name.to_text()} cannot coexist with other types")
 
     @classmethod
     def build(cls, apex: DnsName, role: Role, policy: UpdatePolicy,
@@ -148,12 +160,53 @@ class ZoneConfig:
                        if rr.rtype == RType.SOA and isinstance(rr.rdata, SoaData)), 0)
         return cls(apex, role, policy, records, serial)
 
+    def derive(self, removed: Iterable[ResourceRecord],
+               added: Iterable[ResourceRecord]) -> "ZoneConfig":
+        """The next version: this zone's records less ``removed``, plus ``added``.
+
+        Equal to ``build`` on the same records, and raises ValueError exactly
+        when it does, or when a removed record is not in the zone. The index
+        is copied and only the touched owner names are patched and checked;
+        the serial is read from the apex SOA.
+        """
+        removed, added = frozenset(removed), frozenset(added)
+        if not removed <= self.records:
+            raise ValueError("a removed record is not in the zone")
+        by_name = dict(self._by_name)
+        below = self.__dict__.get("_below")
+        below = below.copy() if below is not None else None
+        touched: dict[DnsName, set[ResourceRecord]] = {rr.name: set() for rr in removed}
+        for rr in added:
+            touched.setdefault(rr.name, set()).add(rr)
+        for name, new in touched.items():
+            old = by_name.pop(name, ())
+            new |= set(old).difference(removed)
+            _check_name(self.apex, name, new)
+            if new:
+                by_name[name] = tuple(new)
+            if below is not None and bool(old) != bool(new):
+                _count_ancestors(below, name, 1 if new else -1)
+        soa = next(rr for rr in by_name[self.apex] if rr.rtype == RType.SOA)
+        zone = object.__new__(ZoneConfig)  # checked above: skip the whole-zone constructor
+        zone.__dict__.update(apex=self.apex, role=self.role, policy=self.policy,
+                             records=self.records - removed | added,
+                             soa_serial=soa.rdata.serial, _by_name=by_name)
+        if below is not None:
+            zone.__dict__["_below"] = below
+        return zone
+
     @cached_property
     def _by_name(self) -> dict[DnsName, tuple[ResourceRecord, ...]]:
         index: dict[DnsName, list[ResourceRecord]] = {}
         for rr in self.records:
             index.setdefault(rr.name, []).append(rr)
         return {name: tuple(rrs) for name, rrs in index.items()}
+
+    @cached_property
+    def _below(self) -> Counter:
+        """Owner names strictly below each name, keyed by ``DnsName.key``; absent means none."""
+        return Counter(name.key[start:] for name in self._by_name
+                       for start in range(1, len(name) + 1))
 
     @property
     def soa(self) -> ResourceRecord:
@@ -167,7 +220,7 @@ class ZoneConfig:
 
     def has_node(self, name: DnsName) -> bool:
         """True when the name exists, including as an empty non-terminal."""
-        return any(owner.is_subdomain_of(name) for owner in self._by_name)
+        return name in self._by_name or name.key in self._below
 
     def delegation(self, name: DnsName) -> Optional[DnsName]:
         """The highest zone cut at or above ``name``, below the apex (RFC 1034 §4.3.2).
@@ -191,6 +244,28 @@ class ZoneConfig:
         """
         soa = next(rr for rr in self.records if rr.rtype == RType.SOA)
         return self.records - {soa} | {_with_serial(soa, 0)}
+
+
+def _check_name(apex: DnsName, name: DnsName, rrs: Collection[ResourceRecord]) -> None:
+    """The zone rules that hold name by name: one SOA, at the apex, with SOA
+    rdata; a CNAME beside no other type. Raises ValueError."""
+    soas = [rr for rr in rrs if rr.rtype == RType.SOA]
+    if len(soas) != (name == apex) or soas and not isinstance(soas[0].rdata, SoaData):
+        raise ValueError("zone must hold exactly one SOA record, at the apex, with SOA rdata")
+    types = {rr.rtype for rr in rrs}
+    if RType.CNAME in types and len(types) > 1:
+        raise ValueError(f"CNAME at {name.to_text()} cannot coexist with other types")
+
+
+def _count_ancestors(below: Counter, name: DnsName, step: int) -> None:
+    """Add ``step`` to the count of every name strictly above ``name``, dropping zeros."""
+    key = name.key
+    for start in range(1, len(key) + 1):
+        count = below.get(key[start:], 0) + step
+        if count:
+            below[key[start:]] = count
+        else:
+            del below[key[start:]]
 
 
 def _with_serial(soa: ResourceRecord, serial: int) -> ResourceRecord:
@@ -339,10 +414,9 @@ def apply_update(zone: ZoneConfig, msg: DnsMessage) -> tuple[ZoneConfig, Rcode]:
     after = frozenset(new for at_name in touched.values() for new in at_name.values())
     if after == before:
         return zone, Rcode.NOERROR
-    new_serial = (zone.soa_serial + 1) & 0xFFFFFFFF
     soa = zone.soa
-    new_records = (zone.records - before | after) - {soa} | {_with_serial(soa, new_serial)}
-    return dataclasses.replace(zone, records=new_records, soa_serial=new_serial), Rcode.NOERROR
+    new_soa = _with_serial(soa, (zone.soa_serial + 1) & 0xFFFFFFFF)
+    return zone.derive(before - after | {soa}, after - before | {new_soa}), Rcode.NOERROR
 
 
 def propagate_zone(primary: ZoneConfig, secondary: ZoneConfig) -> ZoneConfig:
@@ -350,6 +424,30 @@ def propagate_zone(primary: ZoneConfig, secondary: ZoneConfig) -> ZoneConfig:
     if not isinstance(secondary.role, Secondary):
         raise ValueError("propagate_zone target must have a Secondary role")
     return dataclasses.replace(secondary, records=primary.records, soa_serial=primary.soa_serial)
+
+
+# --- zone transfers (RFC 1995 IXFR diffs, RFC 5936 AXFR streams) ---
+
+
+def _transfer_order(rr: ResourceRecord) -> tuple:
+    """A sort key that keeps transfer bytes independent of the hash seed."""
+    return rr.name, rr.rtype, rr.ttl, rdata_to_text(rr.rtype, rr.rdata)
+
+
+def _is_apex_soa(rr: ResourceRecord, apex: DnsName) -> bool:
+    return rr.rtype == RType.SOA and rr.name == apex and isinstance(rr.rdata, SoaData)
+
+
+def _parse_diff(apex: DnsName, answers: tuple[ResourceRecord, ...]):
+    """(old SOA, new SOA, deleted, added) from one RFC 1995 difference
+    sequence, or None when the answers are not one."""
+    if len(answers) < 4 or not (_is_apex_soa(answers[0], apex) and _is_apex_soa(answers[1], apex)):
+        return None
+    new_soa, body = answers[0], answers[2:-1]
+    marks = [i for i, rr in enumerate(body) if rr.rtype == RType.SOA]
+    if answers[-1] != new_soa or len(marks) != 1 or body[marks[0]] != new_soa:
+        return None
+    return answers[1], new_soa, body[:marks[0]], body[marks[0] + 1:]
 
 
 # --- honeypot journal ---
@@ -387,14 +485,23 @@ def _change_kind(rr: ResourceRecord) -> str:
     return "unknown"
 
 
-def open_journal(path: str) -> Callable[[HoneypotEvent], None]:
-    """Append-only JSONL sink for honeypot events."""
+class _JournalSink:
+    """Append-only JSONL sink on one open handle, flushed after every event."""
 
-    def sink(event: HoneypotEvent) -> None:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event.to_json_obj()) + "\n")
+    def __init__(self, path: str):
+        self._fh = open(path, "a", encoding="utf-8")
 
-    return sink
+    def __call__(self, event: HoneypotEvent) -> None:
+        self._fh.write(json.dumps(event.to_json_obj()) + "\n")
+        self._fh.flush()
+
+    def close(self) -> None:
+        self._fh.close()
+
+
+def open_journal(path: str) -> _JournalSink:
+    """Open an append-only JSONL journal: call the sink per event, close it when done."""
+    return _JournalSink(path)
 
 
 # --- the server ---
@@ -417,6 +524,7 @@ class NameServer:
         self.journal_sink = journal_sink
         self.events: list[HoneypotEvent] = []
         self._pending_forwards: dict[tuple[str, int], str] = {}
+        self._streams: dict[DnsName, tuple[int, list[ResourceRecord]]] = {}
         for zone in zones:
             self.add_zone(zone)
 
@@ -441,6 +549,8 @@ class NameServer:
             return self._handle_response(msg, dgram)
         if msg.opcode == Opcode.UPDATE:
             return self._handle_update(msg, dgram, now)
+        if len(msg.question) == 1 and msg.question[0].rtype == RType.AXFR:
+            return self._answer_axfr(msg, dgram)
         return [self._reply(dgram, self._answer_query(msg))]
 
     # -- queries --
@@ -516,50 +626,115 @@ class NameServer:
         out = [self._reply(dgram, self._response(msg, rc))]
         if new_zone is not zone:
             self.zones[apex] = new_zone
-            out += self._transfers(new_zone)
+            out += self._push_diff(zone, new_zone, core.updates)
         self._journal(now, dgram, msg, rc)
         return out
 
-    def _transfers(self, zone: ZoneConfig) -> list[SimDatagram]:
-        secondaries = self.secondaries.get(zone.apex)
+    # -- zone transfers: primary side --
+
+    def _push_diff(self, old: ZoneConfig, new: ZoneConfig,
+                   updates: Iterable[ResourceRecord]) -> list[SimDatagram]:
+        """Send each registered secondary the change ``updates`` made as one IXFR message.
+
+        The answers run new SOA, old SOA, deleted records, new SOA, added
+        records, new SOA (RFC 1995 section 4). A diff too large for one
+        message goes out as the whole zone instead.
+        """
+        secondaries = self.secondaries.get(new.apex)
         if not secondaries:
             return []
-        payload = encode_message(self._transfer_message(zone))
+        deleted, added = set(), set()
+        for name in {rr.name for rr in updates}:
+            before, after = set(old.records_at(name)), set(new.records_at(name))
+            deleted |= before - after
+            added |= after - before
+        deleted = sorted((rr for rr in deleted if rr.rtype != RType.SOA), key=_transfer_order)
+        added = sorted((rr for rr in added if rr.rtype != RType.SOA), key=_transfer_order)
+        msg = DnsMessage(id=new.soa_serial & 0xFFFF, is_response=True, authoritative=True,
+                         question=(Question(new.apex, RType.IXFR, RClass.IN),),
+                         answers=(new.soa, old.soa, *deleted, new.soa, *added, new.soa))
+        try:
+            payload = encode_message(msg)
+        except OversizeMessage:
+            return self._zone_stream(new, msg.id, secondaries)
         return [SimDatagram(self.address, addr, payload) for addr in secondaries]
 
-    def _transfer_message(self, zone: ZoneConfig) -> DnsMessage:
-        answers = tuple(sorted(
-            zone.records,
-            key=lambda rr: (rr.name, rr.rtype, rr.rclass, rr.ttl, rdata_to_text(rr.rtype, rr.rdata)),
-        ))
-        return DnsMessage(
-            id=zone.soa_serial & 0xFFFF,
-            opcode=Opcode.QUERY,
-            is_response=True,
-            authoritative=True,
-            question=(Question(zone.apex, RType.AXFR, RClass.IN),),
-            answers=answers,
-        )
+    def _answer_axfr(self, msg: DnsMessage, dgram: SimDatagram) -> list[SimDatagram]:
+        """A zone transfer, for the zone's registered secondaries only."""
+        apex = msg.question[0].name
+        zone = self.zones.get(apex)
+        if zone is None or dgram.source not in self.secondaries.get(apex, ()):
+            return [self._reply(dgram, self._response(msg, Rcode.REFUSED))]
+        return self._zone_stream(zone, msg.id, [dgram.source])
+
+    def _zone_stream(self, zone: ZoneConfig, msg_id: int,
+                     destinations: Iterable[str]) -> list[SimDatagram]:
+        """The whole zone, SOA first and last, in as many messages as it needs (RFC 5936 §2.2)."""
+        soa = zone.soa
+        body = sorted((rr for rr in zone.records if rr != soa), key=_transfer_order)
+        head = DnsMessage(id=msg_id, is_response=True, authoritative=True,
+                          question=(Question(zone.apex, RType.AXFR, RClass.IN),))
+        payloads = encode_stream(head, [soa, *body, soa])
+        return [SimDatagram(self.address, addr, payload)
+                for addr in destinations for payload in payloads]
 
     # -- responses arriving at this server (transfers, relayed rcodes) --
 
     def _handle_response(self, msg: DnsMessage, dgram: SimDatagram) -> list[SimDatagram]:
-        if msg.question and msg.question[0].rtype == RType.AXFR:
-            return self._apply_transfer(msg, dgram)
+        if len(msg.question) == 1 and msg.question[0].rtype in (RType.IXFR, RType.AXFR):
+            zone = self.zones.get(msg.question[0].name)
+            if zone is None or not isinstance(zone.role, Secondary) or \
+                    dgram.source != zone.role.primary_address:
+                return []
+            if msg.question[0].rtype == RType.IXFR:
+                return self._apply_diff(zone, msg)
+            return self._apply_stream(zone, msg)
         requester = self._pending_forwards.pop((dgram.source, msg.id), None)
         if requester is not None:
             return [SimDatagram(self.address, requester, dgram.payload)]
         return []
 
-    def _apply_transfer(self, msg: DnsMessage, dgram: SimDatagram) -> list[SimDatagram]:
-        apex = msg.question[0].name
-        zone = self.zones.get(apex)
-        if zone is None or not isinstance(zone.role, Secondary):
+    # -- zone transfers: secondary side --
+
+    def _apply_diff(self, zone: ZoneConfig, msg: DnsMessage) -> list[SimDatagram]:
+        """Apply a pushed IXFR diff whose base is this copy; otherwise ask for the whole zone.
+
+        A malformed diff, or one that would not leave a valid zone, is
+        dropped and the last good copy kept.
+        """
+        diff = _parse_diff(zone.apex, msg.answers)
+        if diff is None:
             return []
-        if dgram.source != zone.role.primary_address:
+        old_soa, new_soa, deleted, added = diff
+        if old_soa.rdata.serial != zone.soa_serial:
+            # a push went missing: resynchronise from the primary
+            query = make_query(zone.apex, RType.AXFR, msg_id=zone.soa_serial)
+            return [SimDatagram(self.address, zone.role.primary_address, encode_message(query))]
+        try:
+            self.zones[zone.apex] = zone.derive((old_soa, *deleted), (new_soa, *added))
+        except ValueError:
+            pass  # a diff that would not leave a valid zone: keep serving the last good copy
+        return []
+
+    def _apply_stream(self, zone: ZoneConfig, msg: DnsMessage) -> list[SimDatagram]:
+        """Collect an AXFR stream, one partial stream per zone; install it once the SOA closes it.
+
+        A message with another id than the partial stream's starts a new
+        stream, which must open with the apex SOA. A stream that is not a
+        valid zone is dropped and the last good copy kept.
+        """
+        apex = zone.apex
+        stream_id, records = self._streams.pop(apex, (msg.id, []))
+        if stream_id != msg.id:
+            records = []
+        records += msg.answers
+        if not records or not _is_apex_soa(records[0], apex):
+            return []
+        if len(records) < 2 or records[-1] != records[0]:
+            self._streams[apex] = (msg.id, records)
             return []
         try:
-            self.zones[apex] = ZoneConfig.build(apex, zone.role, zone.policy, msg.answers)
+            self.zones[apex] = ZoneConfig.build(apex, zone.role, zone.policy, records)
         except ValueError:
             pass  # a transfer that is not a valid zone: keep serving the last good copy
         return []

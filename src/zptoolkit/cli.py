@@ -50,14 +50,13 @@ def _load_keys(path: str | None) -> dict[str, TsigKey]:
 
 
 def _build_sim(fleet_path: str, keys_path: str | None, seed: int,
-               honeypot_path: str | None = None) -> tuple[DatagramBus, dict[str, authsim.NameServer]]:
+               journal_sink=None) -> tuple[DatagramBus, dict[str, authsim.NameServer]]:
     keys = _load_keys(keys_path)
     with open(fleet_path, encoding="utf-8") as fh:
         fleet = authsim.parse_fleet_text(fh.read(), keys)
     bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed))
-    sink = authsim.open_journal(honeypot_path) if honeypot_path else None
-    servers = authsim.build_fleet(bus, fleet, honeypot=honeypot_path is not None,
-                                  journal_sink=sink)
+    servers = authsim.build_fleet(bus, fleet, honeypot=journal_sink is not None,
+                                  journal_sink=journal_sink)
     return bus, servers
 
 
@@ -119,22 +118,27 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    bus, servers = _build_sim(args.fleet, args.keys, args.seed, args.honeypot)
-    for address, server in sorted(servers.items()):
-        for apex, zone in sorted(server.zones.items(), key=lambda e: e[0].to_text()):
-            role = "secondary" if isinstance(zone.role, authsim.Secondary) else "primary"
-            print(f"{address}  {apex.to_text()}  policy={authsim.policy_label(zone.policy)}"
-                  f"  role={role}  serial={zone.soa_serial}")
-    if not args.bind:
+    journal = authsim.open_journal(args.honeypot) if args.honeypot else None
+    try:
+        bus, servers = _build_sim(args.fleet, args.keys, args.seed, journal)
+        for address, server in sorted(servers.items()):
+            for apex, zone in sorted(server.zones.items(), key=lambda e: e[0].to_text()):
+                role = "secondary" if isinstance(zone.role, authsim.Secondary) else "primary"
+                print(f"{address}  {apex.to_text()}  policy={authsim.policy_label(zone.policy)}"
+                      f"  role={role}  serial={zone.soa_serial}")
+        if not args.bind:
+            return 0
+        if len(servers) != 1:
+            raise RuntimeError("--bind serves exactly one fleet server; split the fleet file")
+        (server,) = servers.values()
+        host, _, port = args.bind.rpartition(":")
+        served = serve_udp(bus, server, host or "127.0.0.1", int(port),
+                           max_requests=args.max_requests)
+        print(f"served {served} datagrams", file=sys.stderr)
         return 0
-    if len(servers) != 1:
-        raise RuntimeError("--bind serves exactly one fleet server; split the fleet file")
-    (server,) = servers.values()
-    host, _, port = args.bind.rpartition(":")
-    served = serve_udp(bus, server, host or "127.0.0.1", int(port),
-                       max_requests=args.max_requests)
-    print(f"served {served} datagrams", file=sys.stderr)
-    return 0
+    finally:
+        if journal is not None:
+            journal.close()
 
 
 def serve_udp(bus: DatagramBus, server: authsim.NameServer, host: str, port: int,

@@ -178,15 +178,14 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     # phase 1: one UPDATE datagram decides; retransmit only after a timeout
     probe = build_probe(target, cfg, rng=rng)
     t0 = clock.now()
-    reply = None
-    detection_sends = 0
+    counted = _CountingTransport(transport)
     try:
-        while reply is None and detection_sends <= cfg.retries_verify:
-            detection_sends += 1
-            reply = exchange_message(transport, target.nameserver, probe, cfg.timeout)
+        reply = exchange_message(counted, target.nameserver, probe, cfg.timeout,
+                                 cfg.retries_verify)
     except DecodeError:
         return outcome(Verdict.MALFORMED_REPLY, t_update=clock.now() - t0,
-                       detection_sends=detection_sends)
+                       detection_sends=counted.sends)
+    detection_sends = counted.sends
     t_update = clock.now() - t0
     if reply is None:
         return outcome(Verdict.UNREACHABLE, t_update=t_update, detection_sends=detection_sends)
@@ -222,6 +221,18 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
                        cleanup_sends=cleanup_sends, t_cleanup=t_cleanup, **common)
     return outcome(Verdict.CLEANUP_FAILED, Rcode.NOERROR, cleanup_confirmed=False,
                    cleanup_sends=cleanup_sends, t_cleanup=t_cleanup, **common)
+
+
+class _CountingTransport:
+    """A transport that counts its sends, so one encoded probe's retransmissions are exact."""
+
+    def __init__(self, transport: Transport):
+        self.transport = transport
+        self.sends = 0
+
+    def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
+        self.sends += 1
+        return self.transport.exchange(payload, destination, timeout)
 
 
 def _query_addresses(transport, destination, name, cfg, rng):

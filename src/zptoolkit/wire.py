@@ -1,7 +1,8 @@
 """DNS message wire codec for the QUERY/UPDATE subset this toolkit speaks.
 
 Covers RFC 1035 framing plus the RFC 2136 section repurposing
-(Zone/Prerequisite/Update/Additional). Names are emitted uncompressed;
+(Zone/Prerequisite/Update/Additional), and splits a zone transfer over as
+many messages as it needs (RFC 5936). Names are emitted uncompressed;
 compression pointers are accepted on decode. Record types outside the
 supported set decode to opaque rdata and re-encode byte-identically.
 """
@@ -82,6 +83,7 @@ class RType(IntEnum):
     TXT = 16
     AAAA = 28
     TSIG = 250
+    IXFR = 251
     AXFR = 252
     ANY = 255
 
@@ -126,6 +128,11 @@ class DnsName:
         if not self.labels:
             return "."
         return ".".join(l.decode("ascii", errors="backslashreplace") for l in self.labels)
+
+    @property
+    def key(self) -> tuple[bytes, ...]:
+        """The lower-cased labels that equality and hashing compare."""
+        return self._key
 
     def wire_length(self) -> int:
         return sum(len(l) + 1 for l in self.labels) + 1
@@ -439,6 +446,30 @@ def encode_message(msg: DnsMessage) -> bytes:
     if len(out) > MAX_MESSAGE_SIZE:
         raise OversizeMessage(f"{len(out)} bytes exceeds {MAX_MESSAGE_SIZE}")
     return bytes(out)
+
+
+def encode_stream(head: DnsMessage, records: Iterable[ResourceRecord]) -> list[bytes]:
+    """Encode ``records``, in order, as the answers of as many messages as they need.
+
+    Every message repeats ``head``, a message with a header and question
+    but no records, and carries the next run of records that fits in
+    MAX_MESSAGE_SIZE: a zone transfer spread over several messages (RFC
+    5936 section 2.2). Only a record too large for a message of its own
+    raises OversizeMessage.
+    """
+    prefix = encode_message(head)
+    runs: list[list[bytes]] = [[]]
+    size = len(prefix)
+    for rr in records:
+        encoded = _encode_record(rr)
+        if len(prefix) + len(encoded) > MAX_MESSAGE_SIZE:
+            raise OversizeMessage(f"a {len(encoded)}-byte record fits in no message")
+        if size + len(encoded) > MAX_MESSAGE_SIZE:
+            runs.append([])
+            size = len(prefix)
+        runs[-1].append(encoded)
+        size += len(encoded)
+    return [prefix[:6] + struct.pack("!H", len(run)) + prefix[8:] + b"".join(run) for run in runs]
 
 
 # --- decoding ---

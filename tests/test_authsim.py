@@ -1,6 +1,7 @@
 """Server-side RFC 2136 semantics: policies, prerequisites, update application,
 query answering, propagation, forwarding, honeypot journaling, seed files."""
 
+import dataclasses
 import json
 import random
 from ipaddress import IPv4Address
@@ -452,7 +453,8 @@ class TestForwardingAndPropagation:
                      False, id="cname-beside-a"),
         pytest.param([ResourceRecord(APEX, RType.SOA, RClass.IN, 3600, b"")],
                      False, id="soa-without-rdata"),
-        pytest.param([make_soa(APEX, serial=9), a_record(SENTINEL, "192.0.2.80")],
+        pytest.param([make_soa(APEX, serial=9), a_record(SENTINEL, "192.0.2.80"),
+                      make_soa(APEX, serial=9)],
                      True, id="valid"),
     ])
     def test_forged_transfer_never_aborts_the_simulation(self, bus, forged, applied):
@@ -500,6 +502,129 @@ class TestForwardingAndPropagation:
         assert propagate_zone(zone, secondary).records == zone.records  # oracle: set equality
 
 
+def hosts(n):
+    return [a_record(APEX.prepend(f"h{i}"), "192.0.2.10") for i in range(n)]
+
+
+class TestIncrementalTransfers:
+    """Each accepted UPDATE reaches the secondaries as one IXFR diff (RFC 1995);
+    a secondary that missed one resyncs by an AXFR stream (RFC 5936)."""
+
+    def build_pair(self, bus, extra=()):
+        primary_zone = basic_zone("example.com", Open(), extra=extra)
+        secondary_zone = dataclasses.replace(primary_zone, role=Secondary("10.0.1.1"))
+        primary = attach_server(bus, "10.0.1.1", primary_zone)
+        secondary = attach_server(bus, "10.0.1.2", secondary_zone)
+        primary.register_secondary(APEX, "10.0.1.2")
+        return primary, secondary
+
+    @staticmethod
+    def pushes(bus):
+        return [e.datagram.payload for e in bus.tap
+                if (e.datagram.source, e.datagram.destination) == ("10.0.1.1", "10.0.1.2")]
+
+    def test_update_to_large_zone_with_secondary_is_answered_and_copied(self, bus):
+        # ~98 KB of zone data, far over one message
+        primary, secondary = self.build_pair(bus, hosts(3000))
+        raw = client(bus).exchange(encode_message(add_sentinel()), "10.0.1.1", 1.0)
+        assert decode_message(raw).rcode == Rcode.NOERROR
+        assert secondary.zones[APEX].records == primary.zones[APEX].records
+        assert secondary.zones[APEX].soa_serial == 2
+
+    def test_push_for_one_record_is_the_same_size_at_any_zone_size(self):
+        sizes = []
+        for n in (10, 3000):
+            bus = DatagramBus(clock=ManualClock(), rng=random.Random(0))
+            self.build_pair(bus, hosts(n))
+            client(bus).exchange(encode_message(add_sentinel()), "10.0.1.1", 1.0)
+            (push,) = self.pushes(bus)
+            msg = decode_message(push)
+            assert msg.question == (Question(APEX, RType.IXFR, RClass.IN),)
+            assert [rr.rtype for rr in msg.answers] == [RType.SOA] * 3 + [RType.A, RType.SOA]
+            sizes.append(len(push))
+        assert sizes[0] == sizes[1]
+
+    def test_lost_push_is_repaired_by_a_split_axfr(self, bus):
+        primary, secondary = self.build_pair(bus, hosts(3000))
+        lost = []
+
+        def drop_first_push(dgram):
+            if not lost and (dgram.source, dgram.destination) == ("10.0.1.1", "10.0.1.2"):
+                lost.append(dgram)
+                return True
+            return False
+
+        bus.drop_filter = drop_first_push
+        c = client(bus)
+        c.exchange(encode_message(add_sentinel(1)), "10.0.1.1", 1.0)
+        assert lost and secondary.zones[APEX].soa_serial == 1
+        second = ResourceRecord(APEX.prepend("second"), RType.A, RClass.IN, 60, PROBE_IP)
+        c.exchange(encode_message(make_update(APEX, [AddRecord(second)], msg_id=2)),
+                   "10.0.1.1", 1.0)
+        stream = [decode_message(p) for p in self.pushes(bus)[2:]]
+        assert len(stream) >= 2
+        assert all(m.question[0].rtype == RType.AXFR for m in stream)
+        assert stream[0].answers[0] == stream[-1].answers[-1] == primary.zones[APEX].soa
+        assert secondary.zones[APEX].records == primary.zones[APEX].records
+        assert secondary.zones[APEX].soa_serial == 3
+
+    def test_diff_too_large_for_one_message_goes_out_as_the_zone(self, bus):
+        wide = [a_record(SENTINEL, str(IPv4Address(0xC0000000 + i))) for i in range(3000)]
+        primary, secondary = self.build_pair(bus, wide)
+        delete = make_update(APEX, [DeleteRRset(SENTINEL, RType.A)], msg_id=3)
+        raw = client(bus).exchange(encode_message(delete), "10.0.1.1", 1.0)
+        assert decode_message(raw).rcode == Rcode.NOERROR
+        # the diff deletes ~130 KB of records; the zone left is one small message
+        (push,) = self.pushes(bus)
+        assert decode_message(push).question[0].rtype == RType.AXFR
+        assert secondary.zones[APEX].records == primary.zones[APEX].records
+        assert not secondary.zones[APEX].rrset(SENTINEL, RType.A)
+
+    def test_axfr_query_from_a_non_secondary_is_refused(self, bus):
+        self.build_pair(bus)
+        raw = client(bus).exchange(encode_message(make_query(APEX, RType.AXFR, msg_id=4)),
+                                   "10.0.1.1", 1.0)
+        assert decode_message(raw).rcode == Rcode.REFUSED
+
+    NEW_SOA = make_soa(APEX, serial=2)
+    SUB_SOA = make_soa(SUB_APEX, serial=2)
+
+    @pytest.mark.parametrize("source, answers, applied", [
+        pytest.param("10.0.1.1", [NEW_SOA, make_soa(APEX, serial=5), NEW_SOA,
+                                  a_record(SENTINEL, "192.0.2.80"), NEW_SOA],
+                     False, id="wrong-base-serial"),
+        pytest.param("10.0.1.1", [NEW_SOA, APEX_SOA, NEW_SOA, a_record(SENTINEL, "192.0.2.80")],
+                     False, id="missing-closing-soa"),
+        pytest.param("10.0.1.1", [SUB_SOA, APEX_SOA, SUB_SOA, SUB_SOA],
+                     False, id="soa-off-the-apex"),
+        pytest.param("10.0.1.1", [NEW_SOA, APEX_SOA, NEW_SOA,
+                                  ResourceRecord(APEX.prepend("ns1"), RType.CNAME, RClass.IN, 60,
+                                                 APEX),
+                                  NEW_SOA],
+                     False, id="cname-beside-a"),
+        pytest.param("203.0.113.9", [NEW_SOA, APEX_SOA, NEW_SOA, a_record(SENTINEL, "192.0.2.80"),
+                                     NEW_SOA],
+                     False, id="not-the-primary"),
+        pytest.param("10.0.1.1", [NEW_SOA, APEX_SOA, NEW_SOA, a_record(SENTINEL, "192.0.2.80"),
+                                  NEW_SOA],
+                     True, id="valid"),
+    ])
+    def test_forged_ixfr_never_aborts_the_simulation(self, bus, source, answers, applied):
+        _, secondary = self.build_pair(bus)
+        before = secondary.zones[APEX]
+        diff = DnsMessage(id=2, is_response=True, authoritative=True,
+                          question=(Question(APEX, RType.IXFR, RClass.IN),),
+                          answers=tuple(answers))
+        client(bus).send(encode_message(diff), "10.0.1.2", source=source)
+        bus.pump()
+        after = secondary.zones[APEX]
+        if applied:
+            assert after.records == before.records - {APEX_SOA} | {self.NEW_SOA, answers[3]}
+            assert after.soa_serial == 2
+        else:
+            assert after == before
+
+
 class TestHoneypot:
     def test_every_update_journaled_regardless_of_outcome(self, bus, tmp_path):
         journal = tmp_path / "journal.jsonl"
@@ -519,6 +644,18 @@ class TestHoneypot:
         assert lines[0]["rcode"] == "REFUSED"
         assert lines[1]["rcode"] == "FORMERR"
         assert bytes.fromhex(lines[1]["raw_hex"]) == b"\x00\x01junk"
+
+    def test_journal_lines_are_the_events_before_close(self, bus, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        sink = authsim.open_journal(str(journal))
+        server = attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()),
+                               honeypot=True, journal_sink=sink)
+        c = client(bus)
+        for i in range(3):
+            c.exchange(encode_message(add_sentinel(i)), "10.0.0.1", 1.0)
+        lines = [json.loads(l) for l in journal.read_text().splitlines()]
+        assert lines == [e.to_json_obj() for e in server.events] and len(lines) == 3
+        sink.close()
 
     def test_accepted_updates_also_journaled(self, bus):
         server = attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()),
@@ -653,3 +790,64 @@ def test_open_policy_complete_wellformed_update_mutates(addr, msg_id):
     assert decode_message(raw).rcode == Rcode.NOERROR
     assert server.zones[APEX].rrset(APEX.prepend("fresh"), RType.A)
     assert server.zones[APEX].soa_serial == zone.soa_serial + 1
+
+
+# names with empty non-terminals (b.a, x.b.a) and one above the apex
+NODE_NAMES = [APEX, APEX.prepend("a"), APEX.prepend("a").prepend("b"),
+              APEX.prepend("a").prepend("b").prepend("x"), APEX.prepend("c"), SUB_APEX]
+QUERY_NAMES = NODE_NAMES + [APEX.prepend("zz"), APEX.parent(), DnsName.from_text(".")]
+
+
+@st.composite
+def _zone_records(draw):
+    name = draw(st.sampled_from(NODE_NAMES))
+    kind = draw(st.sampled_from(["A", "A", "CNAME", "NS", "SOA", "SOA-no-rdata"]))
+    if kind == "A":
+        return a_record(name, str(IPv4Address(0xC0000200 + draw(st.integers(0, 3)))))
+    if kind == "CNAME":
+        return ResourceRecord(name, RType.CNAME, RClass.IN, 60, draw(st.sampled_from(NODE_NAMES)))
+    if kind == "NS":
+        return ns_record(name, draw(st.sampled_from(NODE_NAMES)))
+    if kind == "SOA":
+        return make_soa(name, serial=draw(st.integers(1, 3)))
+    return ResourceRecord(name, RType.SOA, RClass.IN, 3600, b"")
+
+
+def _has_node_brute_force(zone, name):
+    return any(rr.name.is_subdomain_of(name) for rr in zone.records)
+
+
+@given(st.lists(_zone_records(), max_size=6), st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_derive_matches_build(extra, data, indexed_ancestors):
+    zone = basic_zone("example.com", Open(), extra=[rr for rr in extra if rr.rtype == RType.A])
+    if indexed_ancestors:
+        zone.has_node(APEX)  # the ancestor map exists, so derive patches it
+    removed = data.draw(st.sets(st.sampled_from(sorted(zone.records, key=repr))))
+    added = set(data.draw(st.lists(_zone_records(), max_size=4)))
+    try:
+        expected = ZoneConfig.build(APEX, zone.role, zone.policy, zone.records - removed | added)
+    except ValueError:
+        with pytest.raises(ValueError):
+            zone.derive(removed, added)
+        return
+    derived = zone.derive(removed, added)
+    assert derived == expected
+    assert derived.soa_serial == expected.soa_serial
+    for name in QUERY_NAMES:
+        assert set(derived.records_at(name)) == set(expected.records_at(name))
+        assert derived.has_node(name) == _has_node_brute_force(derived, name)
+
+
+@given(st.lists(st.lists(_zone_records(), min_size=1, max_size=3), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_has_node_matches_brute_force_across_updates(batches):
+    zone = basic_zone("example.com", Open())
+    zone.has_node(APEX)
+    for i, records in enumerate(batches):
+        changes = [AddRecord(rr) if i % 2 == 0 else DeleteAllAtName(rr.name) for rr in records
+                   if rr.name.is_subdomain_of(APEX)]
+        if changes:
+            zone, _ = apply_update(zone, make_update(APEX, changes, msg_id=i))
+        for name in QUERY_NAMES:
+            assert zone.has_node(name) == _has_node_brute_force(zone, name)

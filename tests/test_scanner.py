@@ -6,7 +6,7 @@ from ipaddress import IPv4Address, IPv6Address
 
 import pytest
 
-from zptoolkit import authsim
+from zptoolkit import authsim, wire
 from zptoolkit.authsim import Deny, IpAcl, Open, Secondary, SignedKey, ZoneConfig
 from zptoolkit.scanner import (
     AttestationRequired,
@@ -115,6 +115,16 @@ class TestRunProbe:
         assert out.verdict is Verdict.UNREACHABLE
         assert out.detection_updates_sent == CFG.retries_verify + 1
         assert out.t_update_ms >= CFG.timeout * 1000 * (CFG.retries_verify + 1)
+
+    def test_dark_target_retries_one_encoded_probe(self, bus, monkeypatch):
+        encoded = []
+        encode = wire.encode_message
+        monkeypatch.setattr(wire, "encode_message", lambda msg: encoded.append(msg) or encode(msg))
+        out = probe(bus, "10.9.9.9")  # no server attached
+        assert out.verdict is Verdict.UNREACHABLE
+        assert out.detection_updates_sent == CFG.retries_verify + 1
+        assert len(bus.updates_seen("10.9.9.9")) == CFG.retries_verify + 1
+        assert len(encoded) == 1
 
     def test_retransmission_only_after_timeout_can_still_succeed(self, bus):
         attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()))

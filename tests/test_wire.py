@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zptoolkit.wire import (
+    MAX_MESSAGE_SIZE,
     AddRecord,
     BadOpcode,
     DeleteAllAtName,
@@ -32,6 +33,7 @@ from zptoolkit.wire import (
     WireError,
     decode_message,
     encode_message,
+    encode_stream,
     make_query,
     make_update,
 )
@@ -108,6 +110,26 @@ class TestEncodeDecode:
         msg = DnsMessage(id=1, answers=(txt,))
         with pytest.raises(OversizeMessage):
             encode_message(msg)
+
+    def test_stream_splits_records_in_order_across_messages(self):
+        head = DnsMessage(id=7, is_response=True, question=(Question(EXAMPLE, RType.AXFR),))
+        records = [ResourceRecord(EXAMPLE.prepend(f"h{i}"), RType.A, RClass.IN, 60, PROBE_IP)
+                   for i in range(3000)]
+        payloads = encode_stream(head, records)
+        assert len(payloads) == 2 and all(len(p) <= MAX_MESSAGE_SIZE for p in payloads)
+        messages = [decode_message(p) for p in payloads]
+        assert all((m.id, m.question) == (head.id, head.question) for m in messages)
+        assert [rr for m in messages for rr in m.answers] == records
+        assert encode_stream(head, records[:3]) == [
+            encode_message(DnsMessage(id=7, is_response=True, question=head.question,
+                                      answers=tuple(records[:3])))]
+
+    def test_stream_record_too_large_for_any_message(self):
+        # 65,511 bytes of rdata: a legal record, but over 64 KB with a header and question
+        txt = ResourceRecord(EXAMPLE, RType.TXT, RClass.IN, 60,
+                             TxtData((b"x" * 255,) * 255 + (b"x" * 230,)))
+        with pytest.raises(OversizeMessage):
+            encode_stream(DnsMessage(id=1, question=(Question(EXAMPLE, RType.AXFR),)), [txt])
 
     def test_truncated_header(self):
         with pytest.raises(TruncatedMessage):
