@@ -260,40 +260,46 @@ class AggregateReport:
     concentration: ConcentrationStats
 
 
+def _zones_by_nameserver(pairs: Iterable[Pair]) -> dict[str, set[str]]:
+    zones_by_ns: dict[str, set[str]] = {}
+    for zone, addr in pairs:
+        zones_by_ns.setdefault(addr, set()).add(zone)
+    return zones_by_ns
+
+
+def _attribution_fold(snapshot: ScanSnapshot, attribution: AttributionMap,
+                      key: AggregationKey) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+    """Vulnerable (domains, nameservers) per ``key`` value, one lookup per nameserver."""
+    view: dict[str, tuple[set[str], set[str]]] = {}
+    for addr, zones in _zones_by_nameserver(snapshot.vulnerable_pairs).items():
+        attr = attribution.lookup(addr)
+        values = (attr.asn,) if key is AggregationKey.ASN else \
+            (attr.country,) if key is AggregationKey.COUNTRY else attr.csirt_ids
+        for value in values:
+            domains, nameservers = view.setdefault(value, (set(), set()))
+            domains |= zones
+            nameservers.add(addr)
+    return {v: (frozenset(domains), frozenset(nameservers)) for v, (domains, nameservers) in view.items()}
+
+
 def nameserver_concentration(pairs: Iterable[Pair], k: int = 3) -> float:
     """Fraction of vulnerable domains covered by the k nameservers serving the most."""
-    pairs = set(pairs)
-    domains_by_ns: dict[str, set[str]] = {}
-    for zone, addr in pairs:
-        domains_by_ns.setdefault(addr, set()).add(zone)
+    domains_by_ns = _zones_by_nameserver(pairs)
     if not domains_by_ns:
         return 0.0
     # ties at the k boundary break on the address so the result is stable
     ranked = sorted(domains_by_ns.items(), key=lambda e: (-len(e[1]), e[0]))
     covered = set().union(*(domains for _, domains in ranked[:k]))
-    total = {z for z, _ in pairs}
-    return len(covered) / len(total)
+    return len(covered) / len(set().union(*domains_by_ns.values()))
 
 
 def aggregate(snapshot: ScanSnapshot, attribution: AttributionMap,
               key: AggregationKey, top_k: int = 3) -> AggregateReport:
-    """Distinct vulnerable domains/nameservers per attribution key, ranked."""
+    """Distinct vulnerable domains/nameservers per attribution key, ranked; each nameserver attributed once."""
     snapshot._need_pairs("aggregation")
-    domains_per_key: dict[str, set[str]] = {}
-    ns_per_key: dict[str, set[str]] = {}
-    for zone, addr in snapshot.vulnerable_pairs:
-        attr = attribution.lookup(addr)
-        if key is AggregationKey.ASN:
-            key_values = (attr.asn,)
-        elif key is AggregationKey.COUNTRY:
-            key_values = (attr.country,)
-        else:
-            key_values = attr.csirt_ids
-        for value in key_values:
-            domains_per_key.setdefault(value, set()).add(zone)
-            ns_per_key.setdefault(value, set()).add(addr)
     rows = tuple(sorted(
-        (AggregateRow(v, len(domains_per_key[v]), len(ns_per_key[v])) for v in domains_per_key),
+        (AggregateRow(v, len(domains), len(nameservers))
+         for v, (domains, nameservers) in _attribution_fold(snapshot, attribution, key).items()),
         key=lambda r: (-r.vulnerable_domains, -r.vulnerable_nameservers, r.key),
     ))
     counts = snapshot.vulnerable
@@ -371,15 +377,9 @@ def diff_scans(earlier: ScanSnapshot, later: ScanSnapshot) -> ScanDiff:
 
 def csirt_view(snapshot: ScanSnapshot,
                attribution: AttributionMap) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-    """Vulnerable (domains, nameservers) under each CSIRT's jurisdiction."""
+    """Vulnerable (domains, nameservers) under each CSIRT's jurisdiction; each nameserver attributed once."""
     snapshot._need_pairs("per-CSIRT view")
-    domains: dict[str, set[str]] = {}
-    nameservers: dict[str, set[str]] = {}
-    for zone, addr in snapshot.vulnerable_pairs:
-        for cid in attribution.lookup(addr).csirt_ids:
-            domains.setdefault(cid, set()).add(zone)
-            nameservers.setdefault(cid, set()).add(addr)
-    return {cid: (frozenset(domains[cid]), frozenset(nameservers[cid])) for cid in domains}
+    return _attribution_fold(snapshot, attribution, AggregationKey.CSIRT)
 
 
 @dataclass(frozen=True)
@@ -412,9 +412,9 @@ def remediation_summary(baseline: ScanSnapshot, current: ScanSnapshot,
     A CSIRT's remediated count is its baseline resources no longer
     vulnerable in the current scan.
     """
-    index = 0 if scope == "domains" else 1
     if scope not in ("domains", "nameservers"):
         raise ValueError(f"scope must be domains or nameservers, not {scope!r}")
+    index = 0 if scope == "domains" else 1
     before = csirt_view(baseline, attribution)
     after = csirt_view(current, attribution)
     per_group: dict[str, list[tuple[int, int]]] = {}
@@ -550,12 +550,14 @@ def subjects_from_snapshots(snapshots: Sequence[ScanSnapshot], notified_at: floa
     """
     if len(snapshots) < 1:
         raise ValueError("need at least a baseline snapshot")
-    ordered = sorted(snapshots, key=lambda s: s.timestamp)
     extract = {
         "domain": lambda snap: snap.domains(),
         "nameserver": lambda snap: snap.nameservers(),
         "pair": lambda snap: frozenset(snap.vulnerable_pairs),
-    }[scope]
+    }.get(scope)
+    if extract is None:
+        raise ValueError(f"scope must be domain, nameserver or pair, not {scope!r}")
+    ordered = sorted(snapshots, key=lambda s: s.timestamp)
     sets = [(snap.timestamp, extract(snap)) for snap in ordered]
     subjects = []
     for item in sorted(sets[0][1]):
@@ -655,22 +657,19 @@ def notification_entries(baseline: ScanSnapshot, current: ScanSnapshot,
     before = csirt_view(baseline, attribution)
     after = csirt_view(current, attribution)
     empty = (frozenset(), frozenset())
-    orgs: dict[str, set[str]] = {}
-    for _, addr in current.vulnerable_pairs:
-        attr = attribution.lookup(addr)
-        for cid in attr.csirt_ids:
-            orgs.setdefault(cid, set()).add(f"AS{attr.asn}")
+    by_asn = _attribution_fold(current, attribution, AggregationKey.ASN)
     entries = []
     for cid in sorted(set(before) | set(after)):
         info = attribution.csirts.get(cid)
-        fixed = len(before.get(cid, empty)[1] - after.get(cid, empty)[1])
+        domains, nameservers = after.get(cid, empty)
         entries.append(NotificationEntry(
             csirt_id=cid,
             recipient=info.name if info else cid,
-            vulnerable_domains=tuple(sorted(after.get(cid, empty)[0])),
-            vulnerable_nameservers=tuple(sorted(after.get(cid, empty)[1])),
-            nameservers_fixed=fixed,
-            managing_orgs=tuple(sorted(orgs.get(cid, set()))),
+            vulnerable_domains=tuple(sorted(domains)),
+            vulnerable_nameservers=tuple(sorted(nameservers)),
+            nameservers_fixed=len(before.get(cid, empty)[1] - nameservers),
+            managing_orgs=tuple(sorted(f"AS{asn}" for asn, (_, served) in by_asn.items()
+                                       if not served.isdisjoint(nameservers))),
         ))
     return entries
 

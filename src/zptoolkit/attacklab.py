@@ -195,6 +195,7 @@ class AttackLab:
             return None
 
     def addresses(self, name: DnsName, rtype: int = RType.A) -> set:
+        """The rdata of the ``rtype`` answers at ``name``; empty when nothing answers."""
         reply = self.query(name, rtype)
         if reply is None:
             return set()
@@ -251,8 +252,7 @@ def _dos_delete_a(lab: AttackLab) -> tuple[bool, list[str]]:
 def _dos_delete_mx(lab: AttackLab) -> tuple[bool, list[str]]:
     lab.require_fixture((VICTIM_APEX, RType.MX))
     lab.send_update([DeleteRRset(VICTIM_APEX, RType.MX)])
-    reply = lab.query(VICTIM_APEX, RType.MX)
-    mx = [rr for rr in (reply.answers if reply else ()) if rr.rtype == RType.MX]
+    mx = lab.addresses(VICTIM_APEX, RType.MX)
     return not mx, [f"MX answers after attack: {len(mx)}"]
 
 
@@ -261,9 +261,7 @@ def _dos_spf_lockout(lab: AttackLab) -> tuple[bool, list[str]]:
     lockout = ResourceRecord(VICTIM_APEX, RType.TXT, RClass.IN, 300,
                              TxtData.from_text("v=spf1 -all"))
     lab.send_update(_replace_rrset(VICTIM_APEX, RType.TXT, lockout))
-    reply = lab.query(VICTIM_APEX, RType.TXT)
-    texts = {rr.rdata.to_text() for rr in (reply.answers if reply else ())
-             if rr.rtype == RType.TXT}
+    texts = {txt.to_text() for txt in lab.addresses(VICTIM_APEX, RType.TXT)}
     return texts == {"v=spf1 -all"}, [f"apex TXT after attack: {sorted(texts)}"]
 
 
@@ -279,9 +277,7 @@ def _hijack_mx(lab: AttackLab) -> tuple[bool, list[str]]:
     lab.require_fixture((VICTIM_APEX, RType.MX))
     malicious = ResourceRecord(VICTIM_APEX, RType.MX, RClass.IN, 300, MxData(10, ATTACKER_MAIL))
     lab.send_update(_replace_rrset(VICTIM_APEX, RType.MX, malicious))
-    reply = lab.query(VICTIM_APEX, RType.MX)
-    exchanges = {rr.rdata.exchange for rr in (reply.answers if reply else ())
-                 if rr.rtype == RType.MX}
+    exchanges = {mx.exchange for mx in lab.addresses(VICTIM_APEX, RType.MX)}
     glue = lab.addresses(VICTIM_APEX.prepend("mail"))
     hijacked = ATTACKER_MAIL in exchanges or glue == {ATTACKER_WEB}
     return hijacked, [f"MX exchanges after attack: {sorted(e.to_text() for e in exchanges)}"]
@@ -359,8 +355,7 @@ def _dcv_cname_insert(lab: AttackLab) -> tuple[bool, list[str]]:
     challenge = VICTIM_APEX.prepend("_dcv-challenge")
     token_rr = ResourceRecord(challenge, RType.CNAME, RClass.IN, 60, ATTACKER_CNAME_TARGET)
     lab.send_update([AddRecord(token_rr)])
-    reply = lab.query(challenge, RType.CNAME)
-    seen = {rr.rdata for rr in (reply.answers if reply else ()) if rr.rtype == RType.CNAME}
+    seen = lab.addresses(challenge, RType.CNAME)
     lab.send_update([DeleteRRset(challenge, RType.CNAME)])
     restored = lab.fixture_intact()
     return seen == {ATTACKER_CNAME_TARGET} and restored, [

@@ -67,7 +67,7 @@ class SuffixRuleSet:
 
     def suffix_label_count(self, name: DnsName) -> int:
         """Number of trailing labels forming the public suffix of ``name``."""
-        key = tuple(l.lower() for l in name.labels)
+        key = name.key
         best_exception = 0
         best = 0
         for k in range(1, len(key) + 1):
@@ -81,9 +81,6 @@ class SuffixRuleSet:
         if best_exception:
             return best_exception
         return best if best else min(1, len(key))
-
-    def public_suffix(self, name: DnsName) -> DnsName:
-        return DnsName(name.labels[len(name) - self.suffix_label_count(name):])
 
 
 def registrable_domain(name: DnsName, rules: SuffixRuleSet) -> Optional[DnsName]:

@@ -181,9 +181,6 @@ class DnsName:
         return f"DnsName({self.to_text()!r})"
 
 
-ROOT = DnsName(())
-
-
 @dataclass(frozen=True)
 class SoaData:
     mname: DnsName
@@ -234,9 +231,6 @@ class ResourceRecord:
     rclass: int
     ttl: int
     rdata: Rdata
-
-    def with_ttl(self, ttl: int) -> "ResourceRecord":
-        return ResourceRecord(self.name, self.rtype, self.rclass, ttl, self.rdata)
 
 
 @dataclass(frozen=True)
@@ -629,13 +623,6 @@ def rtype_from_text(token: str) -> int:
     if token.startswith("TYPE"):
         return int(token[4:])
     raise ValueError(f"unknown record type {token!r}")
-
-
-def rtype_to_text(rtype: int) -> str:
-    try:
-        return RType(rtype).name
-    except ValueError:
-        return f"TYPE{rtype}"
 
 
 def rdata_from_text(rtype: int, text: str) -> Rdata:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from ipaddress import IPv4Address
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,19 @@ from zptoolkit.tsig import TsigKey
 from zptoolkit.wire import DnsName, RClass, ResourceRecord, RType
 
 SCANNER_SOURCE = "scanner.client"
+
+# set on the items here rather than in pyproject.toml, which perfbench's self-test also reads
+LEAK_FILTERS = ("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+
+
+def pytest_collection_modifyitems(items):
+    """A file or socket that a test here leaves open fails the run."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            for spec in LEAK_FILTERS:
+                item.add_marker(pytest.mark.filterwarnings(spec))
+
 
 LAB_KEY = TsigKey(DnsName.from_text("fleet-key"), b"fleet-secret-0123456789")
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zptoolkit.analytics import (
+    AggregateRow,
     AggregationKey,
     Attribution,
     AttributionMap,
@@ -346,6 +347,10 @@ class TestSubjectsFromSnapshots:
         for scope, expected in (("domain", 3), ("nameserver", 2), ("pair", 3)):
             assert len(subjects_from_snapshots(self.snapshots(), 10.0, scope=scope)) == expected
 
+    def test_bad_scope_rejected(self):
+        with pytest.raises(ValueError):
+            subjects_from_snapshots(self.snapshots(), 10.0, scope="pairs")
+
     def test_pipeline_into_estimator(self):
         subjects = subjects_from_snapshots(self.snapshots(), notified_at=10.0)
         curve = kaplan_meier(subjects)
@@ -463,6 +468,104 @@ class TestRemediationSummary:
         assert set(view) == {"cert0", "cert1", "cert2", "cert3"}
         domains, nameservers = view["cert0"]
         assert len(domains) == 4 and len(nameservers) == 4
+
+
+# nested prefixes (/8 > /16 > /24 > /25 and /32 > /48), multi-CSIRT and empty id tuples,
+# unattributable addresses, host:port strings and a name that is no address at all
+_FOLD_NETWORKS = ("10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.128/25", "10.2.0.0/16",
+                  "2001:db8::/32", "2001:db8:1::/48")
+_FOLD_ADDRESSES = [f"10.{a}.{b}.{c}" for a in (0, 1, 2) for b in (0, 2) for c in (1, 130)] + [
+    "192.0.2.1", "2001:db8::1", "2001:db8:1::1", "10.1.2.130:53", "10.2.0.1:5353",
+    "192.0.2.7:53", "ns1.example"]
+_FOLD_PAIRS = st.frozensets(st.tuples(st.sampled_from([f"d{i}.test" for i in range(8)]),
+                                      st.sampled_from(_FOLD_ADDRESSES)), max_size=30)
+_FOLD_MAPS = st.dictionaries(
+    st.sampled_from(_FOLD_NETWORKS),
+    st.builds(Attribution, st.sampled_from(["64500", "64501", "64502"]), st.sampled_from(["JP", "DE"]),
+              st.lists(st.sampled_from(["cert-a", "cert-b", "cert-c"]), max_size=3,
+                       unique=True).map(tuple)),
+).map(lambda prefixes: AttributionMap(prefixes.items(), [
+    CsirtInfo("cert-a", "CERT A", CsirtType.NATIONAL, 100),
+    CsirtInfo("cert-b", "CERT B", CsirtType.MILITARY, 10)]))
+
+
+def per_pair_view(pairs, amap, values_of):
+    """Brute force: (domains, nameservers) per key value, one lookup per pair."""
+    view = {}
+    for zone, addr in pairs:
+        for value in values_of(amap.lookup(addr)):
+            domains, nameservers = view.setdefault(value, (set(), set()))
+            domains.add(zone)
+            nameservers.add(addr)
+    return {v: (frozenset(d), frozenset(n)) for v, (d, n) in view.items()}
+
+
+_VALUES_OF = {
+    AggregationKey.ASN: lambda attr: (attr.asn,),
+    AggregationKey.COUNTRY: lambda attr: (attr.country,),
+    AggregationKey.CSIRT: lambda attr: attr.csirt_ids,
+}
+
+
+class CountingMap(AttributionMap):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.looked_up = []
+
+    def lookup(self, address):
+        self.looked_up.append(address)
+        return super().lookup(address)
+
+
+class TestAttributionFold:
+    @given(_FOLD_PAIRS, _FOLD_PAIRS, _FOLD_MAPS)
+    @settings(max_examples=200, deadline=None)
+    def test_views_match_per_pair_oracle(self, baseline_pairs, current_pairs, amap):
+        baseline, current = pair_snapshot(1.0, baseline_pairs), pair_snapshot(2.0, current_pairs)
+        for key, values_of in _VALUES_OF.items():
+            view = per_pair_view(current_pairs, amap, values_of)
+            expected = tuple(sorted(
+                (AggregateRow(v, len(d), len(n)) for v, (d, n) in view.items()),
+                key=lambda r: (-r.vulnerable_domains, -r.vulnerable_nameservers, r.key)))
+            assert aggregate(current, amap, key).rows == expected
+        csirts = _VALUES_OF[AggregationKey.CSIRT]
+        before = per_pair_view(baseline_pairs, amap, csirts)
+        after = per_pair_view(current_pairs, amap, csirts)
+        assert csirt_view(current, amap) == after
+        empty = (frozenset(), frozenset())
+        expected_entries = [NotificationEntry(
+            csirt_id=cid,
+            recipient=amap.csirts[cid].name if cid in amap.csirts else cid,
+            vulnerable_domains=tuple(sorted(after.get(cid, empty)[0])),
+            vulnerable_nameservers=tuple(sorted(after.get(cid, empty)[1])),
+            nameservers_fixed=len(before.get(cid, empty)[1] - after.get(cid, empty)[1]),
+            managing_orgs=tuple(sorted({f"AS{amap.lookup(a).asn}" for _, a in current_pairs
+                                        if cid in amap.lookup(a).csirt_ids})),
+        ) for cid in sorted(set(before) | set(after))]
+        assert notification_entries(baseline, current, amap) == expected_entries
+        domains_by_ns = {}
+        for zone, addr in current_pairs:
+            domains_by_ns.setdefault(addr, set()).add(zone)
+        for k in (1, 3):
+            ranked = sorted(domains_by_ns, key=lambda a: (-len(domains_by_ns[a]), a))[:k]
+            covered = {z for z, a in current_pairs if a in ranked}
+            share = len(covered) / len({z for z, _ in current_pairs}) if current_pairs else 0.0
+            assert nameserver_concentration(current_pairs, k) == share
+
+    def test_each_nameserver_looked_up_once(self):
+        amap = CountingMap([("10.1.0.0/16", Attribution("64500", "JP", ("jp-cert", "jp-gov"))),
+                            ("10.1.2.0/24", Attribution("64501", "JP", ("jp-cert",)))])
+        # five domains on each of three nameservers, one of them unattributable
+        pairs = {(f"d{i}.test", addr) for i in range(5)
+                 for addr in ("10.1.0.1", "10.1.2.3:53", "192.0.2.1")}
+        snap = pair_snapshot(0.0, pairs)
+        for key in AggregationKey:
+            amap.looked_up.clear()
+            aggregate(snap, amap, key)
+            assert sorted(amap.looked_up) == sorted(snap.nameservers())
+        amap.looked_up.clear()
+        csirt_view(snap, amap)
+        assert sorted(amap.looked_up) == sorted(snap.nameservers())
 
 
 class TestRankDistribution:

@@ -635,6 +635,7 @@ class TestHoneypot:
         c.exchange(encode_message(add_sentinel(1)), "10.0.0.1", 1.0)   # refused
         c.exchange(b"\x00\x01junk", "10.0.0.1", 1.0)                   # malformed
         c.exchange(encode_message(make_query(APEX, RType.A, msg_id=2)), "10.0.0.1", 1.0)
+        sink.close()
         lines = [json.loads(l) for l in journal.read_text().splitlines()]
         assert len(lines) == 2  # queries are not update attempts
         assert set(lines[0]) == {"ts", "src", "zone", "kinds", "names", "rcode", "raw_hex"}
