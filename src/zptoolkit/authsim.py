@@ -6,8 +6,9 @@ updates from secondaries to their primary, and can journal every update
 attempt in honeypot mode. After a mutating update the primary pushes the
 zone's registered secondaries one IXFR diff (RFC 1995); a secondary whose
 copy is not the diff's base asks for the whole zone, which comes back as an
-AXFR stream split over as many messages as it needs (RFC 5936). Each zone
-version is derived from the last by patching only the names that changed.
+AXFR stream split over as many messages as it needs (RFC 5936). A zone is
+stored as one owner-name index, and each version is derived from the last
+by patching only the names that changed.
 """
 
 from __future__ import annotations
@@ -116,111 +117,102 @@ Role = Union[Primary, Secondary]
 # --- zone state ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZoneConfig:
-    """One zone's full state: apex, role, policy, record set, serial.
+    """One zone's full state: apex, role, policy, and its owner-name index.
 
-    The record set is a mathematical set (no two records share name, type,
-    and rdata; adds replace the TTL instead of duplicating). Every lookup goes
-    through one owner-name index, ``name -> tuple of records``, built lazily
-    on the first read of a zone, and copied and patched by ``derive`` for
-    each later version. It lives in the instance ``__dict__``, not in a
-    field, so equality, hashing, repr and ``dataclasses.replace`` see only
-    the fields.
+    The index, ``name -> tuple of records``, is the only record store: every
+    lookup goes through it, ``records`` and ``soa_serial`` are read from it,
+    and ``derive`` copies it and patches only the touched names for each
+    later version. It holds a mathematical set (no two records share name,
+    type, and rdata; adds replace the TTL instead of duplicating) and is
+    never mutated after construction, because ``dataclasses.replace`` shares
+    it between versions. Zones compare by identity.
     """
 
     apex: DnsName
     role: Role
     policy: UpdatePolicy
-    records: frozenset[ResourceRecord]
-    soa_serial: int
+    by_name: Mapping[DnsName, tuple[ResourceRecord, ...]]
 
     def __post_init__(self):
         # a name breaks a rule only through an SOA or a CNAME, so only those
-        # names are checked: all of a CNAME owner's records, elsewhere its SOAs
-        marked = [rr for rr in self.records if rr.rtype in (RType.SOA, RType.CNAME)]
-        cnames = {rr.name for rr in marked if rr.rtype == RType.CNAME}
-        if cnames:
-            marked = [rr for rr in self.records if rr.rtype == RType.SOA or rr.name in cnames]
-        at_name: dict[DnsName, list[ResourceRecord]] = {self.apex: []}
-        for rr in marked:
-            at_name.setdefault(rr.name, []).append(rr)
-        for name, rrs in at_name.items():
-            _check_name(self.apex, name, rrs)
-        (soa,) = at_name[self.apex]  # a CNAME beside it would have failed the check
-        if soa.rdata.serial != self.soa_serial:
-            raise ValueError("soa_serial must equal the SOA record's serial field")
+        # names, and the apex that must hold the SOA, are checked
+        marked = {rr.name for rrs in self.by_name.values() for rr in rrs
+                  if rr.rtype in (RType.SOA, RType.CNAME)}
+        for name in marked | {self.apex}:
+            _check_name(self.apex, name, self.by_name.get(name, ()))
 
     @classmethod
     def build(cls, apex: DnsName, role: Role, policy: UpdatePolicy,
               records: Iterable[ResourceRecord]) -> "ZoneConfig":
-        """Zone whose serial is read from its one SOA; raises ValueError as the constructor does."""
-        records = frozenset(records)
-        serial = next((rr.rdata.serial for rr in records
-                       if rr.rtype == RType.SOA and isinstance(rr.rdata, SoaData)), 0)
-        return cls(apex, role, policy, records, serial)
+        """Zone holding ``records``, de-duplicated; raises ValueError as the constructor does."""
+        index: dict[DnsName, dict[ResourceRecord, None]] = {}
+        for rr in records:
+            index.setdefault(rr.name, {})[rr] = None
+        return cls(apex, role, policy, {name: tuple(rrs) for name, rrs in index.items()})
 
     def derive(self, removed: Iterable[ResourceRecord],
                added: Iterable[ResourceRecord]) -> "ZoneConfig":
         """The next version: this zone's records less ``removed``, plus ``added``.
 
-        Equal to ``build`` on the same records, and raises ValueError exactly
-        when it does, or when a removed record is not in the zone. The index
-        is copied and only the touched owner names are patched and checked;
-        the serial is read from the apex SOA.
+        Holds the same records as ``build`` on the same records, and raises
+        ValueError exactly when it does, or when a removed record is not in
+        the zone. The index is copied and only the touched owner names are
+        patched and checked.
         """
-        removed, added = frozenset(removed), frozenset(added)
-        if not removed <= self.records:
-            raise ValueError("a removed record is not in the zone")
-        by_name = dict(self._by_name)
+        removed, added = set(removed), set(added)
+        touched = {rr.name: set(self.records_at(rr.name)) for rr in removed | added}
+        for rr in removed:
+            if rr not in touched[rr.name]:
+                raise ValueError("a removed record is not in the zone")
+            touched[rr.name].remove(rr)
+        for rr in added:
+            touched[rr.name].add(rr)
+        by_name = dict(self.by_name)
         below = self.__dict__.get("_below")
         below = below.copy() if below is not None else None
-        touched: dict[DnsName, set[ResourceRecord]] = {rr.name: set() for rr in removed}
-        for rr in added:
-            touched.setdefault(rr.name, set()).add(rr)
         for name, new in touched.items():
-            old = by_name.pop(name, ())
-            new |= set(old).difference(removed)
             _check_name(self.apex, name, new)
+            had = by_name.pop(name, None) is not None
             if new:
                 by_name[name] = tuple(new)
-            if below is not None and bool(old) != bool(new):
+            if below is not None and had != bool(new):
                 _count_ancestors(below, name, 1 if new else -1)
-        soa = next(rr for rr in by_name[self.apex] if rr.rtype == RType.SOA)
         zone = object.__new__(ZoneConfig)  # checked above: skip the whole-zone constructor
-        zone.__dict__.update(apex=self.apex, role=self.role, policy=self.policy,
-                             records=self.records - removed | added,
-                             soa_serial=soa.rdata.serial, _by_name=by_name)
+        zone.__dict__.update(apex=self.apex, role=self.role, policy=self.policy, by_name=by_name)
         if below is not None:
             zone.__dict__["_below"] = below
         return zone
 
     @cached_property
-    def _by_name(self) -> dict[DnsName, tuple[ResourceRecord, ...]]:
-        index: dict[DnsName, list[ResourceRecord]] = {}
-        for rr in self.records:
-            index.setdefault(rr.name, []).append(rr)
-        return {name: tuple(rrs) for name, rrs in index.items()}
-
-    @cached_property
     def _below(self) -> Counter:
         """Owner names strictly below each name, keyed by ``DnsName.key``; absent means none."""
-        return Counter(name.key[start:] for name in self._by_name
+        return Counter(name.key[start:] for name in self.by_name
                        for start in range(1, len(name) + 1))
+
+    @property
+    def records(self) -> frozenset[ResourceRecord]:
+        """Every record in the zone, built from the index on each read."""
+        return frozenset(rr for rrs in self.by_name.values() for rr in rrs)
 
     @property
     def soa(self) -> ResourceRecord:
         return self.rrset(self.apex, RType.SOA)[0]
 
+    @property
+    def soa_serial(self) -> int:
+        return self.soa.rdata.serial
+
     def rrset(self, name: DnsName, rtype: int) -> tuple[ResourceRecord, ...]:
         return tuple(rr for rr in self.records_at(name) if rr.rtype == rtype)
 
     def records_at(self, name: DnsName) -> tuple[ResourceRecord, ...]:
-        return self._by_name.get(name, ())
+        return self.by_name.get(name, ())
 
     def has_node(self, name: DnsName) -> bool:
         """True when the name exists, including as an empty non-terminal."""
-        return name in self._by_name or name.key in self._below
+        return name in self.by_name or name.key in self._below
 
     def delegation(self, name: DnsName) -> Optional[DnsName]:
         """The highest zone cut at or above ``name``, below the apex (RFC 1034 §4.3.2).
@@ -238,11 +230,9 @@ class ZoneConfig:
         """Record set with the SOA serial zeroed, for before/after comparisons.
 
         Every mutating update bumps the serial by contract, so residue and
-        fixture-equality checks compare record sets modulo that field. The
-        copy is linear anyway, so the SOA is found by a scan: a version that
-        is only compared never builds its index.
+        fixture-equality checks compare record sets modulo that field.
         """
-        soa = next(rr for rr in self.records if rr.rtype == RType.SOA)
+        soa = self.soa
         return self.records - {soa} | {_with_serial(soa, 0)}
 
 
@@ -415,15 +405,8 @@ def apply_update(zone: ZoneConfig, msg: DnsMessage) -> tuple[ZoneConfig, Rcode]:
     if after == before:
         return zone, Rcode.NOERROR
     soa = zone.soa
-    new_soa = _with_serial(soa, (zone.soa_serial + 1) & 0xFFFFFFFF)
+    new_soa = _with_serial(soa, (soa.rdata.serial + 1) & 0xFFFFFFFF)
     return zone.derive(before - after | {soa}, after - before | {new_soa}), Rcode.NOERROR
-
-
-def propagate_zone(primary: ZoneConfig, secondary: ZoneConfig) -> ZoneConfig:
-    """Full-state transfer: the secondary's records and serial become the primary's."""
-    if not isinstance(secondary.role, Secondary):
-        raise ValueError("propagate_zone target must have a Secondary role")
-    return dataclasses.replace(secondary, records=primary.records, soa_serial=primary.soa_serial)
 
 
 # --- zone transfers (RFC 1995 IXFR diffs, RFC 5936 AXFR streams) ---
@@ -522,7 +505,6 @@ class NameServer:
         self.secondaries: dict[DnsName, list[str]] = {}
         self.honeypot = honeypot
         self.journal_sink = journal_sink
-        self.events: list[HoneypotEvent] = []
         self._pending_forwards: dict[tuple[str, int], str] = {}
         self._streams: dict[DnsName, tuple[int, list[ResourceRecord]]] = {}
         for zone in zones:
@@ -671,7 +653,7 @@ class NameServer:
                      destinations: Iterable[str]) -> list[SimDatagram]:
         """The whole zone, SOA first and last, in as many messages as it needs (RFC 5936 §2.2)."""
         soa = zone.soa
-        body = sorted((rr for rr in zone.records if rr != soa), key=_transfer_order)
+        body = sorted(zone.records - {soa}, key=_transfer_order)
         head = DnsMessage(id=msg_id, is_response=True, authoritative=True,
                           question=(Question(zone.apex, RType.AXFR, RClass.IN),))
         payloads = encode_stream(head, [soa, *body, soa])
@@ -766,7 +748,7 @@ class NameServer:
 
     def _journal(self, now: float, dgram: SimDatagram, msg: Optional[DnsMessage],
                  rcode: Optional[Rcode]) -> None:
-        if not self.honeypot:
+        if not self.honeypot or self.journal_sink is None:
             return
         if msg is not None and msg.opcode != Opcode.UPDATE:
             return
@@ -785,9 +767,7 @@ class NameServer:
             rcode=rcode.name if rcode is not None else "FORWARDED",
             raw=dgram.payload,
         )
-        self.events.append(event)
-        if self.journal_sink is not None:
-            self.journal_sink(event)
+        self.journal_sink(event)
 
 
 # --- zone seed files and fleets ---
@@ -803,16 +783,21 @@ def parse_zone_text(text: str, keys: Optional[Mapping[str, tsig_mod.TsigKey]] = 
         if not line:
             continue
         if line.startswith("@policy"):
-            policy = parse_policy(line.split(None, 1)[1], keys)
+            arg = line[len("@policy"):].strip()
+            if not arg:
+                raise ValueError(f"line {lineno}: expected '@policy <policy>'")
+            policy = parse_policy(arg, keys)
             continue
         if line.startswith("@role"):
-            parts = line.split()
-            if parts[1].lower() == "primary":
+            parts = line.split()[1:]
+            kind = parts[0].lower() if parts else ""
+            if kind == "primary":
                 role = Primary()
-            elif parts[1].lower() == "secondary":
-                role = Secondary(parts[2])
+            elif kind == "secondary" and len(parts) > 1:
+                role = Secondary(parts[1])
             else:
-                raise ValueError(f"line {lineno}: unknown role {parts[1]!r}")
+                raise ValueError(f"line {lineno}: expected '@role primary' or "
+                                 "'@role secondary <primary address>'")
             continue
         fields = line.split(None, 4)
         if len(fields) != 5:
@@ -835,18 +820,27 @@ def parse_fleet_text(text: str, keys: Optional[Mapping[str, tsig_mod.TsigKey]] =
     """Parse a fleet file: '@server <address>' opens a block holding one zone seed."""
     blocks: list[tuple[str, list[str]]] = []
     current: Optional[list[str]] = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if stripped.startswith("@server"):
+            parts = stripped.split()
+            if len(parts) < 2:
+                raise ValueError(f"line {lineno}: expected '@server <address>'")
             current = []
-            blocks.append((stripped.split()[1], current))
+            blocks.append((parts[1], current))
             continue
         if current is None:
             if stripped:
-                raise ValueError("fleet file must start with a @server line")
+                raise ValueError(f"line {lineno}: fleet file must start with a @server line")
             continue
         current.append(line)
-    return [(addr, parse_zone_text("\n".join(lines), keys)) for addr, lines in blocks]
+    fleet = []
+    for addr, lines in blocks:
+        try:
+            fleet.append((addr, parse_zone_text("\n".join(lines), keys)))
+        except ValueError as exc:
+            raise ValueError(f"@server {addr}: {exc}") from None
+    return fleet
 
 
 def build_fleet(bus: DatagramBus, zones_by_address: Iterable[tuple[str, ZoneConfig]], *,

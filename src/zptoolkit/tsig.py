@@ -145,8 +145,9 @@ def verify_message(msg: DnsMessage, keyring: Iterable[TsigKey], now: int) -> Ver
         # ids are never rewritten in flight here (forwarding is verbatim)
         return Reject(RejectReason.BAD_SIGNATURE)
     core = _strip_tsig(msg)
-    # the digest covers the received wire form as-is, so every bit of the
-    # signed datagram, header id and flag bits included, is tamper-evident
+    # the MAC is checked over a re-encoding of the unsigned message, not over
+    # the bytes received: a signer that compresses names differently is
+    # rejected (RFC 8945 §4.3.3 wants the received prefix; ROADMAP item 2)
     core_wire = encode_message(core)
     valid = any(
         hmac.compare_digest(

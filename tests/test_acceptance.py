@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see the criterion lines.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -23,7 +24,7 @@ from zptoolkit.analytics import (
     make_notification_batch,
 )
 from zptoolkit.attacklab import AttackLab, ScenarioName, execute_scenario, run_taxonomy_matrix
-from zptoolkit.authsim import IpAcl, Open, Secondary, ZoneConfig
+from zptoolkit.authsim import IpAcl, Open, Secondary
 from zptoolkit.scanner import ProbeConfig, Verdict, run_scan
 from zptoolkit.transport import ClientEndpoint, DatagramBus, ManualClock, SimTransport
 from zptoolkit.wire import (
@@ -180,8 +181,8 @@ def test_criterion_4_propagation():
         def build(primary_policy, secondary_policy):
             bus = DatagramBus(clock=ManualClock(), rng=random.Random(4))
             primary_zone = basic_zone("example.com", primary_policy)
-            secondary_zone = ZoneConfig(apex, Secondary("10.0.1.1"), secondary_policy,
-                                        primary_zone.records, primary_zone.soa_serial)
+            secondary_zone = dataclasses.replace(primary_zone, role=Secondary("10.0.1.1"),
+                                                 policy=secondary_policy)
             primary = attach_server(bus, "10.0.1.1", primary_zone)
             secondary = attach_server(bus, "10.0.1.2", secondary_zone)
             primary.register_secondary(apex, "10.0.1.2")

@@ -99,7 +99,27 @@ alpha.test. 3600 IN NS ns1.alpha.test.
                                verdict="vulnerable_confirmed")
 
 
+SOA_LINE = ("example.com. 3600 IN SOA ns1.example.com. hostmaster.example.com. "
+            "1 7200 900 1209600 86400\n")
+
+
 class TestSim:
+    @pytest.mark.parametrize("fleet, where", [
+        pytest.param("@server 10.0.0.1\n@role\n" + SOA_LINE, "@server 10.0.0.1: line 1:",
+                     id="bare-role"),
+        pytest.param("@server 10.0.0.1\n@role secondary\n" + SOA_LINE, "@server 10.0.0.1: line 1:",
+                     id="secondary-without-address"),
+        pytest.param("@server 10.0.0.1\n@role primary\n@policy\n" + SOA_LINE,
+                     "@server 10.0.0.1: line 2:", id="policy-without-argument"),
+        pytest.param("@server\n" + SOA_LINE, "line 1:", id="server-without-address"),
+    ])
+    def test_malformed_seed_directive_is_2_with_one_line(self, tmp_path, capsys, fleet, where):
+        path = tmp_path / "fleet.txt"
+        path.write_text(fleet)
+        assert main(["sim", "--fleet", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"zptool: {where} expected")
+
     def test_summary_mode(self, fleet_file, capsys):
         assert main(["sim", "--fleet", fleet_file]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

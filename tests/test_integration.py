@@ -1,9 +1,10 @@
 """Cross-module soaks: scanning mixed primary/secondary fleets, honeypot
 journaling under scan traffic, and verdict soundness on lossy transports."""
 
+import dataclasses
 import random
 
-from zptoolkit.authsim import Deny, IpAcl, NameServer, Open, Secondary, SignedKey, ZoneConfig
+from zptoolkit.authsim import Deny, IpAcl, NameServer, Open, Secondary, SignedKey
 from zptoolkit.scanner import ProbeConfig, ProbeTarget, Verdict, run_scan
 from zptoolkit.transport import DatagramBus, ManualClock, SimTransport
 from zptoolkit.wire import DnsName, RType
@@ -25,8 +26,8 @@ def build_pair_fleet(bus, rng, pairs):
                                        IpAcl(frozenset({"203.0.113.9"})),
                                        SignedKey((LAB_KEY,))])
         primary_zone = basic_zone(apex_text, IpAcl(frozenset({s_addr})))
-        secondary_zone = ZoneConfig(primary_zone.apex, Secondary(p_addr), secondary_policy,
-                                    primary_zone.records, primary_zone.soa_serial)
+        secondary_zone = dataclasses.replace(primary_zone, role=Secondary(p_addr),
+                                             policy=secondary_policy)
         primary = attach_server(bus, p_addr, primary_zone)
         secondary = attach_server(bus, s_addr, secondary_zone)
         primary.register_secondary(primary_zone.apex, s_addr)
@@ -59,17 +60,19 @@ def test_honeypot_fleet_journals_every_update_attempt():
     zones = [("10.30.0.1", basic_zone("hp0.example", Open())),
              ("10.30.0.2", basic_zone("hp1.example", Deny())),
              ("10.30.0.3", basic_zone("hp2.example", IpAcl(frozenset({"203.0.113.9"}))))]
-    servers = {addr: attach_server(bus, addr, zone, honeypot=True) for addr, zone in zones}
+    events = {addr: [] for addr, _ in zones}
+    servers = {addr: attach_server(bus, addr, zone, honeypot=True,
+                                   journal_sink=events[addr].append) for addr, zone in zones}
     targets = [ProbeTarget(zone.apex, addr) for addr, zone in zones]
     run_scan(targets, ProbeConfig(), SimTransport(bus, SCANNER_SOURCE),
              bus.clock, random.Random(2))
-    for addr, server in servers.items():
+    for addr in servers:
         from_scanner = [e for e in bus.updates_seen(addr)
                         if e.datagram.source == SCANNER_SOURCE]
-        assert len(server.events) == len(from_scanner)  # one event per attempt
-        assert all(e.source == SCANNER_SOURCE for e in server.events)
-    assert [e.rcode for e in servers["10.30.0.2"].events] == ["REFUSED"]
-    accepted = [e.rcode for e in servers["10.30.0.1"].events]
+        assert len(events[addr]) == len(from_scanner)  # one event per attempt
+        assert all(e.source == SCANNER_SOURCE for e in events[addr])
+    assert [e.rcode for e in events["10.30.0.2"]] == ["REFUSED"]
+    accepted = [e.rcode for e in events["10.30.0.1"]]
     assert accepted == ["NOERROR", "NOERROR"]  # probe insert, cleanup delete
 
 

@@ -1,13 +1,14 @@
 """Scanner pipeline: verdict soundness, no-residue, single-datagram detection,
 pacing, collision handling, and snapshot bookkeeping."""
 
+import dataclasses
 import random
 from ipaddress import IPv4Address, IPv6Address
 
 import pytest
 
 from zptoolkit import authsim, wire
-from zptoolkit.authsim import Deny, IpAcl, Open, Secondary, SignedKey, ZoneConfig
+from zptoolkit.authsim import Deny, IpAcl, Open, Secondary, SignedKey
 from zptoolkit.scanner import (
     AttestationRequired,
     ProbeConfig,
@@ -99,8 +100,8 @@ class TestRunProbe:
 
     def test_secondary_forwarding_path_vulnerable(self, bus):
         primary_zone = basic_zone("example.com", IpAcl(frozenset({"10.0.1.2"})))
-        secondary_zone = ZoneConfig(APEX, Secondary("10.0.1.1"), Open(),
-                                    primary_zone.records, primary_zone.soa_serial)
+        secondary_zone = dataclasses.replace(primary_zone, role=Secondary("10.0.1.1"),
+                                             policy=Open())
         primary = attach_server(bus, "10.0.1.1", primary_zone)
         secondary = attach_server(bus, "10.0.1.2", secondary_zone)
         primary.register_secondary(APEX, "10.0.1.2")
