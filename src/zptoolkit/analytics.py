@@ -178,14 +178,26 @@ UNKNOWN = Attribution("unknown", "unknown", ("unknown",))
 class AttributionMap:
     """Longest-prefix address attribution plus CSIRT metadata.
 
-    Unattributable addresses fall into the ``unknown`` bin rather than
-    being dropped.
+    Prefixes sit in one exact-match table per IP version and prefix length,
+    ``{network address as int: Attribution}``. A lookup masks the address
+    to each length of its version, longest first, and the first table that
+    holds the result wins, so its cost grows with the number of distinct
+    prefix lengths, not of prefixes (Waldvogel et al., SIGCOMM 1997). Of
+    duplicate prefixes, the first one given wins. Unattributable addresses
+    fall into the ``unknown`` bin rather than being dropped.
     """
 
     def __init__(self, prefixes: Iterable[tuple[str, Attribution]] = (),
                  csirts: Iterable[CsirtInfo] = ()):
-        self._prefixes = [(ip_network(p), attr) for p, attr in prefixes]
-        self._prefixes.sort(key=lambda e: e[0].prefixlen, reverse=True)
+        by_length: dict[tuple[int, int], tuple[int, dict[int, Attribution]]] = {}
+        for p, attr in prefixes:
+            net = ip_network(p)
+            _, table = by_length.setdefault((net.version, net.prefixlen), (int(net.netmask), {}))
+            table.setdefault(int(net.network_address), attr)
+        # per IP version, (netmask, table) pairs, longest prefix first
+        self._tables: dict[int, list[tuple[int, dict[int, Attribution]]]] = {4: [], 6: []}
+        for (version, _), entry in sorted(by_length.items(), reverse=True):
+            self._tables[version].append(entry)
         self.csirts = {c.csirt_id: c for c in csirts}
 
     def lookup(self, address: str) -> Attribution:
@@ -193,8 +205,10 @@ class AttributionMap:
             addr = ip_address(address.rsplit(":", 1)[0] if address.count(":") == 1 else address)
         except ValueError:
             return UNKNOWN
-        for net, attr in self._prefixes:
-            if addr.version == net.version and addr in net:
+        bits = int(addr)
+        for mask, table in self._tables[addr.version]:
+            attr = table.get(bits & mask)
+            if attr is not None:
                 return attr
         return UNKNOWN
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +35,7 @@ from .wire import (
     ResourceRecord,
     RType,
     SoaData,
+    WireError,
     decode_message,
     encode_message,
     encode_stream,
@@ -42,6 +44,8 @@ from .wire import (
     rdata_to_text,
     rtype_from_text,
 )
+
+log = logging.getLogger(__name__)
 
 # --- update policies ---
 
@@ -159,24 +163,28 @@ class ZoneConfig:
         Holds the same records as ``build`` on the same records, and raises
         ValueError exactly when it does, or when a removed record is not in
         the zone. The index is copied and only the touched owner names are
-        patched and checked.
+        patched and checked. A touched name keeps its surviving records in
+        their order and then takes the added ones in the order given, so
+        answers do not depend on the hash seed.
         """
-        removed, added = set(removed), set(added)
-        touched = {rr.name: set(self.records_at(rr.name)) for rr in removed | added}
+        removed, added = set(removed), list(added)
+        touched = {rr.name: dict.fromkeys(self.records_at(rr.name)) for rr in (*removed, *added)}
         for rr in removed:
             if rr not in touched[rr.name]:
                 raise ValueError("a removed record is not in the zone")
-            touched[rr.name].remove(rr)
+            del touched[rr.name][rr]
         for rr in added:
-            touched[rr.name].add(rr)
+            touched[rr.name][rr] = None
         by_name = dict(self.by_name)
         below = self.__dict__.get("_below")
         below = below.copy() if below is not None else None
         for name, new in touched.items():
             _check_name(self.apex, name, new)
-            had = by_name.pop(name, None) is not None
+            had = name in by_name
             if new:
                 by_name[name] = tuple(new)
+            elif had:
+                del by_name[name]
             if below is not None and had != bool(new):
                 _count_ancestors(below, name, 1 if new else -1)
         zone = object.__new__(ZoneConfig)  # checked above: skip the whole-zone constructor
@@ -400,13 +408,17 @@ def apply_update(zone: ZoneConfig, msg: DnsMessage) -> tuple[ZoneConfig, Rcode]:
                     sum(t == RType.NS for t, _ in at_name) == 1:
                 continue
             del at_name[key]
-    before = frozenset(old for name in touched for old in zone.records_at(name))
-    after = frozenset(new for at_name in touched.values() for new in at_name.values())
-    if after == before:
+    before = [old for name in touched for old in zone.records_at(name)]
+    after = [new for at_name in touched.values() for new in at_name.values()]
+    before_set, after_set = set(before), set(after)
+    if after_set == before_set:
         return zone, Rcode.NOERROR
     soa = zone.soa
     new_soa = _with_serial(soa, (soa.rdata.serial + 1) & 0xFFFFFFFF)
-    return zone.derive(before - after | {soa}, after - before | {new_soa}), Rcode.NOERROR
+    # lists, not sets: the added records keep the order the UPDATE gave them
+    removed = [soa, *(rr for rr in before if rr not in after_set)]
+    added = [*(rr for rr in after if rr not in before_set), new_soa]
+    return zone.derive(removed, added), Rcode.NOERROR
 
 
 # --- zone transfers (RFC 1995 IXFR diffs, RFC 5936 AXFR streams) ---
@@ -507,6 +519,7 @@ class NameServer:
         self.journal_sink = journal_sink
         self._pending_forwards: dict[tuple[str, int], str] = {}
         self._streams: dict[DnsName, tuple[int, list[ResourceRecord]]] = {}
+        self.faults = 0  # requests answered SERVFAIL because handling them raised
         for zone in zones:
             self.add_zone(zone)
 
@@ -529,11 +542,17 @@ class NameServer:
             return [self._raw_formerr(dgram)]
         if msg.is_response:
             return self._handle_response(msg, dgram)
-        if msg.opcode == Opcode.UPDATE:
-            return self._handle_update(msg, dgram, now)
-        if len(msg.question) == 1 and msg.question[0].rtype == RType.AXFR:
-            return self._answer_axfr(msg, dgram)
-        return [self._reply(dgram, self._answer_query(msg))]
+        try:
+            if msg.opcode == Opcode.UPDATE:
+                return self._handle_update(msg, dgram, now)
+            if len(msg.question) == 1 and msg.question[0].rtype == RType.AXFR:
+                return self._answer_axfr(msg, dgram)
+            return [self._reply(dgram, self._answer_query(msg))]
+        except Exception:
+            # a fault in this server must not take down the bus and every scan on it
+            self.faults += 1
+            log.exception("%s: SERVFAIL for a request from %s", self.address, dgram.source)
+            return [self._reply(dgram, self._response(msg, Rcode.SERVFAIL))]
 
     # -- queries --
 
@@ -805,11 +824,14 @@ def parse_zone_text(text: str, keys: Optional[Mapping[str, tsig_mod.TsigKey]] = 
         name_text, ttl_text, rclass_text, rtype_text, rdata_text = fields
         if rclass_text.upper() != "IN":
             raise ValueError(f"line {lineno}: only class IN zone data is supported")
-        rtype = rtype_from_text(rtype_text)
-        records.append(ResourceRecord(
-            DnsName.from_text(name_text), rtype, RClass.IN, int(ttl_text),
-            rdata_from_text(rtype, rdata_text),
-        ))
+        try:
+            rtype = rtype_from_text(rtype_text)
+            records.append(ResourceRecord(
+                DnsName.from_text(name_text), rtype, RClass.IN, int(ttl_text),
+                rdata_from_text(rtype, rdata_text),
+            ))
+        except (ValueError, WireError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     soas = [rr for rr in records if rr.rtype == RType.SOA]
     if len(soas) != 1:
         raise ValueError("zone seed must contain exactly one SOA record")

@@ -2,6 +2,7 @@
 
 import math
 import random
+from ipaddress import ip_address, ip_network
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from zptoolkit.analytics import (
     NotificationTemplate,
     RemediationSubject,
     ScanSnapshot,
+    UNKNOWN,
     ZeroTested,
     aggregate,
     aggregate_csv,
@@ -566,6 +568,53 @@ class TestAttributionFold:
         amap.looked_up.clear()
         csirt_view(snap, amap)
         assert sorted(amap.looked_up) == sorted(snap.nameservers())
+
+
+# lookup targets and prefix bases share a small pool, so prefixes nest, repeat and cover
+# the addresses; the lengths include /0 and the full-length host prefixes
+_LOOKUP_HOSTS = ("10.1.2.3", "10.1.2.200", "10.1.9.9", "10.200.0.1", "192.0.2.1", "0.0.0.0",
+                 "255.255.255.255", "2001:db8::1", "2001:db8:1::1", "2001:db8:1::ffff", "::",
+                 "fe80::1")
+_LOOKUP_LENGTHS = {4: (0, 8, 16, 24, 25, 31, 32), 6: (0, 16, 32, 48, 64, 127, 128)}
+_LOOKUP_HOST = st.one_of(st.sampled_from(_LOOKUP_HOSTS), st.ip_addresses().map(str))
+_LOOKUP_PREFIX = _LOOKUP_HOST.flatmap(lambda host: st.sampled_from(
+    _LOOKUP_LENGTHS[ip_address(host).version]).map(
+        lambda length: str(ip_network(f"{host}/{length}", strict=False))))
+_LOOKUP_ADDRESS = st.one_of(
+    _LOOKUP_HOST,
+    st.sampled_from(_LOOKUP_HOSTS[:7]).map(lambda host: f"{host}:53"),
+    st.sampled_from(["ns1.example", "", "10.1.2.3:abc", "[2001:db8::1]:53", "10.1.2.3/32",
+                     "999.0.2.1"]))
+
+
+def scan_lookup(prefixes, address):
+    """Brute force: every prefix of the address's version that holds it; longest, then first, wins."""
+    try:
+        addr = ip_address(address.rsplit(":", 1)[0] if address.count(":") == 1 else address)
+    except ValueError:
+        return UNKNOWN
+    best = None
+    for prefix, attr in prefixes:
+        net = ip_network(prefix)
+        if net.version == addr.version and addr in net and (best is None or net.prefixlen > best[0]):
+            best = (net.prefixlen, attr)
+    return best[1] if best is not None else UNKNOWN
+
+
+class TestAttributionLookup:
+    @given(st.lists(_LOOKUP_PREFIX, max_size=25), st.lists(_LOOKUP_ADDRESS, min_size=1, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scan_oracle(self, networks, addresses):
+        # one distinct attribution per entry, so a duplicate prefix shows which entry won
+        prefixes = [(p, Attribution(f"645{i:02d}", "JP", (f"cert-{i}",)))
+                    for i, p in enumerate(networks)]
+        amap = AttributionMap(prefixes)
+        for address in addresses:
+            assert amap.lookup(address) == scan_lookup(prefixes, address)
+
+    def test_csv_prefix_with_host_bits_raises(self):
+        with pytest.raises(ValueError):
+            AttributionMap.from_csv("prefix,asn,country,csirt_id\n10.1.2.3/16,64500,JP,jp-cert\n")
 
 
 class TestRankDistribution:

@@ -3,8 +3,12 @@ query answering, propagation, forwarding, honeypot journaling, seed files."""
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from ipaddress import IPv4Address
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +305,34 @@ class TestApplyUpdate:
         after, rcode = apply_update(zone, msg)
         assert rcode == Rcode.NOERROR
         assert not after.rrset(SENTINEL, RType.A)
+
+
+    def test_answer_order_does_not_depend_on_the_hash_seed(self):
+        src = str(Path(authsim.__file__).parents[1])
+        orders = {subprocess.run(
+            [sys.executable, "-c", _ANSWER_ORDER_SCRIPT], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+        ).stdout for seed in (1, 2, 3)}
+        assert orders == {"192.0.2.1 192.0.2.2 192.0.2.3 192.0.2.4 192.0.2.5\n"}
+
+
+# one five-record UPDATE at www.example.com, then the A answer's addresses in order
+_ANSWER_ORDER_SCRIPT = """
+from ipaddress import IPv4Address
+from zptoolkit.authsim import NameServer, Open, Primary, ZoneConfig, make_soa
+from zptoolkit.transport import SimDatagram
+from zptoolkit.wire import (AddRecord, DnsName, RClass, ResourceRecord, RType, decode_message,
+                            encode_message, make_query, make_update)
+apex = DnsName.from_text("example.com")
+www = apex.prepend("www")
+server = NameServer("192.0.2.53", [ZoneConfig.build(apex, Primary(), Open(), [make_soa(apex)])])
+adds = [AddRecord(ResourceRecord(www, RType.A, RClass.IN, 60, IPv4Address(f"192.0.2.{i}")))
+        for i in range(1, 6)]
+for msg in (make_update(apex, adds, msg_id=1), make_query(www, RType.A, msg_id=2)):
+    (reply,) = server.handle_datagram(SimDatagram("198.51.100.1", "192.0.2.53",
+                                                  encode_message(msg)), 0.0)
+print(" ".join(str(rr.rdata) for rr in decode_message(reply.payload).answers))
+"""
 
 
 class TestZoneConfig:

@@ -120,6 +120,21 @@ class TestSim:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"zptool: {where} expected")
 
+    @pytest.mark.parametrize("record, message", [
+        pytest.param("www.example.com. abc IN A 192.0.2.1", "invalid literal", id="ttl-not-a-number"),
+        pytest.param("www.example.com. 60 IN A 999.0.2.1", "999", id="a-rdata-out-of-range"),
+        pytest.param("example.com. 60 IN SOA ns1.example.com. hostmaster.example.com. 1 2 3",
+                     "SOA needs 7 fields", id="five-field-soa"),
+        pytest.param("a..example.com. 60 IN A 192.0.2.1", "label", id="empty-label"),
+    ])
+    def test_malformed_record_line_is_2_naming_the_line(self, tmp_path, capsys, record, message):
+        path = tmp_path / "fleet.txt"
+        path.write_text("@server 10.0.0.1\n" + SOA_LINE + record + "\n")
+        assert main(["sim", "--fleet", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("zptool: @server 10.0.0.1: line 2: ")
+        assert message in line
+
     def test_summary_mode(self, fleet_file, capsys):
         assert main(["sim", "--fleet", fleet_file]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -286,6 +286,28 @@ class TestRunScan:
         assert snap.tested.pairs == 2 and snap.tested.domains == 1 and snap.tested.nameservers == 2
         assert (snap.vulnerable.domains, snap.vulnerable.nameservers, snap.vulnerable.pairs) == (1, 1, 1)
 
+    def test_faulty_update_handler_answers_servfail(self, bus, monkeypatch, caplog):
+        broken = DnsName.from_text("broken.example")
+        apply_update = authsim.apply_update
+
+        def faulty(zone, msg):
+            if zone.apex == broken:
+                raise RuntimeError("injected fault")
+            return apply_update(zone, msg)
+
+        monkeypatch.setattr(authsim, "apply_update", faulty)
+        healthy = attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()))
+        faulty_server = attach_server(bus, "10.0.0.2", basic_zone("broken.example", Open()))
+        targets = [ProbeTarget(APEX, "10.0.0.1"), ProbeTarget(broken, "10.0.0.2")]
+        result = run_scan(targets, CFG, SimTransport(bus, SCANNER_SOURCE), bus.clock,
+                          random.Random(1))
+        by_zone = {o.target.zone: o for o in result.outcomes}
+        assert by_zone[APEX].verdict == Verdict.VULNERABLE_CONFIRMED
+        assert by_zone[broken].verdict == Verdict.NOT_VULNERABLE
+        assert by_zone[broken].update_rcode == Rcode.SERVFAIL
+        assert (healthy.faults, faulty_server.faults) == (0, 1)
+        assert "injected fault" in caplog.text
+
     def test_empty_target_stream(self, bus):
         result = run_scan([], CFG, SimTransport(bus, SCANNER_SOURCE), bus.clock)
         snap = result.snapshot
