@@ -519,7 +519,7 @@ class NameServer:
         self.journal_sink = journal_sink
         self._pending_forwards: dict[tuple[str, int], str] = {}
         self._streams: dict[DnsName, tuple[int, list[ResourceRecord]]] = {}
-        self.faults = 0  # requests answered SERVFAIL because handling them raised
+        self.faults = 0  # messages whose handling raised: requests get SERVFAIL, responses dropped
         for zone in zones:
             self.add_zone(zone)
 
@@ -540,9 +540,9 @@ class NameServer:
         except DecodeError:
             self._journal(now, dgram, None, Rcode.FORMERR)
             return [self._raw_formerr(dgram)]
-        if msg.is_response:
-            return self._handle_response(msg, dgram)
         try:
+            if msg.is_response:
+                return self._handle_response(msg, dgram)
             if msg.opcode == Opcode.UPDATE:
                 return self._handle_update(msg, dgram, now)
             if len(msg.question) == 1 and msg.question[0].rtype == RType.AXFR:
@@ -551,8 +551,8 @@ class NameServer:
         except Exception:
             # a fault in this server must not take down the bus and every scan on it
             self.faults += 1
-            log.exception("%s: SERVFAIL for a request from %s", self.address, dgram.source)
-            return [self._reply(dgram, self._response(msg, Rcode.SERVFAIL))]
+            log.exception("%s: fault handling a datagram from %s", self.address, dgram.source)
+            return [] if msg.is_response else [self._reply(dgram, self._response(msg, Rcode.SERVFAIL))]
 
     # -- queries --
 
@@ -597,39 +597,32 @@ class NameServer:
     # -- updates --
 
     def _handle_update(self, msg: DnsMessage, dgram: SimDatagram, now: float) -> list[SimDatagram]:
+        """Work out the rcode (None when forwarded) and the datagrams the update
+        adds, then journal it once and answer it once, ahead of any IXFR push."""
+        out: list[SimDatagram] = []
         if len(msg.question) != 1 or msg.question[0].rtype != RType.SOA:
-            self._journal(now, dgram, msg, Rcode.FORMERR)
-            return [self._reply(dgram, self._response(msg, Rcode.FORMERR))]
-        apex = msg.question[0].name
-        zone = self.zones.get(apex)
-        if zone is None:
-            self._journal(now, dgram, msg, Rcode.NOTAUTH)
-            return [self._reply(dgram, self._response(msg, Rcode.NOTAUTH))]
-        acl = acl_check(zone.policy, dgram.source, msg, now)
-        if isinstance(zone.role, Secondary):
-            if isinstance(acl, Refuse):
-                self._journal(now, dgram, msg, acl.rcode)
-                return [self._reply(dgram, self._response(msg, acl.rcode))]
+            rc = Rcode.FORMERR
+        elif (zone := self.zones.get(msg.question[0].name)) is None:
+            rc = Rcode.NOTAUTH
+        elif isinstance(acl := acl_check(zone.policy, dgram.source, msg, now), Refuse):
+            rc = acl.rcode
+        elif isinstance(zone.role, Secondary):
             # no local write: hand the verbatim request to the primary and
             # relay whatever rcode it returns
             self._pending_forwards[(zone.role.primary_address, msg.id)] = dgram.source
-            self._journal(now, dgram, msg, None)
-            return [SimDatagram(self.address, zone.role.primary_address, dgram.payload)]
-        if isinstance(acl, Refuse):
-            self._journal(now, dgram, msg, acl.rcode)
-            return [self._reply(dgram, self._response(msg, acl.rcode))]
-        core = acl.message
-        rc = evaluate_prerequisites(zone, core.prerequisites)
-        if rc == Rcode.NOERROR:
-            new_zone, rc = apply_update(zone, core)
+            rc = None
+            out.append(SimDatagram(self.address, zone.role.primary_address, dgram.payload))
         else:
+            core = acl.message
+            rc = evaluate_prerequisites(zone, core.prerequisites)
             new_zone = zone
-        out = [self._reply(dgram, self._response(msg, rc))]
-        if new_zone is not zone:
-            self.zones[apex] = new_zone
-            out += self._push_diff(zone, new_zone, core.updates)
+            if rc == Rcode.NOERROR:
+                new_zone, rc = apply_update(zone, core)
+            if new_zone is not zone:
+                self.zones[zone.apex] = new_zone
+                out += self._push_diff(zone, new_zone, core.updates)
         self._journal(now, dgram, msg, rc)
-        return out
+        return out if rc is None else [self._reply(dgram, self._response(msg, rc)), *out]
 
     # -- zone transfers: primary side --
 
@@ -768,8 +761,6 @@ class NameServer:
     def _journal(self, now: float, dgram: SimDatagram, msg: Optional[DnsMessage],
                  rcode: Optional[Rcode]) -> None:
         if not self.honeypot or self.journal_sink is None:
-            return
-        if msg is not None and msg.opcode != Opcode.UPDATE:
             return
         if msg is None:
             zone_name, kinds, names = "", (), ()

@@ -15,6 +15,7 @@ import os
 import random
 import socket
 import sys
+import time
 from ipaddress import ip_address
 
 from . import analytics, attacklab, authsim, ingest, scanner
@@ -49,12 +50,12 @@ def _load_keys(path: str | None) -> dict[str, TsigKey]:
     return keys
 
 
-def _build_sim(fleet_path: str, keys_path: str | None, seed: int,
+def _build_sim(fleet_path: str, keys_path: str | None,
                journal_sink=None) -> tuple[DatagramBus, dict[str, authsim.NameServer]]:
     keys = _load_keys(keys_path)
     with open(fleet_path, encoding="utf-8") as fh:
         fleet = authsim.parse_fleet_text(fh.read(), keys)
-    bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed))
+    bus = DatagramBus(clock=ManualClock())
     servers = authsim.build_fleet(bus, fleet, honeypot=journal_sink is not None,
                                   journal_sink=journal_sink)
     return bus, servers
@@ -86,7 +87,7 @@ def _cmd_scan(args) -> int:
     if args.transport == "sim":
         if not args.fleet:
             raise RuntimeError("sim transport needs --fleet")
-        bus, _ = _build_sim(args.fleet, args.keys, args.seed)
+        bus, _ = _build_sim(args.fleet, args.keys)
         transport = SimTransport(bus)
         clock = bus.clock
     else:
@@ -120,7 +121,7 @@ def _cmd_scan(args) -> int:
 def _cmd_sim(args) -> int:
     journal = authsim.open_journal(args.honeypot) if args.honeypot else None
     try:
-        bus, servers = _build_sim(args.fleet, args.keys, args.seed, journal)
+        _, servers = _build_sim(args.fleet, args.keys, journal)
         for address, server in sorted(servers.items()):
             for apex, zone in sorted(server.zones.items(), key=lambda e: e[0].to_text()):
                 role = "secondary" if isinstance(zone.role, authsim.Secondary) else "primary"
@@ -132,7 +133,7 @@ def _cmd_sim(args) -> int:
             raise RuntimeError("--bind serves exactly one fleet server; split the fleet file")
         (server,) = servers.values()
         host, _, port = args.bind.rpartition(":")
-        served = serve_udp(bus, server, host or "127.0.0.1", int(port),
+        served = serve_udp(server, host or "127.0.0.1", int(port),
                            max_requests=args.max_requests)
         print(f"served {served} datagrams", file=sys.stderr)
         return 0
@@ -141,9 +142,10 @@ def _cmd_sim(args) -> int:
             journal.close()
 
 
-def serve_udp(bus: DatagramBus, server: authsim.NameServer, host: str, port: int,
+def serve_udp(server: authsim.NameServer, host: str, port: int,
               max_requests: int | None = None) -> int:
-    """Gateway a real UDP socket onto the in-memory bus (desk-scale interop)."""
+    """Serve one server on a real UDP socket (desk-scale interop): each datagram
+    reaches it at wall-clock time, and only what it addresses to the peer goes back."""
     sock = socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET, socket.SOCK_DGRAM)
     try:
         sock.bind((host, port))
@@ -151,14 +153,10 @@ def serve_udp(bus: DatagramBus, server: authsim.NameServer, host: str, port: int
         while max_requests is None or handled < max_requests:
             data, peer = sock.recvfrom(65535)
             handled += 1
-            client = peer[0]
-            outbox: list[SimDatagram] = []
-            bus.attach(client, lambda d, now: (outbox.append(d) or []))
-            bus.send(SimDatagram(client, server.address, data))
-            bus.pump()
-            bus.detach(client)
-            for dgram in outbox:
-                sock.sendto(dgram.payload, peer)
+            request = SimDatagram(peer[0], server.address, data)
+            for dgram in server.handle_datagram(request, time.time()):
+                if dgram.destination == peer[0]:
+                    sock.sendto(dgram.payload, peer)
         return handled
     finally:
         sock.close()
@@ -204,7 +202,7 @@ def _cmd_ingest(args) -> int:
         return 0
     if not args.fleet:
         raise RuntimeError("--resolver needs --fleet (simulated resolution)")
-    bus, _ = _build_sim(args.fleet, args.keys, args.seed)
+    bus, _ = _build_sim(args.fleet, args.keys)
     transport = SimTransport(bus)
     cfg = ingest.IngestConfig(require_soa=args.require_soa, include_ipv6=args.ipv6)
     universe, stats = ingest.resolve_targets(registrable, args.resolver, transport, cfg,
@@ -239,7 +237,15 @@ def _load_attribution(args) -> analytics.AttributionMap:
     return analytics.AttributionMap.from_csv(prefix_csv, csirt_csv)
 
 
+_REPORT_INPUTS = {"rates": ("snapshot",), "aggregate": ("snapshot",), "diff": ("earlier", "later"),
+                  "survival": ("baseline",), "notify": ("baseline", "current")}
+
+
 def _cmd_report(args) -> int:
+    missing = [f"--{opt}" for opt in _REPORT_INPUTS[args.mode] if getattr(args, opt) is None]
+    if missing:
+        print(f"zptool report: error: {args.mode} needs {' and '.join(missing)}", file=sys.stderr)
+        return 1
     if args.mode == "rates":
         rows = analytics.compute_rates(_load_snapshot(args.snapshot), decimals=args.decimals)
         for category, row in rows.items():
@@ -287,7 +293,6 @@ def _cmd_report(args) -> int:
         _write_or_print(args.out, "\n".join(lines) + ("\n" if lines else ""))
         print(f"{len(batch)} notification(s) generated", file=sys.stderr)
         return 0
-    raise RuntimeError(f"unknown report mode {args.mode!r}")
 
 
 # --- parser wiring ---
@@ -322,7 +327,6 @@ def build_parser() -> _Parser:
     p.add_argument("--honeypot", help="append-only JSONL journal of every update attempt")
     p.add_argument("--bind", help="serve one fleet server on a real UDP host:port")
     p.add_argument("--max-requests", type=int, help="stop after N datagrams (testing)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("attack", help="run the attack taxonomy")
@@ -348,7 +352,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("report", help="campaign analytics")
-    p.add_argument("mode", choices=["rates", "aggregate", "diff", "survival", "notify"])
+    p.add_argument("mode", choices=list(_REPORT_INPUTS))
     p.add_argument("--snapshot")
     p.add_argument("--decimals", type=int, default=3)
     p.add_argument("--attribution", help=f"prefix CSV (or ${ATTRIBUTION_ENV})")

@@ -159,8 +159,8 @@ def resolve_targets(domains: Iterable[DnsName], resolver_address: str,
     authority sections; glue arriving in additional sections is harvested
     so it is not re-queried. Domains whose nameservers cannot be resolved
     contribute no pairs and are counted, never fatal; a reply that does not
-    decode or does not answer its query counts as no answer. Query ids come
-    from ``rng``, or from the global ``random`` when it is None.
+    decode or does not answer its query counts as no answer. A domain listed
+    twice is resolved once. Query ids come from ``rng``, else the global ``random``.
     """
     universe = TargetUniverse()
     stats = ResolutionStats()
@@ -215,9 +215,11 @@ def resolve_targets(domains: Iterable[DnsName], resolver_address: str,
         return any(rr.rtype == RType.SOA and rr.name == zone
                    for rr in reply.answers + reply.authority)
 
+    seen: set[DnsName] = set()
     for zone in domains:
-        if zone in universe.domains:
+        if zone in seen:
             continue
+        seen.add(zone)
         if cfg.require_soa and not has_soa(zone):
             stats.domains_without_soa += 1
             continue

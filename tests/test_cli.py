@@ -3,10 +3,25 @@
 import json
 import socket
 import threading
+import time
+from ipaddress import IPv4Address
 
 import pytest
 
 from zptoolkit.cli import main
+from zptoolkit.tsig import TsigKey, sign_message
+from zptoolkit.wire import (
+    AddRecord,
+    DnsName,
+    RClass,
+    Rcode,
+    ResourceRecord,
+    RType,
+    decode_message,
+    encode_message,
+    make_query,
+    make_update,
+)
 
 FLEET_OPEN = """\
 @server 10.0.0.1
@@ -22,6 +37,30 @@ example.com. 3600 IN A 192.0.2.1
 other.test. 3600 IN SOA ns1.other.test. hostmaster.other.test. 1 7200 900 1209600 86400
 other.test. 3600 IN NS ns1.other.test.
 """
+
+
+def serve_one(args, request: bytes):
+    """Run ``zptool sim ARGS --bind`` on a free loopback port for one datagram;
+    send it ``request`` (resent until the server is up) and decode its reply."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as free:
+        free.bind(("127.0.0.1", 0))
+        port = free.getsockname()[1]
+    server = threading.Thread(target=main, args=(
+        [*args, "--bind", f"127.0.0.1:{port}", "--max-requests", "1"],))
+    server.start()
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+            client.settimeout(0.2)
+            for _ in range(50):
+                client.sendto(request, ("127.0.0.1", port))
+                try:
+                    return decode_message(client.recv(65535))
+                except socket.timeout:
+                    continue
+        raise AssertionError("no reply from the --bind server")
+    finally:
+        server.join(timeout=10)
+        assert not server.is_alive()
 
 
 @pytest.fixture
@@ -179,6 +218,30 @@ class TestSim:
             server.join(timeout=10)
         assert not server.is_alive()
 
+    def test_bind_checks_tsig_time_against_the_wall_clock(self, tmp_path):
+        key = TsigKey(DnsName.from_text("lab-key"), b"0123456789abcdef")
+        keys = tmp_path / "keys.txt"
+        keys.write_text("lab-key 0123456789abcdef\n")
+        fleet = tmp_path / "signed.txt"
+        fleet.write_text("@server 10.0.0.1\n@policy key lab-key\n" + SOA_LINE)
+        apex = DnsName.from_text("example.com")
+        sentinel = ResourceRecord(apex.prepend("researchstudyzp"), RType.A, RClass.IN, 120,
+                                  IPv4Address("192.0.2.80"))
+        update = sign_message(make_update(apex, [AddRecord(sentinel)], msg_id=7), key,
+                              int(time.time()))
+        reply = serve_one(["sim", "--fleet", str(fleet), "--keys", str(keys)],
+                          encode_message(update))
+        assert (reply.is_response, reply.id, reply.rcode) == (True, 7, Rcode.NOERROR)
+
+    def test_bind_server_at_the_client_address_answers_a_query(self, tmp_path):
+        fleet = tmp_path / "loopback.txt"
+        fleet.write_text("@server 127.0.0.1\n@policy deny\n" + SOA_LINE
+                         + "example.com. 3600 IN A 192.0.2.1\n")
+        query = make_query(DnsName.from_text("example.com"), RType.A, msg_id=9)
+        reply = serve_one(["sim", "--fleet", str(fleet)], encode_message(query))
+        assert (reply.is_response, reply.id, reply.rcode) == (True, 9, Rcode.NOERROR)
+        assert [str(rr.rdata) for rr in reply.answers] == ["192.0.2.1"]
+
 
 class TestAttack:
     def test_matrix_csv_open_column_all_success(self, tmp_path, capsys):
@@ -302,6 +365,15 @@ class TestExitCodes:
         assert main(["scan", "--transport", "carrier-pigeon"]) == 1
         assert main(["no-such-command"]) == 1
         assert main([]) == 1
+
+    @pytest.mark.parametrize("mode, missing", [
+        ("rates", "--snapshot"), ("aggregate", "--snapshot"), ("diff", "--earlier and --later"),
+        ("survival", "--baseline"), ("notify", "--baseline and --current"),
+    ])
+    def test_report_without_its_input_is_1_naming_it(self, capsys, mode, missing):
+        assert main(["report", mode]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("zptool report") and line.endswith(f"needs {missing}")
 
     def test_runtime_error_is_2(self, tmp_path):
         assert main(["report", "rates", "--snapshot", str(tmp_path / "missing.json")]) == 2

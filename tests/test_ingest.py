@@ -172,6 +172,13 @@ class TestResolveTargets:
         assert u1.pairs == u2.pairs
         assert u1.counts() == u2.counts()
 
+    def test_failing_domain_listed_twice_is_queried_and_counted_once(self, bus, sim_transport):
+        resolver_fixture(bus)
+        _, stats = resolve_targets([N("gamma.test"), N("gamma.test")], "10.0.53.53",
+                                   sim_transport)
+        assert len(bus.tap) == 4  # NS query and reply, glue A query and reply
+        assert stats.domains_without_ns == 1
+
     def test_pairs_invariant_holds(self, bus, sim_transport):
         resolver_fixture(bus)
         universe, _ = resolve_targets([N("alpha.test"), N("beta.test")],

@@ -308,6 +308,23 @@ class TestRunScan:
         assert (healthy.faults, faulty_server.faults) == (0, 1)
         assert "injected fault" in caplog.text
 
+    def test_faulty_secondary_response_handler_is_contained(self, bus, monkeypatch, caplog):
+        def faulty(self, zone, msg):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(authsim.NameServer, "_apply_diff", faulty)
+        zone = basic_zone("example.com", Open())
+        primary = attach_server(bus, "10.0.1.1", zone)
+        secondary = attach_server(bus, "10.0.1.2",
+                                  dataclasses.replace(zone, role=Secondary("10.0.1.1")))
+        primary.register_secondary(APEX, "10.0.1.2")
+        result = run_scan([ProbeTarget(APEX, "10.0.1.1")], CFG,
+                          SimTransport(bus, SCANNER_SOURCE), bus.clock, random.Random(1))
+        (outcome,) = result.outcomes
+        assert outcome.verdict == Verdict.VULNERABLE_CONFIRMED
+        assert (primary.faults, secondary.faults > 0) == (0, True)
+        assert "injected fault" in caplog.text
+
     def test_empty_target_stream(self, bus):
         result = run_scan([], CFG, SimTransport(bus, SCANNER_SOURCE), bus.clock)
         snap = result.snapshot
