@@ -36,6 +36,7 @@ from .wire import (
     RType,
     SoaData,
     WireError,
+    _trusted_build,
     decode_message,
     encode_message,
     encode_stream,
@@ -229,7 +230,7 @@ class ZoneConfig:
         ``name`` and returns the first owner with an NS rrset, or None.
         """
         for start in range(len(name) - len(self.apex) - 1, -1, -1):
-            owner = DnsName(name.labels[start:])
+            owner = DnsName._trusted(name.labels[start:])
             if self.rrset(owner, RType.NS):
                 return owner
         return None
@@ -589,7 +590,7 @@ class NameServer:
     def _zone_for(self, name: DnsName) -> Optional[ZoneConfig]:
         """The zone with the longest apex at or above ``name``: suffixes, longest first."""
         for start in range(len(name) + 1):
-            zone = self.zones.get(DnsName(name.labels[start:]))
+            zone = self.zones.get(DnsName._trusted(name.labels[start:]))
             if zone is not None:
                 return zone
         return None
@@ -741,17 +742,10 @@ class NameServer:
     def _response(self, request: DnsMessage, rcode: Rcode, *,
                   answers: tuple = (), authority: tuple = (), additional: tuple = (),
                   authoritative: bool = False) -> DnsMessage:
-        return DnsMessage(
-            id=request.id,
-            opcode=request.opcode,
-            rcode=rcode,
-            is_response=True,
-            authoritative=authoritative,
-            question=request.question,
-            answers=answers,
-            authority=authority,
-            additional=additional,
-        )
+        return _trusted_build(
+            DnsMessage, id=request.id, opcode=request.opcode, rcode=rcode, is_response=True,
+            authoritative=authoritative, question=request.question, answers=answers,
+            authority=authority, additional=additional, extra_flags=0)
 
     def _raw_formerr(self, dgram: SimDatagram) -> SimDatagram:
         msg_id = int.from_bytes(dgram.payload[:2], "big") if len(dgram.payload) >= 2 else 0

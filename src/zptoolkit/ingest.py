@@ -88,7 +88,7 @@ def registrable_domain(name: DnsName, rules: SuffixRuleSet) -> Optional[DnsName]
     count = rules.suffix_label_count(name)
     if len(name) <= count:
         return None
-    return DnsName(name.labels[len(name) - count - 1:])
+    return DnsName._trusted(name.labels[len(name) - count - 1:])
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,10 @@ class ProbeOutcome:
             "rcode": self.update_rcode.name if self.update_rcode is not None else None,
             "t_update_ms": round(self.t_update_ms, 3),
             "t_verify_ms": round(self.t_verify_ms, 3),
+            "t_cleanup_ms": round(self.t_cleanup_ms, 3),
             "cleanup_ok": self.cleanup_confirmed,
+            "detection_updates_sent": self.detection_updates_sent,
+            "cleanup_updates_sent": self.cleanup_updates_sent,
             "ts": self.ts,
         }
 

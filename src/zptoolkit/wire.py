@@ -5,6 +5,22 @@ Covers RFC 1035 framing plus the RFC 2136 section repurposing
 many messages as it needs (RFC 5936). Names are emitted uncompressed;
 compression pointers are accepted on decode. Record types outside the
 supported set decode to opaque rdata and re-encode byte-identically.
+
+The decoder and the message builders construct values without their
+public constructors, because those per-field copies and checks are most
+of a decode. Two private constructors carry a contract the caller keeps:
+
+- ``DnsName._trusted(labels)`` takes a tuple whose every label is a
+  ``bytes`` object, as is: no copy, no check. A ``bytearray`` or
+  ``memoryview`` label would make the name mutable or unhashable, so the
+  decoder coerces its input to ``bytes`` once, before slicing labels.
+- ``_trusted_build(cls, **fields)`` fills a frozen dataclass's fields
+  without its generated ``__init__``. Every field must be given, and it
+  is valid only for classes without ``__post_init__`` (nothing would run
+  it). The instance gets a dict of its own instead of the shared-key
+  layout, about twice the memory, so it is meant for the messages,
+  questions and records of one exchange. Decoded records that an UPDATE
+  or a transfer adds to a zone keep that layout there.
 """
 
 from __future__ import annotations
@@ -21,6 +37,10 @@ MAX_LABEL_LENGTH = 63
 MAX_NAME_WIRE_LENGTH = 255
 
 _HEADER = struct.Struct("!HHHHHH")
+_QUESTION = struct.Struct("!HH")
+_RECORD = struct.Struct("!HHIH")
+
+_new = object.__new__
 
 
 class WireError(Exception):
@@ -94,6 +114,17 @@ class RClass(IntEnum):
     ANY = 255
 
 
+_OPCODES = {int(op): op for op in Opcode}
+_RCODES = {int(rc): rc for rc in Rcode}
+
+
+def _trusted_build(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``; see the module docstring."""
+    obj = _new(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class DnsName:
     """A domain name as an ordered tuple of byte labels.
 
@@ -106,7 +137,15 @@ class DnsName:
 
     def __init__(self, labels: Iterable[bytes] = ()):
         self.labels: tuple[bytes, ...] = tuple(bytes(l) for l in labels)
-        self._key = tuple(l.lower() for l in self.labels)
+        self._key = tuple(map(bytes.lower, self.labels))
+
+    @classmethod
+    def _trusted(cls, labels: tuple[bytes, ...]) -> "DnsName":
+        """The name over ``labels`` as given: a tuple of ``bytes``, neither copied nor checked."""
+        name = _new(cls)
+        name.labels = labels
+        name._key = tuple(map(bytes.lower, labels))
+        return name
 
     @classmethod
     def from_text(cls, text: str) -> "DnsName":
@@ -115,11 +154,11 @@ class DnsName:
             return cls(())
         labels = []
         for part in text.split("."):
-            raw = part.encode("ascii", errors="strict") if isinstance(part, str) else part
+            raw = part.encode("ascii", errors="strict")
             if not raw or len(raw) > MAX_LABEL_LENGTH:
                 raise InvalidLabel(f"label {part!r} must be 1-{MAX_LABEL_LENGTH} bytes")
             labels.append(raw)
-        name = cls(labels)
+        name = cls._trusted(tuple(labels))
         if name.wire_length() > MAX_NAME_WIRE_LENGTH:
             raise InvalidLabel(f"name {text!r} exceeds {MAX_NAME_WIRE_LENGTH} wire bytes")
         return name
@@ -153,10 +192,10 @@ class DnsName:
         raw = label.encode("ascii") if isinstance(label, str) else bytes(label)
         if not raw or len(raw) > MAX_LABEL_LENGTH:
             raise InvalidLabel(f"label {label!r} must be 1-{MAX_LABEL_LENGTH} bytes")
-        return DnsName((raw,) + self.labels)
+        return DnsName._trusted((raw,) + self.labels)
 
     def parent(self) -> "DnsName":
-        return DnsName(self.labels[1:])
+        return DnsName._trusted(self.labels[1:])
 
     def is_subdomain_of(self, other: "DnsName") -> bool:
         """True when self equals other or sits below it."""
@@ -314,11 +353,11 @@ def make_query(
     msg_id: Optional[int] = None,
     rng: Optional[random.Random] = None,
 ) -> DnsMessage:
-    return DnsMessage(
-        id=_draw_id(msg_id, rng),
-        opcode=Opcode.QUERY,
-        question=(Question(name, rtype, RClass.IN),),
-    )
+    return _trusted_build(
+        DnsMessage, id=_draw_id(msg_id, rng), opcode=Opcode.QUERY, rcode=Rcode.NOERROR,
+        is_response=False, authoritative=False,
+        question=(_trusted_build(Question, name=name, rtype=rtype, rclass=RClass.IN),),
+        answers=(), authority=(), additional=(), extra_flags=0)
 
 
 def make_update(
@@ -352,12 +391,11 @@ def make_update(
             raise TypeError(f"not an UpdateChange: {change!r}")
     if not update_rrs:
         raise EmptyChangeList("an UPDATE needs at least one change")
-    return DnsMessage(
-        id=_draw_id(msg_id, rng),
-        opcode=Opcode.UPDATE,
-        question=(Question(zone, RType.SOA, RClass.IN),),
-        authority=tuple(update_rrs),
-    )
+    return _trusted_build(
+        DnsMessage, id=_draw_id(msg_id, rng), opcode=Opcode.UPDATE, rcode=Rcode.NOERROR,
+        is_response=False, authoritative=False,
+        question=(_trusted_build(Question, name=zone, rtype=RType.SOA, rclass=RClass.IN),),
+        answers=(), authority=tuple(update_rrs), additional=(), extra_flags=0)
 
 
 # --- encoding ---
@@ -471,54 +509,53 @@ def encode_stream(head: DnsMessage, records: Iterable[ResourceRecord]) -> list[b
 
 def _read_name(data: bytes, offset: int) -> tuple[DnsName, int]:
     labels = []
-    total = 0
-    pos = offset
+    pos = start = offset
+    total = 1  # wire bytes, counting the root label, of the runs before ``start``
     end = None
+    size = len(data)
     while True:
-        if pos >= len(data):
+        if pos >= size:
             raise TruncatedMessage("name ran off the end of the message")
         b0 = data[pos]
-        if b0 & 0xC0 == 0xC0:
-            if pos + 1 >= len(data):
+        if 0 < b0 < 0x40:
+            nxt = pos + 1 + b0
+            if nxt > size:
+                raise TruncatedMessage("label ran off the end of the message")
+            labels.append(data[pos + 1 : nxt])
+            pos = nxt
+        elif b0 == 0:
+            if total + pos - start > MAX_NAME_WIRE_LENGTH:
+                raise DecodeError("decoded name exceeds 255 wire bytes")
+            return DnsName._trusted(tuple(labels)), pos + 1 if end is None else end
+        elif b0 >= 0xC0:
+            if pos + 1 >= size:
                 raise TruncatedMessage("pointer missing its second byte")
             target = ((b0 & 0x3F) << 8) | data[pos + 1]
             if end is None:
                 end = pos + 2
             if target >= pos:
                 raise MalformedPointer(f"pointer at {pos} references offset {target}")
-            pos = target
-        elif b0 & 0xC0:
-            raise MalformedPointer(f"reserved label type 0x{b0 & 0xC0:02x} at offset {pos}")
-        elif b0 == 0:
-            if end is None:
-                end = pos + 1
-            return DnsName(labels), end
-        else:
-            if pos + 1 + b0 > len(data):
-                raise TruncatedMessage("label ran off the end of the message")
-            labels.append(data[pos + 1 : pos + 1 + b0])
-            total += b0 + 1
-            if total + 1 > MAX_NAME_WIRE_LENGTH:
+            # a pointer back to a label ahead of itself loops; the length bound ends it
+            total += pos - start
+            if total > MAX_NAME_WIRE_LENGTH:
                 raise DecodeError("decoded name exceeds 255 wire bytes")
-            pos += 1 + b0
+            pos = start = target
+        else:
+            raise MalformedPointer(f"reserved label type 0x{b0 & 0xC0:02x} at offset {pos}")
 
 
 def _decode_rdata(data: bytes, rdata_start: int, rdlength: int, rtype: int) -> Rdata:
-    raw = data[rdata_start : rdata_start + rdlength]
+    """Rdata of any type but a well-formed A or AAAA, which ``_read_record`` decodes inline."""
     if rdlength == 0:
         return b""
     end = rdata_start + rdlength
-    if rtype == RType.A and rdlength == 4:
-        return IPv4Address(raw)
-    if rtype == RType.AAAA and rdlength == 16:
-        return IPv6Address(raw)
     if rtype in (RType.NS, RType.CNAME):
         name, pos = _read_name(data, rdata_start)
-        return name if pos <= end else raw
+        return name if pos <= end else data[rdata_start:end]
     if rtype == RType.MX and rdlength >= 3:
         (pref,) = struct.unpack_from("!H", data, rdata_start)
         name, pos = _read_name(data, rdata_start + 2)
-        return MxData(pref, name) if pos <= end else raw
+        return MxData(pref, name) if pos <= end else data[rdata_start:end]
     if rtype == RType.TXT:
         strings = []
         pos = rdata_start
@@ -551,45 +588,51 @@ def _decode_rdata(data: bytes, rdata_start: int, rdlength: int, rtype: int) -> R
         pos += 6
         if pos + other_len > end:
             raise TruncatedMessage("TSIG other data truncated")
-        return TsigData(alg, time_signed, fudge, bytes(mac), original_id, error, bytes(data[pos : pos + other_len]))
+        return TsigData(alg, time_signed, fudge, mac, original_id, error, data[pos : pos + other_len])
     # unknown types, or known types with off-contract lengths, stay opaque
-    return bytes(raw)
+    return data[rdata_start:end]
 
 
 def _read_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
     name, pos = _read_name(data, offset)
     if pos + 10 > len(data):
         raise TruncatedMessage("record fixed fields truncated")
-    rtype, rclass, ttl, rdlength = struct.unpack_from("!HHIH", data, pos)
+    rtype, rclass, ttl, rdlength = _RECORD.unpack_from(data, pos)
     pos += 10
-    if pos + rdlength > len(data):
+    end = pos + rdlength
+    if end > len(data):
         raise TruncatedMessage("rdata truncated")
-    rdata = _decode_rdata(data, pos, rdlength, rtype)
-    return ResourceRecord(name, rtype, rclass, ttl, rdata), pos + rdlength
+    if rtype == 1 and rdlength == 4:  # A
+        rdata = IPv4Address(data[pos:end])
+    elif rtype == 28 and rdlength == 16:  # AAAA
+        rdata = IPv6Address(data[pos:end])
+    else:
+        rdata = _decode_rdata(data, pos, rdlength, rtype)
+    return _trusted_build(ResourceRecord, name=name, rtype=rtype, rclass=rclass, ttl=ttl,
+                          rdata=rdata), end
 
 
 def decode_message(data: bytes) -> DnsMessage:
-    """Parse wire bytes into a DnsMessage; all failures raise a DecodeError subclass."""
+    """Parse wire bytes (or any bytes-like) into a DnsMessage; all failures raise a DecodeError subclass."""
+    data = bytes(data)  # once, so every slice below is a bytes object
     if len(data) < 12:
         raise TruncatedMessage(f"{len(data)}-byte input is shorter than the 12-byte header")
     msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data, 0)
-    opcode = (flags >> 11) & 0xF
-    if opcode not in (Opcode.QUERY, Opcode.UPDATE):
-        raise BadOpcode(f"opcode {opcode} outside {{0, 5}}")
-    rcode_value = flags & 0xF
-    try:
-        rcode = Rcode(rcode_value)
-    except ValueError:
-        raise DecodeError(f"unassigned rcode {rcode_value}") from None
+    opcode = _OPCODES.get((flags >> 11) & 0xF)
+    if opcode is None:
+        raise BadOpcode(f"opcode {(flags >> 11) & 0xF} outside {{0, 5}}")
+    rcode = _RCODES.get(flags & 0xF)
+    if rcode is None:
+        raise DecodeError(f"unassigned rcode {flags & 0xF}")
     pos = 12
     question = []
     for _ in range(qdcount):
         name, pos = _read_name(data, pos)
         if pos + 4 > len(data):
             raise TruncatedMessage("question fixed fields truncated")
-        rtype, rclass = struct.unpack_from("!HH", data, pos)
+        rtype, rclass = _QUESTION.unpack_from(data, pos)
         pos += 4
-        question.append(Question(name, rtype, rclass))
+        question.append(_trusted_build(Question, name=name, rtype=rtype, rclass=rclass))
     sections = []
     for count in (ancount, nscount, arcount):
         records = []
@@ -597,18 +640,11 @@ def decode_message(data: bytes) -> DnsMessage:
             rr, pos = _read_record(data, pos)
             records.append(rr)
         sections.append(tuple(records))
-    return DnsMessage(
-        id=msg_id,
-        opcode=Opcode(opcode),
-        rcode=rcode,
-        is_response=bool(flags & 0x8000),
-        authoritative=bool(flags & 0x0400),
-        question=tuple(question),
-        answers=sections[0],
-        authority=sections[1],
-        additional=sections[2],
-        extra_flags=flags & 0x03F0,
-    )
+    answers, authority, additional = sections
+    return _trusted_build(
+        DnsMessage, id=msg_id, opcode=opcode, rcode=rcode, is_response=bool(flags & 0x8000),
+        authoritative=bool(flags & 0x0400), question=tuple(question), answers=answers,
+        authority=authority, additional=additional, extra_flags=flags & 0x03F0)
 
 
 # --- zone-file style text forms (seed files, reports) ---

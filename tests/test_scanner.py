@@ -366,6 +366,9 @@ def test_outcome_json_shape(bus):
     out = probe(bus, "10.0.0.1")
     obj = out.to_json_obj()
     assert set(obj) == {"zone", "ns", "verdict", "rcode", "t_update_ms", "t_verify_ms",
-                        "cleanup_ok", "ts"}
+                        "t_cleanup_ms", "cleanup_ok", "detection_updates_sent",
+                        "cleanup_updates_sent", "ts"}
     assert obj["zone"] == "example.com" and obj["verdict"] == "vulnerable_confirmed"
     assert obj["rcode"] == "NOERROR" and obj["cleanup_ok"] is True
+    assert obj["detection_updates_sent"] == 1 and obj["cleanup_updates_sent"] == 1
+    assert obj["t_cleanup_ms"] == round(out.t_cleanup_ms, 3)

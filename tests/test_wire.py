@@ -1,5 +1,6 @@
 """Wire codec: round-trips, boundary cases, make_update semantics, fuzz totality."""
 
+import dataclasses
 import struct
 from ipaddress import IPv4Address, IPv6Address
 
@@ -11,6 +12,7 @@ from zptoolkit.wire import (
     MAX_MESSAGE_SIZE,
     AddRecord,
     BadOpcode,
+    DecodeError,
     DeleteAllAtName,
     DeleteExactRecord,
     DeleteRRset,
@@ -170,6 +172,33 @@ class TestEncodeDecode:
         with pytest.raises(MalformedPointer):
             decode_message(blob)
 
+    def test_pointer_loop_through_a_label_rejected(self):
+        # offset 12 holds label "a", then a pointer back to offset 12: every
+        # pointer goes backwards, yet the name never ends
+        blob = (
+            struct.pack("!HHHHHH", 1, 0, 1, 0, 0, 0)
+            + b"\x01a\xc0\x0c" + struct.pack("!HH", 1, 1)
+        )
+        with pytest.raises(DecodeError):
+            decode_message(blob)
+
+    @pytest.mark.parametrize("pointer", [False, True])
+    def test_decoded_name_over_255_bytes_rejected(self, pointer):
+        # four 63-byte labels and the root make 257 wire bytes; with a pointer
+        # the second question's name takes its last two labels from the first
+        label = b"\x3f" + b"x" * 63
+        fixed = struct.pack("!HH", 1, 1)
+        if pointer:
+            body = label * 2 + b"\x00" + fixed + label * 2 + b"\xc0\x0c" + fixed
+        else:
+            body = label * 4 + b"\x00" + fixed
+        blob = struct.pack("!HHHHHH", 1, 0, 2 if pointer else 1, 0, 0, 0) + body
+        with pytest.raises(DecodeError, match="exceeds 255"):
+            decode_message(blob)
+        longest = label * 3 + b"\x3d" + b"x" * 61 + b"\x00"
+        blob = struct.pack("!HHHHHH", 1, 0, 1, 0, 0, 0) + longest + fixed
+        assert decode_message(blob).question[0].name.to_wire() == longest
+
     def test_unknown_rtype_survives_round_trip_as_opaque(self):
         rr = ResourceRecord(EXAMPLE, 999, RClass.IN, 60, b"\x01\x02\x03")
         msg = DnsMessage(id=5, question=(Question(EXAMPLE, 999),), answers=(rr,))
@@ -282,6 +311,59 @@ def messages(draw):
 @settings(max_examples=250, deadline=None)
 def test_round_trip_property(msg):
     assert decode_message(encode_message(msg)) == msg
+
+
+def _names_in(msg):
+    """Every DnsName a message holds: question and owner names, and names in rdata."""
+    for q in msg.question:
+        yield q.name
+    for rr in msg.answers + msg.authority + msg.additional:
+        yield rr.name
+        if isinstance(rr.rdata, DnsName):
+            yield rr.rdata
+        elif isinstance(rr.rdata, MxData):
+            yield rr.rdata.exchange
+        elif isinstance(rr.rdata, SoaData):
+            yield rr.rdata.mname
+            yield rr.rdata.rname
+
+
+def _byte_strings_in(msg):
+    """Every label, TXT string and opaque rdata a message holds."""
+    for name in _names_in(msg):
+        yield from name.labels
+    for rr in msg.answers + msg.authority + msg.additional:
+        if isinstance(rr.rdata, TxtData):
+            yield from rr.rdata.strings
+        elif isinstance(rr.rdata, bytes):
+            yield rr.rdata
+
+
+def _recased(name):
+    return DnsName.from_text(name.to_text().swapcase())
+
+
+@given(messages())
+@settings(max_examples=200, deadline=None)
+def test_decoded_values_match_public_construction(msg):
+    # the decoder builds names and records without their public
+    # constructors; what it builds must behave exactly like what they build
+    blob = encode_message(msg)
+    decoded = decode_message(blob)
+    for source in (bytearray(blob), memoryview(blob)):
+        again = decode_message(source)
+        assert again == decoded and hash(again.question) == hash(decoded.question)
+        assert all(type(s) is bytes for s in _byte_strings_in(again))
+    assert all(type(s) is bytes for s in _byte_strings_in(decoded))
+    for name in _names_in(decoded):
+        public = _recased(name)
+        assert public == name and hash(public) == hash(name)
+    records = msg.answers + msg.authority + msg.additional
+    for built, rr in zip(records, decoded.answers + decoded.authority + decoded.additional):
+        public = ResourceRecord(_recased(rr.name), rr.rtype, rr.rclass, rr.ttl, rr.rdata)
+        assert public == rr == built and hash(public) == hash(rr) == hash(built)
+    assert dataclasses.replace(decoded, id=decoded.id ^ 1, additional=()) == \
+        dataclasses.replace(msg, id=msg.id ^ 1, additional=())
 
 
 @given(st.binary(min_size=0, max_size=100))
