@@ -15,6 +15,8 @@ from enum import Enum
 from ipaddress import ip_address, ip_network
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from .transport import parse_endpoint
+
 Pair = tuple[str, str]  # (zone, nameserver address)
 
 
@@ -202,7 +204,7 @@ class AttributionMap:
 
     def lookup(self, address: str) -> Attribution:
         try:
-            addr = ip_address(address.rsplit(":", 1)[0] if address.count(":") == 1 else address)
+            addr = ip_address(parse_endpoint(address)[0])
         except ValueError:
             return UNKNOWN
         bits = int(addr)

@@ -19,7 +19,15 @@ import time
 from ipaddress import ip_address
 
 from . import analytics, attacklab, authsim, ingest, scanner
-from .transport import DatagramBus, ManualClock, SimDatagram, SimTransport, SystemClock, UdpTransport
+from .transport import (
+    DatagramBus,
+    ManualClock,
+    SimDatagram,
+    SimTransport,
+    SystemClock,
+    UdpTransport,
+    parse_endpoint,
+)
 from .tsig import TsigKey
 from .wire import DnsName, WireError
 
@@ -132,9 +140,8 @@ def _cmd_sim(args) -> int:
         if len(servers) != 1:
             raise RuntimeError("--bind serves exactly one fleet server; split the fleet file")
         (server,) = servers.values()
-        host, _, port = args.bind.rpartition(":")
-        served = serve_udp(server, host or "127.0.0.1", int(port),
-                           max_requests=args.max_requests)
+        host, port = parse_endpoint(args.bind)
+        served = serve_udp(server, host or "127.0.0.1", port, max_requests=args.max_requests)
         print(f"served {served} datagrams", file=sys.stderr)
         return 0
     finally:
@@ -325,7 +332,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fleet", required=True)
     p.add_argument("--keys")
     p.add_argument("--honeypot", help="append-only JSONL journal of every update attempt")
-    p.add_argument("--bind", help="serve one fleet server on a real UDP host:port")
+    p.add_argument("--bind", help="serve one fleet server on a real UDP host:port or [v6]:port")
     p.add_argument("--max-requests", type=int, help="stop after N datagrams (testing)")
     p.set_defaults(func=_cmd_sim)
 

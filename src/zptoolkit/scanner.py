@@ -14,13 +14,12 @@ from enum import Enum
 from ipaddress import IPv4Address, IPv6Address
 from typing import Iterable, Iterator, Optional, Union
 
-from .analytics import CategoryCounts, ScanSnapshot
-from .transport import SystemClock, Transport, UdpTransport, exchange_message
+from .analytics import ScanSnapshot, derive_counts
+from .transport import SystemClock, Transport, UdpTransport, exchange_message, parse_endpoint
 from .wire import (
     AddRecord,
     DecodeError,
     DeleteExactRecord,
-    DeleteRRset,
     DnsMessage,
     DnsName,
     Rcode,
@@ -32,6 +31,11 @@ from .wire import (
 )
 
 DEFAULT_SENTINEL = b"researchstudyzp"
+# extra attempts for the probe UPDATE and each verification lookup; each
+# retransmission only ever follows a timeout
+RETRIES_VERIFY = 2
+# delete-and-recheck rounds before a failed cleanup is surfaced
+RETRIES_CLEANUP = 5
 
 
 class ScannerError(Exception):
@@ -50,7 +54,7 @@ class ProbeTarget:
     def __post_init__(self):
         if not len(self.zone):
             raise ValueError("probe zone must be non-root")
-        if not self.nameserver:
+        if not parse_endpoint(self.nameserver)[0]:
             raise ValueError("probe target needs a nameserver address")
 
 
@@ -60,22 +64,17 @@ class ProbeConfig:
 
     ``probe_address`` must point at an operator-controlled host that
     explains the scan; ``probe_address_attested`` asserts that ownership
-    and is required for real-socket scans. ``retries_verify`` bounds extra
-    attempts for the probe UPDATE and the verification lookups (each
-    retransmission only ever follows a timeout); ``retries_cleanup`` is the
-    number of delete-and-recheck rounds before a failed cleanup is
-    surfaced. Probes run one at a time, paced to ``per_nameserver_rate``
-    probes/second per target address. A reply counts only when it answers
-    the request (id, opcode and question); any other reply is a
-    ``MALFORMED_REPLY``.
+    and is required for real-socket scans. Probes run one at a time, paced
+    to ``per_nameserver_rate`` probes/second per target address; retry
+    counts are the module constants ``RETRIES_VERIFY`` and
+    ``RETRIES_CLEANUP``. A reply counts only when it answers the request
+    (id, opcode and question); any other reply is a ``MALFORMED_REPLY``.
     """
 
     probe_address: Union[IPv4Address, IPv6Address] = IPv4Address("192.0.2.80")
     sentinel_label: bytes = DEFAULT_SENTINEL
     ttl: int = 120
     timeout: float = 3.0
-    retries_verify: int = 2
-    retries_cleanup: int = 5
     per_nameserver_rate: float = 2.0
     probe_address_attested: bool = False
 
@@ -184,7 +183,7 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     counted = _CountingTransport(transport)
     try:
         reply = exchange_message(counted, target.nameserver, probe, cfg.timeout,
-                                 cfg.retries_verify)
+                                 RETRIES_VERIFY)
     except DecodeError:
         return outcome(Verdict.MALFORMED_REPLY, t_update=clock.now() - t0,
                        detection_sends=counted.sends)
@@ -207,22 +206,14 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     if answers is not None and cfg.probe_address not in answers:
         # nothing of ours is visible; issue no deletion for data we did not create
         return outcome(Verdict.UPDATE_ACCEPTED_NOT_VISIBLE, Rcode.NOERROR, **common)
-    if answers != {cfg.probe_address}:
-        # unverifiable (timeout or bad reply): the insert may have landed; or a
-        # collision with a pre-existing sentinel rrset. Either way remove only
-        # our exact record, which cannot touch foreign data
-        removed, sends, t_clean = _cleanup_own_record(target, cfg, transport, clock, rng,
-                                                      exact_only=True)
-        return outcome(verdict, Rcode.NOERROR, cleanup_confirmed=removed, cleanup_sends=sends,
-                       t_cleanup=t_clean, **common)
 
-    # phase 3: the rrset is exactly our record; delete it and confirm removal
-    removed, cleanup_sends, t_cleanup = _cleanup_own_record(target, cfg, transport, clock, rng,
-                                                            exact_only=False)
-    if removed:
-        return outcome(Verdict.VULNERABLE_CONFIRMED, Rcode.NOERROR, cleanup_confirmed=True,
-                       cleanup_sends=cleanup_sends, t_cleanup=t_cleanup, **common)
-    return outcome(Verdict.CLEANUP_FAILED, Rcode.NOERROR, cleanup_confirmed=False,
+    # phase 3: our record may be in the zone; delete exactly it and confirm removal.
+    # Only a check that saw our record alone confirms the insert: a timeout, a
+    # bad reply or a pre-existing sentinel rrset keeps the weaker verdict
+    removed, cleanup_sends, t_cleanup = _cleanup_own_record(target, cfg, transport, clock, rng)
+    if answers == {cfg.probe_address}:
+        verdict = Verdict.VULNERABLE_CONFIRMED if removed else Verdict.CLEANUP_FAILED
+    return outcome(verdict, Rcode.NOERROR, cleanup_confirmed=removed,
                    cleanup_sends=cleanup_sends, t_cleanup=t_cleanup, **common)
 
 
@@ -246,7 +237,7 @@ def _query_addresses(transport, destination, name, cfg, rng):
     DecodeError.
     """
     query = make_query(name, cfg.record_type, rng=rng)
-    reply = exchange_message(transport, destination, query, cfg.timeout, cfg.retries_verify)
+    reply = exchange_message(transport, destination, query, cfg.timeout, RETRIES_VERIFY)
     if reply is None:
         return None
     return {rr.rdata for rr in reply.answers
@@ -254,18 +245,17 @@ def _query_addresses(transport, destination, name, cfg, rng):
             and isinstance(rr.rdata, (IPv4Address, IPv6Address))}
 
 
-def _cleanup_own_record(target, cfg, transport, clock, rng, *, exact_only: bool):
-    """Delete the sentinel record and confirm absence; never touches foreign rdata.
+def _cleanup_own_record(target, cfg, transport, clock, rng):
+    """Delete exactly our sentinel record (RFC 2136 §2.5.4) and confirm its absence.
 
-    exact_only uses DeleteExactRecord (collision-safe); otherwise the whole
-    rrset, which at this point provably holds only our record, is removed.
+    The delete names our rdata, so a record another client holds in the
+    sentinel rrset is never touched.
     """
     sentinel = sentinel_name(target, cfg)
-    ours = ResourceRecord(sentinel, cfg.record_type, 1, 0, cfg.probe_address)
-    change = DeleteExactRecord(ours) if exact_only else DeleteRRset(sentinel, cfg.record_type)
+    change = DeleteExactRecord(ResourceRecord(sentinel, cfg.record_type, 1, 0, cfg.probe_address))
     t0 = clock.now()
     sends = 0
-    for _ in range(max(1, cfg.retries_cleanup)):
+    for _ in range(RETRIES_CLEANUP):
         sends += 1
         delete = make_update(target.zone, [change], rng=rng)
         transport.exchange(encode_message(delete), target.nameserver, cfg.timeout)
@@ -306,25 +296,20 @@ def run_scan(targets: Iterable[ProbeTarget], cfg: ProbeConfig, transport: Transp
     clock = clock or SystemClock()
     rng = rng or random.Random()
     pacer = Pacer(clock, cfg.per_nameserver_rate)
-    seen: set[tuple[DnsName, str]] = set()
+    pairs: set[tuple[str, str]] = set()
     outcomes: list[ProbeOutcome] = []
-    zones: set[str] = set()
-    nameservers: set[str] = set()
     vulnerable: set[tuple[str, str]] = set()
     for target in targets:
-        key = (target.zone, target.nameserver)
-        if key in seen:
+        key = (target.zone.to_text().lower(), target.nameserver)
+        if key in pairs:
             continue
-        seen.add(key)
-        zones.add(target.zone.to_text())
-        nameservers.add(target.nameserver)
+        pairs.add(key)
         pacer.wait(target.nameserver)
         result = run_probe(target, cfg, transport, clock, rng)
         outcomes.append(result)
         if result.vulnerable:
-            vulnerable.add((target.zone.to_text(), target.nameserver))
-    tested = CategoryCounts(domains=len(zones), nameservers=len(nameservers), pairs=len(seen))
-    snapshot = ScanSnapshot.from_pairs(clock.now(), tested, vulnerable)
+            vulnerable.add(key)
+    snapshot = ScanSnapshot.from_pairs(clock.now(), derive_counts(pairs), vulnerable)
     return ScanResult(outcomes, snapshot)
 
 

@@ -178,15 +178,24 @@ class Transport(Protocol):
 
 
 def parse_endpoint(address: str, default_port: int = 53) -> tuple[str, int]:
-    """Split 'host', 'host:port', or '[v6]:port' into (host, port)."""
+    """Split 'host', 'host:port', '[v6]' or '[v6]:port' into (host, port).
+
+    A port that is not a decimal number in 0-65535 raises ValueError.
+    """
     if address.startswith("["):
-        host, _, rest = address[1:].partition("]")
-        port = int(rest[1:]) if rest.startswith(":") else default_port
-        return host, port
-    if address.count(":") == 1:
+        host, bracket, port = address[1:].partition("]")
+        if not bracket or (port and not port.startswith(":")):
+            raise ValueError(f"malformed endpoint {address!r}")
+        if not port:
+            return host, default_port
+        port = port[1:]
+    elif address.count(":") == 1:
         host, _, port = address.partition(":")
-        return host, int(port)
-    return address, default_port
+    else:
+        return address, default_port
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(f"endpoint port must be a number in 0-65535: {address!r}")
+    return host, int(port)
 
 
 class UdpTransport:

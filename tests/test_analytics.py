@@ -41,6 +41,7 @@ from zptoolkit.analytics import (
     survival_by_group,
     survival_series_csv,
 )
+from zptoolkit.transport import parse_endpoint
 
 GLOBAL_TESTED = CategoryCounts(353_870_510, 3_855_615, 5_032_117_394)
 GLOBAL_VULNERABLE = CategoryCounts(381_965, 5_575, 679_930)
@@ -590,7 +591,7 @@ _LOOKUP_ADDRESS = st.one_of(
 def scan_lookup(prefixes, address):
     """Brute force: every prefix of the address's version that holds it; longest, then first, wins."""
     try:
-        addr = ip_address(address.rsplit(":", 1)[0] if address.count(":") == 1 else address)
+        addr = ip_address(parse_endpoint(address)[0])
     except ValueError:
         return UNKNOWN
     best = None
@@ -611,6 +612,17 @@ class TestAttributionLookup:
         amap = AttributionMap(prefixes)
         for address in addresses:
             assert amap.lookup(address) == scan_lookup(prefixes, address)
+
+    def test_endpoint_forms_share_the_host_attribution(self):
+        v6 = Attribution("64501", "DE", ("de-cert",))
+        v4 = Attribution("64500", "JP", ("jp-cert",))
+        amap = AttributionMap([("2001:db8::/32", v6), ("10.0.0.0/8", v4)])
+        for address in ("2001:db8::1", "[2001:db8::1]", "[2001:db8::1]:53"):
+            assert amap.lookup(address) == v6
+        assert amap.lookup("10.1.2.3:5300") == v4
+        # an endpoint whose port is not a port names no address
+        for address in ("10.1.2.3:abc", "10.1.2.3:70000", "[2001:db8::1]x"):
+            assert amap.lookup(address) == UNKNOWN
 
     def test_csv_prefix_with_host_bits_raises(self):
         with pytest.raises(ValueError):

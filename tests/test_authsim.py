@@ -513,6 +513,57 @@ class TestForwardingAndPropagation:
         else:
             assert after.records == before.records  # the SOA, so the serial too
 
+    @staticmethod
+    def secondary_server():
+        zone = dataclasses.replace(basic_zone("example.com", Open()), role=Secondary("10.0.1.1"))
+        return NameServer("10.0.1.2", [zone])
+
+    @staticmethod
+    def from_primary(server, msg):
+        return server.handle_datagram(SimDatagram("10.0.1.1", "10.0.1.2", encode_message(msg)), 0.0)
+
+    @staticmethod
+    def axfr_part(msg_id, *answers):
+        return DnsMessage(id=msg_id, is_response=True, authoritative=True,
+                          question=(Question(APEX, RType.AXFR, RClass.IN),), answers=answers)
+
+    def test_transfer_with_a_new_id_restarts_a_partial_stream(self):
+        secondary = self.secondary_server()
+        soa = make_soa(APEX, serial=9)
+        stale = a_record(APEX.prepend("stale"), "192.0.2.7")
+        fresh = a_record(SENTINEL, "192.0.2.80")
+        assert self.from_primary(secondary, self.axfr_part(1, soa, stale)) == []  # never closed
+        assert self.from_primary(secondary, self.axfr_part(2, soa)) == []
+        assert self.from_primary(secondary, self.axfr_part(2, fresh, soa)) == []
+        assert secondary.zones[APEX].records == {soa, fresh}
+
+    def test_completed_stream_that_is_not_a_zone_keeps_the_last_good_copy(self):
+        secondary = self.secondary_server()
+        before = secondary.zones[APEX]
+        soa = make_soa(APEX, serial=9)
+        cname = ResourceRecord(SENTINEL, RType.CNAME, RClass.IN, 60, APEX)
+        self.from_primary(secondary, self.axfr_part(3, soa, cname))
+        self.from_primary(secondary, self.axfr_part(3, a_record(SENTINEL, "192.0.2.80"), soa))
+        assert secondary.zones[APEX] is before
+        # the dropped stream leaves nothing behind: a fresh one installs on its own
+        good = a_record(SENTINEL, "192.0.2.81")
+        self.from_primary(secondary, self.axfr_part(3, soa, good, soa))
+        assert secondary.zones[APEX].records == {soa, good}
+        assert secondary.faults == 0
+
+    def test_relayed_rcode_that_nothing_waits_for_is_dropped(self):
+        secondary = self.secondary_server()
+        update = add_sentinel(msg_id=21)
+        reply = DnsMessage(id=21, opcode=update.opcode, rcode=Rcode.NOERROR, is_response=True,
+                           question=update.question)
+        assert self.from_primary(secondary, reply) == []
+        # once the update is forwarded, the same reply is relayed exactly once
+        request = SimDatagram("198.51.100.99", "10.0.1.2", encode_message(update))
+        assert [d.destination for d in secondary.handle_datagram(request, 0.0)] == ["10.0.1.1"]
+        assert [d.destination for d in self.from_primary(secondary, reply)] == ["198.51.100.99"]
+        assert self.from_primary(secondary, reply) == []
+        assert secondary.faults == 0
+
     def test_update_to_large_zone_without_secondaries_is_answered(self):
         # ~98 KB of zone data: a full transfer would not fit one message, but
         # no transfer is built when no secondary is registered

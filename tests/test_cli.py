@@ -39,20 +39,23 @@ other.test. 3600 IN NS ns1.other.test.
 """
 
 
-def serve_one(args, request: bytes):
-    """Run ``zptool sim ARGS --bind`` on a free loopback port for one datagram;
-    send it ``request`` (resent until the server is up) and decode its reply."""
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as free:
-        free.bind(("127.0.0.1", 0))
+def serve_one(args, request: bytes, host: str = "127.0.0.1", bind_prefix: str | None = None):
+    """Run ``zptool sim ARGS --bind PREFIXPORT`` on a free loopback port of ``host``
+    for one datagram; send it ``request`` (resent until the server is up) and
+    decode its reply. The prefix defaults to ``host:``."""
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    with socket.socket(family, socket.SOCK_DGRAM) as free:
+        free.bind((host, 0))
         port = free.getsockname()[1]
+    bind = f"{host}:{port}" if bind_prefix is None else f"{bind_prefix}{port}"
     server = threading.Thread(target=main, args=(
-        [*args, "--bind", f"127.0.0.1:{port}", "--max-requests", "1"],))
+        [*args, "--bind", bind, "--max-requests", "1"],))
     server.start()
     try:
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+        with socket.socket(family, socket.SOCK_DGRAM) as client:
             client.settimeout(0.2)
             for _ in range(50):
-                client.sendto(request, ("127.0.0.1", port))
+                client.sendto(request, (host, port))
                 try:
                     return decode_message(client.recv(65535))
                 except socket.timeout:
@@ -101,6 +104,18 @@ class TestScan:
                   "--out", str(out), "--seed", "3"])
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("port", ["abc", "70000"])
+    def test_bad_nameserver_port_is_rejected_before_any_probe(self, tmp_path, fleet_file, port,
+                                                               capsys):
+        pairs = tmp_path / "bad.csv"
+        pairs.write_text(f"example.com,10.0.0.1\nexample.com,10.0.0.1:{port}\n")
+        out = tmp_path / "o.jsonl"
+        code = main(["scan", "--pairs", str(pairs), "--fleet", fleet_file, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("zptool: ")
+        assert not out.exists()
 
     def test_udp_scan_requires_attestation(self, tmp_path, pairs_file):
         code = main(["scan", "--pairs", pairs_file, "--transport", "udp",
@@ -240,6 +255,23 @@ class TestSim:
         query = make_query(DnsName.from_text("example.com"), RType.A, msg_id=9)
         reply = serve_one(["sim", "--fleet", str(fleet)], encode_message(query))
         assert (reply.is_response, reply.id, reply.rcode) == (True, 9, Rcode.NOERROR)
+        assert [str(rr.rdata) for rr in reply.answers] == ["192.0.2.1"]
+
+    @pytest.mark.parametrize("host, bind_prefix", [("127.0.0.1", ":"), ("::1", "[::1]:")])
+    def test_bind_endpoint_forms(self, tmp_path, host, bind_prefix):
+        # ':PORT' serves on 127.0.0.1; '[v6]:PORT' serves on the bracketed address
+        if ":" in host:
+            try:
+                with socket.socket(socket.AF_INET6, socket.SOCK_DGRAM) as probe_sock:
+                    probe_sock.bind((host, 0))
+            except OSError:
+                pytest.skip("no IPv6 loopback")
+        fleet = tmp_path / "deny.txt"
+        fleet.write_text("@server 10.0.0.1\n@policy deny\n" + SOA_LINE
+                         + "example.com. 3600 IN A 192.0.2.1\n")
+        query = make_query(DnsName.from_text("example.com"), RType.A, msg_id=11)
+        reply = serve_one(["sim", "--fleet", str(fleet)], encode_message(query), host, bind_prefix)
+        assert (reply.is_response, reply.id, reply.rcode) == (True, 11, Rcode.NOERROR)
         assert [str(rr.rdata) for rr in reply.answers] == ["192.0.2.1"]
 
 

@@ -10,6 +10,8 @@ import pytest
 from zptoolkit import authsim, wire
 from zptoolkit.authsim import Deny, IpAcl, Open, Secondary, SignedKey
 from zptoolkit.scanner import (
+    RETRIES_CLEANUP,
+    RETRIES_VERIFY,
     AttestationRequired,
     ProbeConfig,
     ProbeTarget,
@@ -21,6 +23,7 @@ from zptoolkit.scanner import (
 )
 from zptoolkit.transport import SimDatagram, SimTransport, UdpTransport
 from zptoolkit.wire import (
+    AddRecord,
     DnsName,
     Opcode,
     RClass,
@@ -29,6 +32,7 @@ from zptoolkit.wire import (
     RType,
     decode_message,
     encode_message,
+    make_update,
 )
 
 from conftest import LAB_KEY, SCANNER_SOURCE, attach_server, basic_zone, random_fleet
@@ -114,8 +118,8 @@ class TestRunProbe:
         bus.drop_filter = lambda d: d.destination == "10.9.9.9"
         out = probe(bus, "10.9.9.9")
         assert out.verdict is Verdict.UNREACHABLE
-        assert out.detection_updates_sent == CFG.retries_verify + 1
-        assert out.t_update_ms >= CFG.timeout * 1000 * (CFG.retries_verify + 1)
+        assert out.detection_updates_sent == RETRIES_VERIFY + 1
+        assert out.t_update_ms >= CFG.timeout * 1000 * (RETRIES_VERIFY + 1)
 
     def test_dark_target_retries_one_encoded_probe(self, bus, monkeypatch):
         encoded = []
@@ -123,8 +127,8 @@ class TestRunProbe:
         monkeypatch.setattr(wire, "encode_message", lambda msg: encoded.append(msg) or encode(msg))
         out = probe(bus, "10.9.9.9")  # no server attached
         assert out.verdict is Verdict.UNREACHABLE
-        assert out.detection_updates_sent == CFG.retries_verify + 1
-        assert len(bus.updates_seen("10.9.9.9")) == CFG.retries_verify + 1
+        assert out.detection_updates_sent == RETRIES_VERIFY + 1
+        assert len(bus.updates_seen("10.9.9.9")) == RETRIES_VERIFY + 1
         assert len(encoded) == 1
 
     def test_retransmission_only_after_timeout_can_still_succeed(self, bus):
@@ -230,12 +234,39 @@ class TestRunProbe:
             return original(dgram, now)
 
         bus.attach("10.0.0.1", no_deletes)
-        cfg = ProbeConfig(retries_cleanup=2)
-        out = probe(bus, "10.0.0.1", cfg)
+        out = probe(bus, "10.0.0.1")
         assert out.verdict is Verdict.CLEANUP_FAILED
         assert out.cleanup_confirmed is False
         assert out.vulnerable
-        assert out.cleanup_updates_sent == 2
+        assert out.cleanup_updates_sent == RETRIES_CLEANUP
+
+    def test_cleanup_spares_a_record_added_after_the_check(self, bus):
+        # another client joins the sentinel rrset between our check and our
+        # cleanup: the delete names our rdata alone, so its record stays
+        zone = basic_zone("example.com", Open())
+        server = attach_server(bus, "10.0.0.1", zone)
+        original = server.handle_datagram
+        foreign = ResourceRecord(SENTINEL, RType.A, RClass.IN, 3600, IPv4Address("198.51.100.77"))
+        updates, queries = [], []
+
+        def racing(dgram, now):
+            replies = original(dgram, now)
+            msg = decode_message(dgram.payload)
+            (updates if msg.opcode == Opcode.UPDATE else queries).append(msg)
+            if len(queries) == 1 and msg.opcode == Opcode.QUERY:
+                other = make_update(APEX, [AddRecord(foreign)], msg_id=77)
+                original(SimDatagram("198.51.100.50", "10.0.0.1", encode_message(other)), now)
+            return replies
+
+        bus.attach("10.0.0.1", racing)
+        out = probe(bus, "10.0.0.1")
+        assert out.verdict is Verdict.VULNERABLE_CONFIRMED
+        assert out.cleanup_confirmed is True and out.cleanup_updates_sent == 1
+        (delete,) = updates[1].updates
+        assert (delete.name, delete.rtype, delete.rclass, delete.rdata) == (
+            SENTINEL, RType.A, RClass.NONE, CFG.probe_address)
+        remaining = server.zones[APEX].rrset(SENTINEL, RType.A)
+        assert [rr.rdata for rr in remaining] == [IPv4Address("198.51.100.77")]
 
     def test_attestation_gate_for_udp(self):
         with pytest.raises(AttestationRequired):
@@ -285,6 +316,20 @@ class TestRunScan:
         snap = result.snapshot
         assert snap.tested.pairs == 2 and snap.tested.domains == 1 and snap.tested.nameservers == 2
         assert (snap.vulnerable.domains, snap.vulnerable.nameservers, snap.vulnerable.pairs) == (1, 1, 1)
+
+    def test_case_variants_of_one_zone_are_one_domain(self, bus):
+        attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()))
+        attach_server(bus, "10.0.0.2", basic_zone("example.com", Open()))
+        targets = [ProbeTarget(DnsName.from_text("Example.COM"), "10.0.0.1"),
+                   ProbeTarget(APEX, "10.0.0.2"),
+                   ProbeTarget(DnsName.from_text("EXAMPLE.com"), "10.0.0.2")]
+        result = run_scan(targets, CFG, SimTransport(bus, SCANNER_SOURCE), bus.clock,
+                          random.Random(1))
+        snap = result.snapshot
+        assert len(result.outcomes) == 2
+        assert snap.tested.domains == snap.vulnerable.domains == 1
+        assert snap.tested.pairs == snap.vulnerable.pairs == 2
+        assert snap.vulnerable_pairs == {("example.com", "10.0.0.1"), ("example.com", "10.0.0.2")}
 
     def test_faulty_update_handler_answers_servfail(self, bus, monkeypatch, caplog):
         broken = DnsName.from_text("broken.example")
@@ -359,6 +404,15 @@ def test_parse_pair_lines():
         ("example.com", "10.0.0.1"), ("other.test", "10.0.0.2")]
     with pytest.raises(ValueError):
         list(parse_pair_lines(["no-comma-here"]))
+
+
+@pytest.mark.parametrize("nameserver", ["127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:",
+                                        "[::1]:99999", "[::1", ":53", "[]:53"])
+def test_target_endpoint_checked_when_read(nameserver):
+    with pytest.raises(ValueError):
+        list(parse_pair_lines(["example.com,10.0.0.1", f"example.com,{nameserver}"]))
+    with pytest.raises(ValueError):
+        ProbeTarget(APEX, nameserver)
 
 
 def test_outcome_json_shape(bus):

@@ -149,3 +149,13 @@ def test_parse_endpoint_forms():
     assert parse_endpoint("192.0.2.1:5300") == ("192.0.2.1", 5300)
     assert parse_endpoint("[2001:db8::1]:5300") == ("2001:db8::1", 5300)
     assert parse_endpoint("[2001:db8::1]") == ("2001:db8::1", 53)
+    assert parse_endpoint(":5300") == ("", 5300)
+    assert parse_endpoint("192.0.2.1:65535") == ("192.0.2.1", 65535)
+
+
+@pytest.mark.parametrize("address", ["192.0.2.1:abc", "192.0.2.1:70000", "192.0.2.1:",
+                                     "192.0.2.1:-1", "192.0.2.1:+53", "[2001:db8::1]:65536",
+                                     "[2001:db8::1]:x", "[2001:db8::1]53", "[2001:db8::1"])
+def test_parse_endpoint_rejects_bad_ports(address):
+    with pytest.raises(ValueError):
+        parse_endpoint(address)

@@ -1,5 +1,6 @@
 """Transaction signatures: identity, tampering, time window, keyring handling."""
 
+import dataclasses
 from ipaddress import IPv4Address
 
 import pytest
@@ -56,6 +57,16 @@ def test_tampered_payload_rejected():
     idx = blob.index(IPv4Address("192.0.2.80").packed)
     blob[idx] ^= 0x01
     result = verify_message(decode_message(bytes(blob)), {KEY_A}, now=1000)
+    assert result == Reject(RejectReason.BAD_SIGNATURE)
+
+
+def test_mismatched_original_id_rejected():
+    # the MAC does not cover the Original ID field, so only the id check refuses this
+    signed = sign_message(probe_update(msg_id=77), KEY_A, now=1000)
+    *rest, tsig_rr = signed.additional
+    forged = dataclasses.replace(tsig_rr, rdata=dataclasses.replace(tsig_rr.rdata, original_id=78))
+    result = verify_message(dataclasses.replace(signed, additional=(*rest, forged)), {KEY_A},
+                            now=1000)
     assert result == Reject(RejectReason.BAD_SIGNATURE)
 
 
