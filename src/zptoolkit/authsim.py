@@ -6,20 +6,26 @@ updates from secondaries to their primary, and can journal every update
 attempt in honeypot mode. After a mutating update the primary pushes the
 zone's registered secondaries one IXFR diff (RFC 1995); a secondary whose
 copy is not the diff's base asks for the whole zone, which comes back as an
-AXFR stream split over as many messages as it needs (RFC 5936). A zone is
-stored as one owner-name index, and each version is derived from the last
-by patching only the names that changed.
+AXFR stream split over as many messages as it needs (RFC 5936).
+
+A zone is stored as one owner-name index, and each version is made from
+the last in one pass: ``apply_update`` walks the UPDATE once, builds the
+new record tuple of every owner name it touched, and hands those tuples,
+with the apex and its bumped SOA, to one patch primitive, which copies the
+index once and checks only the patched names. A record that survives keeps
+its object across versions, so the IXFR diff of an update is read off the
+touched names by identity. Nothing on that path hashes a record or its
+rdata: records at one name are compared field by field.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping, Optional, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from . import tsig as tsig_mod
 from .transport import DatagramBus, SimDatagram
@@ -121,18 +127,25 @@ Role = Union[Primary, Secondary]
 
 # --- zone state ---
 
+# the write path compares types and classes dozens of times per UPDATE, and
+# each ``RType.X`` is a class attribute lookup several times dearer than a global
+_SOA, _NS, _CNAME, _ANY = RType.SOA, RType.NS, RType.CNAME, RType.ANY
+_IN, _CLASS_ANY, _CLASS_NONE = RClass.IN, RClass.ANY, RClass.NONE
+
 
 @dataclass(frozen=True, eq=False)
 class ZoneConfig:
     """One zone's full state: apex, role, policy, and its owner-name index.
 
     The index, ``name -> tuple of records``, is the only record store: every
-    lookup goes through it, ``records`` and ``soa_serial`` are read from it,
-    and ``derive`` copies it and patches only the touched names for each
-    later version. It holds a mathematical set (no two records share name,
-    type, and rdata; adds replace the TTL instead of duplicating) and is
-    never mutated after construction, because ``dataclasses.replace`` shares
-    it between versions. Zones compare by identity.
+    lookup goes through it, and ``records`` and ``soa_serial`` are read from
+    it. Each later version comes from ``_patch``, which copies the index
+    once and replaces only the patched names' tuples; ``apply_update`` and
+    ``derive`` are its two front ends. No two records share name, type and
+    rdata (``build`` and ``derive`` refuse a second TTL or class for one;
+    adds replace the TTL instead), and the index is never mutated after
+    construction, because versions and ``dataclasses.replace`` share it.
+    Zones compare by identity.
     """
 
     apex: DnsName
@@ -144,18 +157,25 @@ class ZoneConfig:
         # a name breaks a rule only through an SOA or a CNAME, so only those
         # names, and the apex that must hold the SOA, are checked
         marked = {rr.name for rrs in self.by_name.values() for rr in rrs
-                  if rr.rtype in (RType.SOA, RType.CNAME)}
+                  if rr.rtype == _SOA or rr.rtype == _CNAME}
         for name in marked | {self.apex}:
             _check_name(self.apex, name, self.by_name.get(name, ()))
 
     @classmethod
     def build(cls, apex: DnsName, role: Role, policy: UpdatePolicy,
               records: Iterable[ResourceRecord]) -> "ZoneConfig":
-        """Zone holding ``records``, de-duplicated; raises ValueError as the constructor does."""
-        index: dict[DnsName, dict[ResourceRecord, None]] = {}
+        """Zone holding ``records`` de-duplicated, each name's records in the order first given.
+
+        Raises ValueError as the constructor does, and when two records
+        share name, type and rdata but not TTL or class.
+        """
+        index: dict[DnsName, dict[tuple, ResourceRecord]] = {}
         for rr in records:
-            index.setdefault(rr.name, {})[rr] = None
-        return cls(apex, role, policy, {name: tuple(rrs) for name, rrs in index.items()})
+            first = index.setdefault(rr.name, {}).setdefault((rr.rtype, rr.rdata), rr)
+            if first is not rr and not _same(first, rr):
+                raise ValueError(_CLASH.format(rr.name.to_text()))
+        return cls(apex, role, policy,
+                   {name: tuple(rrs.values()) for name, rrs in index.items()})
 
     def derive(self, removed: Iterable[ResourceRecord],
                added: Iterable[ResourceRecord]) -> "ZoneConfig":
@@ -163,33 +183,53 @@ class ZoneConfig:
 
         Holds the same records as ``build`` on the same records, and raises
         ValueError exactly when it does, or when a removed record is not in
-        the zone. The index is copied and only the touched owner names are
-        patched and checked. A touched name keeps its surviving records in
-        their order and then takes the added ones in the order given, so
-        answers do not depend on the hash seed.
+        the zone. A touched name keeps its surviving records, as the same
+        objects and in their order, and then takes the added ones in the
+        order given, so answers do not depend on the hash seed. The touched
+        names go to ``_patch`` as one batch.
         """
-        removed, added = set(removed), list(added)
-        touched = {rr.name: dict.fromkeys(self.records_at(rr.name)) for rr in (*removed, *added)}
+        removed, added = list(removed), list(added)
+        # owner name key -> (name, its records as they become)
+        touched = {rr.name.key: (rr.name, list(self.records_at(rr.name)))
+                   for rr in (*removed, *added)}
         for rr in removed:
-            if rr not in touched[rr.name]:
+            if not any(_same(old, rr) for old in self.records_at(rr.name)):
                 raise ValueError("a removed record is not in the zone")
-            del touched[rr.name][rr]
+            now = touched[rr.name.key][1]
+            now[:] = [old for old in now if not _same(old, rr)]
         for rr in added:
-            touched[rr.name][rr] = None
+            now = touched[rr.name.key][1]
+            i = _find(now, rr.rtype, rr.rdata)
+            if i < 0:
+                now.append(rr)
+            elif not _same(now[i], rr):
+                raise ValueError(_CLASH.format(rr.name.to_text()))
+        return self._patch([(name, tuple(now)) for name, now in touched.values()])
+
+    def _patch(self, patches: Iterable[tuple[DnsName, tuple[ResourceRecord, ...]]]) -> "ZoneConfig":
+        """This zone with each patched name holding exactly the records given (none drops it).
+
+        The one way to make a later version: the index is copied once, each
+        patched name is checked on its own (``_check_name``) and costs one
+        hash of the name, and the ancestor counts are carried over when they
+        exist. The rest of the zone is shared with this version unchecked.
+        """
+        apex = self.apex
         by_name = dict(self.by_name)
         below = self.__dict__.get("_below")
-        below = below.copy() if below is not None else None
-        for name, new in touched.items():
-            _check_name(self.apex, name, new)
-            had = name in by_name
-            if new:
-                by_name[name] = tuple(new)
-            elif had:
-                del by_name[name]
-            if below is not None and had != bool(new):
-                _count_ancestors(below, name, 1 if new else -1)
+        if below is not None:
+            below = below.copy()
+        for name, rrs in patches:
+            _check_name(apex, name, rrs)
+            size = len(by_name)
+            if rrs:
+                by_name[name] = rrs
+            else:
+                by_name.pop(name, None)
+            if below is not None and len(by_name) != size:
+                _count_ancestors(below, name, 1 if rrs else -1)
         zone = object.__new__(ZoneConfig)  # checked above: skip the whole-zone constructor
-        zone.__dict__.update(apex=self.apex, role=self.role, policy=self.policy, by_name=by_name)
+        zone.__dict__.update(apex=apex, role=self.role, policy=self.policy, by_name=by_name)
         if below is not None:
             zone.__dict__["_below"] = below
         return zone
@@ -245,15 +285,40 @@ class ZoneConfig:
         return self.records - {soa} | {_with_serial(soa, 0)}
 
 
+_CLASH = "two records at {} share type and rdata but not TTL or class"
+
+
 def _check_name(apex: DnsName, name: DnsName, rrs: Collection[ResourceRecord]) -> None:
     """The zone rules that hold name by name: one SOA, at the apex, with SOA
-    rdata; a CNAME beside no other type. Raises ValueError."""
-    soas = [rr for rr in rrs if rr.rtype == RType.SOA]
-    if len(soas) != (name == apex) or soas and not isinstance(soas[0].rdata, SoaData):
+    rdata; one CNAME at most, beside no other type. Raises ValueError."""
+    soas = cnames = 0
+    soa_rdata_ok = True
+    for rr in rrs:
+        if rr.rtype == _SOA:
+            soas += 1
+            soa_rdata_ok = soa_rdata_ok and isinstance(rr.rdata, SoaData)
+        elif rr.rtype == _CNAME:
+            cnames += 1
+    if soas != (name == apex) or not soa_rdata_ok:
         raise ValueError("zone must hold exactly one SOA record, at the apex, with SOA rdata")
-    types = {rr.rtype for rr in rrs}
-    if RType.CNAME in types and len(types) > 1:
+    if cnames > 1:
+        raise ValueError(f"{name.to_text()} holds more than one CNAME")
+    if cnames and len(rrs) > 1:
         raise ValueError(f"CNAME at {name.to_text()} cannot coexist with other types")
+
+
+def _same(a: ResourceRecord, b: ResourceRecord) -> bool:
+    """Record equality for two records known to share an owner name, without hashing."""
+    return a is b or (a.rtype == b.rtype and a.ttl == b.ttl and a.rclass == b.rclass
+                      and a.rdata == b.rdata)
+
+
+def _find(rrs: Sequence[ResourceRecord], rtype: int, rdata) -> int:
+    """Index of the record of ``rtype`` and ``rdata`` in ``rrs``, or -1."""
+    for i, rr in enumerate(rrs):
+        if rr.rtype == rtype and rr.rdata == rdata:
+            return i
+    return -1
 
 
 def _count_ancestors(below: Counter, name: DnsName, step: int) -> None:
@@ -268,8 +333,12 @@ def _count_ancestors(below: Counter, name: DnsName, step: int) -> None:
 
 
 def _with_serial(soa: ResourceRecord, serial: int) -> ResourceRecord:
+    """``soa`` with another serial. Built by the constructors, not fast-built:
+    it stays in the zone, and a constructed instance keeps no dict of its own."""
+    old = soa.rdata
     return ResourceRecord(soa.name, soa.rtype, soa.rclass, soa.ttl,
-                          dataclasses.replace(soa.rdata, serial=serial))
+                          SoaData(old.mname, old.rname, serial, old.refresh, old.retry,
+                                  old.expire, old.minimum))
 
 
 # --- ACL evaluation ---
@@ -349,18 +418,25 @@ def evaluate_prerequisites(zone: ZoneConfig, prereqs: Iterable[ResourceRecord]) 
 # --- update application (RFC 2136 §3.4) ---
 
 
+# meta types that no update record may carry as data (RFC 2136 §3.4.1.3)
+_MAILB, _MAILA = 253, 254
+_NOT_ADDABLE = (_ANY, RType.AXFR, _MAILB, _MAILA, RType.TSIG)
+_NOT_DELETABLE_AS_RRSET = (RType.AXFR, _MAILB, _MAILA)
+_NOT_DELETABLE_EXACTLY = (_ANY, RType.AXFR, _MAILB, _MAILA)
+
+
 def _prescan_updates(zone: ZoneConfig, updates: Iterable[ResourceRecord]) -> Rcode:
     for rr in updates:
         if not rr.name.is_subdomain_of(zone.apex):
             return Rcode.NOTZONE
-        if rr.rclass == RClass.IN:
-            if rr.rtype in (RType.ANY, RType.AXFR, RType.TSIG) or rr.rdata == b"":
+        if rr.rclass == _IN:
+            if rr.rtype in _NOT_ADDABLE or rr.rdata == b"":
                 return Rcode.FORMERR
-        elif rr.rclass == RClass.ANY:
-            if rr.ttl != 0 or rr.rdata != b"":
+        elif rr.rclass == _CLASS_ANY:
+            if rr.ttl != 0 or rr.rdata != b"" or rr.rtype in _NOT_DELETABLE_AS_RRSET:
                 return Rcode.FORMERR
-        elif rr.rclass == RClass.NONE:
-            if rr.ttl != 0:
+        elif rr.rclass == _CLASS_NONE:
+            if rr.ttl != 0 or rr.rtype in _NOT_DELETABLE_EXACTLY:
                 return Rcode.FORMERR
         else:
             return Rcode.FORMERR
@@ -372,54 +448,91 @@ def apply_update(zone: ZoneConfig, msg: DnsMessage) -> tuple[ZoneConfig, Rcode]:
 
     The SOA serial advances by exactly one per message that changed
     anything; deleting data that is not there is a silent no-op. Incoming
-    SOA adds are ignored so that the serial stays server-managed.
+    SOA adds are ignored so that the serial stays server-managed; a CNAME
+    add replaces the CNAME at its name (RFC 2136 §3.4.2.2).
+
+    One pass: the changes are walked once over a working list per touched
+    name, matched on type and rdata. Each touched name then keeps its
+    surviving records, as the same objects and in their order, followed by
+    the records the UPDATE added, in the order the list holds them; a TTL
+    replacement is an added record. The apex ends with its bumped SOA. The
+    changed names go to ``ZoneConfig._patch`` in one batch.
     """
-    if msg.zone is None or msg.zone.rtype != RType.SOA:
+    if msg.zone is None or msg.zone.rtype != _SOA:
         return zone, Rcode.FORMERR
-    if msg.zone.name != zone.apex:
+    apex = zone.apex
+    if msg.zone.name != apex:
         return zone, Rcode.NOTZONE
     rc = _prescan_updates(zone, msg.updates)
     if rc != Rcode.NOERROR:
         return zone, rc
-    # only the names the UPDATE touches are copied: name -> {(rtype, rdata): rr}
-    touched = {rr.name: {(old.rtype, old.rdata): old for old in zone.records_at(rr.name)}
-               for rr in msg.updates}
-    apex = zone.apex
+    # owner name key -> (name, records before, working list of records after)
+    touched: dict[tuple, tuple[DnsName, tuple[ResourceRecord, ...], list[ResourceRecord]]] = {}
     for rr in msg.updates:
-        at_name = touched[rr.name]
-        key = (rr.rtype, rr.rdata)
-        if rr.rclass == RClass.IN:
-            if rr.rtype == RType.SOA:
+        entry = touched.get(rr.name.key)
+        if entry is None:
+            before = zone.records_at(rr.name)
+            entry = touched[rr.name.key] = (rr.name, before, list(before))
+        name, _, now = entry
+        rtype = rr.rtype
+        if rr.rclass == _IN:
+            if rtype == _SOA:
                 continue
-            types_at_name = {t for t, _ in at_name}
-            if rr.rtype == RType.CNAME and types_at_name - {RType.CNAME}:
+            if rtype == _CNAME:
+                if not any(old.rtype != _CNAME for old in now):
+                    now[:] = [rr]  # at most one CNAME was there: this one replaces it
                 continue
-            if rr.rtype != RType.CNAME and RType.CNAME in types_at_name:
+            if any(old.rtype == _CNAME for old in now):
                 continue
-            at_name[key] = rr
-        elif rr.rclass == RClass.ANY:
-            protected = (RType.SOA, RType.NS) if rr.name == apex else ()
-            for t, rdata in list(at_name):
-                if t not in protected and rr.rtype in (RType.ANY, t):
-                    del at_name[(t, rdata)]
-        else:  # RClass.NONE
-            if rr.rtype == RType.SOA or key not in at_name:
+            i = _find(now, rtype, rr.rdata)
+            if i < 0:
+                now.append(rr)
+            else:
+                now[i] = rr
+        elif rr.rclass == _CLASS_ANY:
+            protected = (_SOA, _NS) if name == apex else ()
+            now[:] = [old for old in now
+                      if old.rtype in protected or rtype != _ANY and rtype != old.rtype]
+        elif rtype != _SOA:  # class NONE
+            i = _find(now, rtype, rr.rdata)
+            if i < 0 or rtype == _NS and name == apex and \
+                    sum(old.rtype == _NS for old in now) == 1:
                 continue
-            if rr.name == apex and rr.rtype == RType.NS and \
-                    sum(t == RType.NS for t, _ in at_name) == 1:
-                continue
-            del at_name[key]
-    before = [old for name in touched for old in zone.records_at(name)]
-    after = [new for at_name in touched.values() for new in at_name.values()]
-    before_set, after_set = set(before), set(after)
-    if after_set == before_set:
+            del now[i]
+    changed = {key: (name, rrs) for key, (name, before, now) in touched.items()
+               if (rrs := _survivors_then_added(before, now)) is not before}
+    if not changed:
         return zone, Rcode.NOERROR
-    soa = zone.soa
+    _, at_apex = changed.pop(apex.key, (apex, zone.records_at(apex)))
+    soa = next(rr for rr in at_apex if rr.rtype == _SOA)  # an UPDATE never removes it
     new_soa = _with_serial(soa, (soa.rdata.serial + 1) & 0xFFFFFFFF)
-    # lists, not sets: the added records keep the order the UPDATE gave them
-    removed = [soa, *(rr for rr in before if rr not in after_set)]
-    added = [*(rr for rr in after if rr not in before_set), new_soa]
-    return zone.derive(removed, added), Rcode.NOERROR
+    at_apex = (*(rr for rr in at_apex if rr is not soa), new_soa)
+    return zone._patch([*changed.values(), (apex, at_apex)]), Rcode.NOERROR
+
+
+def _survivors_then_added(before: tuple[ResourceRecord, ...],
+                          now: list[ResourceRecord]) -> tuple[ResourceRecord, ...]:
+    """One name's records after an UPDATE, or ``before`` itself when they are equal.
+
+    A record in ``now`` equal to one in ``before`` (say, deleted and added
+    back, or re-added with its own TTL) is that survivor, kept as its old
+    object in its old place; the rest follow in the order ``now`` holds them.
+    """
+    if not before:
+        return tuple(now) if now else before
+    old_ids = set(map(id, before))
+    now = [rr if id(rr) in old_ids else _survivor_equal_to(before, rr) for rr in now]
+    kept = set(map(id, now))
+    survivors = [rr for rr in before if id(rr) in kept]
+    if len(survivors) == len(now) == len(before):
+        return before
+    return (*survivors, *(rr for rr in now if id(rr) not in old_ids))
+
+
+def _survivor_equal_to(before: tuple[ResourceRecord, ...], rr: ResourceRecord) -> ResourceRecord:
+    """The record in ``before`` equal to ``rr``, or ``rr`` when there is none."""
+    i = _find(before, rr.rtype, rr.rdata)
+    return before[i] if i >= 0 and _same(before[i], rr) else rr
 
 
 # --- zone transfers (RFC 1995 IXFR diffs, RFC 5936 AXFR streams) ---
@@ -632,22 +745,32 @@ class NameServer:
         """Send each registered secondary the change ``updates`` made as one IXFR message.
 
         The answers run new SOA, old SOA, deleted records, new SOA, added
-        records, new SOA (RFC 1995 section 4). A diff too large for one
-        message goes out as the whole zone instead.
+        records, new SOA (RFC 1995 section 4). ``new`` must come from
+        ``old`` by ``apply_update``: a record that survived is the same
+        object in both, so the diff at each touched name is read off by
+        identity. A diff too large for one message goes out as the whole
+        zone instead.
         """
         secondaries = self.secondaries.get(new.apex)
         if not secondaries:
             return []
-        deleted, added = set(), set()
-        for name in {rr.name for rr in updates}:
-            before, after = set(old.records_at(name)), set(new.records_at(name))
-            deleted |= before - after
-            added |= after - before
-        deleted = sorted((rr for rr in deleted if rr.rtype != RType.SOA), key=_transfer_order)
-        added = sorted((rr for rr in added if rr.rtype != RType.SOA), key=_transfer_order)
-        msg = DnsMessage(id=new.soa_serial & 0xFFFF, is_response=True, authoritative=True,
-                         question=(Question(new.apex, RType.IXFR, RClass.IN),),
-                         answers=(new.soa, old.soa, *deleted, new.soa, *added, new.soa))
+        deleted, added = [], []
+        for name in {rr.name.key: rr.name for rr in updates}.values():
+            before, after = old.records_at(name), new.records_at(name)
+            if before is after:
+                continue
+            old_ids, new_ids = set(map(id, before)), set(map(id, after))
+            deleted += [rr for rr in before if id(rr) not in new_ids and rr.rtype != RType.SOA]
+            added += [rr for rr in after if id(rr) not in old_ids and rr.rtype != RType.SOA]
+        deleted.sort(key=_transfer_order)
+        added.sort(key=_transfer_order)
+        old_soa, new_soa = old.soa, new.soa
+        msg = _trusted_build(
+            DnsMessage, id=new_soa.rdata.serial & 0xFFFF, opcode=Opcode.QUERY,
+            rcode=Rcode.NOERROR, is_response=True, authoritative=True,
+            question=(_trusted_build(Question, name=new.apex, rtype=RType.IXFR, rclass=RClass.IN),),
+            answers=(new_soa, old_soa, *deleted, new_soa, *added, new_soa),
+            authority=(), additional=(), extra_flags=0)
         try:
             payload = encode_message(msg)
         except OversizeMessage:

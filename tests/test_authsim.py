@@ -46,6 +46,7 @@ from zptoolkit.wire import (
     DnsMessage,
     DnsName,
     MxData,
+    Opcode,
     Question,
     RClass,
     Rcode,
@@ -289,6 +290,39 @@ class TestApplyUpdate:
         after2, _ = apply_update(zone, make_update(APEX, [AddRecord(cname_at_www)], msg_id=3))
         assert not after2.rrset(APEX, RType.CNAME)
 
+    def test_cname_add_replaces_the_cname_at_its_name(self):
+        # oracle: RFC 2136 §3.4.2.2, "otherwise replace the CNAME Zone RR with the CNAME Update RR"
+        www = APEX.prepend("www")
+        first, second = (ResourceRecord(www, RType.CNAME, RClass.IN, 300, DnsName.from_text(t))
+                         for t in ("a.example.net", "b.example.net"))
+        zone = basic_zone("example.com", Open(), extra=[first])
+        after, rcode = apply_update(zone, make_update(APEX, [AddRecord(second)], msg_id=1))
+        assert rcode == Rcode.NOERROR
+        assert after.records_at(www) == (second,)
+        assert after.soa_serial == 2
+
+    @pytest.mark.parametrize("rclass, rtype", [
+        pytest.param(RClass.NONE, RType.ANY, id="none-any"),
+        pytest.param(RClass.NONE, RType.AXFR, id="none-axfr"),
+        pytest.param(RClass.NONE, 253, id="none-mailb"),
+        pytest.param(RClass.NONE, 254, id="none-maila"),
+        pytest.param(RClass.ANY, RType.AXFR, id="any-axfr"),
+        pytest.param(RClass.ANY, 253, id="any-mailb"),
+        pytest.param(RClass.ANY, 254, id="any-maila"),
+        pytest.param(RClass.IN, 253, id="in-mailb"),
+        pytest.param(RClass.IN, 254, id="in-maila"),
+    ])
+    def test_meta_type_update_records_are_formerr(self, rclass, rtype):
+        # oracle: the RFC 2136 §3.4.1.3 prescan pseudocode
+        rdata = b"\x01" if rclass == RClass.IN else b""
+        rr = ResourceRecord(SENTINEL, rtype, rclass, 0, rdata)
+        msg = DnsMessage(id=1, opcode=Opcode.UPDATE, question=(Question(APEX, RType.SOA),),
+                         authority=(rr,))
+        zone = basic_zone("example.com", Open())
+        after, rcode = apply_update(zone, msg)
+        assert rcode == Rcode.FORMERR
+        assert after is zone
+
     def test_incoming_soa_add_is_ignored(self):
         zone = basic_zone("example.com", Open())
         rogue_soa = make_soa(APEX, serial=999)
@@ -357,6 +391,27 @@ class TestZoneConfig:
         zone = basic_zone("example.com", Open())
         with pytest.raises(ValueError, match="not in the zone"):
             zone.derive([ghost], [])
+
+    def test_two_cnames_at_one_name_rejected(self):
+        alias = APEX.prepend("alias")
+        cnames = [ResourceRecord(alias, RType.CNAME, RClass.IN, 60, DnsName.from_text(t))
+                  for t in ("a.example.net", "b.example.net")]
+        with pytest.raises(ValueError, match="more than one CNAME"):
+            ZoneConfig.build(APEX, Primary(), Open(), [make_soa(APEX), *cnames])
+        zone = ZoneConfig.build(APEX, Primary(), Open(), [make_soa(APEX), cnames[0]])
+        with pytest.raises(ValueError, match="more than one CNAME"):
+            zone.derive([], [cnames[1]])
+
+    def test_one_record_per_name_type_and_rdata(self):
+        # the zone is a set: a second TTL for one record is a clash, not a second record
+        short, long = a_record(SENTINEL, "192.0.2.80", ttl=60), a_record(SENTINEL, "192.0.2.80")
+        with pytest.raises(ValueError, match="share type and rdata"):
+            ZoneConfig.build(APEX, Primary(), Open(), [make_soa(APEX), short, long])
+        zone = ZoneConfig.build(APEX, Primary(), Open(), [make_soa(APEX), short, short])
+        assert zone.records_at(SENTINEL) == (short,)
+        with pytest.raises(ValueError, match="share type and rdata"):
+            zone.derive([], [long])
+        assert zone.derive([short], [long]).records_at(SENTINEL) == (long,)
 
     def test_cname_coexistence_rejected(self):
         alias = APEX.prepend("alias")

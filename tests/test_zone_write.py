@@ -1,0 +1,408 @@
+"""The zone write path: what one UPDATE leaves at each name, and what the
+servers put on the wire because of it."""
+
+import hashlib
+import random
+from ipaddress import IPv4Address, IPv6Address
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zptoolkit import authsim, transport
+from zptoolkit.authsim import IpAcl, Open, Primary, Secondary, SignedKey, ZoneConfig, make_soa
+from zptoolkit.scanner import ProbeConfig, ProbeTarget, run_scan
+from zptoolkit.tsig import sign_message
+from zptoolkit.wire import (AddRecord, DeleteAllAtName, DeleteExactRecord, DeleteRRset,
+                            DnsMessage, DnsName, MxData, Opcode, Question, RClass, Rcode,
+                            ResourceRecord, RType, SoaData, TxtData, decode_message, make_update)
+
+from conftest import LAB_KEY, SCANNER_SOURCE
+
+# --- golden tap: a seeded mini hosting fleet, hashed datagram by datagram ---
+
+# sha256 over every tap entry of ``_golden_fleet_run(seed=3)``, recorded before the
+# one-pass write path landed; a change to what the servers send changes it
+GOLDEN_TAP_DIGEST = "7dcf9393daaf33d5e2b8be4ff27ed54593d0d2bbbe34432a5d95c035a897b1d8"
+
+TENANT = "198.51.100.77"
+PAIRS = [("10.1.0.53", "10.2.0.53"), ("10.3.0.53", "10.4.0.53")]  # (primary, secondary)
+
+
+def _qtype(payload: bytes) -> int:
+    question = decode_message(payload).question
+    return question[0].rtype if question else 0
+
+
+def _golden_zone(apex: DnsName, policy, rng: random.Random) -> ZoneConfig:
+    """SOA, apex NS and A, glue, then hosts: some with several A records, an AAAA,
+    an MX, a TXT, a CNAME, and a delegated child with glue."""
+    ns1 = apex.prepend("ns1")
+    records = [
+        make_soa(apex, serial=rng.randrange(1, 1000)),
+        ResourceRecord(apex, RType.NS, RClass.IN, 3600, ns1),
+        ResourceRecord(apex, RType.NS, RClass.IN, 3600, apex.prepend("ns2")),
+        ResourceRecord(ns1, RType.A, RClass.IN, 3600, IPv4Address("192.0.2.53")),
+        ResourceRecord(apex, RType.A, RClass.IN, 3600, IPv4Address("192.0.2.1")),
+        ResourceRecord(apex, RType.MX, RClass.IN, 600, MxData(10, apex.prepend("mail"))),
+        ResourceRecord(apex, RType.TXT, RClass.IN, 600, TxtData.from_text("v=spf1 -all")),
+        ResourceRecord(apex.prepend("www"), RType.CNAME, RClass.IN, 300, apex),
+    ]
+    for k in range(rng.randrange(3, 40)):
+        host = apex.prepend(f"h{k}")
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            records.append(ResourceRecord(host, RType.A, RClass.IN, rng.choice((60, 300)),
+                                          IPv4Address(0xC6120000 + rng.randrange(1 << 16))))
+    records.append(ResourceRecord(apex.prepend("h0"), RType.AAAA, RClass.IN, 300,
+                                  IPv6Address("2001:db8::1")))
+    child = apex.prepend("child")
+    records += [ResourceRecord(child, RType.NS, RClass.IN, 3600, child.prepend("ns")),
+                ResourceRecord(child.prepend("ns"), RType.A, RClass.IN, 3600,
+                               IPv4Address("192.0.2.99"))]
+    return ZoneConfig.build(apex, Primary(), policy, records)
+
+
+def _tenant_changes(apex: DnsName, zone: ZoneConfig, rng: random.Random) -> list:
+    """One batch of the changes a tenant sends: adds, TTL replacements, exact,
+    rrset and name deletes, apex deletes the server must refuse to carry out,
+    SOA adds it must ignore, and no-ops."""
+    hosts = sorted({rr.name for rr in zone.records if rr.rtype == RType.A and rr.name != apex})
+    host = rng.choice(hosts)
+    fresh = apex.prepend(f"t{rng.randrange(50)}")
+    at_host = zone.rrset(host, RType.A)
+    kind = rng.randrange(9)
+    if kind == 0:
+        return [AddRecord(ResourceRecord(fresh, RType.A, RClass.IN, 300,
+                                         IPv4Address(0x0A640000 + rng.randrange(256))))]
+    if kind == 1 and at_host:
+        old = rng.choice(at_host)
+        return [AddRecord(ResourceRecord(host, RType.A, RClass.IN, old.ttl + 7, old.rdata)),
+                AddRecord(ResourceRecord(host, RType.A, RClass.IN, 120,
+                                         IPv4Address(0x0A650000 + rng.randrange(256))))]
+    if kind == 2 and at_host:
+        return [DeleteExactRecord(rng.choice(at_host))]
+    if kind == 3:
+        return [DeleteRRset(host, RType.A), AddRecord(ResourceRecord(
+            host, RType.A, RClass.IN, 60, IPv4Address(0x0A660000 + rng.randrange(256))))]
+    if kind == 4:
+        return [DeleteAllAtName(host)]
+    if kind == 5:
+        return [DeleteRRset(apex, RType.NS), DeleteAllAtName(apex),
+                AddRecord(make_soa(apex, serial=999_999))]
+    if kind == 6 and at_host:
+        same = rng.choice(at_host)
+        return [AddRecord(same), DeleteExactRecord(ResourceRecord(
+            apex.prepend("absent"), RType.A, RClass.IN, 0, IPv4Address("192.0.2.250")))]
+    if kind == 7:
+        mx = ResourceRecord(apex, RType.MX, RClass.IN, 900, MxData(20, apex.prepend("mx2")))
+        return [AddRecord(mx), DeleteExactRecord(mx), AddRecord(mx)]
+    return [DeleteExactRecord(ResourceRecord(apex, RType.NS, RClass.IN, 0,
+                                             apex.prepend("ns2"))),
+            AddRecord(ResourceRecord(apex.prepend("www"), RType.A, RClass.IN, 60,
+                                     IPv4Address("192.0.2.8")))]
+
+
+def _golden_fleet_run(seed: int):
+    """Two primaries with a secondary each, 16 zones on each pair: a scan of
+    every zone on both servers, then TSIG-signed tenant updates, with the first
+    push of one zone dropped so that its secondary resyncs by AXFR."""
+    rng = random.Random(f"golden:{seed}")
+    delay_rng = random.Random(seed)
+    dropped = []
+
+    def drop_one_push(dgram):
+        if not dropped and (dgram.source, dgram.destination) == PAIRS[0] \
+                and _qtype(dgram.payload) == RType.IXFR:
+            dropped.append(dgram)
+            return True
+        return False
+
+    bus = transport.DatagramBus(clock=transport.ManualClock(), rng=random.Random(seed),
+                                drop_filter=drop_one_push,
+                                delay_fn=lambda d: delay_rng.uniform(0.001, 0.02))
+    fleet, zones = [], []
+    policies = [Open(), IpAcl(frozenset({SCANNER_SOURCE, TENANT})), SignedKey((LAB_KEY,)),
+                IpAcl(frozenset({"203.0.113.7"}))]
+    for p, (primary, secondary) in enumerate(PAIRS):
+        for j in range(16):
+            apex = DnsName.from_text(f"z{j}.host{p}.example")
+            zone = _golden_zone(apex, policies[(j + p) % 4], rng)
+            fleet += [(primary, zone), (secondary, ZoneConfig(apex, Secondary(primary),
+                                                              zone.policy, zone.by_name))]
+            zones.append((apex, primary, secondary))
+    servers = authsim.build_fleet(bus, fleet)
+    scanner = transport.SimTransport(bus, SCANNER_SOURCE)
+    targets = [ProbeTarget(apex, addr) for apex, *addrs in zones for addr in addrs]
+    result = run_scan(targets, ProbeConfig(timeout=0.5), scanner, bus.clock, random.Random(seed))
+    tenant = transport.ClientEndpoint(bus, TENANT)
+    for k in range(120):
+        apex, primary, secondary = rng.choice(zones)
+        changes = _tenant_changes(apex, servers[primary].zones[apex], rng)
+        msg = make_update(apex, changes, rng=rng)
+        if isinstance(servers[primary].zones[apex].policy, SignedKey) or k % 3:
+            msg = sign_message(msg, LAB_KEY, int(bus.clock.now()))
+        transport.exchange_message(tenant, primary if k % 5 else secondary, msg, timeout=1.0)
+    bus.pump()
+    return bus, servers, zones, result, dropped
+
+
+def _tap_digest(bus) -> str:
+    digest = hashlib.sha256()
+    for entry in bus.tap:
+        d = entry.datagram
+        digest.update(repr((entry.ts, d.source, d.destination)).encode() + d.payload)
+    return digest.hexdigest()
+
+
+def test_golden_tap_is_unchanged():
+    bus, servers, zones, result, dropped = _golden_fleet_run(seed=3)
+    assert dropped, "the run must lose one push, so that an AXFR follows"
+    assert any((e.datagram.source, e.datagram.destination) == PAIRS[0]
+               and _qtype(e.datagram.payload) == RType.AXFR for e in bus.tap)
+    for apex, primary, secondary in zones:
+        assert servers[secondary].zones[apex].records == servers[primary].zones[apex].records
+    assert sum(o.vulnerable for o in result.outcomes) > 0
+    assert _tap_digest(bus) == GOLDEN_TAP_DIGEST
+
+
+# --- differential test: apply_update and derive against the algorithm they replaced ---
+#
+# The oracle below is the dict-and-set algorithm the one-pass write path
+# replaced, with two fixes: a CNAME add replaces the CNAME at its name
+# (RFC 2136 §3.4.2.2), and the prescan refuses the meta types of §3.4.1.3.
+# Its derive also refuses what the zone invariant forbids: two CNAMEs at a
+# name, and two records sharing name, type and rdata but not TTL or class.
+
+APEX = DnsName.from_text("example.com")
+NAMES = [APEX, *(APEX.prepend(label) for label in ("a", "b", "w", "fresh"))]
+ADDRESSES = [IPv4Address(f"192.0.2.{i}") for i in (1, 2, 3)]
+TARGETS = [DnsName.from_text(t) for t in ("a.example.net", "b.example.net")]
+NS_TARGETS = [APEX.prepend("ns1"), APEX.prepend("ns2"), APEX.prepend("ns3")]
+_META = (RType.ANY, RType.AXFR, 253, 254)
+
+
+def _oracle_prescan(apex, updates):
+    for rr in updates:
+        if not rr.name.is_subdomain_of(apex):
+            return Rcode.NOTZONE
+        if rr.rclass == RClass.IN:
+            if rr.rtype in (*_META, RType.TSIG) or rr.rdata == b"":
+                return Rcode.FORMERR
+        elif rr.rclass == RClass.ANY:
+            if rr.ttl != 0 or rr.rdata != b"" or rr.rtype in _META[1:]:
+                return Rcode.FORMERR
+        elif rr.rclass == RClass.NONE:
+            if rr.ttl != 0 or rr.rtype in _META:
+                return Rcode.FORMERR
+        else:
+            return Rcode.FORMERR
+    return Rcode.NOERROR
+
+
+def _oracle_check_name(apex, name, rrs):
+    soas = [rr for rr in rrs if rr.rtype == RType.SOA]
+    if len(soas) != (name == apex) or soas and not isinstance(soas[0].rdata, SoaData):
+        raise ValueError("SOA")
+    types = [rr.rtype for rr in rrs]
+    if RType.CNAME in types and len(types) > 1:
+        raise ValueError("CNAME")
+    if len({(rr.rtype, rr.rdata) for rr in rrs}) != len(rrs):
+        raise ValueError("clash")
+
+
+def oracle_derive(zone, removed, added):
+    """{name: records in order} for every touched name; raises ValueError."""
+    removed, added = set(removed), list(added)
+    touched = {rr.name: dict.fromkeys(zone.records_at(rr.name)) for rr in (*removed, *added)}
+    for rr in removed:
+        if rr not in touched[rr.name]:
+            raise ValueError("not in the zone")
+        del touched[rr.name][rr]
+    for rr in added:
+        touched[rr.name][rr] = None
+    for name, new in touched.items():
+        _oracle_check_name(zone.apex, name, new)
+    return {name: tuple(new) for name, new in touched.items()}
+
+
+def oracle_apply(zone, msg):
+    """(rcode, serial after, {name: records in order} for every name the UPDATE touched)."""
+    if msg.zone is None or msg.zone.rtype != RType.SOA:
+        return Rcode.FORMERR, zone.soa_serial, {}
+    if msg.zone.name != zone.apex:
+        return Rcode.NOTZONE, zone.soa_serial, {}
+    rc = _oracle_prescan(zone.apex, msg.updates)
+    if rc != Rcode.NOERROR:
+        return rc, zone.soa_serial, {}
+    apex = zone.apex
+    touched = {rr.name: {(old.rtype, old.rdata): old for old in zone.records_at(rr.name)}
+               for rr in msg.updates}
+    for rr in msg.updates:
+        at_name = touched[rr.name]
+        key = (rr.rtype, rr.rdata)
+        if rr.rclass == RClass.IN:
+            if rr.rtype == RType.SOA:
+                continue
+            types_at_name = {t for t, _ in at_name}
+            if rr.rtype == RType.CNAME and types_at_name - {RType.CNAME}:
+                continue
+            if rr.rtype != RType.CNAME and RType.CNAME in types_at_name:
+                continue
+            if rr.rtype == RType.CNAME:
+                for k in [k for k in at_name if k[0] == RType.CNAME and k != key]:
+                    del at_name[k]
+            at_name[key] = rr
+        elif rr.rclass == RClass.ANY:
+            protected = (RType.SOA, RType.NS) if rr.name == apex else ()
+            for t, rdata in list(at_name):
+                if t not in protected and rr.rtype in (RType.ANY, t):
+                    del at_name[(t, rdata)]
+        else:
+            if rr.rtype == RType.SOA or key not in at_name:
+                continue
+            if rr.name == apex and rr.rtype == RType.NS and \
+                    sum(t == RType.NS for t, _ in at_name) == 1:
+                continue
+            del at_name[key]
+    before = [old for name in touched for old in zone.records_at(name)]
+    after = [new for at_name in touched.values() for new in at_name.values()]
+    before_set, after_set = set(before), set(after)
+    if after_set == before_set:
+        return Rcode.NOERROR, zone.soa_serial, {name: zone.records_at(name) for name in touched}
+    soa = zone.soa
+    new_soa = ResourceRecord(soa.name, soa.rtype, soa.rclass, soa.ttl, SoaData(
+        soa.rdata.mname, soa.rdata.rname, (soa.rdata.serial + 1) & 0xFFFFFFFF, soa.rdata.refresh,
+        soa.rdata.retry, soa.rdata.expire, soa.rdata.minimum))
+    removed = [soa, *(rr for rr in before if rr not in after_set)]
+    added = [*(rr for rr in after if rr not in before_set), new_soa]
+    return Rcode.NOERROR, new_soa.rdata.serial, oracle_derive(zone, removed, added)
+
+
+@st.composite
+def zones(draw):
+    """A valid zone over NAMES: the apex SOA and NS, A records at a few names (one
+    name may hold a CNAME instead), an MX, with TTLs drawn from two values."""
+    records = [make_soa(APEX, serial=draw(st.sampled_from([1, 2**32 - 1]))),
+               ResourceRecord(APEX, RType.NS, RClass.IN, 3600, NS_TARGETS[0])]
+    if draw(st.booleans()):
+        records.append(ResourceRecord(APEX, RType.NS, RClass.IN, 3600, NS_TARGETS[1]))
+    cname_at = draw(st.sampled_from([None, *NAMES[1:]]))
+    for name in NAMES:
+        if name == cname_at:
+            records.append(ResourceRecord(name, RType.CNAME, RClass.IN, 300,
+                                          draw(st.sampled_from(TARGETS))))
+            continue
+        for addr in draw(st.lists(st.sampled_from(ADDRESSES), unique=True, max_size=3)):
+            records.append(ResourceRecord(name, RType.A, RClass.IN,
+                                          draw(st.sampled_from([60, 300])), addr))
+    if draw(st.booleans()):
+        records.append(ResourceRecord(APEX, RType.MX, RClass.IN, 300, MxData(10, NAMES[1])))
+    order = draw(st.permutations(records[1:]))
+    return ZoneConfig.build(APEX, Primary(), Open(), [records[0], *order])
+
+
+@st.composite
+def update_records(draw):
+    """One update record: adds (with TTL replacement likely), CNAME and SOA adds,
+    rrset and name deletes, exact deletes at and off the apex, and meta types."""
+    name = draw(st.sampled_from(NAMES))
+    kind = draw(st.sampled_from(["add-a", "add-a", "add-a", "add-cname", "add-ns", "add-soa",
+                                 "del-rrset", "del-all", "del-exact-a", "del-exact-a",
+                                 "del-exact-ns", "del-exact-soa", "meta"]))
+    if kind == "add-a":
+        return ResourceRecord(name, RType.A, RClass.IN, draw(st.sampled_from([60, 300])),
+                              draw(st.sampled_from(ADDRESSES)))
+    if kind == "add-cname":
+        return ResourceRecord(name, RType.CNAME, RClass.IN, 300, draw(st.sampled_from(TARGETS)))
+    if kind == "add-ns":
+        return ResourceRecord(name, RType.NS, RClass.IN, 3600, draw(st.sampled_from(NS_TARGETS)))
+    if kind == "add-soa":
+        return make_soa(name, serial=99)
+    if kind == "del-rrset":
+        rtype = draw(st.sampled_from([RType.A, RType.NS, RType.SOA, RType.CNAME, RType.MX]))
+        return ResourceRecord(name, rtype, RClass.ANY, 0, b"")
+    if kind == "del-all":
+        return ResourceRecord(name, RType.ANY, RClass.ANY, 0, b"")
+    if kind == "del-exact-a":
+        return ResourceRecord(name, RType.A, RClass.NONE, 0, draw(st.sampled_from(ADDRESSES)))
+    if kind == "del-exact-ns":
+        return ResourceRecord(APEX, RType.NS, RClass.NONE, 0, draw(st.sampled_from(NS_TARGETS)))
+    if kind == "del-exact-soa":
+        return ResourceRecord(APEX, RType.SOA, RClass.NONE, 0, make_soa(APEX).rdata)
+    rclass = draw(st.sampled_from([RClass.IN, RClass.ANY, RClass.NONE]))
+    return ResourceRecord(name, draw(st.sampled_from([RType.ANY, RType.AXFR, 253, 254])), rclass,
+                          0 if rclass != RClass.IN else 60, b"" if rclass != RClass.IN else b"\x01")
+
+
+def _update(records, msg_id=1):
+    return DnsMessage(id=msg_id, opcode=Opcode.UPDATE,
+                      question=(Question(APEX, RType.SOA, RClass.IN),), authority=tuple(records))
+
+
+def _check_against_oracle(zone, msg):
+    rcode, serial, expected = oracle_apply(zone, msg)
+    new, got_rcode = authsim.apply_update(zone, msg)
+    assert got_rcode == rcode
+    assert new.soa_serial == serial
+    if rcode != Rcode.NOERROR or serial == zone.soa_serial:
+        assert new is zone
+    for name, records in expected.items():
+        assert new.records_at(name) == records, name
+    for name, records in zone.by_name.items():
+        if name not in expected:
+            assert new.records_at(name) is records  # untouched names are shared, not copied
+    return new
+
+
+@given(zones(), st.lists(st.lists(update_records(), min_size=1, max_size=6), min_size=1,
+                         max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_apply_update_matches_the_oracle(zone, batches):
+    for i, records in enumerate(batches):
+        zone = _check_against_oracle(zone, _update(records, i))
+
+
+@given(zones(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_derive_matches_the_oracle(zone, data):
+    pool = sorted(zone.records, key=repr)
+    removed = data.draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+    ghosts = [ResourceRecord(NAMES[2], RType.A, RClass.IN, 60, ADDRESSES[0])]
+    removed += data.draw(st.lists(st.sampled_from(ghosts), max_size=1))
+    adds = data.draw(st.lists(update_records().filter(lambda rr: rr.rclass == RClass.IN),
+                              max_size=4))
+    try:
+        expected = oracle_derive(zone, removed, adds)
+    except ValueError:
+        with pytest.raises(ValueError):
+            zone.derive(removed, adds)
+        return
+    derived = zone.derive(removed, adds)
+    for name, records in expected.items():
+        assert derived.records_at(name) == records
+
+
+A1, A2, A3 = ADDRESSES
+
+
+@pytest.mark.parametrize("records, at_a, serial", [
+    pytest.param([ResourceRecord(NAMES[1], RType.A, RClass.IN, 300, A1),
+                  ResourceRecord(NAMES[1], RType.A, RClass.IN, 300, A3)],
+                 [(A2, 60), (A1, 300), (A3, 300)], 2,
+                 id="ttl-replaced-record-moves-behind-the-survivors"),
+    pytest.param([ResourceRecord(NAMES[1], RType.A, RClass.NONE, 0, A1),
+                  ResourceRecord(NAMES[1], RType.A, RClass.IN, 60, A1)],
+                 [(A1, 60), (A2, 60)], 1, id="deleted-and-added-back-is-a-no-op"),
+    pytest.param([ResourceRecord(NAMES[1], RType.A, RClass.IN, 60, A2),
+                  ResourceRecord(NAMES[3], RType.A, RClass.NONE, 0, A3)],
+                 [(A1, 60), (A2, 60)], 1, id="re-adding-and-deleting-nothing-is-a-no-op"),
+])
+def test_apply_update_order_and_serial(records, at_a, serial):
+    """Where a TTL replacement lands and what a no-op does to the serial."""
+    zone = ZoneConfig.build(APEX, Primary(), Open(), [
+        make_soa(APEX), ResourceRecord(APEX, RType.NS, RClass.IN, 3600, NS_TARGETS[0]),
+        ResourceRecord(NAMES[1], RType.A, RClass.IN, 60, A1),
+        ResourceRecord(NAMES[1], RType.A, RClass.IN, 60, A2)])
+    new = _check_against_oracle(zone, _update(records))
+    assert [(rr.rdata, rr.ttl) for rr in new.records_at(NAMES[1])] == at_a
+    assert new.soa_serial == serial

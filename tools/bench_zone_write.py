@@ -1,0 +1,182 @@
+"""Time the zone write path, and count the hashing it does, per UPDATE.
+
+Usage: PYTHONPATH=src python3 tools/bench_zone_write.py [--seed N] [--repeats N]
+
+It builds seeded zones of 8, 300 and 3,000 records (SOA, apex NS and A,
+glue, then host A records) and measures three things:
+
+- apply: µs per one-record add plus its exact delete, through
+  ``authsim.apply_update``, at each zone size: the scanner's probe and
+  cleanup;
+- push: µs per update for a primary with one secondary, through the public
+  datagram entry point: the primary decodes, applies and pushes the IXFR
+  diff, and the secondary decodes the push and applies it;
+- hashes: per one-record add and per delete through ``apply_update``, the
+  number of ``DnsName.__hash__``, dataclass ``__hash__`` (the records and
+  rdata classes of ``zptoolkit.wire``) and ``IPv4Address.__hash__`` calls,
+  counted by wrapping those methods here. The counts do not depend on the
+  host or the hash seed, so they are the numbers to compare.
+
+Timed loops run with the garbage collector off, as timeit does. It prints
+one JSON object with the medians over the repeats. The zptoolkit on
+PYTHONPATH is the one measured, so the same command times two checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import json
+import platform
+import random
+import statistics
+import time
+from collections import Counter
+from ipaddress import IPv4Address
+
+from zptoolkit import authsim, wire
+from zptoolkit.authsim import NameServer, Open, Primary, Secondary, ZoneConfig, make_soa
+from zptoolkit.transport import SimDatagram
+from zptoolkit.wire import (AddRecord, DeleteExactRecord, DnsName, RClass, ResourceRecord, RType,
+                            encode_message, make_update)
+
+SIZES = (8, 300, 3_000)
+PAIRS = 500  # add+delete pairs per timed round
+PRIMARY, SECONDARY, CLIENT = "10.0.0.1", "10.0.0.2", "198.51.100.1"
+
+
+def seeded_zone(size: int, rng: random.Random) -> ZoneConfig:
+    apex = DnsName.from_text(f"z{rng.randrange(10**6)}.example")
+    ns = apex.prepend("ns1")
+    records = [make_soa(apex),
+               ResourceRecord(apex, RType.NS, RClass.IN, 3600, ns),
+               ResourceRecord(ns, RType.A, RClass.IN, 3600, IPv4Address("192.0.2.53")),
+               ResourceRecord(apex, RType.A, RClass.IN, 3600, IPv4Address("192.0.2.1"))]
+    for k in range(size - len(records)):
+        records.append(ResourceRecord(apex.prepend(f"h{k}"), RType.A, RClass.IN, 300,
+                                      IPv4Address(0xC6120000 + rng.randrange(1 << 17))))
+    return ZoneConfig.build(apex, Primary(), Open(), records)
+
+
+def probe_pair(zone: ZoneConfig, rng: random.Random):
+    """The scanner's probe and its cleanup: add one A record, then delete exactly it."""
+    record = ResourceRecord(zone.apex.prepend("researchstudyzp"), RType.A, RClass.IN, 120,
+                            IPv4Address(rng.randrange(1 << 24, 224 << 24)))
+    return (make_update(zone.apex, [AddRecord(record)], rng=rng),
+            make_update(zone.apex, [DeleteExactRecord(record)], rng=rng))
+
+
+def timed(fn, rounds: int) -> float:
+    """Seconds for ``rounds`` calls of ``fn``, with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            fn()
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+def measure_apply(size: int, seed: int, repeats: int) -> dict:
+    rng = random.Random(f"{seed}:apply:{size}")
+    zone = seeded_zone(size, rng)
+    add, delete = probe_pair(zone, rng)
+
+    def one_pair():
+        added, _ = authsim.apply_update(zone, add)
+        authsim.apply_update(added, delete)
+
+    runs = [timed(one_pair, PAIRS) * 1e6 / PAIRS for _ in range(repeats)]
+    return {"records": size, "add_delete_us_median": round(statistics.median(runs), 2)}
+
+
+def measure_push(size: int, seed: int, repeats: int) -> dict:
+    rng = random.Random(f"{seed}:push:{size}")
+    zone = seeded_zone(size, rng)
+    primary = NameServer(PRIMARY, [zone])
+    secondary = NameServer(SECONDARY, [dataclasses.replace(zone, role=Secondary(PRIMARY))])
+    primary.register_secondary(zone.apex, SECONDARY)
+    payloads = [encode_message(m) for m in probe_pair(zone, rng)]
+    spent = {"primary": 0.0, "secondary": 0.0}
+
+    def one_update(payload: bytes):
+        t0 = time.perf_counter()
+        _, push = primary.handle_datagram(SimDatagram(CLIENT, PRIMARY, payload), 0.0)
+        t1 = time.perf_counter()
+        secondary.handle_datagram(push, 0.0)
+        spent["primary"] += t1 - t0
+        spent["secondary"] += time.perf_counter() - t1
+
+    primary_us, secondary_us = [], []
+    for _ in range(repeats):
+        spent.update(primary=0.0, secondary=0.0)
+        timed(lambda: [one_update(p) for p in payloads], PAIRS)
+        primary_us.append(spent["primary"] * 1e6 / (2 * PAIRS))
+        secondary_us.append(spent["secondary"] * 1e6 / (2 * PAIRS))
+    if secondary.zones[zone.apex].records != primary.zones[zone.apex].records:
+        raise SystemExit(f"push at {size} records: the secondary does not match its primary")
+    return {"records": size,
+            "primary_update_us_median": round(statistics.median(primary_us), 2),
+            "secondary_apply_us_median": round(statistics.median(secondary_us), 2)}
+
+
+def _hashed_classes() -> dict[str, list[type]]:
+    records = [cls for cls in vars(wire).values()
+               if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+               and cls.__module__ == wire.__name__ and cls.__hash__ is not None]
+    return {"DnsName": [DnsName], "dataclass": records, "IPv4Address": [IPv4Address]}
+
+
+def count_hashes(seed: int) -> dict:
+    """``__hash__`` calls per one-record add and per its delete on an 8-record zone."""
+    rng = random.Random(f"{seed}:hashes")
+    zone = seeded_zone(8, rng)
+    add, delete = probe_pair(zone, rng)
+    counts: Counter = Counter()
+    originals = []
+    for label, classes in _hashed_classes().items():
+        for cls in classes:
+            original = cls.__dict__.get("__hash__")
+            inherited = cls.__hash__
+
+            def counting(self, _label=label, _hash=inherited):
+                counts[_label] += 1
+                return _hash(self)
+
+            originals.append((cls, original))
+            cls.__hash__ = counting
+    try:
+        out = {"records": len(zone.records)}
+        for step, msg in (("add", add), ("delete", delete)):
+            counts.clear()
+            zone, _ = authsim.apply_update(zone, msg)
+            out[step] = {label: counts[label] for label in ("DnsName", "dataclass", "IPv4Address")}
+        return out
+    finally:
+        for cls, original in reversed(originals):
+            if original is None:
+                del cls.__hash__
+            else:
+                cls.__hash__ = original
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    print(json.dumps({
+        "python": platform.python_version(),
+        "seed": args.seed,
+        "repeats": args.repeats,
+        "hashes_per_update": count_hashes(args.seed),
+        "apply": [measure_apply(size, args.seed, args.repeats) for size in SIZES],
+        "push": [measure_push(size, args.seed, args.repeats) for size in SIZES],
+    }, indent=2))
+
+
+if __name__ == "__main__":
+    main()
