@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from . import tsig as tsig_mod
@@ -48,7 +46,6 @@ from .wire import (
     encode_stream,
     make_query,
     rdata_from_text,
-    rdata_to_text,
     rtype_from_text,
 )
 
@@ -135,17 +132,26 @@ _IN, _CLASS_ANY, _CLASS_NONE = RClass.IN, RClass.ANY, RClass.NONE
 
 @dataclass(frozen=True, eq=False)
 class ZoneConfig:
-    """One zone's full state: apex, role, policy, and its owner-name index.
+    """One zone's full state: apex, role, policy, and two indexes over its owner names.
 
-    The index, ``name -> tuple of records``, is the only record store: every
-    lookup goes through it, and ``records`` and ``soa_serial`` are read from
-    it. Each later version comes from ``_patch``, which copies the index
-    once and replaces only the patched names' tuples; ``apply_update`` and
-    ``derive`` are its two front ends. No two records share name, type and
-    rdata (``build`` and ``derive`` refuse a second TTL or class for one;
-    adds replace the TTL instead), and the index is never mutated after
-    construction, because versions and ``dataclasses.replace`` share it.
-    Zones compare by identity.
+    The owner-name index, ``by_name``, maps each name to its tuple of
+    records. It is the only record store: every lookup goes through it, and
+    ``records`` and ``soa_serial`` are read from it. The ancestor index,
+    ``_below``, maps each name strictly between the apex and an owner to
+    the number of owners below it, keyed by ``DnsName.key``. Only such a
+    name can be an empty non-terminal (RFC 1034 §4.3.2), because the apex
+    holds the SOA, so ``has_node`` is one lookup in one of the two. The
+    index is built with the zone, and it is empty when every owner sits at
+    most one label below the apex.
+
+    Each later version comes from ``_patch``, which copies ``by_name`` once
+    and replaces only the patched names' tuples, and copies ``_below`` only
+    when an owner two or more labels below the apex comes or goes;
+    ``apply_update`` and ``derive`` are its two front ends. No two records
+    share name, type and rdata (``build`` and ``derive`` refuse a second TTL
+    or class for one; adds replace the TTL instead). Neither index is
+    mutated after construction, because versions share them, and
+    ``dataclasses.replace`` shares ``by_name``. Zones compare by identity.
     """
 
     apex: DnsName
@@ -160,6 +166,12 @@ class ZoneConfig:
                   if rr.rtype == _SOA or rr.rtype == _CNAME}
         for name in marked | {self.apex}:
             _check_name(self.apex, name, self.by_name.get(name, ()))
+        # two comprehensions run faster than one loop doing both jobs
+        depth = len(self.apex.labels)
+        below: dict[tuple, int] = {}
+        for name in [name for name in self.by_name if len(name.labels) > depth + 1]:
+            _count_ancestors(below, name, 1, depth)
+        object.__setattr__(self, "_below", below)
 
     @classmethod
     def build(cls, apex: DnsName, role: Role, policy: UpdatePolicy,
@@ -209,16 +221,17 @@ class ZoneConfig:
     def _patch(self, patches: Iterable[tuple[DnsName, tuple[ResourceRecord, ...]]]) -> "ZoneConfig":
         """This zone with each patched name holding exactly the records given (none drops it).
 
-        The one way to make a later version: the index is copied once, each
-        patched name is checked on its own (``_check_name``) and costs one
-        hash of the name, and the ancestor counts are carried over when they
-        exist. The rest of the zone is shared with this version unchecked.
+        The one way to make a later version: the owner-name index is copied
+        once, each patched name is checked on its own (``_check_name``) and
+        costs one hash of the name, and the ancestor index is copied only
+        when a name two or more labels below the apex comes or goes. The
+        rest of the zone is shared with this version unchecked.
         """
         apex = self.apex
+        depth = len(apex.labels)
         by_name = dict(self.by_name)
-        below = self.__dict__.get("_below")
-        if below is not None:
-            below = below.copy()
+        below = self._below
+        copied = False
         for name, rrs in patches:
             _check_name(apex, name, rrs)
             size = len(by_name)
@@ -226,19 +239,14 @@ class ZoneConfig:
                 by_name[name] = rrs
             else:
                 by_name.pop(name, None)
-            if below is not None and len(by_name) != size:
-                _count_ancestors(below, name, 1 if rrs else -1)
+            if len(by_name) != size and len(name.labels) > depth + 1:
+                if not copied:
+                    below, copied = dict(below), True
+                _count_ancestors(below, name, 1 if rrs else -1, depth)
         zone = object.__new__(ZoneConfig)  # checked above: skip the whole-zone constructor
-        zone.__dict__.update(apex=apex, role=self.role, policy=self.policy, by_name=by_name)
-        if below is not None:
-            zone.__dict__["_below"] = below
+        zone.__dict__.update(apex=apex, role=self.role, policy=self.policy, by_name=by_name,
+                             _below=below)
         return zone
-
-    @cached_property
-    def _below(self) -> Counter:
-        """Owner names strictly below each name, keyed by ``DnsName.key``; absent means none."""
-        return Counter(name.key[start:] for name in self.by_name
-                       for start in range(1, len(name) + 1))
 
     @property
     def records(self) -> frozenset[ResourceRecord]:
@@ -260,7 +268,13 @@ class ZoneConfig:
         return self.by_name.get(name, ())
 
     def has_node(self, name: DnsName) -> bool:
-        """True when the name exists, including as an empty non-terminal."""
+        """True when the name exists, including as an empty non-terminal (RFC 8020).
+
+        A name no longer than the apex exists when the apex lies at or below
+        it; a deeper one when it is an owner or an indexed ancestor of one.
+        """
+        if len(name.labels) <= len(self.apex.labels):
+            return self.apex.is_subdomain_of(name)
         return name in self.by_name or name.key in self._below
 
     def delegation(self, name: DnsName) -> Optional[DnsName]:
@@ -321,10 +335,11 @@ def _find(rrs: Sequence[ResourceRecord], rtype: int, rdata) -> int:
     return -1
 
 
-def _count_ancestors(below: Counter, name: DnsName, step: int) -> None:
-    """Add ``step`` to the count of every name strictly above ``name``, dropping zeros."""
+def _count_ancestors(below: dict[tuple, int], name: DnsName, step: int, depth: int) -> None:
+    """Add ``step`` to the count of every name strictly between ``name`` and
+    the apex, which is ``depth`` labels long, dropping zeros."""
     key = name.key
-    for start in range(1, len(key) + 1):
+    for start in range(1, len(key) - depth):
         count = below.get(key[start:], 0) + step
         if count:
             below[key[start:]] = count
@@ -538,11 +553,6 @@ def _survivor_equal_to(before: tuple[ResourceRecord, ...], rr: ResourceRecord) -
 # --- zone transfers (RFC 1995 IXFR diffs, RFC 5936 AXFR streams) ---
 
 
-def _transfer_order(rr: ResourceRecord) -> tuple:
-    """A sort key that keeps transfer bytes independent of the hash seed."""
-    return rr.name, rr.rtype, rr.ttl, rdata_to_text(rr.rtype, rr.rdata)
-
-
 def _is_apex_soa(rr: ResourceRecord, apex: DnsName) -> bool:
     return rr.rtype == RType.SOA and rr.name == apex and isinstance(rr.rdata, SoaData)
 
@@ -615,6 +625,12 @@ def open_journal(path: str) -> _JournalSink:
 
 # --- the server ---
 
+# UPDATEs a secondary has forwarded and not yet seen answered: at most this
+# many at once, each for at most this many seconds; when the table is full
+# the oldest entry goes, and its client is left to time out
+FORWARDS_MAX = 1024
+FORWARD_EXPIRY_S = 30.0
+
 
 class NameServer:
     """One authoritative server: zones, a bus address, and per-zone secondaries.
@@ -631,7 +647,9 @@ class NameServer:
         self.secondaries: dict[DnsName, list[str]] = {}
         self.honeypot = honeypot
         self.journal_sink = journal_sink
-        self._pending_forwards: dict[tuple[str, int], str] = {}
+        # forwarded id -> (primary, requester, the requester's id as sent, deadline)
+        self._forwards: dict[int, tuple[str, str, bytes, float]] = {}
+        self._last_forward_id = 0
         self._streams: dict[DnsName, tuple[int, list[ResourceRecord]]] = {}
         self.faults = 0  # messages whose handling raised: requests get SERVFAIL, responses dropped
         for zone in zones:
@@ -656,7 +674,7 @@ class NameServer:
             return [self._raw_formerr(dgram)]
         try:
             if msg.is_response:
-                return self._handle_response(msg, dgram)
+                return self._handle_response(msg, dgram, now)
             if msg.opcode == Opcode.UPDATE:
                 return self._handle_update(msg, dgram, now)
             if len(msg.question) == 1 and msg.question[0].rtype == RType.AXFR:
@@ -721,11 +739,10 @@ class NameServer:
         elif isinstance(acl := acl_check(zone.policy, dgram.source, msg, now), Refuse):
             rc = acl.rcode
         elif isinstance(zone.role, Secondary):
-            # no local write: hand the verbatim request to the primary and
-            # relay whatever rcode it returns
-            self._pending_forwards[(zone.role.primary_address, msg.id)] = dgram.source
+            # no local write: hand the request to the primary and relay
+            # whatever rcode it returns
             rc = None
-            out.append(SimDatagram(self.address, zone.role.primary_address, dgram.payload))
+            out.append(self._forward(dgram, zone.role.primary_address, now))
         else:
             core = acl.message
             rc = evaluate_prerequisites(zone, core.prerequisites)
@@ -738,6 +755,32 @@ class NameServer:
         self._journal(now, dgram, msg, rc)
         return out if rc is None else [self._reply(dgram, self._response(msg, rc)), *out]
 
+    def _forward(self, dgram: SimDatagram, primary: str, now: float) -> SimDatagram:
+        """The request, for ``primary``, under an id of this server's own (RFC 2136 §6).
+
+        Two clients may send one id through this server, so the primary's
+        reply is matched on the fresh id alone, and relayed under the
+        client's. A signed request stays verifiable: TSIG keeps the id it
+        was signed under (RFC 8945 §4.3). Expired entries go first, then the
+        oldest while the table is full. Ids come from a counter, so a run
+        is the same on every seed of the hash.
+        """
+        forwards = self._forwards
+        while forwards:
+            oldest = next(iter(forwards))
+            if len(forwards) < FORWARDS_MAX and forwards[oldest][3] >= now:
+                break
+            del forwards[oldest]
+        forward_id = self._last_forward_id
+        while True:
+            forward_id = (forward_id + 1) & 0xFFFF
+            if forward_id not in forwards:
+                break
+        self._last_forward_id = forward_id
+        payload = dgram.payload
+        forwards[forward_id] = (primary, dgram.source, payload[:2], now + FORWARD_EXPIRY_S)
+        return SimDatagram(self.address, primary, forward_id.to_bytes(2, "big") + payload[2:])
+
     # -- zone transfers: primary side --
 
     def _push_diff(self, old: ZoneConfig, new: ZoneConfig,
@@ -748,8 +791,11 @@ class NameServer:
         records, new SOA (RFC 1995 section 4). ``new`` must come from
         ``old`` by ``apply_update``: a record that survived is the same
         object in both, so the diff at each touched name is read off by
-        identity. A diff too large for one message goes out as the whole
-        zone instead.
+        identity. The diff keeps this server's order, the touched names in
+        the order the UPDATE names them and each name's records in their
+        stored order, so a secondary that appends the added records, and
+        the new SOA last, stores what this server stores. A diff too large
+        for one message goes out as the whole zone instead.
         """
         secondaries = self.secondaries.get(new.apex)
         if not secondaries:
@@ -762,8 +808,6 @@ class NameServer:
             old_ids, new_ids = set(map(id, before)), set(map(id, after))
             deleted += [rr for rr in before if id(rr) not in new_ids and rr.rtype != RType.SOA]
             added += [rr for rr in after if id(rr) not in old_ids and rr.rtype != RType.SOA]
-        deleted.sort(key=_transfer_order)
-        added.sort(key=_transfer_order)
         old_soa, new_soa = old.soa, new.soa
         msg = _trusted_build(
             DnsMessage, id=new_soa.rdata.serial & 0xFFFF, opcode=Opcode.QUERY,
@@ -787,9 +831,14 @@ class NameServer:
 
     def _zone_stream(self, zone: ZoneConfig, msg_id: int,
                      destinations: Iterable[str]) -> list[SimDatagram]:
-        """The whole zone, SOA first and last, in as many messages as it needs (RFC 5936 §2.2)."""
+        """The whole zone, SOA first and last, in as many messages as it needs (RFC 5936 §2.2).
+
+        The records in between go in index order, so a secondary that
+        stores them as they come, and the SOA last, stores what this server
+        stores once an UPDATE has moved its SOA behind the apex's records.
+        """
         soa = zone.soa
-        body = sorted(zone.records - {soa}, key=_transfer_order)
+        body = [rr for rrs in zone.by_name.values() for rr in rrs if rr is not soa]
         head = DnsMessage(id=msg_id, is_response=True, authoritative=True,
                           question=(Question(zone.apex, RType.AXFR, RClass.IN),))
         payloads = encode_stream(head, [soa, *body, soa])
@@ -798,7 +847,7 @@ class NameServer:
 
     # -- responses arriving at this server (transfers, relayed rcodes) --
 
-    def _handle_response(self, msg: DnsMessage, dgram: SimDatagram) -> list[SimDatagram]:
+    def _handle_response(self, msg: DnsMessage, dgram: SimDatagram, now: float) -> list[SimDatagram]:
         if len(msg.question) == 1 and msg.question[0].rtype in (RType.IXFR, RType.AXFR):
             zone = self.zones.get(msg.question[0].name)
             if zone is None or not isinstance(zone.role, Secondary) or \
@@ -807,10 +856,14 @@ class NameServer:
             if msg.question[0].rtype == RType.IXFR:
                 return self._apply_diff(zone, msg)
             return self._apply_stream(zone, msg)
-        requester = self._pending_forwards.pop((dgram.source, msg.id), None)
-        if requester is not None:
-            return [SimDatagram(self.address, requester, dgram.payload)]
-        return []
+        entry = self._forwards.get(msg.id)
+        if entry is None or entry[0] != dgram.source:
+            return []
+        del self._forwards[msg.id]
+        _, requester, original_id, deadline = entry
+        if now > deadline:
+            return []
+        return [SimDatagram(self.address, requester, original_id + dgram.payload[2:])]
 
     # -- zone transfers: secondary side --
 
@@ -829,7 +882,8 @@ class NameServer:
             query = make_query(zone.apex, RType.AXFR, msg_id=zone.soa_serial)
             return [SimDatagram(self.address, zone.role.primary_address, encode_message(query))]
         try:
-            self.zones[zone.apex] = zone.derive((old_soa, *deleted), (new_soa, *added))
+            # the new SOA last, where the primary's UPDATE put it
+            self.zones[zone.apex] = zone.derive((old_soa, *deleted), (*added, new_soa))
         except ValueError:
             pass  # a diff that would not leave a valid zone: keep serving the last good copy
         return []
@@ -852,7 +906,8 @@ class NameServer:
             self._streams[apex] = (msg.id, records)
             return []
         try:
-            self.zones[apex] = ZoneConfig.build(apex, zone.role, zone.policy, records)
+            # the SOA that closes the stream goes last at the apex, as on the primary
+            self.zones[apex] = ZoneConfig.build(apex, zone.role, zone.policy, records[1:])
         except ValueError:
             pass  # a transfer that is not a valid zone: keep serving the last good copy
         return []

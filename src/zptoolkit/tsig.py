@@ -141,14 +141,15 @@ def verify_message(msg: DnsMessage, keyring: Iterable[TsigKey], now: int) -> Ver
     candidates = [k for k in keyring if k.key_name == tsig_rr.name and k.algorithm == tsig.algorithm]
     if not candidates:
         return Reject(RejectReason.UNKNOWN_KEY)
-    if tsig.original_id != msg.id:
-        # ids are never rewritten in flight here (forwarding is verbatim)
-        return Reject(RejectReason.BAD_SIGNATURE)
     core = _strip_tsig(msg)
     # the MAC is checked over a re-encoding of the unsigned message, not over
     # the bytes received: a signer that compresses names differently is
     # rejected (RFC 8945 §4.3.3 wants the received prefix; ROADMAP item 2)
     core_wire = encode_message(core)
+    if tsig.original_id != msg.id:
+        # a forwarder gave the message an id of its own: the MAC covers the
+        # header as signed, with the Original ID (RFC 8945 §4.3.3)
+        core_wire = tsig.original_id.to_bytes(2, "big") + core_wire[2:]
     valid = any(
         hmac.compare_digest(
             _compute_mac(key.secret, core_wire,

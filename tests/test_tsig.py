@@ -61,13 +61,29 @@ def test_tampered_payload_rejected():
 
 
 def test_mismatched_original_id_rejected():
-    # the MAC does not cover the Original ID field, so only the id check refuses this
+    # the MAC covers the header with the Original ID in it, so a forged one breaks the MAC
     signed = sign_message(probe_update(msg_id=77), KEY_A, now=1000)
     *rest, tsig_rr = signed.additional
     forged = dataclasses.replace(tsig_rr, rdata=dataclasses.replace(tsig_rr.rdata, original_id=78))
     result = verify_message(dataclasses.replace(signed, additional=(*rest, forged)), {KEY_A},
                             now=1000)
     assert result == Reject(RejectReason.BAD_SIGNATURE)
+
+
+def test_id_rewritten_in_flight_verifies_against_the_original_id():
+    # a forwarder sends the signed message on under an id of its own (RFC 8945 §4.3.3)
+    signed = sign_message(probe_update(msg_id=77), KEY_A, now=1000)
+    wire = encode_message(signed)
+    forwarded = decode_message((4242).to_bytes(2, "big") + wire[2:])
+    result = verify_message(forwarded, {KEY_A}, now=1000)
+    assert isinstance(result, Accept)
+    assert result.message == dataclasses.replace(probe_update(msg_id=77), id=4242)
+    # the rewritten id is the only change the Original ID excuses
+    tampered = bytearray(wire)
+    tampered[0:2] = (4242).to_bytes(2, "big")
+    tampered[2] ^= 0x01  # the RD flag: a header bit outside the id
+    assert verify_message(decode_message(bytes(tampered)), {KEY_A}, now=1000) == \
+        Reject(RejectReason.BAD_SIGNATURE)
 
 
 def test_time_window_boundary():
@@ -133,7 +149,12 @@ def test_any_single_bit_mutation_rejected(position):
     except WireError:
         return  # undecodable counts as rejected
     result = verify_message(mutated, {KEY_A}, now=123456)
-    assert isinstance(result, Reject)
+    if bit < 16:
+        # the id is the one field a forwarder may rewrite: the MAC is checked
+        # with the Original ID in its place (RFC 8945 §4.3.3)
+        assert result == Accept(dataclasses.replace(probe_update(), id=mutated.id))
+    else:
+        assert isinstance(result, Reject)
 
 
 @given(st.integers(min_value=0, max_value=0xFFFF), st.integers(min_value=0, max_value=10**9))

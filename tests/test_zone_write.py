@@ -1,6 +1,7 @@
 """The zone write path: what one UPDATE leaves at each name, and what the
 servers put on the wire because of it."""
 
+import dataclasses
 import hashlib
 import random
 from ipaddress import IPv4Address, IPv6Address
@@ -10,20 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zptoolkit import authsim, transport
-from zptoolkit.authsim import IpAcl, Open, Primary, Secondary, SignedKey, ZoneConfig, make_soa
+from zptoolkit.authsim import (IpAcl, NameServer, Open, Primary, Secondary, SignedKey, ZoneConfig,
+                               make_soa)
 from zptoolkit.scanner import ProbeConfig, ProbeTarget, run_scan
 from zptoolkit.tsig import sign_message
 from zptoolkit.wire import (AddRecord, DeleteAllAtName, DeleteExactRecord, DeleteRRset,
                             DnsMessage, DnsName, MxData, Opcode, Question, RClass, Rcode,
-                            ResourceRecord, RType, SoaData, TxtData, decode_message, make_update)
+                            ResourceRecord, RType, SoaData, TxtData, decode_message,
+                            encode_message, make_query, make_update)
 
 from conftest import LAB_KEY, SCANNER_SOURCE
 
 # --- golden tap: a seeded mini hosting fleet, hashed datagram by datagram ---
 
-# sha256 over every tap entry of ``_golden_fleet_run(seed=3)``, recorded before the
-# one-pass write path landed; a change to what the servers send changes it
-GOLDEN_TAP_DIGEST = "7dcf9393daaf33d5e2b8be4ff27ed54593d0d2bbbe34432a5d95c035a897b1d8"
+# sha256 over every tap entry of ``_golden_fleet_run(seed=3)``; a change to what the
+# servers send changes it. Recorded when secondaries began forwarding under ids of
+# their own and transfers began carrying records in the primary's order; against the
+# one before, only those ids and that order differ, entry by entry
+GOLDEN_TAP_DIGEST = "415a8fce87a32ec766f93bb472255b57e4b3cf94d869498cea3949c428e47550"
 
 TENANT = "198.51.100.77"
 PAIRS = [("10.1.0.53", "10.2.0.53"), ("10.3.0.53", "10.4.0.53")]  # (primary, secondary)
@@ -160,7 +165,7 @@ def test_golden_tap_is_unchanged():
     assert any((e.datagram.source, e.datagram.destination) == PAIRS[0]
                and _qtype(e.datagram.payload) == RType.AXFR for e in bus.tap)
     for apex, primary, secondary in zones:
-        assert servers[secondary].zones[apex].records == servers[primary].zones[apex].records
+        _assert_same_zone(servers[primary].zones[apex], servers[secondary].zones[apex])
     assert sum(o.vulnerable for o in result.outcomes) > 0
     assert _tap_digest(bus) == GOLDEN_TAP_DIGEST
 
@@ -406,3 +411,75 @@ def test_apply_update_order_and_serial(records, at_a, serial):
     new = _check_against_oracle(zone, _update(records))
     assert [(rr.rdata, rr.ttl) for rr in new.records_at(NAMES[1])] == at_a
     assert new.soa_serial == serial
+
+
+# --- a secondary stores what its primary stores, in its order ---
+
+PRIMARY, SECONDARY, CLIENT = "10.5.0.1", "10.5.0.2", "198.51.100.5"
+
+
+def _assert_same_zone(primary: ZoneConfig, secondary: ZoneConfig) -> None:
+    """Same records at every name, in the same order, and the same answer to ANY at the apex."""
+    assert primary.by_name.keys() == secondary.by_name.keys()
+    for name in primary.by_name:
+        assert secondary.records_at(name) == primary.records_at(name), name
+    query = encode_message(make_query(primary.apex, RType.ANY, msg_id=7))
+    answers = []
+    for addr, zone in ((PRIMARY, primary), (SECONDARY, secondary)):
+        (reply,) = NameServer(addr, [zone]).handle_datagram(
+            transport.SimDatagram(CLIENT, addr, query), 0.0)
+        answers.append(reply.payload)
+    assert answers[0] == answers[1]
+
+
+def _primary_and_secondary(zone: ZoneConfig, drop_filter=None):
+    bus = transport.DatagramBus(clock=transport.ManualClock(), rng=random.Random(0),
+                                drop_filter=drop_filter)
+    primary, secondary = NameServer(PRIMARY, [zone]), NameServer(
+        SECONDARY, [dataclasses.replace(zone, role=Secondary(PRIMARY))])
+    primary.attach(bus)
+    secondary.attach(bus)
+    primary.register_secondary(zone.apex, SECONDARY)
+    return bus, primary, secondary
+
+
+def test_secondary_keeps_the_primary_order_after_an_apex_add():
+    zone = ZoneConfig.build(APEX, Primary(), Open(), [
+        make_soa(APEX), ResourceRecord(APEX, RType.NS, RClass.IN, 3600, NS_TARGETS[0]),
+        ResourceRecord(APEX, RType.A, RClass.IN, 300, A1)])
+    bus, primary, secondary = _primary_and_secondary(zone)
+    txt = ResourceRecord(APEX, RType.TXT, RClass.IN, 300, TxtData.from_text("v=spf1 -all"))
+    reply = transport.exchange_message(transport.ClientEndpoint(bus, CLIENT), PRIMARY,
+                                       make_update(APEX, [AddRecord(txt)], msg_id=1), timeout=1.0)
+    bus.pump()
+    assert reply.rcode == Rcode.NOERROR
+    assert [rr.rtype for rr in primary.zones[APEX].records_at(APEX)] == \
+        [RType.NS, RType.A, RType.TXT, RType.SOA]
+    _assert_same_zone(primary.zones[APEX], secondary.zones[APEX])
+
+
+@given(zones(), st.lists(st.tuples(st.lists(update_records(), min_size=1, max_size=5),
+                                   st.booleans()), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_secondary_matches_its_primary_name_by_name(zone, steps):
+    """After each UPDATE, whether its IXFR push arrived or was lost and the next one
+    made the secondary resynchronise by AXFR."""
+    losing = [False]
+
+    def lose_push(dgram):
+        return losing[0] and dgram.source == PRIMARY and _qtype(dgram.payload) == RType.IXFR
+
+    bus, primary, secondary = _primary_and_secondary(zone, lose_push)
+    tenant = transport.ClientEndpoint(bus, CLIENT)
+    for k, (records, lost) in enumerate(steps):
+        losing[0] = lost
+        tenant.send(encode_message(_update(records, k)), PRIMARY)
+        bus.pump()
+        if secondary.zones[APEX].soa_serial == primary.zones[APEX].soa_serial:
+            _assert_same_zone(primary.zones[APEX], secondary.zones[APEX])
+    # one more change, pushed for sure, brings a secondary that lost the last push back
+    losing[0] = False
+    txt = ResourceRecord(APEX, RType.TXT, RClass.IN, 60, TxtData.from_text("last"))
+    tenant.send(encode_message(_update([txt], len(steps))), PRIMARY)
+    bus.pump()
+    _assert_same_zone(primary.zones[APEX], secondary.zones[APEX])

@@ -1,9 +1,11 @@
-"""Time the zone write path, and count the hashing it does, per UPDATE.
+"""Time the zone write path, and count the hashing it does, per UPDATE; time
+the scanner's probe cycle, whose last query reads the zone it has just written.
 
 Usage: PYTHONPATH=src python3 tools/bench_zone_write.py [--seed N] [--repeats N]
 
 It builds seeded zones of 8, 300 and 3,000 records (SOA, apex NS and A,
-glue, then host A records) and measures three things:
+glue, then host A records), and of 20,000 for the probe cycle, and measures
+five things:
 
 - apply: µs per one-record add plus its exact delete, through
   ``authsim.apply_update``, at each zone size: the scanner's probe and
@@ -15,7 +17,15 @@ glue, then host A records) and measures three things:
   number of ``DnsName.__hash__``, dataclass ``__hash__`` (the records and
   rdata classes of ``zptoolkit.wire``) and ``IPv4Address.__hash__`` calls,
   counted by wrapping those methods here. The counts do not depend on the
-  host or the hash seed, so they are the numbers to compare.
+  host or the hash seed, so they are the numbers to compare;
+- read: µs per probe cycle at 8, 300, 3,000 and 20,000 records, all through
+  ``NameServer.handle_datagram``: add the sentinel, query it, delete exactly
+  it, then query it again. That last query is the first NXDOMAIN answer of
+  a fresh zone version, and its µs are reported on their own;
+- read calls: Python-level function calls (``sys.setprofile`` call events)
+  in that first NXDOMAIN answer, at each size. This count depends on
+  neither the host nor the hash seed, and it grows with the zone when the
+  answer scans the zone.
 
 Timed loops run with the garbage collector off, as timeit does. It prints
 one JSON object with the medians over the repeats. The zptoolkit on
@@ -31,6 +41,7 @@ import json
 import platform
 import random
 import statistics
+import sys
 import time
 from collections import Counter
 from ipaddress import IPv4Address
@@ -38,11 +49,13 @@ from ipaddress import IPv4Address
 from zptoolkit import authsim, wire
 from zptoolkit.authsim import NameServer, Open, Primary, Secondary, ZoneConfig, make_soa
 from zptoolkit.transport import SimDatagram
-from zptoolkit.wire import (AddRecord, DeleteExactRecord, DnsName, RClass, ResourceRecord, RType,
-                            encode_message, make_update)
+from zptoolkit.wire import (AddRecord, DeleteExactRecord, DnsName, RClass, Rcode, ResourceRecord,
+                            RType, decode_message, encode_message, make_query, make_update)
 
 SIZES = (8, 300, 3_000)
+READ_SIZES = (*SIZES, 20_000)
 PAIRS = 500  # add+delete pairs per timed round
+CYCLES = 50  # probe cycles per timed round
 PRIMARY, SECONDARY, CLIENT = "10.0.0.1", "10.0.0.2", "198.51.100.1"
 
 
@@ -123,6 +136,82 @@ def measure_push(size: int, seed: int, repeats: int) -> dict:
             "secondary_apply_us_median": round(statistics.median(secondary_us), 2)}
 
 
+def probe_cycle(size: int, seed: int):
+    """The probe cycle's four steps on a server holding a seeded zone of ``size``
+    records, each a function that hands its request to the server and returns
+    the reply. The first step puts the zone as built back on the server, as a
+    scan finds each zone once, so no cycle reuses what an earlier one left."""
+    rng = random.Random(f"{seed}:read:{size}")
+    zone = seeded_zone(size, rng)
+    server = NameServer(PRIMARY, [zone])
+    add, delete = probe_pair(zone, rng)
+    query = make_query(zone.apex.prepend("researchstudyzp"), RType.A, msg_id=9)
+    payloads = [encode_message(m) for m in (add, query, delete, query)]
+    steps = []
+    for payload in payloads:
+        request = SimDatagram(CLIENT, PRIMARY, payload)
+        steps.append(lambda request=request: server.handle_datagram(request, 0.0)[0])
+
+    def first_step():
+        server.add_zone(zone)
+        return steps[0]()
+
+    return [first_step, *steps[1:]]
+
+
+def _check_cycle(steps, size: int) -> None:
+    add, verify, delete, recheck = (decode_message(step().payload) for step in steps)
+    if (add.rcode, delete.rcode, recheck.rcode) != (Rcode.NOERROR, Rcode.NOERROR, Rcode.NXDOMAIN) \
+            or not verify.answers:
+        raise SystemExit(f"probe cycle at {size} records: unexpected replies")
+
+
+def measure_read(size: int, seed: int, repeats: int) -> dict:
+    steps = probe_cycle(size, seed)
+    _check_cycle(steps, size)
+    add, verify, delete, recheck = steps
+    spent = {"cycle": 0.0, "answer": 0.0}
+
+    def one_cycle():
+        t0 = time.perf_counter()
+        add()
+        verify()
+        delete()
+        t1 = time.perf_counter()
+        recheck()
+        t2 = time.perf_counter()
+        spent["cycle"] += t2 - t0
+        spent["answer"] += t2 - t1
+
+    cycle_us, answer_us = [], []
+    for _ in range(repeats):
+        spent.update(cycle=0.0, answer=0.0)
+        timed(one_cycle, CYCLES)
+        cycle_us.append(spent["cycle"] * 1e6 / CYCLES)
+        answer_us.append(spent["answer"] * 1e6 / CYCLES)
+    return {"records": size, "cycle_us_median": round(statistics.median(cycle_us), 2),
+            "first_nxdomain_us_median": round(statistics.median(answer_us), 2)}
+
+
+def count_read_calls(size: int, seed: int) -> dict:
+    """Python-level calls in the first NXDOMAIN answer of a fresh zone version."""
+    add, _, delete, recheck = probe_cycle(size, seed)
+    add()
+    delete()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        recheck()
+    finally:
+        sys.setprofile(None)
+    return {"records": size, "python_calls_per_first_nxdomain": calls}
+
+
 def _hashed_classes() -> dict[str, list[type]]:
     records = [cls for cls in vars(wire).values()
                if dataclasses.is_dataclass(cls) and isinstance(cls, type)
@@ -175,6 +264,8 @@ def main() -> None:
         "hashes_per_update": count_hashes(args.seed),
         "apply": [measure_apply(size, args.seed, args.repeats) for size in SIZES],
         "push": [measure_push(size, args.seed, args.repeats) for size in SIZES],
+        "read": [measure_read(size, args.seed, args.repeats) for size in READ_SIZES],
+        "read_calls": [count_read_calls(size, args.seed) for size in READ_SIZES],
     }, indent=2))
 
 
