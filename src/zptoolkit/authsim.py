@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from . import tsig as tsig_mod
@@ -138,11 +139,12 @@ class ZoneConfig:
     records. It is the only record store: every lookup goes through it, and
     ``records`` and ``soa_serial`` are read from it. The ancestor index,
     ``_below``, maps each name strictly between the apex and an owner to
-    the number of owners below it, keyed by ``DnsName.key``. Only such a
-    name can be an empty non-terminal (RFC 1034 §4.3.2), because the apex
-    holds the SOA, so ``has_node`` is one lookup in one of the two. The
-    index is built with the zone, and it is empty when every owner sits at
-    most one label below the apex.
+    the number of owners below it. Only such a name can be an empty
+    non-terminal (RFC 1034 §4.3.2), because the apex holds the SOA, so
+    ``has_node`` is one lookup in one of the two. The index is built with
+    the zone, and it is empty when every owner sits at most one label below
+    the apex. Every owner lies at or below the apex: the constructor and
+    ``_patch`` raise ValueError for any other.
 
     Each later version comes from ``_patch``, which copies ``by_name`` once
     and replaces only the patched names' tuples, and copies ``_below`` only
@@ -160,17 +162,21 @@ class ZoneConfig:
     by_name: Mapping[DnsName, tuple[ResourceRecord, ...]]
 
     def __post_init__(self):
+        apex = self.apex
+        depths = [name.labels_below(apex) for name in self.by_name]
+        if min(depths, default=0) < 0:
+            outside = next(name for name, d in zip(self.by_name, depths) if d < 0)
+            raise ValueError(_OUTSIDE.format(outside.to_text(), apex.to_text()))
         # a name breaks a rule only through an SOA or a CNAME, so only those
         # names, and the apex that must hold the SOA, are checked
         marked = {rr.name for rrs in self.by_name.values() for rr in rrs
                   if rr.rtype == _SOA or rr.rtype == _CNAME}
-        for name in marked | {self.apex}:
-            _check_name(self.apex, name, self.by_name.get(name, ()))
-        # two comprehensions run faster than one loop doing both jobs
-        depth = len(self.apex.labels)
-        below: dict[tuple, int] = {}
-        for name in [name for name in self.by_name if len(name.labels) > depth + 1]:
-            _count_ancestors(below, name, 1, depth)
+        for name in marked | {apex}:
+            _check_name(apex, name, self.by_name.get(name, ()))
+        below: dict[DnsName, int] = {}
+        for name, d in zip(self.by_name, depths):
+            if d > 1:
+                _count_ancestors(below, name, 1, d)
         object.__setattr__(self, "_below", below)
 
     @classmethod
@@ -201,48 +207,50 @@ class ZoneConfig:
         names go to ``_patch`` as one batch.
         """
         removed, added = list(removed), list(added)
-        # owner name key -> (name, its records as they become)
-        touched = {rr.name.key: (rr.name, list(self.records_at(rr.name)))
-                   for rr in (*removed, *added)}
+        # owner name -> its records as they become
+        touched = {rr.name: list(self.records_at(rr.name)) for rr in (*removed, *added)}
         for rr in removed:
             if not any(_same(old, rr) for old in self.records_at(rr.name)):
                 raise ValueError("a removed record is not in the zone")
-            now = touched[rr.name.key][1]
+            now = touched[rr.name]
             now[:] = [old for old in now if not _same(old, rr)]
         for rr in added:
-            now = touched[rr.name.key][1]
+            now = touched[rr.name]
             i = _find(now, rr.rtype, rr.rdata)
             if i < 0:
                 now.append(rr)
             elif not _same(now[i], rr):
                 raise ValueError(_CLASH.format(rr.name.to_text()))
-        return self._patch([(name, tuple(now)) for name, now in touched.values()])
+        return self._patch([(name, tuple(now)) for name, now in touched.items()])
 
     def _patch(self, patches: Iterable[tuple[DnsName, tuple[ResourceRecord, ...]]]) -> "ZoneConfig":
         """This zone with each patched name holding exactly the records given (none drops it).
 
         The one way to make a later version: the owner-name index is copied
-        once, each patched name is checked on its own (``_check_name``) and
-        costs one hash of the name, and the ancestor index is copied only
-        when a name two or more labels below the apex comes or goes. The
-        rest of the zone is shared with this version unchecked.
+        once, each patched name is checked on its own (it must lie at or
+        below the apex, and ``_check_name``) and costs one hash of the name,
+        and the ancestor index is copied only when a name two or more labels
+        below the apex comes or goes. The rest of the zone is shared with
+        this version unchecked.
         """
         apex = self.apex
-        depth = len(apex.labels)
         by_name = dict(self.by_name)
         below = self._below
         copied = False
         for name, rrs in patches:
+            d = name.labels_below(apex)
+            if d < 0:
+                raise ValueError(_OUTSIDE.format(name.to_text(), apex.to_text()))
             _check_name(apex, name, rrs)
             size = len(by_name)
             if rrs:
                 by_name[name] = rrs
             else:
                 by_name.pop(name, None)
-            if len(by_name) != size and len(name.labels) > depth + 1:
+            if len(by_name) != size and d > 1:
                 if not copied:
                     below, copied = dict(below), True
-                _count_ancestors(below, name, 1 if rrs else -1, depth)
+                _count_ancestors(below, name, 1 if rrs else -1, d)
         zone = object.__new__(ZoneConfig)  # checked above: skip the whole-zone constructor
         zone.__dict__.update(apex=apex, role=self.role, policy=self.policy, by_name=by_name,
                              _below=below)
@@ -270,12 +278,10 @@ class ZoneConfig:
     def has_node(self, name: DnsName) -> bool:
         """True when the name exists, including as an empty non-terminal (RFC 8020).
 
-        A name no longer than the apex exists when the apex lies at or below
-        it; a deeper one when it is an owner or an indexed ancestor of one.
+        A name exists when it is an owner, when the apex lies at or below it,
+        or when it is an indexed ancestor of an owner.
         """
-        if len(name.labels) <= len(self.apex.labels):
-            return self.apex.is_subdomain_of(name)
-        return name in self.by_name or name.key in self._below
+        return name in self.by_name or self.apex.is_subdomain_of(name) or name in self._below
 
     def delegation(self, name: DnsName) -> Optional[DnsName]:
         """The highest zone cut at or above ``name``, below the apex (RFC 1034 §4.3.2).
@@ -283,8 +289,7 @@ class ZoneConfig:
         ``name`` must lie in the zone. Walks from just below the apex down to
         ``name`` and returns the first owner with an NS rrset, or None.
         """
-        for start in range(len(name) - len(self.apex) - 1, -1, -1):
-            owner = DnsName._trusted(name.labels[start:])
+        for owner in reversed([*islice(name.suffixes(), name.labels_below(self.apex))]):
             if self.rrset(owner, RType.NS):
                 return owner
         return None
@@ -300,6 +305,7 @@ class ZoneConfig:
 
 
 _CLASH = "two records at {} share type and rdata but not TTL or class"
+_OUTSIDE = "owner {} lies outside the zone {}"
 
 
 def _check_name(apex: DnsName, name: DnsName, rrs: Collection[ResourceRecord]) -> None:
@@ -335,16 +341,15 @@ def _find(rrs: Sequence[ResourceRecord], rtype: int, rdata) -> int:
     return -1
 
 
-def _count_ancestors(below: dict[tuple, int], name: DnsName, step: int, depth: int) -> None:
+def _count_ancestors(below: dict[DnsName, int], name: DnsName, step: int, depth: int) -> None:
     """Add ``step`` to the count of every name strictly between ``name`` and
-    the apex, which is ``depth`` labels long, dropping zeros."""
-    key = name.key
-    for start in range(1, len(key) - depth):
-        count = below.get(key[start:], 0) + step
+    the apex, which ``name`` lies ``depth`` labels below, dropping zeros."""
+    for ancestor in islice(name.suffixes(), 1, depth):
+        count = below.get(ancestor, 0) + step
         if count:
-            below[key[start:]] = count
+            below[ancestor] = count
         else:
-            del below[key[start:]]
+            del below[ancestor]
 
 
 def _with_serial(soa: ResourceRecord, serial: int) -> ResourceRecord:
@@ -481,14 +486,15 @@ def apply_update(zone: ZoneConfig, msg: DnsMessage) -> tuple[ZoneConfig, Rcode]:
     rc = _prescan_updates(zone, msg.updates)
     if rc != Rcode.NOERROR:
         return zone, rc
-    # owner name key -> (name, records before, working list of records after)
-    touched: dict[tuple, tuple[DnsName, tuple[ResourceRecord, ...], list[ResourceRecord]]] = {}
+    # owner name -> (records before, working list of records after)
+    touched: dict[DnsName, tuple[tuple[ResourceRecord, ...], list[ResourceRecord]]] = {}
     for rr in msg.updates:
-        entry = touched.get(rr.name.key)
+        name = rr.name
+        entry = touched.get(name)
         if entry is None:
-            before = zone.records_at(rr.name)
-            entry = touched[rr.name.key] = (rr.name, before, list(before))
-        name, _, now = entry
+            before = zone.records_at(name)
+            entry = touched[name] = (before, list(before))
+        now = entry[1]
         rtype = rr.rtype
         if rr.rclass == _IN:
             if rtype == _SOA:
@@ -514,15 +520,15 @@ def apply_update(zone: ZoneConfig, msg: DnsMessage) -> tuple[ZoneConfig, Rcode]:
                     sum(old.rtype == _NS for old in now) == 1:
                 continue
             del now[i]
-    changed = {key: (name, rrs) for key, (name, before, now) in touched.items()
+    changed = {name: rrs for name, (before, now) in touched.items()
                if (rrs := _survivors_then_added(before, now)) is not before}
     if not changed:
         return zone, Rcode.NOERROR
-    _, at_apex = changed.pop(apex.key, (apex, zone.records_at(apex)))
+    at_apex = changed.pop(apex, zone.records_at(apex))
     soa = next(rr for rr in at_apex if rr.rtype == _SOA)  # an UPDATE never removes it
     new_soa = _with_serial(soa, (soa.rdata.serial + 1) & 0xFFFFFFFF)
     at_apex = (*(rr for rr in at_apex if rr is not soa), new_soa)
-    return zone._patch([*changed.values(), (apex, at_apex)]), Rcode.NOERROR
+    return zone._patch([*changed.items(), (apex, at_apex)]), Rcode.NOERROR
 
 
 def _survivors_then_added(before: tuple[ResourceRecord, ...],
@@ -720,8 +726,8 @@ class NameServer:
 
     def _zone_for(self, name: DnsName) -> Optional[ZoneConfig]:
         """The zone with the longest apex at or above ``name``: suffixes, longest first."""
-        for start in range(len(name) + 1):
-            zone = self.zones.get(DnsName._trusted(name.labels[start:]))
+        for suffix in name.suffixes():
+            zone = self.zones.get(suffix)
             if zone is not None:
                 return zone
         return None
@@ -801,7 +807,7 @@ class NameServer:
         if not secondaries:
             return []
         deleted, added = [], []
-        for name in {rr.name.key: rr.name for rr in updates}.values():
+        for name in dict.fromkeys(rr.name for rr in updates):
             before, after = old.records_at(name), new.records_at(name)
             if before is after:
                 continue

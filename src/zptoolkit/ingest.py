@@ -11,7 +11,7 @@ from importlib import resources
 from typing import Iterable, Optional
 
 from .transport import Transport, exchange_message
-from .wire import DecodeError, DnsName, Rcode, RType, make_query
+from .wire import DecodeError, DnsName, InvalidLabel, Rcode, RType, make_query
 
 _DEFAULT_SNAPSHOT = "data/public_suffix_snapshot.dat"
 QUERY_TIMEOUT = 1.0  # seconds per attempt at the resolver
@@ -26,9 +26,9 @@ class SuffixRuleSet:
     the implicit `*` rule (the rightmost label is the suffix).
     """
 
-    rules: frozenset[tuple[bytes, ...]]
-    wildcards: frozenset[tuple[bytes, ...]]   # tail after the `*.` label
-    exceptions: frozenset[tuple[bytes, ...]]
+    rules: frozenset[DnsName]
+    wildcards: frozenset[DnsName]   # the name after the `*.` label
+    exceptions: frozenset[DnsName]
     version: str = "custom"
 
     @classmethod
@@ -39,15 +39,15 @@ class SuffixRuleSet:
             if not line or line.startswith("//") or line.startswith("#"):
                 continue
             try:
-                labels = tuple(l.lower().encode("ascii") for l in line.lstrip("!").split("."))
-            except UnicodeEncodeError:
-                continue  # unicode rules never match wire-format byte labels
+                rule = DnsName.from_text(line.lstrip("!"))
+            except (UnicodeEncodeError, InvalidLabel):
+                continue  # unicode rules and invalid names never match a wire-format name
             if line.startswith("!"):
-                exceptions.add(labels)
-            elif labels[0] == b"*":
-                wildcards.add(labels[1:])
+                exceptions.add(rule)
+            elif rule.labels[:1] == (b"*",):
+                wildcards.add(rule.parent())
             else:
-                rules.add(labels)
+                rules.add(rule)
         return cls(frozenset(rules), frozenset(wildcards), frozenset(exceptions), version)
 
     @classmethod
@@ -67,28 +67,29 @@ class SuffixRuleSet:
 
     def suffix_label_count(self, name: DnsName) -> int:
         """Number of trailing labels forming the public suffix of ``name``."""
-        key = name.key
+        tails = [*name.suffixes()][::-1]  # tails[k] is the suffix of k labels
         best_exception = 0
         best = 0
-        for k in range(1, len(key) + 1):
-            tail = key[-k:]
+        for k in range(1, len(tails)):
+            tail = tails[k]
             if tail in self.exceptions:
                 best_exception = max(best_exception, k - 1)
             if tail in self.rules:
                 best = max(best, k)
-            if k >= 2 and tail[1:] in self.wildcards:
+            if k >= 2 and tails[k - 1] in self.wildcards:
                 best = max(best, k)
         if best_exception:
             return best_exception
-        return best if best else min(1, len(key))
+        return best if best else min(1, len(tails) - 1)
 
 
 def registrable_domain(name: DnsName, rules: SuffixRuleSet) -> Optional[DnsName]:
     """Suffix-plus-one-label, or None when the name is a bare public suffix."""
     count = rules.suffix_label_count(name)
-    if len(name) <= count:
+    tails = [*name.suffixes()]  # tails[-1 - k] is the suffix of k labels
+    if len(tails) - 1 <= count:
         return None
-    return DnsName._trusted(name.labels[len(name) - count - 1:])
+    return tails[-2 - count]
 
 
 @dataclass(frozen=True)

@@ -6,21 +6,24 @@ many messages as it needs (RFC 5936). Names are emitted uncompressed;
 compression pointers are accepted on decode. Record types outside the
 supported set decode to opaque rdata and re-encode byte-identically.
 
-The decoder and the message builders construct values without their
-public constructors, because those per-field copies and checks are most
-of a decode. Two private constructors carry a contract the caller keeps:
+A ``DnsName`` is its uncompressed wire form: the case-preserving bytes
+that go on the wire, and those bytes lower-cased, which equality and
+hashing compare. Its public constructor, ``from_text`` and ``prepend``
+check every label and the 255-byte bound, and the decoder bounds what it
+reads the same way, so every name is valid and the encoder appends its bytes
+unchecked. The decoder slices an uncompressed name out of the message in
+one piece and joins the runs of a compressed one, and it coerces its input
+to ``bytes`` once, so that no name holds a mutable buffer.
 
-- ``DnsName._trusted(labels)`` takes a tuple whose every label is a
-  ``bytes`` object, as is: no copy, no check. A ``bytearray`` or
-  ``memoryview`` label would make the name mutable or unhashable, so the
-  decoder coerces its input to ``bytes`` once, before slicing labels.
-- ``_trusted_build(cls, **fields)`` fills a frozen dataclass's fields
-  without its generated ``__init__``. Every field must be given, and it
-  is valid only for classes without ``__post_init__`` (nothing would run
-  it). The instance gets a dict of its own instead of the shared-key
-  layout, about twice the memory, so it is meant for the messages,
-  questions and records of one exchange. Decoded records that an UPDATE
-  or a transfer adds to a zone keep that layout there.
+The decoder and the message builders construct messages, questions and
+records with ``_trusted_build(cls, **fields)``, which fills a frozen
+dataclass's fields without its generated ``__init__``, because those
+per-field copies and checks are most of a decode. Every field must be
+given, and it is valid only for classes without ``__post_init__``
+(nothing would run it). The instance gets a dict of its own instead of
+the shared-key layout, about twice the memory, so it is meant for the
+messages, questions and records of one exchange. Decoded records that an
+UPDATE or a transfer adds to a zone keep that layout there.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from ipaddress import IPv4Address, IPv6Address
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 MAX_MESSAGE_SIZE = 65535
 MAX_LABEL_LENGTH = 63
@@ -126,98 +129,159 @@ def _trusted_build(cls, **fields):
 
 
 class DnsName:
-    """A domain name as an ordered tuple of byte labels.
+    """A domain name, held as its uncompressed wire form (RFC 1035 §3.1).
 
-    Equality, hashing, and ordering ignore ASCII case. The raw constructor
-    does not validate label lengths (the encoder does); use ``from_text``
-    for checked construction.
+    ``_wire`` is the case-preserving wire bytes: each label behind its
+    length byte, then the root's zero byte. ``_key`` is ``_wire.lower()``,
+    the very same object when the name holds no upper-case letter; ASCII
+    lowering never touches a length byte (0x01-0x3F). Equality and hashing
+    compare ``_key``, and ordering compares the lower-cased labels left to
+    right. ``labels``, ``key`` and ``len()`` are read off the bytes on each
+    call. Every way in checks that each label is 1-63 bytes and the name at
+    most 255 wire bytes, so an invalid name cannot exist.
     """
 
-    __slots__ = ("labels", "_key")
+    __slots__ = ("_wire", "_key")
 
-    def __init__(self, labels: Iterable[bytes] = ()):
-        self.labels: tuple[bytes, ...] = tuple(bytes(l) for l in labels)
-        self._key = tuple(map(bytes.lower, self.labels))
-
-    @classmethod
-    def _trusted(cls, labels: tuple[bytes, ...]) -> "DnsName":
-        """The name over ``labels`` as given: a tuple of ``bytes``, neither copied nor checked."""
-        name = _new(cls)
-        name.labels = labels
-        name._key = tuple(map(bytes.lower, labels))
-        return name
+    def __new__(cls, labels: Iterable[bytes] = ()) -> "DnsName":
+        out = bytearray()
+        for label in labels:
+            label = bytes(label)
+            if not label or len(label) > MAX_LABEL_LENGTH:
+                raise InvalidLabel(f"label {label!r} must be 1-{MAX_LABEL_LENGTH} bytes")
+            out.append(len(label))
+            out += label
+        out.append(0)
+        return _named(bytes(out))
 
     @classmethod
     def from_text(cls, text: str) -> "DnsName":
         text = text.rstrip(".")
-        if not text:
-            return cls(())
-        labels = []
-        for part in text.split("."):
-            raw = part.encode("ascii", errors="strict")
-            if not raw or len(raw) > MAX_LABEL_LENGTH:
-                raise InvalidLabel(f"label {part!r} must be 1-{MAX_LABEL_LENGTH} bytes")
-            labels.append(raw)
-        name = cls._trusted(tuple(labels))
-        if name.wire_length() > MAX_NAME_WIRE_LENGTH:
-            raise InvalidLabel(f"name {text!r} exceeds {MAX_NAME_WIRE_LENGTH} wire bytes")
-        return name
+        return cls(text.encode("ascii").split(b".") if text else ())
 
     def to_text(self) -> str:
-        if not self.labels:
+        wire = self._wire
+        if len(wire) == 1:
             return "."
-        return ".".join(l.decode("ascii", errors="backslashreplace") for l in self.labels)
+        text = bytearray(wire[1:-1])  # the labels, with a length byte between each two
+        pos = wire[0]
+        while pos < len(text):
+            step = text[pos] + 1
+            text[pos] = 0x2E  # "."
+            pos += step
+        return text.decode("ascii", errors="backslashreplace")
+
+    @property
+    def labels(self) -> tuple[bytes, ...]:
+        """The labels as given, leftmost first."""
+        return _split(self._wire)
 
     @property
     def key(self) -> tuple[bytes, ...]:
-        """The lower-cased labels that equality and hashing compare."""
-        return self._key
-
-    def wire_length(self) -> int:
-        return sum(len(l) + 1 for l in self.labels) + 1
+        """The lower-cased labels, leftmost first."""
+        return _split(self._key)
 
     def to_wire(self) -> bytes:
-        out = bytearray()
-        for label in self.labels:
-            if not label or len(label) > MAX_LABEL_LENGTH:
-                raise InvalidLabel(f"label of {len(label)} bytes in {self.to_text()!r}")
-            out.append(len(label))
-            out += label
-        out.append(0)
-        if len(out) > MAX_NAME_WIRE_LENGTH:
-            raise InvalidLabel(f"name {self.to_text()!r} exceeds {MAX_NAME_WIRE_LENGTH} wire bytes")
-        return bytes(out)
+        return self._wire
 
     def prepend(self, label: bytes | str) -> "DnsName":
         raw = label.encode("ascii") if isinstance(label, str) else bytes(label)
         if not raw or len(raw) > MAX_LABEL_LENGTH:
             raise InvalidLabel(f"label {label!r} must be 1-{MAX_LABEL_LENGTH} bytes")
-        return DnsName._trusted((raw,) + self.labels)
+        return _named(bytes((len(raw),)) + raw + self._wire)
 
     def parent(self) -> "DnsName":
-        return DnsName._trusted(self.labels[1:])
+        wire = self._wire
+        if len(wire) == 1:
+            return self
+        return self._suffix_at(wire[0] + 1)
+
+    def suffixes(self) -> Iterator["DnsName"]:
+        """This name, then each name above it, longest first, ending with the root.
+
+        Each suffix is a slice of this name's bytes at a label boundary.
+        """
+        yield self
+        wire = self._wire
+        pos = 0
+        while wire[pos]:
+            pos += wire[pos] + 1
+            yield self._suffix_at(pos)
+
+    def _suffix_at(self, pos: int) -> "DnsName":
+        """The name whose wire form starts at label boundary ``pos`` of this one's."""
+        name = _new(DnsName)
+        name._wire = wire = self._wire[pos:]
+        name._key = wire if self._key is self._wire else self._key[pos:]
+        return name
 
     def is_subdomain_of(self, other: "DnsName") -> bool:
         """True when self equals other or sits below it."""
-        n = len(other._key)
-        if n == 0:
-            return True
-        return len(self._key) >= n and self._key[-n:] == other._key
+        return self.labels_below(other) >= 0
+
+    def labels_below(self, other: "DnsName") -> int:
+        """How many labels this name has below ``other``: 0 when the two are
+        equal, and -1 when this name does not lie at or below ``other``."""
+        key, tail = self._key, other._key
+        start = len(key) - len(tail)
+        if start < 0 or not key.endswith(tail):
+            return -1
+        pos = count = 0
+        while pos < start:  # the tail must start at a label boundary
+            pos += key[pos] + 1
+            count += 1
+        return count if pos == start else -1
 
     def __len__(self) -> int:
-        return len(self.labels)
+        wire = self._wire
+        pos = count = 0
+        while wire[pos]:
+            pos += wire[pos] + 1
+            count += 1
+        return count
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DnsName) and self._key == other._key
 
     def __lt__(self, other: "DnsName") -> bool:
-        return self._key < other._key
+        # label by label, as tuples of lower-cased labels compare
+        a, b = self._key, other._key
+        pos = 0
+        while True:
+            n, m = a[pos], b[pos]
+            if not n or not m:
+                return not n and m != 0
+            left, right = a[pos + 1:pos + 1 + n], b[pos + 1:pos + 1 + m]
+            if left != right:
+                return left < right
+            pos += n + 1
 
     def __hash__(self) -> int:
         return hash(self._key)
 
     def __repr__(self) -> str:
         return f"DnsName({self.to_text()!r})"
+
+
+def _named(wire: bytes) -> DnsName:
+    """The name whose uncompressed wire form is ``wire``, with labels of 1-63
+    bytes; raises InvalidLabel when it is longer than 255 bytes."""
+    if len(wire) > MAX_NAME_WIRE_LENGTH:
+        raise InvalidLabel(f"a name of {len(wire)} wire bytes exceeds {MAX_NAME_WIRE_LENGTH}")
+    name = _new(DnsName)
+    key = wire.lower()
+    name._wire = wire
+    name._key = wire if key == wire else key
+    return name
+
+
+def _split(wire: bytes) -> tuple[bytes, ...]:
+    labels = []
+    pos = 0
+    while n := wire[pos]:
+        labels.append(wire[pos + 1:pos + 1 + n])
+        pos += n + 1
+    return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -407,9 +471,9 @@ def _encode_rdata(rtype: int, rdata: Rdata) -> bytes:
     if rtype in (RType.A, RType.AAAA):
         return rdata.packed
     if rtype in (RType.NS, RType.CNAME):
-        return rdata.to_wire()
+        return rdata._wire
     if rtype == RType.MX:
-        return struct.pack("!H", rdata.preference) + rdata.exchange.to_wire()
+        return struct.pack("!H", rdata.preference) + rdata.exchange._wire
     if rtype == RType.TXT:
         out = bytearray()
         for s in rdata.strings:
@@ -420,13 +484,13 @@ def _encode_rdata(rtype: int, rdata: Rdata) -> bytes:
         return bytes(out)
     if rtype == RType.SOA:
         return (
-            rdata.mname.to_wire()
-            + rdata.rname.to_wire()
+            rdata.mname._wire
+            + rdata.rname._wire
             + struct.pack("!IIIII", rdata.serial, rdata.refresh, rdata.retry, rdata.expire, rdata.minimum)
         )
     if rtype == RType.TSIG:
         return (
-            rdata.algorithm.to_wire()
+            rdata.algorithm._wire
             + rdata.time_signed.to_bytes(6, "big")
             + struct.pack("!H", rdata.fudge)
             + struct.pack("!H", len(rdata.mac))
@@ -443,7 +507,7 @@ def _encode_record(rr: ResourceRecord) -> bytes:
     if len(rdata) > 0xFFFF:
         raise OversizeMessage(f"{len(rdata)}-byte rdata exceeds the 16-bit length field")
     return (
-        rr.name.to_wire()
+        rr.name._wire
         + struct.pack("!HHIH", rr.rtype, rr.rclass, rr.ttl & 0xFFFFFFFF, len(rdata))
         + rdata
     )
@@ -470,7 +534,7 @@ def encode_message(msg: DnsMessage) -> bytes:
         )
     )
     for q in msg.question:
-        out += q.name.to_wire()
+        out += q.name._wire
         out += struct.pack("!HH", q.rtype, q.rclass)
     for section in (msg.answers, msg.authority, msg.additional):
         for rr in section:
@@ -508,8 +572,10 @@ def encode_stream(head: DnsMessage, records: Iterable[ResourceRecord]) -> list[b
 
 
 def _read_name(data: bytes, offset: int) -> tuple[DnsName, int]:
-    labels = []
+    """The name at ``offset`` and the offset after it: one slice of ``data``
+    when it is uncompressed, the joined runs between its pointers when not."""
     pos = start = offset
+    runs = None  # the runs before each pointer followed so far
     total = 1  # wire bytes, counting the root label, of the runs before ``start``
     end = None
     size = len(data)
@@ -518,27 +584,29 @@ def _read_name(data: bytes, offset: int) -> tuple[DnsName, int]:
             raise TruncatedMessage("name ran off the end of the message")
         b0 = data[pos]
         if 0 < b0 < 0x40:
-            nxt = pos + 1 + b0
-            if nxt > size:
+            pos += 1 + b0
+            if pos > size:
                 raise TruncatedMessage("label ran off the end of the message")
-            labels.append(data[pos + 1 : nxt])
-            pos = nxt
         elif b0 == 0:
             if total + pos - start > MAX_NAME_WIRE_LENGTH:
                 raise DecodeError("decoded name exceeds 255 wire bytes")
-            return DnsName._trusted(tuple(labels)), pos + 1 if end is None else end
+            if runs is None:
+                return _named(data[start:pos + 1]), pos + 1
+            runs.append(data[start:pos + 1])
+            return _named(b"".join(runs)), end
         elif b0 >= 0xC0:
             if pos + 1 >= size:
                 raise TruncatedMessage("pointer missing its second byte")
             target = ((b0 & 0x3F) << 8) | data[pos + 1]
             if end is None:
-                end = pos + 2
+                end, runs = pos + 2, []
             if target >= pos:
                 raise MalformedPointer(f"pointer at {pos} references offset {target}")
             # a pointer back to a label ahead of itself loops; the length bound ends it
             total += pos - start
             if total > MAX_NAME_WIRE_LENGTH:
                 raise DecodeError("decoded name exceeds 255 wire bytes")
+            runs.append(data[start:pos])
             pos = start = target
         else:
             raise MalformedPointer(f"reserved label type 0x{b0 & 0xC0:02x} at offset {pos}")

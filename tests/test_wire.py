@@ -90,13 +90,21 @@ class TestEncodeDecode:
         assert decode_message(encode_message(msg)) == msg
 
     def test_oversize_label_rejected_at_encode(self):
-        bad = DnsName((b"x" * 66,) + EXAMPLE.labels)  # raw constructor skips checks
-        rr = ResourceRecord(bad, RType.A, RClass.IN, 120, PROBE_IP)
-        msg = DnsMessage(id=1, opcode=Opcode.UPDATE,
-                         question=(Question(EXAMPLE, RType.SOA),),
-                         authority=(rr,))
+        # no invalid name can be built, so none can reach the encoder
         with pytest.raises(InvalidLabel):
-            encode_message(msg)
+            DnsName((b"x" * 66,) + EXAMPLE.labels)
+        with pytest.raises(InvalidLabel):
+            DnsName((b"",) + EXAMPLE.labels)
+        with pytest.raises(InvalidLabel):
+            EXAMPLE.prepend(b"x" * 64)
+        # 63-byte labels: three and the root make 193 wire bytes, a fourth 257
+        long = DnsName.from_text(".".join(["a" * 63] * 3))
+        assert len(long.to_wire()) == 193
+        assert len(long.prepend(b"b" * 61).to_wire()) == 255
+        with pytest.raises(InvalidLabel):
+            long.prepend(b"b" * 62)
+        with pytest.raises(InvalidLabel):
+            DnsName((b"b" * 62,) + long.labels)
 
     def test_oversize_message(self):
         txt = ResourceRecord(EXAMPLE, RType.TXT, RClass.IN, 60,

@@ -483,3 +483,32 @@ def test_secondary_matches_its_primary_name_by_name(zone, steps):
     tenant.send(encode_message(_update([txt], len(steps))), PRIMARY)
     bus.pump()
     _assert_same_zone(primary.zones[APEX], secondary.zones[APEX])
+
+
+def test_owner_outside_the_apex_is_refused():
+    outside = [ResourceRecord(DnsName.from_text(text), RType.A, RClass.IN, 300, A1)
+               for text in ("www.other.org", "badexample.com", "com")]
+    seed = "@policy open\nexample.com 3600 IN SOA ns1.example.com. hostmaster.example.com. " \
+           "1 7200 900 1209600 86400\nwww.other.org 300 IN A 192.0.2.1\n"
+    with pytest.raises(ValueError, match="outside"):
+        authsim.parse_zone_text(seed)
+    zone = ZoneConfig.build(APEX, Primary(), Open(), [
+        make_soa(APEX), ResourceRecord(APEX, RType.NS, RClass.IN, 3600, NS_TARGETS[0])])
+    for rr in outside:
+        with pytest.raises(ValueError, match="outside"):
+            ZoneConfig.build(APEX, Primary(), Open(), [make_soa(APEX), rr])
+        with pytest.raises(ValueError, match="outside"):
+            zone.derive([], [rr])
+    # a secondary handed a transfer that holds one keeps serving its last good copy
+    bus, primary, secondary = _primary_and_secondary(zone)
+    good = secondary.zones[APEX]
+    old_soa, new_soa = zone.soa, authsim._with_serial(zone.soa, 2)
+    for qtype, answers in ((RType.IXFR, (new_soa, old_soa, new_soa, outside[0], new_soa)),
+                           (RType.AXFR, (new_soa, *zone.records_at(APEX)[:1], outside[1],
+                                         new_soa))):
+        push = DnsMessage(id=2, is_response=True, authoritative=True,
+                          question=(Question(APEX, qtype),), answers=answers)
+        secondary.handle_datagram(transport.SimDatagram(PRIMARY, SECONDARY,
+                                                        encode_message(push)), 0.0)
+        assert secondary.zones[APEX] is good
+    assert secondary.faults == 0

@@ -12,10 +12,15 @@ It builds seeded messages of four shapes, through the public builders:
   old SOA, 23 deleted A records, new SOA, 23 added A records, new SOA.
 
 For each shape it encodes and then decodes the same messages, and it
-decodes wire names of two to five labels on their own. It prints one JSON
-object: per shape, the median over the repeats of the µs per encode and
-per decode, and the µs per decoded name. The zptoolkit on PYTHONPATH is
-the one measured, so the same command times two checkouts.
+decodes wire names of two to five labels on their own. It also makes
+names three ways, by ``DnsName.from_text``, by ``prepend`` onto a zone
+name and by decoding, and counts the bytes that each new name keeps
+alive with ``tracemalloc`` (once per run: the count does not depend on
+the host). It prints one JSON object: per shape, the median over the
+repeats of the µs per encode and per decode; per name, the µs per
+decode, ``hash``, ``from_text`` and ``prepend``; and the retained bytes
+per name of each kind. The zptoolkit on PYTHONPATH is the one measured,
+so the same command times two checkouts.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import random
 import statistics
 import string
 import time
+import tracemalloc
 from ipaddress import IPv4Address
 
 from zptoolkit import wire
@@ -120,16 +126,44 @@ def measure_shape(shape: str, seed: int, repeats: int) -> dict:
             "decode_us_median": round(statistics.median(decode_us), 2)}
 
 
+def retained_bytes(make, items: list) -> float:
+    """Bytes that the names ``make`` builds from ``items`` keep alive, per name."""
+    kept = [None] * len(items)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, item in enumerate(items):
+            kept[i] = make(item)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / len(items)
+
+
 def measure_names(seed: int, repeats: int) -> dict:
     rng = random.Random(f"{seed}:names")
-    names = [DnsName.from_text(".".join(_label(rng) for _ in range(rng.randrange(2, 6))))
-             for _ in range(NAMES)]
-    encoded = [n.to_wire() for n in names]
+    texts = [".".join(_label(rng) for _ in range(rng.randrange(2, 6))) for _ in range(NAMES)]
+    names = [DnsName.from_text(text) for text in texts]
+    # each name as a question's, followed by its type and class, so that a
+    # decoded name is a slice of a larger message, as in a real decode
+    encoded = [n.to_wire() + b"\x00\x01\x00\x01" for n in names]
     if [wire._read_name(e, 0)[0] for e in encoded] != names:
         raise SystemExit("names: a name does not survive encode and decode")
-    decode_us = [per_call_us(lambda e: wire._read_name(e, 0), encoded) for _ in range(repeats)]
+    zones = [_zone(rng) for _ in range(NAMES)]
+    prepends = [(zone, _label(rng)) for zone in zones]
+
+    def median_us(fn, items):
+        return round(statistics.median(per_call_us(fn, items) for _ in range(repeats)), 3)
+
     return {"names": NAMES, "labels_mean": round(statistics.mean(map(len, names)), 2),
-            "decode_us_median": round(statistics.median(decode_us), 3)}
+            "decode_us_median": median_us(lambda e: wire._read_name(e, 0), encoded),
+            "hash_us_median": median_us(hash, names),
+            "from_text_us_median": median_us(DnsName.from_text, texts),
+            "prepend_us_median": median_us(lambda p: p[0].prepend(p[1]), prepends),
+            "retained_bytes_per_name": {
+                "from_text": round(retained_bytes(DnsName.from_text, texts), 1),
+                "prepend": round(retained_bytes(lambda p: p[0].prepend(p[1]), prepends), 1),
+                "decode": round(retained_bytes(lambda e: wire._read_name(e, 0)[0], encoded), 1)}}
 
 
 def main() -> None:
