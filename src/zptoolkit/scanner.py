@@ -46,7 +46,7 @@ class AttestationRequired(ScannerError):
     """Real-socket probing demands the probe-address ownership attestation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeTarget:
     zone: DnsName
     nameserver: str
@@ -99,7 +99,7 @@ class Verdict(Enum):
 VULNERABLE_VERDICTS = {Verdict.VULNERABLE_CONFIRMED, Verdict.CLEANUP_FAILED}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeOutcome:
     target: ProbeTarget
     verdict: Verdict

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Protocol
 from . import wire
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimDatagram:
     """One simulated UDP datagram. The source field is a claim, not a fact."""
 
@@ -28,7 +28,7 @@ class SimDatagram:
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TapEntry:
     ts: float
     datagram: SimDatagram

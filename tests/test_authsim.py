@@ -484,6 +484,25 @@ class TestQueries:
         assert decode_message(raw).rcode == Rcode.FORMERR
         assert decode_message(raw).id == 0x1234
 
+    @pytest.mark.parametrize("flags, answered", [(0x8400, False), (0x0400, True)],
+                             ids=["response", "request"])
+    def test_malformed_response_gets_no_reply(self, flags, answered):
+        # 12 header bytes promising one question, then 4 bytes of its name:
+        # a truncated message, which is answered only when QR marks a request
+        events = []
+        server = NameServer("10.0.0.1", [basic_zone("example.com", Open())],
+                            honeypot=True, journal_sink=events.append)
+        payload = b"\x43\x21" + flags.to_bytes(2, "big") + b"\x00\x01" + bytes(6) + b"\x07exa"
+        assert len(payload) == 16
+        out = server.handle_datagram(SimDatagram("10.0.0.2", "10.0.0.1", payload), 0.0)
+        if answered:
+            [reply] = out
+            assert decode_message(reply.payload).rcode == Rcode.FORMERR
+        else:
+            assert out == []
+        assert [(e.source, e.rcode) for e in events] == [("10.0.0.2", "FORMERR")]
+        assert server.faults == 0
+
     def test_violated_prerequisite_rejected_on_the_wire(self, bus):
         import dataclasses
 
