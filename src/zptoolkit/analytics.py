@@ -10,14 +10,20 @@ from __future__ import annotations
 import csv
 import io
 import statistics
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from ipaddress import ip_address, ip_network
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .transport import parse_endpoint
 
 Pair = tuple[str, str]  # (zone, nameserver address)
+
+_zone_of = itemgetter(0)
+_nameserver_of = itemgetter(1)
 
 
 class AnalyticsError(Exception):
@@ -52,26 +58,33 @@ class ScanSnapshot:
 
     Aggregate-only snapshots (e.g. seeded from published totals) carry
     counts without the pair list; operations that need pair identity
-    (diffing, survival) refuse to run on those.
+    (diffing, survival) refuse to run on those. Given pairs and
+    ``vulnerable=None``, the counts are derived from the pairs; given both,
+    they must agree.
     """
 
     timestamp: float
     tested: CategoryCounts
-    vulnerable: CategoryCounts
+    vulnerable: Optional[CategoryCounts]
     vulnerable_pairs: Optional[frozenset[Pair]] = None
 
     def __post_init__(self):
+        unchecked = self.vulnerable_pairs
+        if self.vulnerable is None:
+            if unchecked is None:
+                raise ValueError("a snapshot needs vulnerable counts or pairs")
+            object.__setattr__(self, "vulnerable", derive_counts(unchecked))
+            unchecked = None  # counts derived from the pairs agree with them
         for category in ("domains", "nameservers", "pairs"):
             if getattr(self.vulnerable, category) > getattr(self.tested, category):
                 raise ValueError(f"vulnerable {category} exceed tested {category}")
-        if self.vulnerable_pairs is not None and derive_counts(self.vulnerable_pairs) != self.vulnerable:
+        if unchecked is not None and derive_counts(unchecked) != self.vulnerable:
             raise ValueError("vulnerable counts disagree with the pair set")
 
     @classmethod
     def from_pairs(cls, timestamp: float, tested: CategoryCounts,
                    pairs: Iterable[Pair]) -> "ScanSnapshot":
-        pairs = frozenset(pairs)
-        return cls(timestamp, tested, derive_counts(pairs), pairs)
+        return cls(timestamp, tested, None, frozenset(pairs))
 
     @classmethod
     def from_counts(cls, timestamp: float, tested: CategoryCounts,
@@ -80,11 +93,11 @@ class ScanSnapshot:
 
     def domains(self) -> frozenset[str]:
         self._need_pairs("domains")
-        return frozenset(z for z, _ in self.vulnerable_pairs)
+        return frozenset(map(_zone_of, self.vulnerable_pairs))
 
     def nameservers(self) -> frozenset[str]:
         self._need_pairs("nameservers")
-        return frozenset(a for _, a in self.vulnerable_pairs)
+        return frozenset(map(_nameserver_of, self.vulnerable_pairs))
 
     def _need_pairs(self, what: str) -> None:
         if self.vulnerable_pairs is None:
@@ -115,10 +128,11 @@ class ScanSnapshot:
 
 
 def derive_counts(pairs: Iterable[Pair]) -> CategoryCounts:
-    pairs = set(pairs)
+    if not isinstance(pairs, (set, frozenset)):
+        pairs = set(pairs)
     return CategoryCounts(
-        domains=len({z for z, _ in pairs}),
-        nameservers=len({a for _, a in pairs}),
+        domains=len(set(map(_zone_of, pairs))),
+        nameservers=len(set(map(_nameserver_of, pairs))),
         pairs=len(pairs),
     )
 
@@ -186,7 +200,10 @@ class AttributionMap:
     holds the result wins, so its cost grows with the number of distinct
     prefix lengths, not of prefixes (Waldvogel et al., SIGCOMM 1997). Of
     duplicate prefixes, the first one given wins. Unattributable addresses
-    fall into the ``unknown`` bin rather than being dropped.
+    fall into the ``unknown`` bin rather than being dropped. Each answer is
+    kept per address string, so a report that attributes one nameserver in
+    several folds parses it once; the kept answers grow with the distinct
+    strings asked, and the prefixes never change after construction.
     """
 
     def __init__(self, prefixes: Iterable[tuple[str, Attribution]] = (),
@@ -201,8 +218,15 @@ class AttributionMap:
         for (version, _), entry in sorted(by_length.items(), reverse=True):
             self._tables[version].append(entry)
         self.csirts = {c.csirt_id: c for c in csirts}
+        self._answers: dict[str, Attribution] = {}
 
     def lookup(self, address: str) -> Attribution:
+        attr = self._answers.get(address)
+        if attr is None:
+            attr = self._answers[address] = self._longest_prefix(address)
+        return attr
+
+    def _longest_prefix(self, address: str) -> Attribution:
         try:
             addr = ip_address(parse_endpoint(address)[0])
         except ValueError:
@@ -277,51 +301,54 @@ class AggregateReport:
 
 
 def _zones_by_nameserver(pairs: Iterable[Pair]) -> dict[str, set[str]]:
-    zones_by_ns: dict[str, set[str]] = {}
+    zones_by_ns: defaultdict[str, set[str]] = defaultdict(set)
     for zone, addr in pairs:
-        zones_by_ns.setdefault(addr, set()).add(zone)
+        zones_by_ns[addr].add(zone)
     return zones_by_ns
 
 
-def _attribution_fold(snapshot: ScanSnapshot, attribution: AttributionMap,
+def _attribution_fold(zones_by_ns: Mapping[str, set[str]], attribution: AttributionMap,
                       key: AggregationKey) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
     """Vulnerable (domains, nameservers) per ``key`` value, one lookup per nameserver."""
-    view: dict[str, tuple[set[str], set[str]]] = {}
-    for addr, zones in _zones_by_nameserver(snapshot.vulnerable_pairs).items():
+    nameservers_of: dict[str, list[str]] = {}
+    for addr in zones_by_ns:
         attr = attribution.lookup(addr)
         values = (attr.asn,) if key is AggregationKey.ASN else \
             (attr.country,) if key is AggregationKey.COUNTRY else attr.csirt_ids
         for value in values:
-            domains, nameservers = view.setdefault(value, (set(), set()))
-            domains |= zones
-            nameservers.add(addr)
-    return {v: (frozenset(domains), frozenset(nameservers)) for v, (domains, nameservers) in view.items()}
+            nameservers_of.setdefault(value, []).append(addr)
+    return {v: (frozenset().union(*map(zones_by_ns.__getitem__, addrs)), frozenset(addrs))
+            for v, addrs in nameservers_of.items()}
+
+
+def _top_share(zones_by_ns: Mapping[str, set[str]], k: int, total_domains: int) -> float:
+    if not zones_by_ns:
+        return 0.0
+    # ties at the k boundary break on the address so the result is stable
+    ranked = sorted(zones_by_ns.items(), key=lambda e: (-len(e[1]), e[0]))
+    return len(set().union(*(domains for _, domains in ranked[:k]))) / total_domains
 
 
 def nameserver_concentration(pairs: Iterable[Pair], k: int = 3) -> float:
     """Fraction of vulnerable domains covered by the k nameservers serving the most."""
-    domains_by_ns = _zones_by_nameserver(pairs)
-    if not domains_by_ns:
-        return 0.0
-    # ties at the k boundary break on the address so the result is stable
-    ranked = sorted(domains_by_ns.items(), key=lambda e: (-len(e[1]), e[0]))
-    covered = set().union(*(domains for _, domains in ranked[:k]))
-    return len(covered) / len(set().union(*domains_by_ns.values()))
+    zones_by_ns = _zones_by_nameserver(pairs)
+    return _top_share(zones_by_ns, k, len(set().union(*zones_by_ns.values())))
 
 
 def aggregate(snapshot: ScanSnapshot, attribution: AttributionMap,
               key: AggregationKey, top_k: int = 3) -> AggregateReport:
     """Distinct vulnerable domains/nameservers per attribution key, ranked; each nameserver attributed once."""
     snapshot._need_pairs("aggregation")
+    zones_by_ns = _zones_by_nameserver(snapshot.vulnerable_pairs)
     rows = tuple(sorted(
         (AggregateRow(v, len(domains), len(nameservers))
-         for v, (domains, nameservers) in _attribution_fold(snapshot, attribution, key).items()),
+         for v, (domains, nameservers) in _attribution_fold(zones_by_ns, attribution, key).items()),
         key=lambda r: (-r.vulnerable_domains, -r.vulnerable_nameservers, r.key),
     ))
     counts = snapshot.vulnerable
     concentration = ConcentrationStats(
         top_k=top_k,
-        top_share=nameserver_concentration(snapshot.vulnerable_pairs, top_k),
+        top_share=_top_share(zones_by_ns, top_k, counts.domains),
         mean_domains_per_nameserver=counts.domains / counts.nameservers if counts.nameservers else 0.0,
         mean_pairs_per_nameserver=counts.pairs / counts.nameservers if counts.nameservers else 0.0,
     )
@@ -395,7 +422,8 @@ def csirt_view(snapshot: ScanSnapshot,
                attribution: AttributionMap) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
     """Vulnerable (domains, nameservers) under each CSIRT's jurisdiction; each nameserver attributed once."""
     snapshot._need_pairs("per-CSIRT view")
-    return _attribution_fold(snapshot, attribution, AggregationKey.CSIRT)
+    return _attribution_fold(_zones_by_nameserver(snapshot.vulnerable_pairs), attribution,
+                             AggregationKey.CSIRT)
 
 
 @dataclass(frozen=True)
@@ -507,30 +535,36 @@ class SurvivalCurve:
 
 
 def kaplan_meier(subjects: Sequence[RemediationSubject]) -> SurvivalCurve:
-    """Product-limit estimate over interval-censored remediation observations."""
-    samples: list[tuple[float, bool]] = []  # (time since notification, is_event)
+    """Product-limit estimate over interval-censored remediation observations.
+
+    One sort of the sample times: the at-risk count at an event time is read
+    by bisection, so the estimate costs O(N log N) for N subjects.
+    """
+    sample_times: list[float] = []  # time since notification, event or censored
+    events_at: Counter[float] = Counter()
     intervals: list[tuple[float, Optional[float]]] = []
     for s in subjects:
         lo = s.last_seen_vulnerable - s.notified_at
         if s.first_seen_remediated is None:
             if lo < 0:
                 raise NegativeTime(f"censoring time {lo} precedes notification")
-            samples.append((lo, False))
+            sample_times.append(lo)
             intervals.append((lo, None))
         else:
             hi = s.first_seen_remediated - s.notified_at
             t = (lo + hi) / 2
             if t < 0:
                 raise NegativeTime(f"event time {t} precedes notification")
-            samples.append((t, True))
+            sample_times.append(t)
+            events_at[t] += 1
             intervals.append((lo, hi))
-    event_times = sorted({t for t, is_event in samples if is_event})
+    sample_times.sort()
     times, at_risk, events, survival = [], [], [], []
     s = 1.0
-    for t in event_times:
+    for t in sorted(events_at):
         # tie convention: subjects censored exactly at t are still at risk at t
-        n = sum(1 for u, _ in samples if u >= t)
-        d = sum(1 for u, is_event in samples if u == t and is_event)
+        n = len(sample_times) - bisect_left(sample_times, t)
+        d = events_at[t]
         s *= 1.0 - d / n
         times.append(t)
         at_risk.append(n)
@@ -566,27 +600,29 @@ def subjects_from_snapshots(snapshots: Sequence[ScanSnapshot], notified_at: floa
     """
     if len(snapshots) < 1:
         raise ValueError("need at least a baseline snapshot")
-    extract = {
-        "domain": lambda snap: snap.domains(),
-        "nameserver": lambda snap: snap.nameservers(),
-        "pair": lambda snap: frozenset(snap.vulnerable_pairs),
-    }.get(scope)
-    if extract is None:
+    projections = {"domain": _zone_of, "nameserver": _nameserver_of, "pair": None}
+    if scope not in projections:
         raise ValueError(f"scope must be domain, nameserver or pair, not {scope!r}")
+    project = projections[scope]
+
+    def items_of(snap: ScanSnapshot) -> Iterable:
+        snap._need_pairs(f"{scope} subjects")
+        pairs = snap.vulnerable_pairs
+        return pairs if project is None else map(project, pairs)
+
     ordered = sorted(snapshots, key=lambda s: s.timestamp)
-    sets = [(snap.timestamp, extract(snap)) for snap in ordered]
+    # one sweep in time order: an item's last write is its last sighting
+    last_seen: dict = {}
+    for snap in ordered:
+        last_seen.update(dict.fromkeys(items_of(snap), snap.timestamp))
+    times = [snap.timestamp for snap in ordered]
+    # each scan time -> the next strictly later one; the last scan has none
+    next_scan = {t: later for t, later in zip(times, times[1:]) if later > t}
     subjects = []
-    for item in sorted(sets[0][1]):
-        seen = [ts for ts, items in sets if item in items]
-        last_seen = max(seen)
-        later = [ts for ts, _ in sets if ts > last_seen]
-        first_gone = min(later) if later else None
-        subjects.append(RemediationSubject(
-            notified_at=notified_at,
-            last_seen_vulnerable=last_seen,
-            first_seen_remediated=first_gone,
-            group=group_of(item) if group_of else "",
-        ))
+    for item in sorted(set(items_of(ordered[0]))):
+        last = last_seen[item]
+        subjects.append(RemediationSubject(notified_at, last, next_scan.get(last),
+                                           group_of(item) if group_of else ""))
     return subjects
 
 
@@ -671,9 +707,11 @@ def notification_entries(baseline: ScanSnapshot, current: ScanSnapshot,
                          attribution: AttributionMap) -> list[NotificationEntry]:
     """Assemble per-CSIRT notification inputs from a baseline and the current scan."""
     before = csirt_view(baseline, attribution)
-    after = csirt_view(current, attribution)
+    current._need_pairs("per-CSIRT view")
+    zones_by_ns = _zones_by_nameserver(current.vulnerable_pairs)
+    after = _attribution_fold(zones_by_ns, attribution, AggregationKey.CSIRT)
+    asn_of = {addr: attribution.lookup(addr).asn for addr in zones_by_ns}
     empty = (frozenset(), frozenset())
-    by_asn = _attribution_fold(current, attribution, AggregationKey.ASN)
     entries = []
     for cid in sorted(set(before) | set(after)):
         info = attribution.csirts.get(cid)
@@ -684,8 +722,7 @@ def notification_entries(baseline: ScanSnapshot, current: ScanSnapshot,
             vulnerable_domains=tuple(sorted(domains)),
             vulnerable_nameservers=tuple(sorted(nameservers)),
             nameservers_fixed=len(before.get(cid, empty)[1] - nameservers),
-            managing_orgs=tuple(sorted(f"AS{asn}" for asn, (_, served) in by_asn.items()
-                                       if not served.isdisjoint(nameservers))),
+            managing_orgs=tuple(sorted({f"AS{asn_of[addr]}" for addr in nameservers})),
         ))
     return entries
 

@@ -686,9 +686,11 @@ class NameServer:
         try:
             msg = decode_message(dgram.payload)
         except DecodeError:
-            self._journal(now, dgram, None, Rcode.FORMERR)
             if len(dgram.payload) >= 4 and dgram.payload[2] & 0x80:
-                return []  # QR set: a response is never answered, even a malformed one
+                # QR set: a response is never answered, even a malformed one
+                self._journal(now, dgram, None, "DROPPED")
+                return []
+            self._journal(now, dgram, None, Rcode.FORMERR)
             return [self._raw_formerr(dgram)]
         try:
             if msg.is_response:
@@ -770,7 +772,7 @@ class NameServer:
             if new_zone is not zone:
                 self.zones[zone.apex] = new_zone
                 out += self._push_diff(zone, new_zone, core.updates)
-        self._journal(now, dgram, msg, rc)
+        self._journal(now, dgram, msg, "FORWARDED" if rc is None else rc)
         return out if rc is None else [self._reply(dgram, self._response(msg, rc)), *out]
 
     def _forward(self, dgram: SimDatagram, primary: str, now: float) -> SimDatagram:
@@ -949,7 +951,9 @@ class NameServer:
         return SimDatagram(self.address, dgram.source, encode_message(reply))
 
     def _journal(self, now: float, dgram: SimDatagram, msg: Optional[DnsMessage],
-                 rcode: Optional[Rcode]) -> None:
+                 outcome: Union[Rcode, str]) -> None:
+        """Record one UPDATE attempt; ``outcome`` is the rcode sent back,
+        ``FORWARDED`` when the primary answers, or ``DROPPED`` when nothing does."""
         if not self.honeypot or self.journal_sink is None:
             return
         if msg is None:
@@ -964,7 +968,7 @@ class NameServer:
             zone=zone_name,
             kinds=kinds,
             names=names,
-            rcode=rcode.name if rcode is not None else "FORWARDED",
+            rcode=outcome if isinstance(outcome, str) else outcome.name,
             raw=dgram.payload,
         )
         self.journal_sink(event)

@@ -5,12 +5,13 @@ import random
 from ipaddress import ip_address, ip_network
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zptoolkit.analytics import (
     AggregateRow,
     AggregationKey,
+    AnalyticsError,
     Attribution,
     AttributionMap,
     CategoryCounts,
@@ -648,3 +649,193 @@ class TestRankDistribution:
         dist = rank_distribution(vulnerable, popularity, bucket_width=100)
         assert len(dist.histogram) == 10
         assert {count for _, count in dist.histogram} == {10}
+
+
+# --- the one-pass report functions against the implementations they replaced ---
+
+
+def rescan_kaplan_meier(subjects):
+    """Oracle: the estimator that rescans every sample once per event time."""
+    samples, intervals = [], []
+    for s in subjects:
+        lo = s.last_seen_vulnerable - s.notified_at
+        if s.first_seen_remediated is None:
+            if lo < 0:
+                raise NegativeTime(f"censoring time {lo} precedes notification")
+            samples.append((lo, False))
+            intervals.append((lo, None))
+        else:
+            hi = s.first_seen_remediated - s.notified_at
+            t = (lo + hi) / 2
+            if t < 0:
+                raise NegativeTime(f"event time {t} precedes notification")
+            samples.append((t, True))
+            intervals.append((lo, hi))
+    event_times = sorted({t for t, is_event in samples if is_event})
+    times, at_risk, events, survival = [], [], [], []
+    s = 1.0
+    for t in event_times:
+        n = sum(1 for u, _ in samples if u >= t)
+        d = sum(1 for u, is_event in samples if u == t and is_event)
+        s *= 1.0 - d / n
+        times.append(t)
+        at_risk.append(n)
+        events.append(d)
+        survival.append(s)
+    return (tuple(times), tuple(at_risk), tuple(events), tuple(survival), tuple(intervals))
+
+
+def rescan_survival_by_group(subjects):
+    groups = {}
+    for s in subjects:
+        groups.setdefault(s.group, []).append(s)
+    return {g: rescan_kaplan_meier(members) for g, members in sorted(groups.items())}
+
+
+def rescan_subjects(snapshots, notified_at, scope="domain", group_of=None):
+    """Oracle: per-subject scans over every snapshot's projected set."""
+    extract = {
+        "domain": lambda snap: snap.domains(),
+        "nameserver": lambda snap: snap.nameservers(),
+        "pair": lambda snap: frozenset(snap.vulnerable_pairs),
+    }[scope]
+    ordered = sorted(snapshots, key=lambda s: s.timestamp)
+    sets = [(snap.timestamp, extract(snap)) for snap in ordered]
+    subjects = []
+    for item in sorted(sets[0][1]):
+        last_seen = max(ts for ts, items in sets if item in items)
+        later = [ts for ts, _ in sets if ts > last_seen]
+        subjects.append(RemediationSubject(notified_at, last_seen, min(later) if later else None,
+                                           group_of(item) if group_of else ""))
+    return subjects
+
+
+def curve_tuple(curve):
+    return (curve.times, curve.at_risk, curve.events, curve.survival, curve.censoring_intervals)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the type and text of the exception raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+# few distinct times, so event times tie, censoring lands on event midpoints and
+# scans share timestamps; the floats reach fractions that do not round-trip halving
+_KM_TIME = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 6.0]),
+                     st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False))
+_KM_SUBJECT = st.builds(
+    lambda notified, lo, gap, group: RemediationSubject(
+        notified, notified + lo, None if gap is None else notified + lo + gap, group),
+    st.sampled_from([0.0, 1.0, 1_700_000_000.0]),
+    st.one_of(_KM_TIME, st.sampled_from([-1.0, -0.5])),
+    st.one_of(st.none(), _KM_TIME),
+    st.sampled_from(["", "national", "military"]))
+_SUBJECT_ITEMS = st.frozensets(st.tuples(st.sampled_from(["a.test", "b.test", "c.test", "d.test"]),
+                                         st.sampled_from(["10.0.0.1", "10.0.0.2", "192.0.2.1:53"])),
+                               max_size=10)
+_SNAPSHOT = st.builds(pair_snapshot, st.sampled_from([0.0, 5.0, 10.0, 10.0, 20.0, 3.5]),
+                      _SUBJECT_ITEMS)
+
+
+class TestOnePassAgainstRescans:
+    @given(st.lists(_KM_SUBJECT, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_kaplan_meier_matches_rescan(self, subjects):
+        got = outcome(lambda: curve_tuple(kaplan_meier(subjects)))
+        assert got == outcome(rescan_kaplan_meier, subjects)
+        got = outcome(lambda: {g: curve_tuple(c) for g, c in survival_by_group(subjects).items()})
+        assert got == outcome(rescan_survival_by_group, subjects)
+
+    def test_censoring_at_an_event_time_stays_at_risk(self):
+        subjects = [RemediationSubject(0.0, 2.0, 4.0), RemediationSubject(0.0, 3.0, None),
+                    RemediationSubject(0.0, 3.0, 3.0), RemediationSubject(0.0, 5.0, None)]
+        curve = kaplan_meier(subjects)
+        assert curve_tuple(curve) == rescan_kaplan_meier(subjects)
+        assert curve.times == (3.0,) and curve.at_risk == (4,) and curve.events == (2,)
+
+    @given(st.lists(_SNAPSHOT, min_size=1, max_size=6), st.sampled_from(["domain", "nameserver", "pair"]),
+           st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=400, deadline=None)
+    def test_subjects_match_rescan(self, snapshots, scope, grouped, rng):
+        group_of = (lambda item: f"g{len(str(item)) % 3}") if grouped else None
+        rng.shuffle(snapshots)  # the given order is not the time order
+        # of baselines tied on the earliest time, both take the first given
+        expected = rescan_subjects(snapshots, 1.0, scope, group_of)
+        got = subjects_from_snapshots(snapshots, 1.0, scope, group_of)
+        assert got == expected
+        assert outcome(kaplan_meier, got) == outcome(kaplan_meier, expected)
+
+    @pytest.mark.parametrize("scope", ["domain", "nameserver"])
+    def test_aggregate_only_snapshot_refused_like_rescan(self, scope):
+        snapshots = [pair_snapshot(0.0, {("a.test", "10.0.0.1")}),
+                     ScanSnapshot.from_counts(5.0, CategoryCounts(1, 1, 1), CategoryCounts(1, 1, 1))]
+        expected = outcome(rescan_subjects, snapshots, 1.0, scope)
+        assert expected[0] is AnalyticsError
+        assert outcome(subjects_from_snapshots, snapshots, 1.0, scope)[0] is AnalyticsError
+
+    def test_pair_scope_refuses_aggregate_only_snapshot(self):
+        # the rescan raised TypeError here, from frozenset(None)
+        snapshots = [pair_snapshot(0.0, {("a.test", "10.0.0.1")}),
+                     ScanSnapshot.from_counts(5.0, CategoryCounts(1, 1, 1), CategoryCounts(1, 1, 1))]
+        with pytest.raises(AnalyticsError):
+            subjects_from_snapshots(snapshots, 1.0, "pair")
+
+    @given(_FOLD_PAIRS, _FOLD_MAPS, st.sampled_from(list(AggregationKey)), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_aggregate_share_is_the_concentration(self, pairs, amap, key, k):
+        report = aggregate(pair_snapshot(1.0, pairs), amap, key, top_k=k)
+        assert report.concentration.top_share == nameserver_concentration(pairs, k)
+
+
+_REPEATED_ADDRESSES = ("10.1.2.3:53", "10.1.2.3", "[2001:db8::1]:53", "[2001:db8::1]", "2001:db8::1",
+                       "ns1.example", "10.1.2.3:abc", "", "999.0.2.1", "192.0.2.1", "192.0.2.1:53",
+                       "[fe80::1]")
+
+
+class TestRememberedLookups:
+    @given(st.lists(_LOOKUP_PREFIX, max_size=12),
+           st.lists(st.one_of(_LOOKUP_ADDRESS, st.sampled_from(_REPEATED_ADDRESSES)), min_size=1,
+                    max_size=12))
+    @example(["10.0.0.0/8", "2001:db8::/32"], list(_REPEATED_ADDRESSES))
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_and_fresh_lookups_agree(self, networks, addresses):
+        prefixes = [(p, Attribution(f"645{i:02d}", "JP", (f"cert-{i}",)))
+                    for i, p in enumerate(networks)]
+        shared = AttributionMap(prefixes)
+        for address in addresses + addresses[::-1]:
+            assert shared.lookup(address) == AttributionMap(prefixes).lookup(address) == \
+                scan_lookup(prefixes, address)
+
+
+class TestSnapshotCounts:
+    def test_from_pairs_derives_counts_once(self, monkeypatch):
+        import zptoolkit.analytics as analytics
+
+        calls = []
+        real = analytics.derive_counts
+        monkeypatch.setattr(analytics, "derive_counts", lambda pairs: calls.append(1) or real(pairs))
+        pairs = {("a.test", "10.0.0.1"), ("a.test", "10.0.0.2"), ("b.test", "10.0.0.1")}
+        snap = ScanSnapshot.from_pairs(0.0, CategoryCounts(5, 5, 5), pairs)
+        assert calls == [1]
+        assert snap.vulnerable == CategoryCounts(2, 2, 3)
+
+    def test_direct_construction_is_validated(self):
+        pairs = frozenset({("a.test", "10.0.0.1"), ("b.test", "10.0.0.1")})
+        tested = CategoryCounts(5, 5, 5)
+        assert ScanSnapshot(0.0, tested, CategoryCounts(2, 1, 2), pairs).vulnerable_pairs == pairs
+        assert ScanSnapshot(0.0, tested, None, pairs).vulnerable == CategoryCounts(2, 1, 2)
+        with pytest.raises(ValueError, match="disagree"):
+            ScanSnapshot(0.0, tested, CategoryCounts(2, 2, 2), pairs)
+        with pytest.raises(ValueError, match="exceed"):
+            ScanSnapshot(0.0, CategoryCounts(1, 5, 5), None, pairs)
+        with pytest.raises(ValueError):
+            ScanSnapshot(0.0, tested, None, None)
+
+    @pytest.mark.parametrize("make", [set, frozenset, list, iter], ids=["set", "frozenset", "list", "iter"])
+    def test_derive_counts_of_any_iterable(self, make):
+        pairs = [("a.test", "10.0.0.1"), ("a.test", "10.0.0.2"), ("b.test", "10.0.0.1"),
+                 ("a.test", "10.0.0.1")]
+        assert derive_counts(make(pairs)) == CategoryCounts(2, 2, 3)
