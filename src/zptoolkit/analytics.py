@@ -19,6 +19,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .transport import parse_endpoint
+from .wire import _slot_setters
 
 Pair = tuple[str, str]  # (zone, nameserver address)
 
@@ -490,7 +491,7 @@ def remediation_summary(baseline: ScanSnapshot, current: ScanSnapshot,
 # --- Kaplan-Meier survival of vulnerable resources after notification ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemediationSubject:
     """One notified resource: when it was last seen vulnerable and, if ever,
     first seen remediated. ``first_seen_remediated=None`` means still vulnerable."""
@@ -503,6 +504,24 @@ class RemediationSubject:
     def __post_init__(self):
         if self.first_seen_remediated is not None and self.last_seen_vulnerable > self.first_seen_remediated:
             raise ValueError("last_seen_vulnerable must not exceed first_seen_remediated")
+
+
+_set_notified, _set_last_seen, _set_first_remediated, _set_group = \
+    _slot_setters(RemediationSubject)
+
+
+def _swept_subject(notified_at: float, last_seen: float, first_remediated: Optional[float],
+                   group: str) -> RemediationSubject:
+    """``RemediationSubject(...)`` of the same fields, filled slot by slot as
+    ``wire._record`` fills a record. It skips the interval check, which a
+    subject of ``subjects_from_snapshots`` passes by construction: its
+    remediation time is a scan strictly later than its last sighting."""
+    subject = object.__new__(RemediationSubject)
+    _set_notified(subject, notified_at)
+    _set_last_seen(subject, last_seen)
+    _set_first_remediated(subject, first_remediated)
+    _set_group(subject, group)
+    return subject
 
 
 @dataclass(frozen=True)
@@ -621,8 +640,8 @@ def subjects_from_snapshots(snapshots: Sequence[ScanSnapshot], notified_at: floa
     subjects = []
     for item in sorted(set(items_of(ordered[0]))):
         last = last_seen[item]
-        subjects.append(RemediationSubject(notified_at, last, next_scan.get(last),
-                                           group_of(item) if group_of else ""))
+        subjects.append(_swept_subject(notified_at, last, next_scan.get(last),
+                                       group_of(item) if group_of else ""))
     return subjects
 
 

@@ -27,24 +27,24 @@ from itertools import islice
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from . import tsig as tsig_mod
-from .transport import DatagramBus, SimDatagram
+from .transport import DatagramBus, SimDatagram, _datagram
 from .wire import (
     DecodeError,
     DnsMessage,
     DnsName,
     Opcode,
     OversizeMessage,
-    Question,
     RClass,
     Rcode,
     ResourceRecord,
     RType,
     SoaData,
     WireError,
+    _message,
+    _question,
     _record,
     _slot_setters,
     _soa,
-    _trusted_build,
     decode_message,
     encode_message,
     encode_stream,
@@ -388,6 +388,10 @@ class Refuse:
 
 AclResult = Union[Allow, Refuse]
 
+# a refusal carries nothing but its rcode, so every refusal is one of these
+_REFUSED = Refuse(Rcode.REFUSED)
+_NOTAUTH = Refuse(Rcode.NOTAUTH)
+
 
 def acl_check(policy: UpdatePolicy, datagram_source: str, msg: DnsMessage, now: float) -> AclResult:
     """Decide whether an UPDATE from a claimed source may proceed.
@@ -396,20 +400,20 @@ def acl_check(policy: UpdatePolicy, datagram_source: str, msg: DnsMessage, now: 
     the spoofing vulnerability this toolkit demonstrates, so it must stay.
     """
     if isinstance(policy, Deny):
-        return Refuse(Rcode.REFUSED)
+        return _REFUSED
     if isinstance(policy, Open):
         return Allow(msg)
     if isinstance(policy, IpAcl):
         if datagram_source in policy.allowed:
             return Allow(msg)
-        return Refuse(Rcode.REFUSED)
+        return _REFUSED
     if isinstance(policy, SignedKey):
         result = tsig_mod.verify_message(msg, policy.keyring, now)
         if isinstance(result, tsig_mod.Accept):
             return Allow(result.message)
         if result.reason is tsig_mod.RejectReason.NO_SIGNATURE:
-            return Refuse(Rcode.REFUSED)
-        return Refuse(Rcode.NOTAUTH)
+            return _REFUSED
+        return _NOTAUTH
     raise TypeError(f"not an UpdatePolicy: {policy!r}")
 
 
@@ -799,7 +803,7 @@ class NameServer:
         self._last_forward_id = forward_id
         payload = dgram.payload
         forwards[forward_id] = (primary, dgram.source, payload[:2], now + FORWARD_EXPIRY_S)
-        return SimDatagram(self.address, primary, forward_id.to_bytes(2, "big") + payload[2:])
+        return _datagram(self.address, primary, forward_id.to_bytes(2, "big") + payload[2:])
 
     # -- zone transfers: primary side --
 
@@ -829,17 +833,14 @@ class NameServer:
             deleted += [rr for rr in before if id(rr) not in new_ids and rr.rtype != RType.SOA]
             added += [rr for rr in after if id(rr) not in old_ids and rr.rtype != RType.SOA]
         old_soa, new_soa = old.soa, new.soa
-        msg = _trusted_build(
-            DnsMessage, id=new_soa.rdata.serial & 0xFFFF, opcode=Opcode.QUERY,
-            rcode=Rcode.NOERROR, is_response=True, authoritative=True,
-            question=(_trusted_build(Question, name=new.apex, rtype=RType.IXFR, rclass=RClass.IN),),
-            answers=(new_soa, old_soa, *deleted, new_soa, *added, new_soa),
-            authority=(), additional=(), extra_flags=0)
+        msg = _message(new_soa.rdata.serial & 0xFFFF, Opcode.QUERY, Rcode.NOERROR, True, True,
+                       (_question(new.apex, RType.IXFR, RClass.IN),),
+                       (new_soa, old_soa, *deleted, new_soa, *added, new_soa), (), (), 0)
         try:
             payload = encode_message(msg)
         except OversizeMessage:
             return self._zone_stream(new, msg.id, secondaries)
-        return [SimDatagram(self.address, addr, payload) for addr in secondaries]
+        return [_datagram(self.address, addr, payload) for addr in secondaries]
 
     def _answer_axfr(self, msg: DnsMessage, dgram: SimDatagram) -> list[SimDatagram]:
         """A zone transfer, for the zone's registered secondaries only."""
@@ -859,10 +860,10 @@ class NameServer:
         """
         soa = zone.soa
         body = [rr for rrs in zone.by_name.values() for rr in rrs if rr is not soa]
-        head = DnsMessage(id=msg_id, is_response=True, authoritative=True,
-                          question=(Question(zone.apex, RType.AXFR, RClass.IN),))
+        head = _message(msg_id, Opcode.QUERY, Rcode.NOERROR, True, True,
+                        (_question(zone.apex, RType.AXFR, RClass.IN),), (), (), (), 0)
         payloads = encode_stream(head, [soa, *body, soa])
-        return [SimDatagram(self.address, addr, payload)
+        return [_datagram(self.address, addr, payload)
                 for addr in destinations for payload in payloads]
 
     # -- responses arriving at this server (transfers, relayed rcodes) --
@@ -883,7 +884,7 @@ class NameServer:
         _, requester, original_id, deadline = entry
         if now > deadline:
             return []
-        return [SimDatagram(self.address, requester, original_id + dgram.payload[2:])]
+        return [_datagram(self.address, requester, original_id + dgram.payload[2:])]
 
     # -- zone transfers: secondary side --
 
@@ -900,7 +901,7 @@ class NameServer:
         if old_soa.rdata.serial != zone.soa_serial:
             # a push went missing: resynchronise from the primary
             query = make_query(zone.apex, RType.AXFR, msg_id=zone.soa_serial)
-            return [SimDatagram(self.address, zone.role.primary_address, encode_message(query))]
+            return [_datagram(self.address, zone.role.primary_address, encode_message(query))]
         try:
             # the new SOA last, where the primary's UPDATE put it
             self.zones[zone.apex] = zone.derive((old_soa, *deleted), (*added, new_soa))
@@ -935,20 +936,18 @@ class NameServer:
     # -- plumbing --
 
     def _reply(self, dgram: SimDatagram, msg: DnsMessage) -> SimDatagram:
-        return SimDatagram(self.address, dgram.source, encode_message(msg))
+        return _datagram(self.address, dgram.source, encode_message(msg))
 
     def _response(self, request: DnsMessage, rcode: Rcode, *,
                   answers: tuple = (), authority: tuple = (), additional: tuple = (),
                   authoritative: bool = False) -> DnsMessage:
-        return _trusted_build(
-            DnsMessage, id=request.id, opcode=request.opcode, rcode=rcode, is_response=True,
-            authoritative=authoritative, question=request.question, answers=answers,
-            authority=authority, additional=additional, extra_flags=0)
+        return _message(request.id, request.opcode, rcode, True, authoritative, request.question,
+                        answers, authority, additional, 0)
 
     def _raw_formerr(self, dgram: SimDatagram) -> SimDatagram:
         msg_id = int.from_bytes(dgram.payload[:2], "big") if len(dgram.payload) >= 2 else 0
-        reply = DnsMessage(id=msg_id, rcode=Rcode.FORMERR, is_response=True)
-        return SimDatagram(self.address, dgram.source, encode_message(reply))
+        reply = _message(msg_id, Opcode.QUERY, Rcode.FORMERR, True, False, (), (), (), (), 0)
+        return _datagram(self.address, dgram.source, encode_message(reply))
 
     def _journal(self, now: float, dgram: SimDatagram, msg: Optional[DnsMessage],
                  outcome: Union[Rcode, str]) -> None:

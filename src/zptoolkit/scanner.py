@@ -15,16 +15,26 @@ from ipaddress import IPv4Address, IPv6Address
 from typing import Iterable, Iterator, Optional, Union
 
 from .analytics import ScanSnapshot, derive_counts
-from .transport import SystemClock, Transport, UdpTransport, exchange_message, parse_endpoint
+from .transport import (
+    SystemClock,
+    Transport,
+    UdpTransport,
+    _exchange,
+    exchange_message,
+    parse_endpoint,
+)
 from .wire import (
     AddRecord,
     DecodeError,
     DeleteExactRecord,
     DnsMessage,
     DnsName,
+    InvalidLabel,
+    RClass,
     Rcode,
     ResourceRecord,
     RType,
+    _record,
     encode_message,
     make_query,
     make_update,
@@ -94,6 +104,8 @@ class Verdict(Enum):
     UNREACHABLE = "unreachable"
     MALFORMED_REPLY = "malformed_reply"
     CLEANUP_FAILED = "cleanup_failed"
+    # `<sentinel>.<zone>` would exceed 255 wire bytes: no probe can be built
+    NOT_PROBED = "not_probed"
 
 
 VULNERABLE_VERDICTS = {Verdict.VULNERABLE_CONFIRMED, Verdict.CLEANUP_FAILED}
@@ -139,14 +151,19 @@ class ProbeOutcome:
 
 
 def sentinel_name(target: ProbeTarget, cfg: ProbeConfig) -> DnsName:
+    """`<sentinel>.<zone>`; raises InvalidLabel when it exceeds 255 wire bytes."""
     return target.zone.prepend(cfg.sentinel_label)
+
+
+def _probe_record(sentinel: DnsName, cfg: ProbeConfig) -> ResourceRecord:
+    """The record a probe adds, and the one its cleanup deletes by rdata."""
+    return _record(sentinel, cfg.record_type, RClass.IN, cfg.ttl, cfg.probe_address)
 
 
 def build_probe(target: ProbeTarget, cfg: ProbeConfig, *,
                 msg_id: Optional[int] = None, rng: Optional[random.Random] = None) -> DnsMessage:
     """The single detection datagram: an UPDATE adding `<sentinel>.<zone>`."""
-    record = ResourceRecord(sentinel_name(target, cfg), cfg.record_type, 1, cfg.ttl,
-                            cfg.probe_address)
+    record = _probe_record(sentinel_name(target, cfg), cfg)
     return make_update(target.zone, [AddRecord(record)], msg_id=msg_id, rng=rng)
 
 
@@ -158,13 +175,13 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     silence after retries is Unreachable, and a reply that does not answer
     the request is MalformedReply, as in phase 2. Phase 2 queries the nameserver
     directly for the sentinel record. Phase 3 deletes it and confirms the
-    removal. Every path is an outcome, never an exception.
+    removal. Every path is an outcome, never an exception: a zone too long
+    to carry the sentinel label is NotProbed, with nothing sent.
     """
     clock = clock or SystemClock()
     rng = rng or random.Random()
     if isinstance(transport, UdpTransport) and not cfg.probe_address_attested:
         raise AttestationRequired("refusing real-socket probes without --i-own-the-probe-address")
-    sentinel = sentinel_name(target, cfg)
     started = clock.now()
 
     def outcome(verdict, update_rcode=None, *, t_update=0.0, t_verify=0.0, t_cleanup=0.0,
@@ -177,18 +194,20 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
             ts=started,
         )
 
-    # phase 1: one UPDATE datagram decides; retransmit only after a timeout
-    probe = build_probe(target, cfg, rng=rng)
-    t0 = clock.now()
-    counted = _CountingTransport(transport)
     try:
-        reply = exchange_message(counted, target.nameserver, probe, cfg.timeout,
-                                 RETRIES_VERIFY)
-    except DecodeError:
-        return outcome(Verdict.MALFORMED_REPLY, t_update=clock.now() - t0,
-                       detection_sends=counted.sends)
-    detection_sends = counted.sends
+        sentinel = sentinel_name(target, cfg)
+    except InvalidLabel:
+        return outcome(Verdict.NOT_PROBED)
+    record = _probe_record(sentinel, cfg)
+
+    # phase 1: one UPDATE datagram decides; retransmit only after a timeout
+    probe = make_update(target.zone, [AddRecord(record)], rng=rng)
+    t0 = clock.now()
+    reply, detection_sends = _exchange(transport, target.nameserver, probe, cfg.timeout,
+                                       RETRIES_VERIFY)
     t_update = clock.now() - t0
+    if isinstance(reply, DecodeError):
+        return outcome(Verdict.MALFORMED_REPLY, t_update=t_update, detection_sends=detection_sends)
     if reply is None:
         return outcome(Verdict.UNREACHABLE, t_update=t_update, detection_sends=detection_sends)
     if reply.rcode != Rcode.NOERROR:
@@ -210,23 +229,12 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     # phase 3: our record may be in the zone; delete exactly it and confirm removal.
     # Only a check that saw our record alone confirms the insert: a timeout, a
     # bad reply or a pre-existing sentinel rrset keeps the weaker verdict
-    removed, cleanup_sends, t_cleanup = _cleanup_own_record(target, cfg, transport, clock, rng)
+    removed, cleanup_sends, t_cleanup = _cleanup_own_record(target, record, cfg, transport,
+                                                            clock, rng)
     if answers == {cfg.probe_address}:
         verdict = Verdict.VULNERABLE_CONFIRMED if removed else Verdict.CLEANUP_FAILED
     return outcome(verdict, Rcode.NOERROR, cleanup_confirmed=removed,
                    cleanup_sends=cleanup_sends, t_cleanup=t_cleanup, **common)
-
-
-class _CountingTransport:
-    """A transport that counts its sends, so one encoded probe's retransmissions are exact."""
-
-    def __init__(self, transport: Transport):
-        self.transport = transport
-        self.sends = 0
-
-    def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
-        self.sends += 1
-        return self.transport.exchange(payload, destination, timeout)
 
 
 def _query_addresses(transport, destination, name, cfg, rng):
@@ -245,14 +253,14 @@ def _query_addresses(transport, destination, name, cfg, rng):
             and isinstance(rr.rdata, (IPv4Address, IPv6Address))}
 
 
-def _cleanup_own_record(target, cfg, transport, clock, rng):
+def _cleanup_own_record(target, record, cfg, transport, clock, rng):
     """Delete exactly our sentinel record (RFC 2136 §2.5.4) and confirm its absence.
 
     The delete names our rdata, so a record another client holds in the
     sentinel rrset is never touched.
     """
-    sentinel = sentinel_name(target, cfg)
-    change = DeleteExactRecord(ResourceRecord(sentinel, cfg.record_type, 1, 0, cfg.probe_address))
+    sentinel = record.name
+    change = DeleteExactRecord(record)
     t0 = clock.now()
     sends = 0
     for _ in range(RETRIES_CLEANUP):

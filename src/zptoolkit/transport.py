@@ -4,6 +4,15 @@ The bus is the only place where source addresses can be forged; spoofing
 over real sockets is deliberately unsupported. Every datagram placed on
 the bus is recorded in a tap with its send timestamp, which is what the
 single-datagram and pacing assertions read.
+
+The tap keeps no object per datagram. It stores columns: the send times
+in an ``array('d')``, the sources and destinations in two lists (which
+share the address strings the endpoints hold), and every payload appended
+to one ``bytearray`` with its end offset in an ``array('Q')``. A datagram
+costs the tap 32 bytes plus its payload, and the collector nothing, since
+arrays and byte buffers hold no references. The tap reads as a sequence
+of ``TapEntry`` values, each built, with its ``SimDatagram`` and a copy of
+its payload, only when it is indexed, sliced or iterated.
 """
 
 from __future__ import annotations
@@ -12,9 +21,11 @@ import heapq
 import random
 import socket
 import time
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional, Protocol, Union
 
 from . import wire
 
@@ -32,6 +43,69 @@ class SimDatagram:
 class TapEntry:
     ts: float
     datagram: SimDatagram
+
+
+_new = object.__new__
+_set_source, _set_destination, _set_payload = wire._slot_setters(SimDatagram)
+_set_ts, _set_datagram = wire._slot_setters(TapEntry)
+
+
+def _datagram(source: str, destination: str, payload: bytes) -> SimDatagram:
+    """``SimDatagram(source, destination, payload)``, filled slot by slot as
+    ``wire._record`` fills a record."""
+    dgram = _new(SimDatagram)
+    _set_source(dgram, source)
+    _set_destination(dgram, destination)
+    _set_payload(dgram, payload)
+    return dgram
+
+
+class Tap(Sequence):
+    """Every datagram placed on a bus, in send order, as read-only ``TapEntry`` values.
+
+    Stored as columns (see the module docstring); an entry is built when it
+    is read, so two reads of one index give equal entries, not the same
+    object. Slices are lists.
+    """
+
+    __slots__ = ("_ts", "_sources", "_destinations", "_payloads", "_ends")
+
+    def __init__(self):
+        self._ts = array("d")
+        self._sources: list[str] = []
+        self._destinations: list[str] = []
+        self._payloads = bytearray()
+        self._ends = array("Q")
+
+    def _append(self, ts: float, dgram: SimDatagram) -> None:
+        self._ts.append(ts)
+        self._sources.append(dgram.source)
+        self._destinations.append(dgram.destination)
+        payloads = self._payloads
+        payloads += dgram.payload
+        self._ends.append(len(payloads))
+
+    def _entry(self, index: int) -> TapEntry:
+        """The entry at ``index``, which must be in range."""
+        start = self._ends[index - 1] if index else 0
+        payload = bytes(self._payloads[start:self._ends[index]])
+        entry = _new(TapEntry)
+        _set_ts(entry, self._ts[index])
+        _set_datagram(entry, _datagram(self._sources[index], self._destinations[index], payload))
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._ts)
+
+    def __getitem__(self, index: Union[int, slice]):
+        size = len(self._ts)
+        if isinstance(index, slice):
+            return [self._entry(i) for i in range(*index.indices(size))]
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("tap index out of range")
+        return self._entry(index)
 
 
 class ManualClock:
@@ -79,7 +153,7 @@ class DatagramBus:
         self.loss_rate = loss_rate
         self.drop_filter = drop_filter
         self.delay_fn = delay_fn
-        self.tap: list[TapEntry] = []
+        self.tap = Tap()
         self._handlers: dict[str, Handler] = {}
         self._queue: list[tuple[float, int, SimDatagram]] = []
         self._seq = 0
@@ -91,14 +165,15 @@ class DatagramBus:
         self._handlers.pop(address, None)
 
     def send(self, dgram: SimDatagram) -> None:
-        self.tap.append(TapEntry(self.clock.now(), dgram))
+        now = self.clock.now()
+        self.tap._append(now, dgram)
         if self.drop_filter is not None and self.drop_filter(dgram):
             return
         if self.loss_rate and self.rng.random() < self.loss_rate:
             return
         delay = self.delay_fn(dgram) if self.delay_fn else 0.0
         self._seq += 1
-        heapq.heappush(self._queue, (self.clock.now() + delay, self._seq, dgram))
+        heapq.heappush(self._queue, (now + delay, self._seq, dgram))
 
     def pump(self, until: Optional[float] = None, max_steps: int = 100_000) -> None:
         """Deliver due datagrams; with ``until``, stop at that sim instant."""
@@ -120,17 +195,21 @@ class DatagramBus:
                 self.send(out)
 
     def updates_seen(self, destination: Optional[str] = None) -> list[TapEntry]:
-        """Tap entries whose payload parses as an UPDATE request (opcode 5, not a response)."""
+        """Tap entries whose payload parses as an UPDATE request (opcode 5, not a response).
+
+        The header byte is read in the tap's columns, so only the entries
+        returned are built.
+        """
+        tap = self.tap
+        payloads, ends, destinations = tap._payloads, tap._ends, tap._destinations
         out = []
-        for entry in self.tap:
-            if destination is not None and entry.datagram.destination != destination:
-                continue
-            payload = entry.datagram.payload
-            if len(payload) < 12:
-                continue
-            flags = int.from_bytes(payload[2:4], "big")
-            if (flags >> 11) & 0xF == wire.Opcode.UPDATE and not flags & 0x8000:
-                out.append(entry)
+        start = 0
+        for index, end in enumerate(ends):
+            if end - start >= 12 and (destination is None or destinations[index] == destination):
+                flags = payloads[start + 2]  # QR, then the four opcode bits
+                if (flags >> 3) & 0xF == wire.Opcode.UPDATE and not flags & 0x80:
+                    out.append(tap._entry(index))
+            start = end
         return out
 
 
@@ -151,7 +230,7 @@ class ClientEndpoint:
     def send(self, payload: bytes, destination: str, source: Optional[str] = None) -> None:
         if source is not None and source != self.address and not self.allow_spoofing:
             raise PermissionError("source spoofing is disabled on this endpoint")
-        self.bus.send(SimDatagram(source or self.address, destination, payload))
+        self.bus.send(_datagram(source or self.address, destination, payload))
 
     def exchange(self, payload: bytes, destination: str, timeout: float,
                  source: Optional[str] = None) -> Optional[bytes]:
@@ -234,14 +313,27 @@ def exchange_message(transport: Transport, destination: str, msg: "wire.DnsMessa
     section 9.1, less the source address). A reply that does not decode or
     does not answer raises ``wire.DecodeError``.
     """
+    reply, _ = _exchange(transport, destination, msg, timeout, retries)
+    if isinstance(reply, wire.DecodeError):
+        raise reply
+    return reply
+
+
+def _exchange(transport: Transport, destination: str, msg: "wire.DnsMessage", timeout: float,
+              retries: int) -> tuple[Union["wire.DnsMessage", "wire.DecodeError", None], int]:
+    """``exchange_message``'s work: the reply, the ``DecodeError`` it would
+    raise, or None, and the number of times the request was sent."""
     payload = wire.encode_message(msg)
-    for _ in range(retries + 1):
+    for sends in range(1, retries + 2):
         raw = transport.exchange(payload, destination, timeout)
         if raw is None:
             continue
-        reply = wire.decode_message(raw)
+        try:
+            reply = wire.decode_message(raw)
+        except wire.DecodeError as exc:
+            return exc, sends
         if not (reply.is_response and reply.id == msg.id and reply.opcode == msg.opcode
                 and reply.question == msg.question):
-            raise wire.DecodeError(f"reply {reply.id} does not answer request {msg.id}")
-        return reply
-    return None
+            return wire.DecodeError(f"reply {reply.id} does not answer request {msg.id}"), sends
+        return reply, sends
+    return None, retries + 1

@@ -7,7 +7,6 @@ validity window is a fixed fudge of 300 seconds around the signing time.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import hmac
 import struct
@@ -22,6 +21,7 @@ from .wire import (
     ResourceRecord,
     RType,
     TsigData,
+    _message,
     encode_message,
 )
 
@@ -82,9 +82,14 @@ def _find_tsig(msg: DnsMessage) -> ResourceRecord | None:
     return None
 
 
+def _with_additional(msg: DnsMessage, additional: tuple[ResourceRecord, ...]) -> DnsMessage:
+    """``msg`` with its additional section replaced, filled positionally."""
+    return _message(msg.id, msg.opcode, msg.rcode, msg.is_response, msg.authoritative,
+                    msg.question, msg.answers, msg.authority, additional, msg.extra_flags)
+
+
 def _strip_tsig(msg: DnsMessage) -> DnsMessage:
-    return dataclasses.replace(
-        msg, additional=tuple(rr for rr in msg.additional if rr.rtype != RType.TSIG))
+    return _with_additional(msg, tuple(rr for rr in msg.additional if rr.rtype != RType.TSIG))
 
 
 def _compute_mac(secret: bytes, core_wire: bytes, *, name_wire: bytes, rclass: int, ttl: int,
@@ -123,7 +128,7 @@ def sign_message(msg: DnsMessage, key: TsigKey, now: int) -> DnsMessage:
         ttl=0,
         rdata=TsigData(key.algorithm, time_signed, FUDGE_SECONDS, mac, msg.id, 0, b""),
     )
-    return dataclasses.replace(msg, additional=msg.additional + (tsig_rr,))
+    return _with_additional(msg, msg.additional + (tsig_rr,))
 
 
 def verify_message(msg: DnsMessage, keyring: Iterable[TsigKey], now: int) -> VerifyResult:

@@ -15,16 +15,16 @@ unchecked. The decoder slices an uncompressed name out of the message in
 one piece and joins the runs of a compressed one, and it coerces its input
 to ``bytes`` once, so that no name holds a mutable buffer.
 
-The values kept in bulk, records and their rdata, are slotted frozen
-dataclasses: an instance holds its fields in slots and has no dict, however
-it was built. The decoder fills records and SOA rdata positionally through
-the slots' descriptors (``_record``, ``_soa``), in about half the time of
-the generated ``__init__`` and its per-field ``object.__setattr__`` calls.
-Messages and questions live for one exchange and are not slotted: the
-decoder and the message builders fill them with ``_trusted_build(cls,
-**fields)``, which updates the instance dict in one call. Both ways skip
-``__post_init__``, so they serve only classes without one, and every field
-must be given.
+Records, their rdata, questions and messages are slotted frozen
+dataclasses: an instance holds its fields in slots and has no dict,
+however it was built. There is one construction path besides the
+constructors: the decoder and the message builders, here and in the
+server and TSIG modules, fill records, SOA rdata, questions and messages
+positionally through the slots' descriptors (``_record``, ``_soa``,
+``_question``, ``_message``), in about half the time of the generated
+``__init__`` and its per-field ``object.__setattr__`` calls. That path
+skips ``__post_init__``, so it serves only classes without one, and every
+field must be given, in field order.
 """
 
 from __future__ import annotations
@@ -120,14 +120,6 @@ class RClass(IntEnum):
 
 _OPCODES = {int(op): op for op in Opcode}
 _RCODES = {int(rc): rc for rc in Rcode}
-
-
-def _trusted_build(cls, **fields):
-    """An instance of the frozen dataclass ``cls``, which has no slots, holding
-    ``fields``; see the module docstring."""
-    obj = _new(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 class DnsName:
@@ -378,14 +370,26 @@ def _soa(mname: DnsName, rname: DnsName, serial: int, refresh: int, retry: int, 
     return soa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     name: DnsName
     rtype: int
     rclass: int = RClass.IN
 
 
-@dataclass(frozen=True)
+_set_qname, _set_qtype, _set_qclass = _slot_setters(Question)
+
+
+def _question(name: DnsName, rtype: int, rclass: int) -> Question:
+    """``Question(name, rtype, rclass)``, filled slot by slot as ``_record`` fills a record."""
+    q = _new(Question)
+    _set_qname(q, name)
+    _set_qtype(q, rtype)
+    _set_qclass(q, rclass)
+    return q
+
+
+@dataclass(frozen=True, slots=True)
 class DnsMessage:
     """One DNS message; carries both QUERY and UPDATE payloads.
 
@@ -417,6 +421,30 @@ class DnsMessage:
     @property
     def updates(self) -> tuple[ResourceRecord, ...]:
         return self.authority
+
+
+(_set_id, _set_opcode, _set_rcode, _set_is_response, _set_authoritative, _set_question,
+ _set_answers, _set_authority, _set_additional, _set_extra_flags) = _slot_setters(DnsMessage)
+
+
+def _message(msg_id: int, opcode: int, rcode: int, is_response: bool, authoritative: bool,
+             question: tuple[Question, ...], answers: tuple[ResourceRecord, ...],
+             authority: tuple[ResourceRecord, ...], additional: tuple[ResourceRecord, ...],
+             extra_flags: int) -> DnsMessage:
+    """``DnsMessage(...)`` of the same fields, in field order, filled slot by slot
+    as ``_record`` fills a record."""
+    msg = _new(DnsMessage)
+    _set_id(msg, msg_id)
+    _set_opcode(msg, opcode)
+    _set_rcode(msg, rcode)
+    _set_is_response(msg, is_response)
+    _set_authoritative(msg, authoritative)
+    _set_question(msg, question)
+    _set_answers(msg, answers)
+    _set_authority(msg, authority)
+    _set_additional(msg, additional)
+    _set_extra_flags(msg, extra_flags)
+    return msg
 
 
 # --- update change descriptions (the make_update vocabulary) ---
@@ -459,11 +487,8 @@ def make_query(
     msg_id: Optional[int] = None,
     rng: Optional[random.Random] = None,
 ) -> DnsMessage:
-    return _trusted_build(
-        DnsMessage, id=_draw_id(msg_id, rng), opcode=Opcode.QUERY, rcode=Rcode.NOERROR,
-        is_response=False, authoritative=False,
-        question=(_trusted_build(Question, name=name, rtype=rtype, rclass=RClass.IN),),
-        answers=(), authority=(), additional=(), extra_flags=0)
+    return _message(_draw_id(msg_id, rng), Opcode.QUERY, Rcode.NOERROR, False, False,
+                    (_question(name, rtype, RClass.IN),), (), (), (), 0)
 
 
 def make_update(
@@ -476,7 +501,8 @@ def make_update(
     """Build an UPDATE message from a list of add/delete changes.
 
     The zone section holds (zone, SOA, IN). Adds keep the caller's TTL and
-    are forced to class IN; RRset deletes go out as class ANY, TTL 0, empty
+    are forced to class IN, so an add of a class IN record carries the
+    caller's record itself; RRset deletes go out as class ANY, TTL 0, empty
     rdata; exact deletes as class NONE, TTL 0.
     """
     if not len(zone):
@@ -485,23 +511,21 @@ def make_update(
     for change in changes:
         if isinstance(change, AddRecord):
             rr = change.record
-            update_rrs.append(ResourceRecord(rr.name, rr.rtype, RClass.IN, rr.ttl, rr.rdata))
+            update_rrs.append(rr if rr.rclass == RClass.IN
+                              else _record(rr.name, rr.rtype, RClass.IN, rr.ttl, rr.rdata))
         elif isinstance(change, DeleteRRset):
-            update_rrs.append(ResourceRecord(change.name, change.rtype, RClass.ANY, 0, b""))
+            update_rrs.append(_record(change.name, change.rtype, RClass.ANY, 0, b""))
         elif isinstance(change, DeleteExactRecord):
             rr = change.record
-            update_rrs.append(ResourceRecord(rr.name, rr.rtype, RClass.NONE, 0, rr.rdata))
+            update_rrs.append(_record(rr.name, rr.rtype, RClass.NONE, 0, rr.rdata))
         elif isinstance(change, DeleteAllAtName):
-            update_rrs.append(ResourceRecord(change.name, RType.ANY, RClass.ANY, 0, b""))
+            update_rrs.append(_record(change.name, RType.ANY, RClass.ANY, 0, b""))
         else:
             raise TypeError(f"not an UpdateChange: {change!r}")
     if not update_rrs:
         raise EmptyChangeList("an UPDATE needs at least one change")
-    return _trusted_build(
-        DnsMessage, id=_draw_id(msg_id, rng), opcode=Opcode.UPDATE, rcode=Rcode.NOERROR,
-        is_response=False, authoritative=False,
-        question=(_trusted_build(Question, name=zone, rtype=RType.SOA, rclass=RClass.IN),),
-        answers=(), authority=tuple(update_rrs), additional=(), extra_flags=0)
+    return _message(_draw_id(msg_id, rng), Opcode.UPDATE, Rcode.NOERROR, False, False,
+                    (_question(zone, RType.SOA, RClass.IN),), (), tuple(update_rrs), (), 0)
 
 
 # --- encoding ---
@@ -741,7 +765,7 @@ def decode_message(data: bytes) -> DnsMessage:
             raise TruncatedMessage("question fixed fields truncated")
         rtype, rclass = _QUESTION.unpack_from(data, pos)
         pos += 4
-        question.append(_trusted_build(Question, name=name, rtype=rtype, rclass=rclass))
+        question.append(_question(name, rtype, rclass))
     sections = []
     for count in (ancount, nscount, arcount):
         records = []
@@ -750,10 +774,8 @@ def decode_message(data: bytes) -> DnsMessage:
             records.append(rr)
         sections.append(tuple(records))
     answers, authority, additional = sections
-    return _trusted_build(
-        DnsMessage, id=msg_id, opcode=opcode, rcode=rcode, is_response=bool(flags & 0x8000),
-        authoritative=bool(flags & 0x0400), question=tuple(question), answers=answers,
-        authority=authority, additional=additional, extra_flags=flags & 0x03F0)
+    return _message(msg_id, opcode, rcode, bool(flags & 0x8000), bool(flags & 0x0400),
+                    tuple(question), answers, authority, additional, flags & 0x03F0)
 
 
 # --- zone-file style text forms (seed files, reports) ---

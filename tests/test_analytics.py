@@ -766,6 +766,11 @@ class TestOnePassAgainstRescans:
         expected = rescan_subjects(snapshots, 1.0, scope, group_of)
         got = subjects_from_snapshots(snapshots, 1.0, scope, group_of)
         assert got == expected
+        # the sweep fills subjects positionally: each must pass the checked constructor
+        checked = [RemediationSubject(s.notified_at, s.last_seen_vulnerable,
+                                      s.first_seen_remediated, s.group) for s in got]
+        assert got == checked and list(map(hash, got)) == list(map(hash, checked))
+        assert all(type(s) is RemediationSubject and not hasattr(s, "__dict__") for s in got)
         assert outcome(kaplan_meier, got) == outcome(kaplan_meier, expected)
 
     @pytest.mark.parametrize("scope", ["domain", "nameserver"])

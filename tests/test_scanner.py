@@ -2,6 +2,7 @@
 pacing, collision handling, and snapshot bookkeeping."""
 
 import dataclasses
+import gc
 import random
 from ipaddress import IPv4Address, IPv6Address
 
@@ -21,7 +22,7 @@ from zptoolkit.scanner import (
     run_probe,
     run_scan,
 )
-from zptoolkit.transport import SimDatagram, SimTransport, UdpTransport
+from zptoolkit.transport import SimDatagram, SimTransport, TapEntry, UdpTransport
 from zptoolkit.wire import (
     AddRecord,
     DnsName,
@@ -381,6 +382,37 @@ class TestRunScan:
         result = run_scan(targets, CFG, SimTransport(bus, SCANNER_SOURCE), bus.clock,
                           random.Random(1))
         assert len(result.outcomes) == 1
+
+    def test_zone_too_long_for_the_sentinel_is_an_outcome(self, bus):
+        # 245 wire bytes: with the 16 of the default sentinel label, 261 > 255
+        long_zone = DnsName.from_text(".".join(["a" * 63] * 3 + ["b" * 51]))
+        assert len(long_zone.to_wire()) == 245
+        attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()))
+        targets = [ProbeTarget(long_zone, "10.0.0.2"), ProbeTarget(APEX, "10.0.0.1")]
+        result = run_scan(targets, CFG, SimTransport(bus, SCANNER_SOURCE), bus.clock,
+                          random.Random(1))
+        skipped, probed = result.outcomes
+        assert skipped.verdict is Verdict.NOT_PROBED and not skipped.vulnerable
+        assert skipped.update_rcode is None
+        assert (skipped.detection_updates_sent, skipped.cleanup_updates_sent) == (0, 0)
+        assert not any(e.datagram.destination == "10.0.0.2" for e in bus.tap)
+        assert probed.verdict is Verdict.VULNERABLE_CONFIRMED
+        assert result.snapshot.tested.pairs == 2 and result.snapshot.vulnerable.pairs == 1
+
+    def test_quiet_bus_keeps_no_datagram_objects(self, bus):
+        _, targets, _ = random_fleet(bus, random.Random(5), 12)
+        targets.append(ProbeTarget(DnsName.from_text("dark.example"), "10.9.9.9"))
+
+        def census():
+            gc.collect()
+            return sum(isinstance(o, (SimDatagram, TapEntry)) for o in gc.get_objects())
+
+        before = census()
+        result = run_scan(targets, CFG, SimTransport(bus, SCANNER_SOURCE), bus.clock,
+                          random.Random(1))
+        bus.pump()
+        assert len(result.outcomes) == 13 and len(bus.tap) > 2 * 13
+        assert census() == before
 
     def test_per_nameserver_pacing_respected(self, bus):
         attach_server(bus, "10.0.0.1",

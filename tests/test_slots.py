@@ -1,6 +1,7 @@
-"""The values kept in bulk are slotted: no instance dict, whichever way a value
-is made (constructor, decoder, zone patch, ``derive``, ``dataclasses.replace``),
-and the same equality, hashing and pickling as the plain dataclasses had."""
+"""The values kept in bulk, and the messages every exchange builds, are slotted:
+no instance dict, whichever way a value is made (constructor, decoder, message
+builders, zone patch, ``derive``, ``dataclasses.replace``), and the same
+equality, hashing and pickling as the plain dataclasses had."""
 
 import dataclasses
 import pickle
@@ -9,18 +10,21 @@ from ipaddress import IPv4Address, IPv6Address
 
 import pytest
 
-from zptoolkit import authsim
+from zptoolkit import authsim, transport, wire
 from zptoolkit.authsim import Open, Primary, Secondary, ZoneConfig, apply_update, make_soa
 from zptoolkit.scanner import ProbeConfig, ProbeOutcome, ProbeTarget, Verdict, parse_pair_lines, \
     run_probe
 from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram, SimTransport, TapEntry
-from zptoolkit.tsig import TsigKey, sign_message
+from zptoolkit.tsig import Accept, TsigKey, sign_message, verify_message
 from zptoolkit.wire import (
     AddRecord,
     DeleteExactRecord,
+    DeleteRRset,
     DnsMessage,
     DnsName,
     MxData,
+    Opcode,
+    Question,
     RClass,
     Rcode,
     ResourceRecord,
@@ -30,6 +34,7 @@ from zptoolkit.wire import (
     TxtData,
     decode_message,
     encode_message,
+    make_query,
     make_update,
 )
 
@@ -40,8 +45,8 @@ WWW = APEX.prepend("www")
 DEEP = WWW.prepend("a").prepend("b")  # three labels below the apex: two ancestors are indexed
 KEY = TsigKey(DnsName.from_text("update-key"), b"update-key-secret-123456")
 
-SLOTTED = (ResourceRecord, SoaData, MxData, TxtData, TsigData, SimDatagram, TapEntry,
-           ProbeTarget, ProbeOutcome, ZoneConfig)
+SLOTTED = (ResourceRecord, SoaData, MxData, TxtData, TsigData, DnsMessage, Question, SimDatagram,
+           TapEntry, ProbeTarget, ProbeOutcome, ZoneConfig)
 
 
 def constructed_records() -> list[ResourceRecord]:
@@ -63,6 +68,15 @@ def decoded_records() -> list[ResourceRecord]:
 def signed_update() -> DnsMessage:
     record = ResourceRecord(WWW, RType.A, RClass.IN, 300, IPv4Address("192.0.2.2"))
     return sign_message(make_update(APEX, [AddRecord(record)], msg_id=5), KEY, now=100)
+
+
+def built_messages() -> list[DnsMessage]:
+    """Messages from each builder: query, update, signing, stripping, a server response."""
+    signed = signed_update()
+    verified = verify_message(signed, [KEY], now=100)
+    assert isinstance(verified, Accept)
+    return [make_query(WWW, RType.A, msg_id=3), signed_update(), signed, verified.message,
+            authsim.NameServer("10.0.0.1")._response(signed, Rcode.REFUSED)]
 
 
 def deep_zone() -> ZoneConfig:
@@ -114,6 +128,8 @@ def replaced() -> list:
         dataclasses.replace(ProbeTarget(APEX, "10.0.0.1"), nameserver="10.0.0.2"),
         dataclasses.replace(outcome, ts=outcome.ts + 1),
         dataclasses.replace(deep_zone(), role=Secondary("10.0.0.1")),
+        dataclasses.replace(signed_update(), rcode=Rcode.REFUSED, is_response=True),
+        dataclasses.replace(signed_update().question[0], rtype=RType.A),
     ]
 
 
@@ -126,7 +142,10 @@ MADE = {
                             ProbeTarget(APEX, "10.0.0.1"), probed_outcome(), deep_zone()],
     "decoder": lambda: [*decoded_records(), *(rr.rdata for rr in decoded_records()),
                         *decode_message(encode_message(signed_update())).additional,
-                        decode_message(encode_message(signed_update())).additional[-1].rdata],
+                        decode_message(encode_message(signed_update())).additional[-1].rdata,
+                        decode_message(encode_message(signed_update())),
+                        *decode_message(encode_message(signed_update())).question],
+    "builders": lambda: [*built_messages(), *(q for m in built_messages() for q in m.question)],
     "bus": lambda: [*tapped(), tapped()[0].datagram],
     "parser": lambda: list(parse_pair_lines(["example.com,10.0.0.1"])),
     "patch": lambda: [z for zone in patched_zones() for z in (zone, zone.soa, zone.soa.rdata)],
@@ -223,3 +242,33 @@ def test_with_serial_builds_the_constructed_soa():
     bumped = authsim._with_serial(soa, 8)
     assert bumped == dataclasses.replace(soa, rdata=dataclasses.replace(soa.rdata, serial=8))
     assert hash(bumped) == hash(make_soa(APEX, serial=8))
+
+
+def test_positional_builders_equal_the_constructors():
+    question = Question(APEX, RType.SOA, RClass.IN)
+    built = wire._question(APEX, RType.SOA, RClass.IN)
+    assert built == question and hash(built) == hash(question)
+    records = constructed_records()
+    fields = dict(id=7, opcode=Opcode.UPDATE, rcode=Rcode.NXDOMAIN, is_response=True,
+                  authoritative=True, question=(question,), answers=tuple(records[:1]),
+                  authority=tuple(records[1:3]), additional=tuple(records[3:]),
+                  extra_flags=0x0100)
+    message = DnsMessage(**fields)
+    built = wire._message(*fields.values())
+    assert built == message and hash(built) == hash(message)
+    for name, value in fields.items():  # each argument lands in its own field
+        assert getattr(built, name) is value
+    assert make_query(WWW, RType.A, msg_id=3) == DnsMessage(3, question=(Question(WWW, RType.A),))
+    assert transport._datagram("a", "b", b"x") == SimDatagram("a", "b", b"x")
+
+
+def test_make_update_builds_the_constructed_records():
+    add = ResourceRecord(WWW, RType.A, RClass.IN, 300, IPv4Address("192.0.2.1"))
+    odd_class = dataclasses.replace(add, rclass=RClass.ANY)
+    msg = make_update(APEX, [AddRecord(add), AddRecord(odd_class), DeleteRRset(WWW, RType.TXT),
+                             DeleteExactRecord(add)], msg_id=9)
+    assert msg.updates[0] is add  # a class IN add goes out as the caller's record
+    assert msg.updates == (add, add, ResourceRecord(WWW, RType.TXT, RClass.ANY, 0, b""),
+                           ResourceRecord(WWW, RType.A, RClass.NONE, 0, add.rdata))
+    assert msg == DnsMessage(9, Opcode.UPDATE, question=(Question(APEX, RType.SOA),),
+                             authority=msg.updates)

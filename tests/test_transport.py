@@ -10,6 +10,7 @@ from zptoolkit.transport import (
     DatagramBus,
     ManualClock,
     SimDatagram,
+    TapEntry,
     exchange_message,
     parse_endpoint,
 )
@@ -39,6 +40,30 @@ def test_exchange_round_trip_and_tap():
     assert client.exchange(b"hi", "srv", 1.0) == b"echo:hi"
     assert [(e.datagram.source, e.datagram.destination) for e in bus.tap] == [
         ("cli", "srv"), ("srv", "cli")]
+
+
+def test_tap_reads_as_a_sequence_of_the_datagrams_sent():
+    clock = ManualClock(1.5)
+    bus = DatagramBus(clock=clock, drop_filter=lambda d: d.destination == "lost")
+    sent = [SimDatagram("cli", "srv", b""), SimDatagram("cli", "lost", b"\x00" * 300),
+            SimDatagram("srv", "cli", b"reply"), SimDatagram("cli", "srv", bytearray(b"buf"))]
+    for dgram in sent:
+        bus.send(dgram)
+        clock.advance(0.25)
+    expected = [TapEntry(1.5 + 0.25 * i, dgram) for i, dgram in enumerate(sent)]
+    tap = bus.tap
+    assert len(tap) == 4
+    assert [tap[i] for i in range(4)] == expected
+    assert [tap[i] for i in range(-4, 0)] == expected
+    for index in (4, -5, 100):
+        with pytest.raises(IndexError):
+            tap[index]
+    assert tap[1:] == expected[1:] and tap[::2] == expected[::2]
+    assert tap[::-1] == expected[::-1] and tap[-1:0:-2] == expected[-1:0:-2]
+    assert tap[5:9] == [] and isinstance(tap[:2], list)
+    assert list(tap) == expected
+    assert all(type(e.datagram.payload) is bytes for e in tap)
+    assert expected[1] in tap and tap.index(expected[2]) == 2
 
 
 def test_loss_produces_timeout_and_advances_clock():

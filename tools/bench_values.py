@@ -15,7 +15,9 @@ counts with ``tracemalloc`` the bytes that stay allocated, per value:
   zone version gets, counting the new serial;
 - datagram: ``SimDatagram(source, destination, payload)``, its three fields
   made beforehand;
-- tap-entry: ``TapEntry(ts, datagram)``, counting the timestamp;
+- tap-entry: what ``DatagramBus.send`` keeps in the bus's tap per datagram,
+  counting the timestamp and the payload; each send gets a payload of its
+  own, as each encoded message does, and the bus drops the datagram;
 - probe-outcome: ``ProbeOutcome`` of a confirmed probe, counting its three
   millisecond floats and its timestamp;
 - zone-version: ``ZoneConfig._patch`` of a one-name zone (the apex, holding
@@ -46,7 +48,7 @@ from ipaddress import IPv4Address
 from zptoolkit import authsim, wire
 from zptoolkit.authsim import Open, Primary, ZoneConfig, make_soa
 from zptoolkit.scanner import ProbeOutcome, ProbeTarget, Verdict
-from zptoolkit.transport import SimDatagram, TapEntry
+from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram
 from zptoolkit.wire import DnsName, RClass, Rcode, ResourceRecord, RType
 
 VALUES = 2_000
@@ -98,6 +100,8 @@ def measure_retained(seed: int) -> dict:
     datagrams = [SimDatagram(f"10.0.{i >> 8}.{i & 255}", "10.0.0.1", p)
                  for i, p in enumerate(payloads)]
     times = [rng.uniform(0, 1e4) for _ in range(VALUES)]
+    bus = DatagramBus(clock=ManualClock(), drop_filter=lambda dgram: True)
+    unsent = list(map(bytearray, payloads))
     targets = [ProbeTarget(n, "10.0.0.1") for n in names]
     zones = [_one_name_zone(rng) for _ in range(VALUES)]
     patches = [(zone.apex, zone.records_at(zone.apex)[::-1]) for zone in zones]
@@ -107,6 +111,9 @@ def measure_retained(seed: int) -> dict:
         return ProbeOutcome(targets[i], Verdict.VULNERABLE_CONFIRMED, Rcode.NOERROR, t * 1e3,
                             t * 2e3, t * 3e3, True, 1, 1, t + 1.0)
 
+    def tapped(i):
+        bus.send(SimDatagram(datagrams[i].source, "10.0.0.1", bytes(unsent[i])))
+
     indexes = list(range(VALUES))
     return {
         "a-record": retained_bytes(
@@ -115,7 +122,7 @@ def measure_retained(seed: int) -> dict:
         "soa-record": retained_bytes(lambda i: authsim._with_serial(soa, (1 << 20) + i), indexes),
         "datagram": retained_bytes(lambda i: SimDatagram(datagrams[i].source, "10.0.0.1",
                                                          payloads[i]), indexes),
-        "tap-entry": retained_bytes(lambda i: TapEntry(times[i] + 0.5, datagrams[i]), indexes),
+        "tap-entry": retained_bytes(tapped, indexes),
         "probe-outcome": retained_bytes(outcome, indexes),
         "zone-version": retained_bytes(lambda i: zones[i]._patch([patches[i]]), indexes),
     }
