@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .transport import parse_endpoint
-from .wire import _slot_setters
+from .wire import _builder
 
 Pair = tuple[str, str]  # (zone, nameserver address)
 
@@ -506,22 +506,7 @@ class RemediationSubject:
             raise ValueError("last_seen_vulnerable must not exceed first_seen_remediated")
 
 
-_set_notified, _set_last_seen, _set_first_remediated, _set_group = \
-    _slot_setters(RemediationSubject)
-
-
-def _swept_subject(notified_at: float, last_seen: float, first_remediated: Optional[float],
-                   group: str) -> RemediationSubject:
-    """``RemediationSubject(...)`` of the same fields, filled slot by slot as
-    ``wire._record`` fills a record. It skips the interval check, which a
-    subject of ``subjects_from_snapshots`` passes by construction: its
-    remediation time is a scan strictly later than its last sighting."""
-    subject = object.__new__(RemediationSubject)
-    _set_notified(subject, notified_at)
-    _set_last_seen(subject, last_seen)
-    _set_first_remediated(subject, first_remediated)
-    _set_group(subject, group)
-    return subject
+_swept_subject = _builder(RemediationSubject)
 
 
 @dataclass(frozen=True)
@@ -640,6 +625,7 @@ def subjects_from_snapshots(snapshots: Sequence[ScanSnapshot], notified_at: floa
     subjects = []
     for item in sorted(set(items_of(ordered[0]))):
         last = last_seen[item]
+        # no interval check: the remediation time is a scan strictly later than ``last``
         subjects.append(_swept_subject(notified_at, last, next_scan.get(last),
                                        group_of(item) if group_of else ""))
     return subjects

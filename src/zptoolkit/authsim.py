@@ -40,10 +40,10 @@ from .wire import (
     RType,
     SoaData,
     WireError,
+    _builder,
     _message,
     _question,
     _record,
-    _slot_setters,
     _soa,
     decode_message,
     encode_message,
@@ -255,13 +255,8 @@ class ZoneConfig:
                 if not copied:
                     below, copied = dict(below), True
                 _count_ancestors(below, name, 1 if rrs else -1, d)
-        zone = object.__new__(ZoneConfig)  # checked above: skip the whole-zone constructor
-        _set_apex(zone, apex)
-        _set_role(zone, self.role)
-        _set_policy(zone, self.policy)
-        _set_by_name(zone, by_name)
-        _set_below(zone, below)
-        return zone
+        # each patched name is checked above, so skip the whole-zone check
+        return _zone_config(apex, self.role, self.policy, by_name, below)
 
     @property
     def records(self) -> frozenset[ResourceRecord]:
@@ -311,7 +306,7 @@ class ZoneConfig:
         return self.records - {soa} | {_with_serial(soa, 0)}
 
 
-_set_apex, _set_role, _set_policy, _set_by_name, _set_below = _slot_setters(ZoneConfig)
+_zone_config = _builder(ZoneConfig)
 
 _CLASH = "two records at {} share type and rdata but not TTL or class"
 _OUTSIDE = "owner {} lies outside the zone {}"

@@ -24,7 +24,6 @@ from .transport import (
     ManualClock,
     SimDatagram,
     SimTransport,
-    SystemClock,
     UdpTransport,
     parse_endpoint,
 )
@@ -97,10 +96,8 @@ def _cmd_scan(args) -> int:
             raise RuntimeError("sim transport needs --fleet")
         bus, _ = _build_sim(args.fleet, args.keys)
         transport = SimTransport(bus)
-        clock = bus.clock
     else:
         transport = UdpTransport()
-        clock = SystemClock()
     if args.pairs:
         with open(args.pairs, encoding="utf-8") as fh:
             targets = list(scanner.parse_pair_lines(fh))
@@ -112,7 +109,7 @@ def _cmd_scan(args) -> int:
         universe, _ = ingest.resolve_targets(zones, args.resolver, transport,
                                              rng=random.Random(args.seed))
         targets = [scanner.ProbeTarget(zone, addr) for zone, addr in sorted(universe.pairs)]
-    result = scanner.run_scan(targets, cfg, transport, clock, rng)
+    result = scanner.run_scan(targets, cfg, transport, rng=rng)
     lines = [json.dumps(o.to_json_obj()) for o in result.outcomes]
     _write_or_print(args.out, "\n".join(lines) + ("\n" if lines else ""))
     snapshot_json = json.dumps(result.snapshot.to_json_obj(), indent=2) + "\n"

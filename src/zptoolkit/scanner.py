@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .analytics import ScanSnapshot, derive_counts
 from .transport import (
-    SystemClock,
     Transport,
     UdpTransport,
     _exchange,
@@ -32,7 +31,6 @@ from .wire import (
     InvalidLabel,
     RClass,
     Rcode,
-    ResourceRecord,
     RType,
     _record,
     encode_message,
@@ -155,15 +153,15 @@ def sentinel_name(target: ProbeTarget, cfg: ProbeConfig) -> DnsName:
     return target.zone.prepend(cfg.sentinel_label)
 
 
-def _probe_record(sentinel: DnsName, cfg: ProbeConfig) -> ResourceRecord:
-    """The record a probe adds, and the one its cleanup deletes by rdata."""
-    return _record(sentinel, cfg.record_type, RClass.IN, cfg.ttl, cfg.probe_address)
-
-
 def build_probe(target: ProbeTarget, cfg: ProbeConfig, *,
                 msg_id: Optional[int] = None, rng: Optional[random.Random] = None) -> DnsMessage:
-    """The single detection datagram: an UPDATE adding `<sentinel>.<zone>`."""
-    record = _probe_record(sentinel_name(target, cfg), cfg)
+    """The single detection datagram: an UPDATE adding `<sentinel>.<zone>`.
+
+    Its one update record, ``updates[0]``, is the record the cleanup deletes
+    by rdata. Raises InvalidLabel as ``sentinel_name`` does.
+    """
+    record = _record(sentinel_name(target, cfg), cfg.record_type, RClass.IN, cfg.ttl,
+                     cfg.probe_address)
     return make_update(target.zone, [AddRecord(record)], msg_id=msg_id, rng=rng)
 
 
@@ -176,9 +174,10 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     the request is MalformedReply, as in phase 2. Phase 2 queries the nameserver
     directly for the sentinel record. Phase 3 deletes it and confirms the
     removal. Every path is an outcome, never an exception: a zone too long
-    to carry the sentinel label is NotProbed, with nothing sent.
+    to carry the sentinel label is NotProbed, with nothing sent. Times come
+    from ``clock``, by default the transport's own.
     """
-    clock = clock or SystemClock()
+    clock = clock or transport.clock
     rng = rng or random.Random()
     if isinstance(transport, UdpTransport) and not cfg.probe_address_attested:
         raise AttestationRequired("refusing real-socket probes without --i-own-the-probe-address")
@@ -195,13 +194,13 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
         )
 
     try:
-        sentinel = sentinel_name(target, cfg)
+        probe = build_probe(target, cfg, rng=rng)
     except InvalidLabel:
         return outcome(Verdict.NOT_PROBED)
-    record = _probe_record(sentinel, cfg)
+    record = probe.updates[0]  # make_update sends a class IN add as the record itself
+    sentinel = record.name
 
     # phase 1: one UPDATE datagram decides; retransmit only after a timeout
-    probe = make_update(target.zone, [AddRecord(record)], rng=rng)
     t0 = clock.now()
     reply, detection_sends = _exchange(transport, target.nameserver, probe, cfg.timeout,
                                        RETRIES_VERIFY)
@@ -300,8 +299,11 @@ class ScanResult:
 
 def run_scan(targets: Iterable[ProbeTarget], cfg: ProbeConfig, transport: Transport,
              clock=None, rng: Optional[random.Random] = None) -> ScanResult:
-    """Probe every distinct target once, paced per nameserver, and fold a snapshot."""
-    clock = clock or SystemClock()
+    """Probe every distinct target once, paced per nameserver, and fold a snapshot.
+
+    Pacing, outcomes and the snapshot read ``clock``, by default the transport's own.
+    """
+    clock = clock or transport.clock
     rng = rng or random.Random()
     pacer = Pacer(clock, cfg.per_nameserver_rate)
     pairs: set[tuple[str, str]] = set()

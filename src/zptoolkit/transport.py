@@ -45,19 +45,8 @@ class TapEntry:
     datagram: SimDatagram
 
 
-_new = object.__new__
-_set_source, _set_destination, _set_payload = wire._slot_setters(SimDatagram)
-_set_ts, _set_datagram = wire._slot_setters(TapEntry)
-
-
-def _datagram(source: str, destination: str, payload: bytes) -> SimDatagram:
-    """``SimDatagram(source, destination, payload)``, filled slot by slot as
-    ``wire._record`` fills a record."""
-    dgram = _new(SimDatagram)
-    _set_source(dgram, source)
-    _set_destination(dgram, destination)
-    _set_payload(dgram, payload)
-    return dgram
+_datagram = wire._builder(SimDatagram)
+_tap_entry = wire._builder(TapEntry)
 
 
 class Tap(Sequence):
@@ -89,10 +78,8 @@ class Tap(Sequence):
         """The entry at ``index``, which must be in range."""
         start = self._ends[index - 1] if index else 0
         payload = bytes(self._payloads[start:self._ends[index]])
-        entry = _new(TapEntry)
-        _set_ts(entry, self._ts[index])
-        _set_datagram(entry, _datagram(self._sources[index], self._destinations[index], payload))
-        return entry
+        return _tap_entry(self._ts[index],
+                          _datagram(self._sources[index], self._destinations[index], payload))
 
     def __len__(self) -> int:
         return len(self._ts)
@@ -223,6 +210,11 @@ class ClientEndpoint:
         self.inbox: deque[SimDatagram] = deque()
         bus.attach(address, self._receive)
 
+    @property
+    def clock(self) -> ManualClock:
+        """The bus's clock, which every exchange on this endpoint reads and advances."""
+        return self.bus.clock
+
     def _receive(self, dgram: SimDatagram, now: float) -> list:
         self.inbox.append(dgram)
         return []
@@ -252,6 +244,10 @@ class ClientEndpoint:
 
 
 class Transport(Protocol):
+    """What the scanner and ingest send through. The bus endpoints and
+    ``UdpTransport`` also carry the ``clock`` their exchanges run on, which
+    the scanner reads when it is given no clock of its own."""
+
     def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
         ...
 
@@ -282,6 +278,7 @@ class UdpTransport:
 
     def __init__(self, default_port: int = 53):
         self.default_port = default_port
+        self.clock = SystemClock()
 
     def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
         host, port = parse_endpoint(destination, self.default_port)

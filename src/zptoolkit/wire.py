@@ -17,21 +17,22 @@ to ``bytes`` once, so that no name holds a mutable buffer.
 
 Records, their rdata, questions and messages are slotted frozen
 dataclasses: an instance holds its fields in slots and has no dict,
-however it was built. There is one construction path besides the
-constructors: the decoder and the message builders, here and in the
-server and TSIG modules, fill records, SOA rdata, questions and messages
-positionally through the slots' descriptors (``_record``, ``_soa``,
-``_question``, ``_message``), in about half the time of the generated
-``__init__`` and its per-field ``object.__setattr__`` calls. That path
-skips ``__post_init__``, so it serves only classes without one, and every
-field must be given, in field order.
+however it was built. Besides the constructors there is one construction
+path: ``_builder(cls)`` generates a function that takes every field, in
+field order, and fills the slots through their descriptors, in about half
+the time of the generated ``__init__``. Each builder is bound once, at
+module level: ``_record``, ``_soa``, ``_question`` and ``_message`` here,
+and those of datagrams, tap entries, zone versions and remediation
+subjects beside their classes. A builder skips ``__init__`` and
+``__post_init__``, so its caller must already hold what that check would
+check, and says so at the call.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from ipaddress import IPv4Address, IPv6Address
 from typing import Iterable, Iterator, Optional, Union
@@ -330,44 +331,34 @@ class ResourceRecord:
     rdata: Rdata
 
 
-def _slot_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot in the slotted dataclass ``cls``,
-    in field order: calling them fills an instance made by ``object.__new__``
-    without its ``__init__`` and past a frozen ``__setattr__``."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__dataclass_fields__)
+def _builder(cls):
+    """A function of one argument per field of the slotted dataclass ``cls``,
+    in field order, that returns the instance holding those values.
+
+    The instance is made by ``object.__new__`` and each slot filled through
+    its descriptor, past a frozen ``__setattr__``. The function's source is
+    generated from the field names, as ``dataclasses`` generates
+    ``__init__``, so the fills are unrolled, and its globals are the
+    constructor and the setters alone, so each is one specialised global
+    load. No field name can clash with those: a class body mangles a name
+    that starts with two underscores and does not end with two.
+    """
+    names = [f.name for f in fields(cls)]
+    namespace = {"__new": _new, "__cls": cls}
+    body = ""
+    for i, name in enumerate(names):
+        namespace[f"__set_{i}"] = cls.__dict__[name].__set__
+        body += f"    __set_{i}(__self, {name})\n"
+    exec(f"def build({', '.join(names)}):\n    __self = __new(__cls)\n{body}    return __self\n",
+         namespace)
+    build = namespace["build"]
+    build.__qualname__ = f"_builder({cls.__name__})"
+    build.__doc__ = f"``{cls.__name__}({', '.join(names)})``, filled slot by slot."
+    return build
 
 
-_set_name, _set_rtype, _set_rclass, _set_ttl, _set_rdata = _slot_setters(ResourceRecord)
-
-
-def _record(name: DnsName, rtype: int, rclass: int, ttl: int, rdata: Rdata) -> ResourceRecord:
-    """``ResourceRecord(name, rtype, rclass, ttl, rdata)``, filled slot by slot
-    without a kwargs dict or the generated ``__init__``."""
-    rr = _new(ResourceRecord)
-    _set_name(rr, name)
-    _set_rtype(rr, rtype)
-    _set_rclass(rr, rclass)
-    _set_ttl(rr, ttl)
-    _set_rdata(rr, rdata)
-    return rr
-
-
-(_set_mname, _set_rname, _set_serial, _set_refresh, _set_retry, _set_expire,
- _set_minimum) = _slot_setters(SoaData)
-
-
-def _soa(mname: DnsName, rname: DnsName, serial: int, refresh: int, retry: int, expire: int,
-         minimum: int) -> SoaData:
-    """``SoaData(...)`` of the same fields, filled slot by slot as ``_record`` fills a record."""
-    soa = _new(SoaData)
-    _set_mname(soa, mname)
-    _set_rname(soa, rname)
-    _set_serial(soa, serial)
-    _set_refresh(soa, refresh)
-    _set_retry(soa, retry)
-    _set_expire(soa, expire)
-    _set_minimum(soa, minimum)
-    return soa
+_record = _builder(ResourceRecord)
+_soa = _builder(SoaData)
 
 
 @dataclass(frozen=True, slots=True)
@@ -377,16 +368,7 @@ class Question:
     rclass: int = RClass.IN
 
 
-_set_qname, _set_qtype, _set_qclass = _slot_setters(Question)
-
-
-def _question(name: DnsName, rtype: int, rclass: int) -> Question:
-    """``Question(name, rtype, rclass)``, filled slot by slot as ``_record`` fills a record."""
-    q = _new(Question)
-    _set_qname(q, name)
-    _set_qtype(q, rtype)
-    _set_qclass(q, rclass)
-    return q
+_question = _builder(Question)
 
 
 @dataclass(frozen=True, slots=True)
@@ -423,28 +405,7 @@ class DnsMessage:
         return self.authority
 
 
-(_set_id, _set_opcode, _set_rcode, _set_is_response, _set_authoritative, _set_question,
- _set_answers, _set_authority, _set_additional, _set_extra_flags) = _slot_setters(DnsMessage)
-
-
-def _message(msg_id: int, opcode: int, rcode: int, is_response: bool, authoritative: bool,
-             question: tuple[Question, ...], answers: tuple[ResourceRecord, ...],
-             authority: tuple[ResourceRecord, ...], additional: tuple[ResourceRecord, ...],
-             extra_flags: int) -> DnsMessage:
-    """``DnsMessage(...)`` of the same fields, in field order, filled slot by slot
-    as ``_record`` fills a record."""
-    msg = _new(DnsMessage)
-    _set_id(msg, msg_id)
-    _set_opcode(msg, opcode)
-    _set_rcode(msg, rcode)
-    _set_is_response(msg, is_response)
-    _set_authoritative(msg, authoritative)
-    _set_question(msg, question)
-    _set_answers(msg, answers)
-    _set_authority(msg, authority)
-    _set_additional(msg, additional)
-    _set_extra_flags(msg, extra_flags)
-    return msg
+_message = _builder(DnsMessage)
 
 
 # --- update change descriptions (the make_update vocabulary) ---
@@ -812,22 +773,3 @@ def rdata_from_text(rtype: int, text: str) -> Rdata:
             raise ValueError(f"SOA needs 7 fields, got {text!r}")
         return SoaData(DnsName.from_text(mname), DnsName.from_text(rname), *map(int, nums))
     return bytes.fromhex(text)
-
-
-def rdata_to_text(rtype: int, rdata: Rdata) -> str:
-    if isinstance(rdata, (IPv4Address, IPv6Address)):
-        return str(rdata)
-    if isinstance(rdata, DnsName):
-        return rdata.to_text() + "."
-    if isinstance(rdata, MxData):
-        return f"{rdata.preference} {rdata.exchange.to_text()}."
-    if isinstance(rdata, TxtData):
-        return " ".join('"%s"' % s.decode("ascii", errors="backslashreplace") for s in rdata.strings)
-    if isinstance(rdata, SoaData):
-        return (
-            f"{rdata.mname.to_text()}. {rdata.rname.to_text()}. "
-            f"{rdata.serial} {rdata.refresh} {rdata.retry} {rdata.expire} {rdata.minimum}"
-        )
-    if isinstance(rdata, bytes):
-        return rdata.hex()
-    raise ValueError(f"no text form for {rdata!r}")

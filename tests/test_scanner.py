@@ -4,6 +4,7 @@ pacing, collision handling, and snapshot bookkeeping."""
 import dataclasses
 import gc
 import random
+import time
 from ipaddress import IPv4Address, IPv6Address
 
 import pytest
@@ -22,7 +23,7 @@ from zptoolkit.scanner import (
     run_probe,
     run_scan,
 )
-from zptoolkit.transport import SimDatagram, SimTransport, TapEntry, UdpTransport
+from zptoolkit.transport import SimDatagram, SimTransport, SystemClock, TapEntry, UdpTransport
 from zptoolkit.wire import (
     AddRecord,
     DnsName,
@@ -427,6 +428,25 @@ class TestRunScan:
                   if e.datagram.source == SCANNER_SOURCE]
         gaps = [b - a for a, b in zip(stamps, stamps[1:])]
         assert all(gap >= 0.5 - 1e-9 for gap in gaps)
+
+    def test_scan_without_a_clock_runs_on_the_transport_clock(self, bus, monkeypatch):
+        def real_sleep(seconds):
+            raise AssertionError(f"the scan slept {seconds} s of real time")
+
+        monkeypatch.setattr(time, "sleep", real_sleep)
+        other = DnsName.from_text("example.org")
+        attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()),
+                      basic_zone("example.org", Open()))
+        transport = SimTransport(bus, SCANNER_SOURCE)
+        # two zones on one server: the pacer waits between them, on the bus clock
+        result = run_scan([ProbeTarget(APEX, "10.0.0.1"), ProbeTarget(other, "10.0.0.1")], CFG,
+                          transport, rng=random.Random(1))
+        assert [o.verdict for o in result.outcomes] == [Verdict.VULNERABLE_CONFIRMED] * 2
+        # the bus delivers at once, so each probe takes no sim time
+        assert [o.ts for o in result.outcomes] == [0.0, 1 / CFG.per_nameserver_rate]
+        assert result.snapshot.timestamp == bus.clock.now() == 1 / CFG.per_nameserver_rate
+        assert transport.clock is bus.clock
+        assert isinstance(UdpTransport().clock, SystemClock)
 
 
 def test_parse_pair_lines():

@@ -10,7 +10,8 @@ from ipaddress import IPv4Address, IPv6Address
 
 import pytest
 
-from zptoolkit import authsim, transport, wire
+from zptoolkit import analytics, authsim, transport, wire
+from zptoolkit.analytics import RemediationSubject
 from zptoolkit.authsim import Open, Primary, Secondary, ZoneConfig, apply_update, make_soa
 from zptoolkit.scanner import ProbeConfig, ProbeOutcome, ProbeTarget, Verdict, parse_pair_lines, \
     run_probe
@@ -246,20 +247,39 @@ def test_with_serial_builds_the_constructed_soa():
 
 def test_positional_builders_equal_the_constructors():
     question = Question(APEX, RType.SOA, RClass.IN)
-    built = wire._question(APEX, RType.SOA, RClass.IN)
-    assert built == question and hash(built) == hash(question)
     records = constructed_records()
-    fields = dict(id=7, opcode=Opcode.UPDATE, rcode=Rcode.NXDOMAIN, is_response=True,
-                  authoritative=True, question=(question,), answers=tuple(records[:1]),
-                  authority=tuple(records[1:3]), additional=tuple(records[3:]),
-                  extra_flags=0x0100)
-    message = DnsMessage(**fields)
-    built = wire._message(*fields.values())
-    assert built == message and hash(built) == hash(message)
-    for name, value in fields.items():  # each argument lands in its own field
-        assert getattr(built, name) is value
+    zone = deep_zone()
+    # one input per builder: a distinct value for each field, in field order
+    inputs = [
+        (wire._record, ResourceRecord, (WWW, RType.A, RClass.IN, 300, IPv4Address("192.0.2.1"))),
+        (wire._soa, SoaData, (APEX.prepend("ns1"), APEX.prepend("hostmaster"), 7, 3600, 600,
+                              86400, 300)),
+        (wire._question, Question, (APEX, RType.SOA, RClass.IN)),
+        (wire._message, DnsMessage, (7, Opcode.UPDATE, Rcode.NXDOMAIN, True, False, (question,),
+                                     tuple(records[:1]), tuple(records[1:3]), tuple(records[3:]),
+                                     0x0100)),
+        (transport._datagram, SimDatagram, ("198.51.100.1", "10.0.0.1", b"x")),
+        (transport._tap_entry, TapEntry, (2.5, SimDatagram("198.51.100.1", "10.0.0.1", b"x"))),
+        (authsim._zone_config, ZoneConfig, (zone.apex, zone.role, zone.policy, zone.by_name,
+                                            zone._below)),
+        (analytics._swept_subject, RemediationSubject, (1.0, 2.0, 3.0, "eu")),
+    ]
+    for build, cls, args in inputs:
+        fields = dataclasses.fields(cls)
+        assert len(args) == len(fields) and len(set(map(id, args))) == len(args), cls.__name__
+        made = cls(**{f.name: value for f, value in zip(fields, args) if f.init})
+        built = build(*args)
+        assert type(built) is cls and not hasattr(built, "__dict__")
+        for f, value in zip(fields, args):  # each argument lands in its own field
+            assert getattr(built, f.name) is value, (cls.__name__, f.name)
+            assert getattr(built, f.name) == getattr(made, f.name), (cls.__name__, f.name)
+        if cls.__eq__ is not object.__eq__:  # zones compare by identity
+            assert built == made and hash(built) == hash(made)
+        with pytest.raises(TypeError):
+            build(*args[:-1])
+        with pytest.raises(TypeError):
+            build(*args, None)
     assert make_query(WWW, RType.A, msg_id=3) == DnsMessage(3, question=(Question(WWW, RType.A),))
-    assert transport._datagram("a", "b", b"x") == SimDatagram("a", "b", b"x")
 
 
 def test_make_update_builds_the_constructed_records():

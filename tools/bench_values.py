@@ -1,5 +1,5 @@
 """Count the bytes that each value the simulator keeps in bulk retains, and
-time the decoding of one record.
+time the decoding of one record and each positional builder.
 
 Usage: PYTHONPATH=src python3 tools/bench_values.py [--seed N] [--repeats N]
 
@@ -26,8 +26,11 @@ counts with ``tracemalloc`` the bytes that stay allocated, per value:
 
 These counts depend on the Python build, not on the host, so they are
 counted once per run. It also times ``wire._read_record`` on encoded A and
-SOA records, with the garbage collector off, and prints one JSON object
-with the counts and the median µs per decoded record over the repeats.
+SOA records, and each builder that ``wire._builder`` makes (record, SOA
+rdata, question, message, datagram, tap entry, zone version, remediation
+subject) on 2,000 seeded argument tuples, with the garbage collector off.
+It prints one JSON object with the counts, the median µs per decoded record
+and the median ns per builder call over the repeats.
 The zptoolkit on PYTHONPATH is the one measured, so the same command
 measures two checkouts.
 """
@@ -45,11 +48,11 @@ import time
 import tracemalloc
 from ipaddress import IPv4Address
 
-from zptoolkit import authsim, wire
+from zptoolkit import analytics, authsim, transport, wire
 from zptoolkit.authsim import Open, Primary, ZoneConfig, make_soa
 from zptoolkit.scanner import ProbeOutcome, ProbeTarget, Verdict
 from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram
-from zptoolkit.wire import DnsName, RClass, Rcode, ResourceRecord, RType
+from zptoolkit.wire import DnsName, Opcode, Question, RClass, Rcode, ResourceRecord, RType
 
 VALUES = 2_000
 ROUNDS = 4  # timed passes over the records per repeat
@@ -128,8 +131,9 @@ def measure_retained(seed: int) -> dict:
     }
 
 
-def decode_us(encoded: list[bytes], repeats: int) -> float:
-    """Median over ``repeats`` of the µs per ``_read_record``, with the collector off."""
+def median_per_call(call, inputs: list[tuple], repeats: int) -> float:
+    """Median over ``repeats`` of the seconds per ``call(*args)`` over ``inputs``,
+    with the collector off."""
     runs = []
     gc.collect()
     gc.disable()
@@ -137,12 +141,18 @@ def decode_us(encoded: list[bytes], repeats: int) -> float:
         for _ in range(repeats):
             t0 = time.perf_counter()
             for _ in range(ROUNDS):
-                for data in encoded:
-                    wire._read_record(data, 0)
-            runs.append((time.perf_counter() - t0) * 1e6 / (ROUNDS * len(encoded)))
+                for args in inputs:
+                    call(*args)
+            runs.append((time.perf_counter() - t0) / (ROUNDS * len(inputs)))
     finally:
         gc.enable()
-    return round(statistics.median(runs), 3)
+    return statistics.median(runs)
+
+
+def decode_us(encoded: list[bytes], repeats: int) -> float:
+    """Median over ``repeats`` of the µs per ``_read_record``, with the collector off."""
+    return round(median_per_call(wire._read_record, [(data, 0) for data in encoded],
+                                 repeats) * 1e6, 3)
 
 
 def measure_decode(seed: int, repeats: int) -> dict:
@@ -161,6 +171,36 @@ def measure_decode(seed: int, repeats: int) -> dict:
     return out
 
 
+def measure_builders(seed: int, repeats: int) -> dict:
+    """Median ns per call of each positional builder, on seeded arguments."""
+    rng = random.Random(f"{seed}:builders")
+    names = [_name(rng) for _ in range(VALUES)]
+    addresses = [_address(rng) for _ in range(VALUES)]
+    times = [rng.uniform(0, 1e4) for _ in range(VALUES)]
+    sources = [f"10.0.{i >> 8}.{i & 255}" for i in range(VALUES)]
+    payloads = [bytes(rng.randrange(256) for _ in range(rng.randrange(40, 80)))
+                for _ in range(VALUES)]
+    datagrams = [SimDatagram(s, "10.0.0.1", p) for s, p in zip(sources, payloads)]
+    questions = [Question(n, RType.A, RClass.IN) for n in names]
+    zones = [_one_name_zone(rng) for _ in range(VALUES)]
+    inputs = {
+        "record": (wire._record, [(n, RType.A, RClass.IN, 300, a)
+                                  for n, a in zip(names, addresses)]),
+        "soa": (wire._soa, [(n, n, rng.randrange(1, 1 << 31), 3600, 600, 86400, 300)
+                            for n in names]),
+        "question": (wire._question, [(n, RType.A, RClass.IN) for n in names]),
+        "message": (wire._message, [(i, Opcode.QUERY, Rcode.NOERROR, False, False, (q,), (), (),
+                                     (), 0) for i, q in enumerate(questions)]),
+        "datagram": (transport._datagram, [(s, "10.0.0.1", p) for s, p in zip(sources, payloads)]),
+        "tap-entry": (transport._tap_entry, list(zip(times, datagrams))),
+        "zone-version": (authsim._zone_config, [(z.apex, z.role, z.policy, z.by_name, z._below)
+                                                for z in zones]),
+        "remediation-subject": (analytics._swept_subject, [(0.0, t, t + 1.0, "") for t in times]),
+    }
+    return {shape: round(median_per_call(build, args, repeats) * 1e9, 1)
+            for shape, (build, args) in inputs.items()}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -172,6 +212,7 @@ def main() -> None:
         "repeats": args.repeats,
         "retained_bytes_per_value": measure_retained(args.seed),
         "decode_record_us_median": measure_decode(args.seed, args.repeats),
+        "builder_ns_median": measure_builders(args.seed, args.repeats),
     }, indent=2))
 
 
