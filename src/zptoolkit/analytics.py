@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .transport import parse_endpoint
-from .wire import _builder
+from .wire import _builder, _slot_init
 
 Pair = tuple[str, str]  # (zone, nameserver address)
 
@@ -491,6 +491,7 @@ def remediation_summary(baseline: ScanSnapshot, current: ScanSnapshot,
 # --- Kaplan-Meier survival of vulnerable resources after notification ---
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class RemediationSubject:
     """One notified resource: when it was last seen vulnerable and, if ever,

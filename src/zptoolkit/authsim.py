@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from . import tsig as tsig_mod
 from .transport import DatagramBus, SimDatagram, _datagram
@@ -40,10 +41,12 @@ from .wire import (
     RType,
     SoaData,
     WireError,
+    _bounded,
     _builder,
     _message,
     _question,
     _record,
+    _slot_init,
     _soa,
     decode_message,
     encode_message,
@@ -134,6 +137,7 @@ _SOA, _NS, _CNAME, _ANY = RType.SOA, RType.NS, RType.CNAME, RType.ANY
 _IN, _CLASS_ANY, _CLASS_NONE = RClass.IN, RClass.ANY, RClass.NONE
 
 
+@_slot_init
 @dataclass(frozen=True, eq=False, slots=True)
 class ZoneConfig:
     """One zone's full state: apex, role, policy, and two indexes over its owner names.
@@ -145,9 +149,17 @@ class ZoneConfig:
     the number of owners below it. Only such a name can be an empty
     non-terminal (RFC 1034 §4.3.2), because the apex holds the SOA, so
     ``has_node`` is one lookup in one of the two. The index is built with
-    the zone, and it is empty when every owner sits at most one label below
-    the apex. Every owner lies at or below the apex: the constructor and
-    ``_patch`` raise ValueError for any other.
+    the zone: the constructor reads the depth of an owner at the apex or
+    one label below it off the owner's first length byte, and walks the
+    labels of deeper owners only. When no owner lies two or more labels
+    below the apex, the index is ``_NO_ANCESTORS``, one empty read-only
+    mapping that all such zones share. Every owner lies at or below the
+    apex: the constructor and ``_patch`` raise ValueError for any other.
+
+    ``build`` hashes each record's owner name once and hashes rdata only at
+    names given more than one record, where it drops a repeated (type,
+    rdata); a zone whose names each hold one record costs one dict
+    operation per record.
 
     Each later version comes from ``_patch``, which copies ``by_name`` once
     and replaces only the patched names' tuples, and copies ``_below`` only
@@ -167,21 +179,24 @@ class ZoneConfig:
 
     def __post_init__(self):
         apex = self.apex
-        depths = [name.labels_below(apex) for name in self.by_name]
-        if min(depths, default=0) < 0:
-            outside = next(name for name, d in zip(self.by_name, depths) if d < 0)
-            raise ValueError(_OUTSIDE.format(outside.to_text(), apex.to_text()))
+        tail = apex._key
+        below: dict[DnsName, int] = {}
+        for name in self.by_name:
+            key = name._key
+            extra = len(key) - len(tail)
+            if (extra == 0 or extra == key[0] + 1) and key.endswith(tail):
+                continue  # the apex, or one label below it: no ancestor to index
+            d = name.labels_below(apex)
+            if d < 0:
+                raise ValueError(_OUTSIDE.format(name.to_text(), apex.to_text()))
+            _count_ancestors(below, name, 1, d)
         # a name breaks a rule only through an SOA or a CNAME, so only those
         # names, and the apex that must hold the SOA, are checked
         marked = {rr.name for rrs in self.by_name.values() for rr in rrs
                   if rr.rtype == _SOA or rr.rtype == _CNAME}
         for name in marked | {apex}:
             _check_name(apex, name, self.by_name.get(name, ()))
-        below: dict[DnsName, int] = {}
-        for name, d in zip(self.by_name, depths):
-            if d > 1:
-                _count_ancestors(below, name, 1, d)
-        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "_below", below or _NO_ANCESTORS)
 
     @classmethod
     def build(cls, apex: DnsName, role: Role, policy: UpdatePolicy,
@@ -191,13 +206,24 @@ class ZoneConfig:
         Raises ValueError as the constructor does, and when two records
         share name, type and rdata but not TTL or class.
         """
-        index: dict[DnsName, dict[tuple, ResourceRecord]] = {}
+        by_name: dict[DnsName, tuple[ResourceRecord, ...]] = {}
+        # owner name -> its records by (type, rdata), for names given more than one
+        crowded: dict[DnsName, dict[tuple, ResourceRecord]] = {}
         for rr in records:
-            first = index.setdefault(rr.name, {}).setdefault((rr.rtype, rr.rdata), rr)
-            if first is not rr and not _same(first, rr):
+            alone = (rr,)
+            first = by_name.setdefault(rr.name, alone)
+            if first is alone:
+                continue
+            kept = crowded.setdefault(rr.name, {})
+            if not kept:  # the name's second record: index its first
+                (head,) = first
+                kept[(head.rtype, head.rdata)] = head
+            old = kept.setdefault((rr.rtype, rr.rdata), rr)
+            if old is not rr and not _same(old, rr):
                 raise ValueError(_CLASH.format(rr.name.to_text()))
-        return cls(apex, role, policy,
-                   {name: tuple(rrs.values()) for name, rrs in index.items()})
+        for name, kept in crowded.items():
+            by_name[name] = tuple(kept.values())
+        return cls(apex, role, policy, by_name)
 
     def derive(self, removed: Iterable[ResourceRecord],
                added: Iterable[ResourceRecord]) -> "ZoneConfig":
@@ -308,6 +334,31 @@ class ZoneConfig:
 
 _zone_config = _builder(ZoneConfig)
 
+
+class _NoAncestors(Mapping):
+    """The ancestor index of every zone whose owners all sit at most one label
+    below the apex: empty, read-only, one object, and pickled as that object."""
+
+    __slots__ = ()
+
+    def __getitem__(self, name):
+        raise KeyError(name)
+
+    def __contains__(self, name) -> bool:
+        return False
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __reduce__(self) -> str:
+        return "_NO_ANCESTORS"
+
+
+_NO_ANCESTORS = _NoAncestors()
+
 _CLASH = "two records at {} share type and rdata but not TTL or class"
 _OUTSIDE = "owner {} lies outside the zone {}"
 
@@ -357,9 +408,9 @@ def _count_ancestors(below: dict[DnsName, int], name: DnsName, step: int, depth:
 
 
 def _with_serial(soa: ResourceRecord, serial: int) -> ResourceRecord:
-    """``soa`` with another serial, for the next zone version. Filled slot by
-    slot, as the decoder fills records: the same slotted values as the two
-    constructors build, about 2 µs sooner, on every zone-changing UPDATE."""
+    """``soa`` with another serial, for the next zone version, made by the
+    builders, as the decoder makes records: the same slotted values as the
+    two constructors make, on every zone-changing UPDATE."""
     old = soa.rdata
     return _record(soa.name, soa.rtype, soa.rclass, soa.ttl,
                    _soa(old.mname, old.rname, serial, old.refresh, old.retry, old.expire,
@@ -653,6 +704,9 @@ class NameServer:
     Datagrams addressed to one server are processed serially in arrival
     order; distinct servers share nothing but the bus.
     """
+
+    __slots__ = ("address", "zones", "secondaries", "honeypot", "journal_sink", "_forwards",
+                 "_last_forward_id", "_streams", "faults")
 
     def __init__(self, address: str, zones: Iterable[ZoneConfig] = (), *,
                  honeypot: bool = False,
@@ -970,6 +1024,8 @@ class NameServer:
 
 # --- zone seed files and fleets ---
 
+MAX_TTL = 2**31 - 1  # RFC 2181 section 8: a TTL is a 31-bit unsigned number
+
 
 def parse_zone_text(text: str, keys: Optional[Mapping[str, tsig_mod.TsigKey]] = None) -> ZoneConfig:
     """Parse one zone seed: '@policy ...', '@role ...', then 'name TTL class type rdata' lines."""
@@ -1006,7 +1062,8 @@ def parse_zone_text(text: str, keys: Optional[Mapping[str, tsig_mod.TsigKey]] = 
         try:
             rtype = rtype_from_text(rtype_text)
             records.append(ResourceRecord(
-                DnsName.from_text(name_text), rtype, RClass.IN, int(ttl_text),
+                DnsName.from_text(name_text), rtype, RClass.IN,
+                _bounded(int(ttl_text), MAX_TTL, "TTL"),
                 rdata_from_text(rtype, rdata_text),
             ))
         except (ValueError, WireError) as exc:
@@ -1067,7 +1124,5 @@ def build_fleet(bus: DatagramBus, zones_by_address: Iterable[tuple[str, ZoneConf
 
 def make_soa(apex: DnsName, serial: int = 1, ttl: int = 3600) -> ResourceRecord:
     """Convenience SOA for fixtures: ns1.<apex> / hostmaster.<apex>."""
-    return ResourceRecord(
-        apex, RType.SOA, RClass.IN, ttl,
-        SoaData(apex.prepend("ns1"), apex.prepend("hostmaster"), serial, 7200, 900, 1209600, 86400),
-    )
+    return _record(apex, _SOA, _IN, ttl, _soa(apex.prepend("ns1"), apex.prepend("hostmaster"),
+                                              serial, 7200, 900, 1209600, 86400))

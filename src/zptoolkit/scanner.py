@@ -33,6 +33,7 @@ from .wire import (
     Rcode,
     RType,
     _record,
+    _slot_init,
     encode_message,
     make_query,
     make_update,
@@ -54,6 +55,7 @@ class AttestationRequired(ScannerError):
     """Real-socket probing demands the probe-address ownership attestation."""
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class ProbeTarget:
     zone: DnsName
@@ -109,6 +111,7 @@ class Verdict(Enum):
 VULNERABLE_VERDICTS = {Verdict.VULNERABLE_CONFIRMED, Verdict.CLEANUP_FAILED}
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class ProbeOutcome:
     target: ProbeTarget

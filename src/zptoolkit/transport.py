@@ -30,6 +30,7 @@ from typing import Callable, Optional, Protocol, Union
 from . import wire
 
 
+@wire._slot_init
 @dataclass(frozen=True, slots=True)
 class SimDatagram:
     """One simulated UDP datagram. The source field is a claim, not a fact."""
@@ -39,6 +40,7 @@ class SimDatagram:
     payload: bytes
 
 
+@wire._slot_init
 @dataclass(frozen=True, slots=True)
 class TapEntry:
     ts: float

@@ -17,22 +17,25 @@ to ``bytes`` once, so that no name holds a mutable buffer.
 
 Records, their rdata, questions and messages are slotted frozen
 dataclasses: an instance holds its fields in slots and has no dict,
-however it was built. Besides the constructors there is one construction
-path: ``_builder(cls)`` generates a function that takes every field, in
-field order, and fills the slots through their descriptors, in about half
-the time of the generated ``__init__``. Each builder is bound once, at
+however it was built. One generator, ``_slot_filler``, writes the code
+that fills those slots, each through its descriptor, for every slotted
+value in the package, in two forms. ``@_slot_init`` makes it the class's
+``__init__``, with the parameters, defaults and ``__post_init__`` check of
+the one ``dataclasses`` makes, which set each field through
+``object.__setattr__`` at about twice the cost. ``_builder(cls)`` makes a
+function that takes every field, in field order, and skips ``__init__``
+and ``__post_init__``, so its caller must already hold what that check
+would check, and says so at the call. Each builder is bound once, at
 module level: ``_record``, ``_soa``, ``_question`` and ``_message`` here,
 and those of datagrams, tap entries, zone versions and remediation
-subjects beside their classes. A builder skips ``__init__`` and
-``__post_init__``, so its caller must already hold what that check would
-check, and says so at the call.
+subjects beside their classes.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
 from ipaddress import IPv4Address, IPv6Address
 from typing import Iterable, Iterator, Optional, Union
@@ -279,6 +282,68 @@ def _split(wire: bytes) -> tuple[bytes, ...]:
     return tuple(labels)
 
 
+def _slot_filler(cls, init: bool):
+    """The function that fills the slots of the slotted dataclass ``cls``
+    through their descriptors, past a frozen ``__setattr__``.
+
+    With ``init`` it is ``cls.__init__``: the parameters, defaults and
+    annotations of the ``__init__`` that ``dataclasses`` made, which it
+    replaces, and then ``__post_init__`` when the class has one. Without, it
+    is the class's builder: one parameter per field, ``init=False`` ones
+    too, no defaults, and it makes the instance by ``object.__new__`` and
+    returns it, with no ``__init__`` or ``__post_init__`` run. The source is
+    generated from the field names, as ``dataclasses`` generates
+    ``__init__``, so the fills are unrolled, and its globals are the
+    constructor and the setters alone, so each is one specialised global
+    load. No field name can clash with those: a class body mangles a name
+    that starts with two underscores and does not end with two. A field
+    that only the ``dataclasses`` ``__init__`` handles (a default factory, a
+    keyword-only field, an ``init=False`` default, a field named ``self``)
+    raises TypeError.
+    """
+    for f in fields(cls):
+        if (f.default_factory is not MISSING or f.kw_only or f.name == "self"
+                or (not f.init and f.default is not MISSING)):
+            raise TypeError(f"{cls.__name__}.{f.name}: only plain fields are filled by slot")
+    filled = [f.name for f in fields(cls) if f.init or not init]
+    namespace = {"__new": _new, "__cls": cls}
+    body = ""
+    for i, name in enumerate(filled):
+        namespace[f"__set_{i}"] = cls.__dict__[name].__set__
+        body += f"    __set_{i}(self, {name})\n"
+    if init:
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        exec(f"def __init__({', '.join(['self', *filled])}):\n{body}", namespace)
+        made, init_fn = cls.__init__, namespace["__init__"]
+        init_fn.__defaults__, init_fn.__annotations__ = made.__defaults__, dict(made.__annotations__)
+        init_fn.__qualname__, init_fn.__module__ = made.__qualname__, made.__module__
+        return init_fn
+    exec(f"def build({', '.join(filled)}):\n    self = __new(__cls)\n{body}    return self\n",
+         namespace)
+    build = namespace["build"]
+    build.__qualname__ = f"_builder({cls.__name__})"
+    build.__doc__ = f"``{cls.__name__}({', '.join(filled)})``, filled slot by slot."
+    return build
+
+
+def _builder(cls):
+    """A function of one argument per field of the slotted dataclass ``cls``,
+    in field order, that returns the instance holding those values and runs
+    no check (see ``_slot_filler``)."""
+    return _slot_filler(cls, init=False)
+
+
+def _slot_init(cls):
+    """Class decorator, above ``@dataclass(frozen=True, slots=True)``: the
+    class's ``__init__`` becomes one that fills each slot through its
+    descriptor (see ``_slot_filler``), with the same signature as the one
+    ``dataclasses`` made."""
+    cls.__init__ = _slot_filler(cls, init=True)
+    return cls
+
+
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class SoaData:
     mname: DnsName
@@ -290,12 +355,14 @@ class SoaData:
     minimum: int
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class MxData:
     preference: int
     exchange: DnsName
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class TxtData:
     strings: tuple[bytes, ...]
@@ -308,6 +375,7 @@ class TxtData:
         return " ".join(s.decode("ascii", errors="backslashreplace") for s in self.strings)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class TsigData:
     algorithm: DnsName
@@ -322,6 +390,7 @@ class TsigData:
 Rdata = Union[IPv4Address, IPv6Address, DnsName, SoaData, MxData, TxtData, TsigData, bytes]
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class ResourceRecord:
     name: DnsName
@@ -331,36 +400,11 @@ class ResourceRecord:
     rdata: Rdata
 
 
-def _builder(cls):
-    """A function of one argument per field of the slotted dataclass ``cls``,
-    in field order, that returns the instance holding those values.
-
-    The instance is made by ``object.__new__`` and each slot filled through
-    its descriptor, past a frozen ``__setattr__``. The function's source is
-    generated from the field names, as ``dataclasses`` generates
-    ``__init__``, so the fills are unrolled, and its globals are the
-    constructor and the setters alone, so each is one specialised global
-    load. No field name can clash with those: a class body mangles a name
-    that starts with two underscores and does not end with two.
-    """
-    names = [f.name for f in fields(cls)]
-    namespace = {"__new": _new, "__cls": cls}
-    body = ""
-    for i, name in enumerate(names):
-        namespace[f"__set_{i}"] = cls.__dict__[name].__set__
-        body += f"    __set_{i}(__self, {name})\n"
-    exec(f"def build({', '.join(names)}):\n    __self = __new(__cls)\n{body}    return __self\n",
-         namespace)
-    build = namespace["build"]
-    build.__qualname__ = f"_builder({cls.__name__})"
-    build.__doc__ = f"``{cls.__name__}({', '.join(names)})``, filled slot by slot."
-    return build
-
-
 _record = _builder(ResourceRecord)
 _soa = _builder(SoaData)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Question:
     name: DnsName
@@ -371,6 +415,7 @@ class Question:
 _question = _builder(Question)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class DnsMessage:
     """One DNS message; carries both QUERY and UPDATE payloads.
@@ -763,7 +808,7 @@ def rdata_from_text(rtype: int, text: str) -> Rdata:
         return DnsName.from_text(text)
     if rtype == RType.MX:
         pref, exchange = text.split(None, 1)
-        return MxData(int(pref), DnsName.from_text(exchange))
+        return MxData(_bounded(int(pref), 0xFFFF, "MX preference"), DnsName.from_text(exchange))
     if rtype == RType.TXT:
         parts = [p.strip('"') for p in text.split('" "')] if '" "' in text else [text.strip('"')]
         return TxtData.from_text(*parts)
@@ -771,5 +816,14 @@ def rdata_from_text(rtype: int, text: str) -> Rdata:
         mname, rname, *nums = text.split()
         if len(nums) != 5:
             raise ValueError(f"SOA needs 7 fields, got {text!r}")
-        return SoaData(DnsName.from_text(mname), DnsName.from_text(rname), *map(int, nums))
+        numbers = [_bounded(int(n), 0xFFFFFFFF, "SOA " + field)
+                   for n, field in zip(nums, ("serial", "refresh", "retry", "expire", "minimum"))]
+        return SoaData(DnsName.from_text(mname), DnsName.from_text(rname), *numbers)
     return bytes.fromhex(text)
+
+
+def _bounded(value: int, top: int, what: str) -> int:
+    """``value``, when it lies in 0..``top``; else ValueError naming ``what``."""
+    if not 0 <= value <= top:
+        raise ValueError(f"{what} {value} is outside 0-{top}")
+    return value

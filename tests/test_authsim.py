@@ -937,6 +937,41 @@ example.com. 3600 IN TXT "v=spf1 mx -all"
         (txt,) = zone.rrset(APEX, RType.TXT)
         assert txt.rdata.to_text() == "v=spf1 mx -all"
 
+    SOA_LINE = "example.com. {ttl} IN SOA ns1.example.com. hostmaster.example.com. {nums}\n"
+    NUMS = "1 7200 900 1209600 86400"
+
+    def _seed(self, ttl="3600", nums=NUMS, mx="10"):
+        return (self.SOA_LINE.format(ttl=ttl, nums=nums)
+                + f"example.com. 3600 IN MX {mx} mail.example.com.\n")
+
+    def test_numbers_at_their_bounds_load(self):
+        zone = parse_zone_text(self._seed(ttl=str(2**31 - 1), nums=" ".join([str(2**32 - 1)] * 5),
+                                          mx="65535"))
+        assert zone.soa.ttl == 2**31 - 1 and zone.soa_serial == 2**32 - 1
+        assert zone.soa.rdata.minimum == 2**32 - 1
+        assert zone.rrset(APEX, RType.MX)[0].rdata.preference == 65535
+        assert parse_zone_text(self._seed(ttl="0", nums="0 0 0 0 0", mx="0")).soa_serial == 0
+
+    @pytest.mark.parametrize("ttl", ["-5", str(2**31), str(2**32 + 5)])
+    def test_ttl_outside_31_bits_is_refused(self, ttl):
+        # it was served wrapped: -5 as 4294967291, 2**32 + 5 as 5
+        with pytest.raises(ValueError, match=f"line 1: TTL {ttl} is outside"):
+            parse_zone_text(self._seed(ttl=ttl))
+
+    @pytest.mark.parametrize("field, nums", [("serial", "4294967296 7200 900 1209600 86400"),
+                                             ("refresh", "1 -1 900 1209600 86400"),
+                                             ("minimum", "1 7200 900 1209600 4294967296")])
+    def test_soa_number_outside_32_bits_is_refused(self, field, nums):
+        # a serial of 2**32 loaded, and then every answer holding the SOA was a SERVFAIL
+        with pytest.raises(ValueError, match=f"line 1: SOA {field} .* is outside"):
+            parse_zone_text(self._seed(nums=nums))
+
+    @pytest.mark.parametrize("pref", ["70000", "-1"])
+    def test_mx_preference_outside_16_bits_is_refused(self, pref):
+        # it loaded, and encoding the record raised struct.error
+        with pytest.raises(ValueError, match=f"line 2: MX preference {pref} is outside"):
+            parse_zone_text(self._seed(mx=pref))
+
     def test_parse_policies(self):
         assert isinstance(parse_policy("deny"), Deny)
         acl = parse_policy("ipacl 192.0.2.1, 192.0.2.2")

@@ -8,6 +8,8 @@ import time
 from ipaddress import IPv4Address, IPv6Address
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zptoolkit import authsim, wire
 from zptoolkit.authsim import Deny, IpAcl, Open, Secondary, SignedKey
@@ -23,7 +25,8 @@ from zptoolkit.scanner import (
     run_probe,
     run_scan,
 )
-from zptoolkit.transport import SimDatagram, SimTransport, SystemClock, TapEntry, UdpTransport
+from zptoolkit.transport import (DatagramBus, ManualClock, SimDatagram, SimTransport, SystemClock,
+                                 TapEntry, UdpTransport)
 from zptoolkit.wire import (
     AddRecord,
     DnsName,
@@ -32,6 +35,7 @@ from zptoolkit.wire import (
     Rcode,
     ResourceRecord,
     RType,
+    SoaData,
     decode_message,
     encode_message,
     make_update,
@@ -478,3 +482,91 @@ def test_outcome_json_shape(bus):
     assert obj["rcode"] == "NOERROR" and obj["cleanup_ok"] is True
     assert obj["detection_updates_sent"] == 1 and obj["cleanup_updates_sent"] == 1
     assert obj["t_cleanup_ms"] == round(out.t_cleanup_ms, 3)
+
+
+# --- every input is an outcome, never an exception ---
+
+# nameserver endpoints: each written form, answering or dark
+ANSWERING = ["10.0.0.1", "10.0.0.2:5353", "[2001:db8::1]", "[2001:db8::1]:53", "2001:db8::2"]
+DARK = ["198.51.100.7", "[2001:db8::dead]:5300"]
+SHORT = DnsName.from_text("ns.example")  # SOA and NS targets that fit beside any apex
+LABEL_BYTES = b"abcxyzABC019-"
+
+
+@st.composite
+def label(draw, size: int) -> bytes:
+    head = bytes([draw(st.sampled_from(LABEL_BYTES))])
+    return head + bytes([draw(st.sampled_from(LABEL_BYTES))]) * (size - 1)
+
+
+@st.composite
+def zone_name(draw) -> DnsName:
+    """A name of up to 255 wire bytes, often close to that bound."""
+    size = draw(st.one_of(st.integers(3, 64), st.integers(3, 255), st.integers(192, 255)))
+    room = size - 1  # wire bytes for the labels: the root's zero byte is the last
+    labels = []
+    while room >= 2:
+        n = draw(st.integers(1, min(63, room - 1)))
+        labels.append(draw(label(n)))
+        room -= n + 1
+    return DnsName(labels)
+
+
+@st.composite
+def scans(draw):
+    """Targets over drawn zones and endpoints, a policy per answering pair, a sentinel label."""
+    zones = draw(st.lists(zone_name(), min_size=1, max_size=4))
+    targets = []
+    for _ in range(draw(st.integers(1, 6))):
+        zone = draw(st.sampled_from(zones))
+        if draw(st.booleans()):  # the same zone in another case
+            zone = DnsName(z.swapcase() for z in zone.labels)
+        targets.append(ProbeTarget(zone, draw(st.sampled_from(ANSWERING + DARK))))
+    policies = {t: draw(st.sampled_from([Open(), Deny()])) for t in targets}
+    sentinel = draw(label(draw(st.integers(1, 63))))
+    address = draw(st.sampled_from([IPv4Address("192.0.2.80"), IPv6Address("2001:db8::80")]))
+    return targets, policies, ProbeConfig(sentinel_label=sentinel, probe_address=address)
+
+
+def _served_zone(apex: DnsName, policy) -> authsim.ZoneConfig:
+    soa = SoaData(SHORT, SHORT, 1, 7200, 900, 1209600, 86400)
+    return authsim.ZoneConfig.build(apex, authsim.Primary(), policy, [
+        ResourceRecord(apex, RType.SOA, RClass.IN, 3600, soa),
+        ResourceRecord(apex, RType.NS, RClass.IN, 3600, SHORT)])
+
+
+@given(scans())
+@example(([ProbeTarget(DnsName([b"a" * 63] * 3 + [b"b" * 51]), "10.0.0.1")], {},
+          ProbeConfig()))  # 245 bytes, and 16 more for the sentinel
+@settings(max_examples=150, deadline=None)
+def test_every_scan_input_is_an_outcome(scan):
+    targets, policies, cfg = scan
+    bus = DatagramBus(clock=ManualClock(), rng=random.Random(0))
+    servers = {}
+    for target in targets:
+        if target.nameserver in ANSWERING:
+            if target.nameserver not in servers:
+                servers[target.nameserver] = attach_server(bus, target.nameserver)
+            servers[target.nameserver].add_zone(_served_zone(target.zone,
+                                                             policies.get(target, Open())))
+    result = run_scan(targets, cfg, SimTransport(bus, SCANNER_SOURCE), bus.clock,
+                      random.Random(1))
+    pairs = list(dict.fromkeys((t.zone.to_text().lower(), t.nameserver) for t in targets))
+    assert [(o.target.zone.to_text().lower(), o.target.nameserver)
+            for o in result.outcomes] == pairs
+    assert result.snapshot.tested.pairs == len(pairs)
+    for outcome in result.outcomes:
+        zone, nameserver = outcome.target.zone, outcome.target.nameserver
+        too_long = len(zone.to_wire()) + 1 + len(cfg.sentinel_label) > 255
+        assert (outcome.verdict is Verdict.NOT_PROBED) == too_long
+        if too_long:
+            assert outcome.detection_updates_sent == 0
+        elif nameserver in DARK:
+            assert outcome.verdict is Verdict.UNREACHABLE
+        else:
+            served = servers[nameserver].zones[zone]
+            expected = Verdict.VULNERABLE_CONFIRMED if isinstance(served.policy, Open) \
+                else Verdict.NOT_VULNERABLE
+            assert outcome.verdict is expected
+            assert served.rrset(zone.prepend(cfg.sentinel_label), cfg.record_type) == ()
+    assert all(server.faults == 0 for server in servers.values())

@@ -4,6 +4,7 @@ builders, zone patch, ``derive``, ``dataclasses.replace``), and the same
 equality, hashing and pickling as the plain dataclasses had."""
 
 import dataclasses
+import inspect
 import pickle
 import random
 from ipaddress import IPv4Address, IPv6Address
@@ -292,3 +293,130 @@ def test_make_update_builds_the_constructed_records():
                            ResourceRecord(WWW, RType.A, RClass.NONE, 0, add.rdata))
     assert msg == DnsMessage(9, Opcode.UPDATE, question=(Question(APEX, RType.SOA),),
                              authority=msg.updates)
+
+
+# --- the generated constructors against the constructors ``dataclasses`` makes ---
+
+TARGET = ProbeTarget(APEX, "10.0.0.1")
+
+
+def outcome_args(verdict=Verdict.NOT_VULNERABLE, update_rcode=Rcode.REFUSED,
+                 cleanup_confirmed=None) -> dict:
+    return dict(target=TARGET, verdict=verdict, update_rcode=update_rcode, t_update_ms=1.5,
+                t_verify_ms=0.0, t_cleanup_ms=0.0, cleanup_confirmed=cleanup_confirmed,
+                detection_updates_sent=1, cleanup_updates_sent=0, ts=4.0)
+
+
+def zone_args(*records: ResourceRecord) -> dict:
+    by_name: dict = {}
+    for rr in records:
+        by_name[rr.name] = (*by_name.get(rr.name, ()), rr)
+    return dict(apex=APEX, role=Primary(), policy=Open(), by_name=by_name)
+
+
+# one valid set of arguments per class, defaults left out where the class has them
+VALID = {
+    ResourceRecord: dict(name=WWW, rtype=RType.A, rclass=RClass.IN, ttl=300,
+                         rdata=IPv4Address("192.0.2.1")),
+    SoaData: dict(mname=APEX.prepend("ns1"), rname=APEX.prepend("hostmaster"), serial=7,
+                  refresh=3600, retry=600, expire=86400, minimum=300),
+    MxData: dict(preference=10, exchange=APEX.prepend("mail")),
+    TxtData: dict(strings=(b"v=spf1", b"-all")),
+    TsigData: dict(algorithm=APEX, time_signed=100, fudge=300, mac=b"mac", original_id=5,
+                   error=0, other=b""),
+    Question: dict(name=APEX, rtype=RType.SOA),
+    DnsMessage: dict(id=7, rcode=Rcode.REFUSED, is_response=True),
+    SimDatagram: dict(source="198.51.100.1", destination="10.0.0.1", payload=b"x"),
+    TapEntry: dict(ts=2.5, datagram=SimDatagram("198.51.100.1", "10.0.0.1", b"x")),
+    ProbeTarget: dict(zone=APEX, nameserver="[2001:db8::1]:53"),
+    ProbeOutcome: outcome_args(),
+    ZoneConfig: zone_args(make_soa(APEX), *deep_zone().records_at(DEEP)),
+    RemediationSubject: dict(notified_at=1.0, last_seen_vulnerable=2.0, group="eu"),
+}
+
+# arguments that each class's ``__post_init__`` refuses
+REFUSED = [
+    (ProbeTarget, dict(zone=DnsName(()), nameserver="10.0.0.1")),
+    (ProbeTarget, dict(zone=APEX, nameserver=":53")),
+    (ProbeOutcome, outcome_args(Verdict.VULNERABLE_CONFIRMED, Rcode.REFUSED, True)),
+    (ProbeOutcome, outcome_args(Verdict.VULNERABLE_CONFIRMED, Rcode.NOERROR, False)),
+    (ProbeOutcome, outcome_args(Verdict.CLEANUP_FAILED, None)),
+    (ZoneConfig, zone_args(make_soa(APEX), ResourceRecord(DnsName.from_text("other.org"),
+                                                          RType.A, RClass.IN, 1, b"x"))),
+    (ZoneConfig, zone_args(make_soa(APEX), make_soa(WWW))),
+    (ZoneConfig, zone_args(ResourceRecord(WWW, RType.A, RClass.IN, 1, b"x"))),
+    (RemediationSubject, dict(notified_at=1.0, last_seen_vulnerable=5.0,
+                              first_seen_remediated=3.0)),
+]
+
+
+def plain_twin(cls):
+    """``cls`` as ``@dataclass(frozen=True, slots=True)`` alone makes it: the same
+    fields, ``eq`` and ``__post_init__``, and the ``__init__`` dataclasses generates."""
+    spec = [(f.name, f.type, dataclasses.field(default=f.default, init=f.init, repr=f.repr,
+                                               hash=f.hash, compare=f.compare))
+            for f in dataclasses.fields(cls)]
+    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    return dataclasses.make_dataclass(cls.__name__, spec, namespace=namespace, frozen=True,
+                                      slots=True, eq=cls.__dataclass_params__.eq)
+
+
+def fields_of(value) -> list:
+    return [getattr(value, f.name) for f in dataclasses.fields(value)]
+
+
+def test_every_slotted_value_has_one_sample():
+    assert set(VALID) == {*SLOTTED, RemediationSubject}
+
+
+@pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+def test_generated_constructor_takes_what_the_dataclass_one_takes(cls):
+    twin = plain_twin(cls)
+    assert cls.__init__ is not twin.__init__
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert inspect.signature(cls.__init__) == inspect.signature(twin.__init__)
+    args = VALID[cls]
+    made, plain = cls(**args), twin(**args)
+    assert type(made) is cls and not hasattr(made, "__dict__")
+    assert fields_of(made) == fields_of(plain)
+    for f in dataclasses.fields(cls):  # each argument lands in its own slot, as given
+        if f.name in args:
+            assert getattr(made, f.name) is args[f.name], f.name
+    positional = cls(*(args.get(f.name, f.default) for f in dataclasses.fields(cls) if f.init))
+    assert fields_of(positional) == fields_of(made)
+    if cls.__dataclass_params__.eq:
+        assert made == positional == cls(**args) and hash(made) == hash(plain)
+        copy = pickle.loads(pickle.dumps(made))
+        assert copy == made and hash(copy) == hash(made)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(made, dataclasses.fields(cls)[0].name, None)
+    # and it refuses the calls the dataclass one refuses
+    calls = [lambda c: c(**args, unknown=1), lambda c: c(*range(len(dataclasses.fields(c)) + 1)),
+             lambda c: c()]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call(twin)
+        with pytest.raises(TypeError):
+            call(cls)
+
+
+@pytest.mark.parametrize("cls, args", REFUSED,
+                         ids=[f"{cls.__name__}-{i}" for i, (cls, _) in enumerate(REFUSED)])
+def test_generated_constructor_runs_the_post_init_check(cls, args):
+    with pytest.raises((ValueError, AssertionError)) as plain:
+        plain_twin(cls)(**args)
+    with pytest.raises(type(plain.value)) as made:
+        cls(**args)
+    assert str(made.value) == str(plain.value)
+
+
+def test_replace_runs_the_post_init_check():
+    zone = deep_zone()
+    secondary = dataclasses.replace(zone, role=Secondary("10.0.0.1"))
+    assert secondary.by_name is zone.by_name and dict(secondary._below) == dict(zone._below)
+    with pytest.raises(ValueError):
+        dataclasses.replace(zone, apex=WWW)  # the SOA now lies above the apex
+    with pytest.raises(ValueError):
+        dataclasses.replace(zone, _below={})  # init=False fields are not arguments
+    with pytest.raises(ValueError):
+        dataclasses.replace(TARGET, zone=DnsName(()))

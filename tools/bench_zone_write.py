@@ -1,11 +1,12 @@
 """Time the zone write path, and count the hashing it does, per UPDATE; time
-the scanner's probe cycle, whose last query reads the zone it has just written.
+the scanner's probe cycle, whose last query reads the zone it has just written;
+time and count the building of whole zones.
 
 Usage: PYTHONPATH=src python3 tools/bench_zone_write.py [--seed N] [--repeats N]
 
 It builds seeded zones of 8, 300 and 3,000 records (SOA, apex NS and A,
 glue, then host A records), and of 20,000 for the probe cycle, and measures
-five things:
+seven things:
 
 - apply: µs per one-record add plus its exact delete, through
   ``authsim.apply_update``, at each zone size: the scanner's probe and
@@ -25,7 +26,14 @@ five things:
 - read calls: Python-level function calls (``sys.setprofile`` call events)
   in that first NXDOMAIN answer, at each size. This count depends on
   neither the host nor the hash seed, and it grows with the zone when the
-  answer scans the zone.
+  answer scans the zone;
+- build: µs per ``ZoneConfig.build`` from the zone's records, and per
+  ``dataclasses.replace(zone, role=Secondary(...))``, the copy a secondary
+  gets, at 8, 300 and 3,000 records; and per build and per replace, the
+  same three ``__hash__`` counts and the number of ``DnsName.labels_below``
+  calls, which depend on neither the host nor the hash seed;
+- constructors: µs per ``ResourceRecord(...)``, the public constructor,
+  against ``wire._record(...)``, the builder that skips ``__init__``.
 
 Timed loops run with the garbage collector off, as timeit does. It prints
 one JSON object with the medians over the repeats. The zptoolkit on
@@ -43,7 +51,9 @@ import random
 import statistics
 import sys
 import time
+import timeit
 from collections import Counter
+from contextlib import contextmanager
 from ipaddress import IPv4Address
 
 from zptoolkit import authsim, wire
@@ -56,10 +66,13 @@ SIZES = (8, 300, 3_000)
 READ_SIZES = (*SIZES, 20_000)
 PAIRS = 500  # add+delete pairs per timed round
 CYCLES = 50  # probe cycles per timed round
+ROUNDS_PER_VALUE = 20_000  # records made per timed round of the constructors
+RECORDS_PER_BUILD_ROUND = 30_000  # records per timed round of builds or replaces, at any size
 PRIMARY, SECONDARY, CLIENT = "10.0.0.1", "10.0.0.2", "198.51.100.1"
 
 
-def seeded_zone(size: int, rng: random.Random) -> ZoneConfig:
+def seeded_records(size: int, rng: random.Random) -> tuple[DnsName, list[ResourceRecord]]:
+    """The apex and records of a seeded zone of ``size`` records."""
     apex = DnsName.from_text(f"z{rng.randrange(10**6)}.example")
     ns = apex.prepend("ns1")
     records = [make_soa(apex),
@@ -69,6 +82,11 @@ def seeded_zone(size: int, rng: random.Random) -> ZoneConfig:
     for k in range(size - len(records)):
         records.append(ResourceRecord(apex.prepend(f"h{k}"), RType.A, RClass.IN, 300,
                                       IPv4Address(0xC6120000 + rng.randrange(1 << 17))))
+    return apex, records
+
+
+def seeded_zone(size: int, rng: random.Random) -> ZoneConfig:
+    apex, records = seeded_records(size, rng)
     return ZoneConfig.build(apex, Primary(), Open(), records)
 
 
@@ -219,37 +237,85 @@ def _hashed_classes() -> dict[str, list[type]]:
     return {"DnsName": [DnsName], "dataclass": records, "IPv4Address": [IPv4Address]}
 
 
+HASHED = ("DnsName", "dataclass", "IPv4Address")
+
+
+@contextmanager
+def counted(counts: Counter):
+    """Count, into ``counts``, each ``__hash__`` call of the classes of
+    ``_hashed_classes`` by their label, and each ``DnsName.labels_below``
+    call as ``labels_below``, by wrapping those methods until the block ends."""
+    wrapped = [(cls, "__hash__", label) for label, classes in _hashed_classes().items()
+               for cls in classes]
+    wrapped.append((DnsName, "labels_below", "labels_below"))
+    originals = []
+    for cls, attr, label in wrapped:
+        inherited = getattr(cls, attr)
+
+        def counting(*args, _label=label, _method=inherited):
+            counts[_label] += 1
+            return _method(*args)
+
+        originals.append((cls, attr, cls.__dict__.get(attr)))
+        setattr(cls, attr, counting)
+    try:
+        yield
+    finally:
+        for cls, attr, original in reversed(originals):
+            if original is None:
+                delattr(cls, attr)
+            else:
+                setattr(cls, attr, original)
+
+
 def count_hashes(seed: int) -> dict:
     """``__hash__`` calls per one-record add and per its delete on an 8-record zone."""
     rng = random.Random(f"{seed}:hashes")
     zone = seeded_zone(8, rng)
     add, delete = probe_pair(zone, rng)
     counts: Counter = Counter()
-    originals = []
-    for label, classes in _hashed_classes().items():
-        for cls in classes:
-            original = cls.__dict__.get("__hash__")
-            inherited = cls.__hash__
-
-            def counting(self, _label=label, _hash=inherited):
-                counts[_label] += 1
-                return _hash(self)
-
-            originals.append((cls, original))
-            cls.__hash__ = counting
-    try:
-        out = {"records": len(zone.records)}
+    out = {"records": len(zone.records)}
+    with counted(counts):
         for step, msg in (("add", add), ("delete", delete)):
             counts.clear()
             zone, _ = authsim.apply_update(zone, msg)
-            out[step] = {label: counts[label] for label in ("DnsName", "dataclass", "IPv4Address")}
-        return out
-    finally:
-        for cls, original in reversed(originals):
-            if original is None:
-                del cls.__hash__
-            else:
-                cls.__hash__ = original
+            out[step] = {label: counts[label] for label in HASHED}
+    return out
+
+
+def measure_build(size: int, seed: int, repeats: int) -> dict:
+    """µs per build and per replace of a seeded zone of ``size`` records, and
+    the hashes and ``labels_below`` calls each makes."""
+    rng = random.Random(f"{seed}:build:{size}")
+    apex, records = seeded_records(size, rng)
+    zone = ZoneConfig.build(apex, Primary(), Open(), records)
+    role = Secondary(PRIMARY)
+    steps = {"build": lambda: ZoneConfig.build(apex, Primary(), Open(), records),
+             "replace": lambda: dataclasses.replace(zone, role=role)}
+    rounds = RECORDS_PER_BUILD_ROUND // size
+    out = {"records": size}
+    for step, fn in steps.items():
+        runs = [timed(fn, rounds) * 1e6 / rounds for _ in range(repeats)]
+        out[f"{step}_us_median"] = round(statistics.median(runs), 2)
+    counts: Counter = Counter()
+    with counted(counts):
+        for step, fn in steps.items():
+            counts.clear()
+            fn()
+            out[f"{step}_calls"] = {label: counts[label] for label in (*HASHED, "labels_below")}
+    return out
+
+
+def measure_constructors(repeats: int) -> dict:
+    """µs per A record made by the public constructor and by the builder."""
+    names = {"ResourceRecord": ResourceRecord, "_record": wire._record,
+             "name": DnsName.from_text("www.example.com"), "ip": IPv4Address("192.0.2.1")}
+    out = {}
+    for label in ("ResourceRecord", "_record"):
+        timer = timeit.Timer(f"{label}(name, 1, 1, 300, ip)", globals=names)  # collector off
+        runs = [timer.timeit(ROUNDS_PER_VALUE) * 1e6 / ROUNDS_PER_VALUE for _ in range(repeats)]
+        out[f"{label}_us_median"] = round(statistics.median(runs), 3)
+    return out
 
 
 def main() -> None:
@@ -266,6 +332,8 @@ def main() -> None:
         "push": [measure_push(size, args.seed, args.repeats) for size in SIZES],
         "read": [measure_read(size, args.seed, args.repeats) for size in READ_SIZES],
         "read_calls": [count_read_calls(size, args.seed) for size in READ_SIZES],
+        "build": [measure_build(size, args.seed, args.repeats) for size in SIZES],
+        "constructors": measure_constructors(args.repeats),
     }, indent=2))
 
 
