@@ -131,10 +131,13 @@ Role = Union[Primary, Secondary]
 
 # --- zone state ---
 
-# the write path compares types and classes dozens of times per UPDATE, and
-# each ``RType.X`` is a class attribute lookup several times dearer than a global
-_SOA, _NS, _CNAME, _ANY = RType.SOA, RType.NS, RType.CNAME, RType.ANY
+# the write path compares types and classes dozens of times per UPDATE, the
+# query and refusal paths a few per request, and each ``RType.X`` is a class
+# attribute lookup several times dearer than a global
+_SOA, _NS, _CNAME, _ANY, _AXFR = RType.SOA, RType.NS, RType.CNAME, RType.ANY, RType.AXFR
 _IN, _CLASS_ANY, _CLASS_NONE = RClass.IN, RClass.ANY, RClass.NONE
+_NOERROR, _FORMERR, _NXDOMAIN = Rcode.NOERROR, Rcode.FORMERR, Rcode.NXDOMAIN
+_NOTAUTH, _REFUSED, _UPDATE = Rcode.NOTAUTH, Rcode.REFUSED, Opcode.UPDATE
 
 
 @_slot_init
@@ -291,7 +294,9 @@ class ZoneConfig:
 
     @property
     def soa(self) -> ResourceRecord:
-        return self.rrset(self.apex, RType.SOA)[0]
+        for rr in self.by_name[self.apex]:
+            if rr.rtype == _SOA:
+                return rr
 
     @property
     def soa_serial(self) -> int:
@@ -314,13 +319,20 @@ class ZoneConfig:
     def delegation(self, name: DnsName) -> Optional[DnsName]:
         """The highest zone cut at or above ``name``, below the apex (RFC 1034 §4.3.2).
 
-        ``name`` must lie in the zone. Walks from just below the apex down to
-        ``name`` and returns the first owner with an NS rrset, or None.
+        ``name`` must lie in the zone. Walks up from ``name`` to just below
+        the apex and returns the last owner with an NS rrset it meets, or None.
         """
-        for owner in reversed([*islice(name.suffixes(), name.labels_below(self.apex))]):
-            if self.rrset(owner, RType.NS):
-                return owner
-        return None
+        by_name = self.by_name
+        cut = None
+        owner = name
+        for depth in range(name.labels_below(self.apex), 0, -1):
+            for rr in by_name.get(owner, ()):
+                if rr.rtype == _NS:
+                    cut = owner
+                    break
+            if depth > 1:
+                owner = owner.parent()
+        return cut
 
     def normalized_records(self) -> frozenset[ResourceRecord]:
         """Record set with the SOA serial zeroed, for before/after comparisons.
@@ -435,8 +447,8 @@ class Refuse:
 AclResult = Union[Allow, Refuse]
 
 # a refusal carries nothing but its rcode, so every refusal is one of these
-_REFUSED = Refuse(Rcode.REFUSED)
-_NOTAUTH = Refuse(Rcode.NOTAUTH)
+_REFUSE = Refuse(Rcode.REFUSED)
+_REFUSE_NOTAUTH = Refuse(Rcode.NOTAUTH)
 
 
 def acl_check(policy: UpdatePolicy, datagram_source: str, msg: DnsMessage, now: float) -> AclResult:
@@ -446,20 +458,20 @@ def acl_check(policy: UpdatePolicy, datagram_source: str, msg: DnsMessage, now: 
     the spoofing vulnerability this toolkit demonstrates, so it must stay.
     """
     if isinstance(policy, Deny):
-        return _REFUSED
+        return _REFUSE
     if isinstance(policy, Open):
         return Allow(msg)
     if isinstance(policy, IpAcl):
         if datagram_source in policy.allowed:
             return Allow(msg)
-        return _REFUSED
+        return _REFUSE
     if isinstance(policy, SignedKey):
         result = tsig_mod.verify_message(msg, policy.keyring, now)
         if isinstance(result, tsig_mod.Accept):
             return Allow(result.message)
         if result.reason is tsig_mod.RejectReason.NO_SIGNATURE:
-            return _REFUSED
-        return _NOTAUTH
+            return _REFUSE
+        return _REFUSE_NOTAUTH
     raise TypeError(f"not an UpdatePolicy: {policy!r}")
 
 
@@ -748,9 +760,9 @@ class NameServer:
         try:
             if msg.is_response:
                 return self._handle_response(msg, dgram, now)
-            if msg.opcode == Opcode.UPDATE:
+            if msg.opcode == _UPDATE:
                 return self._handle_update(msg, dgram, now)
-            if len(msg.question) == 1 and msg.question[0].rtype == RType.AXFR:
+            if len(msg.question) == 1 and msg.question[0].rtype == _AXFR:
                 return self._answer_axfr(msg, dgram)
             return [self._reply(dgram, self._answer_query(msg))]
         except Exception:
@@ -762,39 +774,54 @@ class NameServer:
     # -- queries --
 
     def _answer_query(self, msg: DnsMessage) -> DnsMessage:
-        if len(msg.question) != 1:
-            return self._response(msg, Rcode.FORMERR)
-        q = msg.question[0]
-        zone = self._zone_for(q.name)
+        """The answer to a QUERY. The two the scanner sends, a lookup of a name
+        that holds only the asked type and one of a name that does not exist,
+        are answered with no tuple or list built beyond the response's own
+        authority section: the stored records are the answer section."""
+        question = msg.question
+        if len(question) != 1:
+            return self._response(msg, _FORMERR)
+        q = question[0]
+        name, rtype = q.name, q.rtype
+        zone = self._zone_for(name)
         if zone is None:
-            return self._response(msg, Rcode.REFUSED)
-        cut = zone.delegation(q.name)
+            return self._response(msg, _REFUSED)
+        cut = zone.delegation(name)
         if cut is not None:
-            ns_rrset = zone.rrset(cut, RType.NS)
+            ns_rrset = zone.rrset(cut, _NS)
             glue = []
             for ns in ns_rrset:
                 glue += zone.rrset(ns.rdata, RType.A) + zone.rrset(ns.rdata, RType.AAAA)
-            return self._response(msg, Rcode.NOERROR, authority=ns_rrset,
-                                  additional=tuple(glue), authoritative=False)
-        at_name = zone.records_at(q.name)
-        if not at_name:
-            if zone.has_node(q.name):
-                return self._response(msg, Rcode.NOERROR, authority=(zone.soa,), authoritative=True)
-            return self._response(msg, Rcode.NXDOMAIN, authority=(zone.soa,), authoritative=True)
-        if q.rtype == RType.ANY:
-            answers = at_name
-        else:
-            answers = tuple(rr for rr in at_name if rr.rtype == q.rtype)
-            if not answers and q.rtype != RType.CNAME:
-                answers = tuple(rr for rr in at_name if rr.rtype == RType.CNAME)
+            return _message(msg.id, msg.opcode, _NOERROR, True, False, question, (), ns_rrset,
+                            tuple(glue), 0)
+        at_name = zone.by_name.get(name)
+        if at_name is None:
+            rcode = _NOERROR if zone.has_node(name) else _NXDOMAIN
+            return _message(msg.id, msg.opcode, rcode, True, True, question, (), (zone.soa,), (), 0)
+        answers = at_name
+        if rtype != _ANY:
+            for rr in at_name:
+                if rr.rtype != rtype:  # the name holds other types too: keep the asked one
+                    answers = tuple(rr for rr in at_name if rr.rtype == rtype)
+                    if not answers and rtype != _CNAME:
+                        answers = tuple(rr for rr in at_name if rr.rtype == _CNAME)
+                    break
         if not answers:
-            return self._response(msg, Rcode.NOERROR, authority=(zone.soa,), authoritative=True)
-        return self._response(msg, Rcode.NOERROR, answers=answers, authoritative=True)
+            return _message(msg.id, msg.opcode, _NOERROR, True, True, question, (), (zone.soa,),
+                            (), 0)
+        return _message(msg.id, msg.opcode, _NOERROR, True, True, question, answers, (), (), 0)
 
     def _zone_for(self, name: DnsName) -> Optional[ZoneConfig]:
         """The zone with the longest apex at or above ``name``: suffixes, longest first."""
-        for suffix in name.suffixes():
-            zone = self.zones.get(suffix)
+        zones = self.zones
+        zone = zones.get(name)
+        if zone is not None:
+            return zone
+        wire = name._wire
+        pos = 0
+        while wire[pos]:
+            pos += wire[pos] + 1
+            zone = zones.get(name._suffix_at(pos))
             if zone is not None:
                 return zone
         return None
@@ -802,31 +829,34 @@ class NameServer:
     # -- updates --
 
     def _handle_update(self, msg: DnsMessage, dgram: SimDatagram, now: float) -> list[SimDatagram]:
-        """Work out the rcode (None when forwarded) and the datagrams the update
-        adds, then journal it once and answer it once, ahead of any IXFR push."""
-        out: list[SimDatagram] = []
-        if len(msg.question) != 1 or msg.question[0].rtype != RType.SOA:
-            rc = Rcode.FORMERR
-        elif (zone := self.zones.get(msg.question[0].name)) is None:
-            rc = Rcode.NOTAUTH
+        """Work out the rcode and the datagrams the update adds, then journal
+        it once and answer it once, ahead of any IXFR push; a secondary
+        journals a forwarded update and sends only the forward."""
+        question = msg.question
+        pushes = ()
+        if len(question) != 1 or question[0].rtype != _SOA:
+            rc = _FORMERR
+        elif (zone := self.zones.get(question[0].name)) is None:
+            rc = _NOTAUTH
         elif isinstance(acl := acl_check(zone.policy, dgram.source, msg, now), Refuse):
             rc = acl.rcode
         elif isinstance(zone.role, Secondary):
             # no local write: hand the request to the primary and relay
             # whatever rcode it returns
-            rc = None
-            out.append(self._forward(dgram, zone.role.primary_address, now))
+            forwarded = self._forward(dgram, zone.role.primary_address, now)
+            self._journal(now, dgram, msg, "FORWARDED")
+            return [forwarded]
         else:
             core = acl.message
             rc = evaluate_prerequisites(zone, core.prerequisites)
             new_zone = zone
-            if rc == Rcode.NOERROR:
+            if rc == _NOERROR:
                 new_zone, rc = apply_update(zone, core)
             if new_zone is not zone:
                 self.zones[zone.apex] = new_zone
-                out += self._push_diff(zone, new_zone, core.updates)
-        self._journal(now, dgram, msg, "FORWARDED" if rc is None else rc)
-        return out if rc is None else [self._reply(dgram, self._response(msg, rc)), *out]
+                pushes = self._push_diff(zone, new_zone, core.updates)
+        self._journal(now, dgram, msg, rc)
+        return [self._reply(dgram, self._response(msg, rc)), *pushes]
 
     def _forward(self, dgram: SimDatagram, primary: str, now: float) -> SimDatagram:
         """The request, for ``primary``, under an id of this server's own (RFC 2136 §6).
@@ -987,11 +1017,10 @@ class NameServer:
     def _reply(self, dgram: SimDatagram, msg: DnsMessage) -> SimDatagram:
         return _datagram(self.address, dgram.source, encode_message(msg))
 
-    def _response(self, request: DnsMessage, rcode: Rcode, *,
-                  answers: tuple = (), authority: tuple = (), additional: tuple = (),
-                  authoritative: bool = False) -> DnsMessage:
-        return _message(request.id, request.opcode, rcode, True, authoritative, request.question,
-                        answers, authority, additional, 0)
+    def _response(self, request: DnsMessage, rcode: Rcode) -> DnsMessage:
+        """The reply to ``request`` that carries only its question and ``rcode``."""
+        return _message(request.id, request.opcode, rcode, True, False, request.question,
+                        (), (), (), 0)
 
     def _raw_formerr(self, dgram: SimDatagram) -> SimDatagram:
         msg_id = int.from_bytes(dgram.payload[:2], "big") if len(dgram.payload) >= 2 else 0

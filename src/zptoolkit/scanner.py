@@ -23,20 +23,21 @@ from .transport import (
     parse_endpoint,
 )
 from .wire import (
-    AddRecord,
     DecodeError,
-    DeleteExactRecord,
     DnsMessage,
     DnsName,
     InvalidLabel,
+    Opcode,
     RClass,
     Rcode,
     RType,
+    _builder,
+    _draw_id,
+    _message,
+    _question,
     _record,
     _slot_init,
     encode_message,
-    make_query,
-    make_update,
 )
 
 DEFAULT_SENTINEL = b"researchstudyzp"
@@ -151,21 +152,35 @@ class ProbeOutcome:
         }
 
 
-def sentinel_name(target: ProbeTarget, cfg: ProbeConfig) -> DnsName:
-    """`<sentinel>.<zone>`; raises InvalidLabel when it exceeds 255 wire bytes."""
-    return target.zone.prepend(cfg.sentinel_label)
+# every outcome is filled slot by slot; each branch of ``run_probe`` holds
+# what ``ProbeOutcome.__post_init__`` asserts: a confirmed verdict comes only
+# with NOERROR and a confirmed cleanup, a failed cleanup only with NOERROR
+_outcome = _builder(ProbeOutcome)
+# enum members read once here: a member read through its class costs a lookup
+_NOT_PROBED, _UNREACHABLE, _MALFORMED_REPLY = (Verdict.NOT_PROBED, Verdict.UNREACHABLE,
+                                               Verdict.MALFORMED_REPLY)
+_NOT_VULNERABLE, _NOT_VISIBLE = Verdict.NOT_VULNERABLE, Verdict.UPDATE_ACCEPTED_NOT_VISIBLE
+_VULNERABLE_CONFIRMED, _CLEANUP_FAILED = Verdict.VULNERABLE_CONFIRMED, Verdict.CLEANUP_FAILED
+_IN, _NONE, _SOA, _UPDATE, _QUERY = RClass.IN, RClass.NONE, RType.SOA, Opcode.UPDATE, Opcode.QUERY
+_NOERROR = Rcode.NOERROR
+_ADDRESSES = (IPv4Address, IPv6Address)
 
 
 def build_probe(target: ProbeTarget, cfg: ProbeConfig, *,
                 msg_id: Optional[int] = None, rng: Optional[random.Random] = None) -> DnsMessage:
     """The single detection datagram: an UPDATE adding `<sentinel>.<zone>`.
 
-    Its one update record, ``updates[0]``, is the record the cleanup deletes
-    by rdata. Raises InvalidLabel as ``sentinel_name`` does.
+    The message ``make_update`` makes for that one add, built directly: its
+    zone section, ``question``, is (zone, SOA, IN), and its one update
+    record, ``updates[0]``, is the class IN record that the cleanup deletes
+    by rdata. Raises InvalidLabel when `<sentinel>.<zone>` would exceed 255
+    wire bytes.
     """
-    record = _record(sentinel_name(target, cfg), cfg.record_type, RClass.IN, cfg.ttl,
+    zone = target.zone
+    record = _record(zone.prepend(cfg.sentinel_label), cfg.record_type, _IN, cfg.ttl,
                      cfg.probe_address)
-    return make_update(target.zone, [AddRecord(record)], msg_id=msg_id, rng=rng)
+    return _message(_draw_id(msg_id, rng), _UPDATE, _NOERROR, False, False,
+                    (_question(zone, _SOA, _IN),), (), (record,), (), 0)
 
 
 def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
@@ -178,104 +193,102 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     directly for the sentinel record. Phase 3 deletes it and confirms the
     removal. Every path is an outcome, never an exception: a zone too long
     to carry the sentinel label is NotProbed, with nothing sent. Times come
-    from ``clock``, by default the transport's own.
+    from ``clock``, by default the transport's own, read once as each phase
+    ends; the outcome's ``ts`` is when phase 1 began.
     """
+    _require_attestation(cfg, transport)
     clock = clock or transport.clock
     rng = rng or random.Random()
-    if isinstance(transport, UdpTransport) and not cfg.probe_address_attested:
-        raise AttestationRequired("refusing real-socket probes without --i-own-the-probe-address")
-    started = clock.now()
-
-    def outcome(verdict, update_rcode=None, *, t_update=0.0, t_verify=0.0, t_cleanup=0.0,
-                cleanup_confirmed=None, detection_sends=0, cleanup_sends=0) -> ProbeOutcome:
-        return ProbeOutcome(
-            target=target, verdict=verdict, update_rcode=update_rcode,
-            t_update_ms=t_update * 1000, t_verify_ms=t_verify * 1000,
-            t_cleanup_ms=t_cleanup * 1000, cleanup_confirmed=cleanup_confirmed,
-            detection_updates_sent=detection_sends, cleanup_updates_sent=cleanup_sends,
-            ts=started,
-        )
-
     try:
         probe = build_probe(target, cfg, rng=rng)
     except InvalidLabel:
-        return outcome(Verdict.NOT_PROBED)
-    record = probe.updates[0]  # make_update sends a class IN add as the record itself
-    sentinel = record.name
+        return _outcome(target, _NOT_PROBED, None, 0.0, 0.0, 0.0, None, 0, 0, clock.now())
+    record = probe.updates[0]
 
     # phase 1: one UPDATE datagram decides; retransmit only after a timeout
-    t0 = clock.now()
+    started = clock.now()
     reply, detection_sends = _exchange(transport, target.nameserver, probe, cfg.timeout,
                                        RETRIES_VERIFY)
-    t_update = clock.now() - t0
-    if isinstance(reply, DecodeError):
-        return outcome(Verdict.MALFORMED_REPLY, t_update=t_update, detection_sends=detection_sends)
-    if reply is None:
-        return outcome(Verdict.UNREACHABLE, t_update=t_update, detection_sends=detection_sends)
-    if reply.rcode != Rcode.NOERROR:
-        return outcome(Verdict.NOT_VULNERABLE, reply.rcode, t_update=t_update,
-                       detection_sends=detection_sends)
+    t1 = clock.now()
+    t_update = (t1 - started) * 1000
+    if not isinstance(reply, DnsMessage):
+        verdict = _UNREACHABLE if reply is None else _MALFORMED_REPLY
+        return _outcome(target, verdict, None, t_update, 0.0, 0.0, None, detection_sends, 0,
+                        started)
+    if reply.rcode is not _NOERROR:
+        return _outcome(target, _NOT_VULNERABLE, reply.rcode, t_update, 0.0, 0.0, None,
+                        detection_sends, 0, started)
 
     # phase 2: the update claims success; look for the sentinel record
-    t1 = clock.now()
-    verdict = Verdict.UPDATE_ACCEPTED_NOT_VISIBLE
+    question = (_question(record.name, record.rtype, _IN),)
+    verdict = _NOT_VISIBLE
     try:
-        answers = _query_addresses(transport, target.nameserver, sentinel, cfg, rng)
+        answers = _query_addresses(transport, target.nameserver, question, cfg, rng)
     except DecodeError:
-        answers, verdict = None, Verdict.MALFORMED_REPLY
-    common = dict(t_update=t_update, t_verify=clock.now() - t1, detection_sends=detection_sends)
-    if answers is not None and cfg.probe_address not in answers:
+        answers, verdict = None, _MALFORMED_REPLY
+    t2 = clock.now()
+    t_verify = (t2 - t1) * 1000
+    probe_address = cfg.probe_address
+    if answers is not None and probe_address not in answers:
         # nothing of ours is visible; issue no deletion for data we did not create
-        return outcome(Verdict.UPDATE_ACCEPTED_NOT_VISIBLE, Rcode.NOERROR, **common)
+        return _outcome(target, _NOT_VISIBLE, _NOERROR, t_update, t_verify, 0.0, None,
+                        detection_sends, 0, started)
 
     # phase 3: our record may be in the zone; delete exactly it and confirm removal.
     # Only a check that saw our record alone confirms the insert: a timeout, a
     # bad reply or a pre-existing sentinel rrset keeps the weaker verdict
-    removed, cleanup_sends, t_cleanup = _cleanup_own_record(target, record, cfg, transport,
-                                                            clock, rng)
-    if answers == {cfg.probe_address}:
-        verdict = Verdict.VULNERABLE_CONFIRMED if removed else Verdict.CLEANUP_FAILED
-    return outcome(verdict, Rcode.NOERROR, cleanup_confirmed=removed,
-                   cleanup_sends=cleanup_sends, t_cleanup=t_cleanup, **common)
+    removed, cleanup_sends = _cleanup_own_record(target, probe.question, record, question, cfg,
+                                                 transport, rng)
+    t_cleanup = (clock.now() - t2) * 1000
+    if answers is not None and answers.count(probe_address) == len(answers):
+        verdict = _VULNERABLE_CONFIRMED if removed else _CLEANUP_FAILED
+    return _outcome(target, verdict, _NOERROR, t_update, t_verify, t_cleanup, removed,
+                    detection_sends, cleanup_sends, started)
 
 
-def _query_addresses(transport, destination, name, cfg, rng):
+def _require_attestation(cfg: ProbeConfig, transport: Transport) -> None:
+    if isinstance(transport, UdpTransport) and not cfg.probe_address_attested:
+        raise AttestationRequired("refusing real-socket probes without --i-own-the-probe-address")
+
+
+def _query_addresses(transport, destination, question, cfg, rng):
     """Resolve the sentinel rrset directly at the target nameserver.
 
-    Returns the answer address set, or None after all attempts time out;
-    a reply that does not decode or does not answer the query raises
-    DecodeError.
+    ``question`` is the query's question section, which the verify and
+    every re-check share. Returns the answer addresses, or None after all
+    attempts time out; a reply that does not decode or does not answer the
+    query raises DecodeError.
     """
-    query = make_query(name, cfg.record_type, rng=rng)
+    query = _message(rng.randrange(0x10000), _QUERY, _NOERROR, False, False, question,
+                     (), (), (), 0)
     reply = exchange_message(transport, destination, query, cfg.timeout, RETRIES_VERIFY)
     if reply is None:
         return None
-    return {rr.rdata for rr in reply.answers
-            if rr.rtype == cfg.record_type and rr.name == name
-            and isinstance(rr.rdata, (IPv4Address, IPv6Address))}
+    name, rtype = question[0].name, question[0].rtype
+    return [rr.rdata for rr in reply.answers
+            if rr.rtype == rtype and rr.name == name and isinstance(rr.rdata, _ADDRESSES)]
 
 
-def _cleanup_own_record(target, record, cfg, transport, clock, rng):
+def _cleanup_own_record(target, zone_question, record, question, cfg, transport, rng):
     """Delete exactly our sentinel record (RFC 2136 §2.5.4) and confirm its absence.
 
     The delete names our rdata, so a record another client holds in the
-    sentinel rrset is never touched.
+    sentinel rrset is never touched. Each round sends a fresh delete under
+    the probe's zone section, and its reply is not read: the re-check
+    decides. Returns whether the removal was confirmed, and the deletes sent.
     """
-    sentinel = record.name
-    change = DeleteExactRecord(record)
-    t0 = clock.now()
-    sends = 0
-    for _ in range(RETRIES_CLEANUP):
-        sends += 1
-        delete = make_update(target.zone, [change], rng=rng)
+    deleted = (_record(record.name, record.rtype, _NONE, 0, record.rdata),)
+    for sends in range(1, RETRIES_CLEANUP + 1):
+        delete = _message(rng.randrange(0x10000), _UPDATE, _NOERROR, False, False, zone_question,
+                          (), deleted, (), 0)
         transport.exchange(encode_message(delete), target.nameserver, cfg.timeout)
         try:
-            answers = _query_addresses(transport, target.nameserver, sentinel, cfg, rng)
+            answers = _query_addresses(transport, target.nameserver, question, cfg, rng)
         except DecodeError:
             continue
         if answers is not None and cfg.probe_address not in answers:
-            return True, sends, clock.now() - t0
-    return False, sends, clock.now() - t0
+            return True, sends
+    return False, RETRIES_CLEANUP
 
 
 class Pacer:
@@ -305,7 +318,9 @@ def run_scan(targets: Iterable[ProbeTarget], cfg: ProbeConfig, transport: Transp
     """Probe every distinct target once, paced per nameserver, and fold a snapshot.
 
     Pacing, outcomes and the snapshot read ``clock``, by default the transport's own.
+    A real-socket scan without the attestation raises before anything is sent.
     """
+    _require_attestation(cfg, transport)
     clock = clock or transport.clock
     rng = rng or random.Random()
     pacer = Pacer(clock, cfg.per_nameserver_rate)

@@ -27,8 +27,8 @@ function that takes every field, in field order, and skips ``__init__``
 and ``__post_init__``, so its caller must already hold what that check
 would check, and says so at the call. Each builder is bound once, at
 module level: ``_record``, ``_soa``, ``_question`` and ``_message`` here,
-and those of datagrams, tap entries, zone versions and remediation
-subjects beside their classes.
+and those of datagrams, tap entries, zone versions, probe outcomes and
+remediation subjects beside their classes.
 """
 
 from __future__ import annotations
@@ -794,7 +794,7 @@ def rtype_from_text(token: str) -> int:
     if token in _TYPE_BY_NAME:
         return int(_TYPE_BY_NAME[token])
     if token.startswith("TYPE"):
-        return int(token[4:])
+        return _bounded(int(token[4:]), 0xFFFF, "record type")
     raise ValueError(f"unknown record type {token!r}")
 
 
@@ -811,7 +811,10 @@ def rdata_from_text(rtype: int, text: str) -> Rdata:
         return MxData(_bounded(int(pref), 0xFFFF, "MX preference"), DnsName.from_text(exchange))
     if rtype == RType.TXT:
         parts = [p.strip('"') for p in text.split('" "')] if '" "' in text else [text.strip('"')]
-        return TxtData.from_text(*parts)
+        txt = TxtData.from_text(*parts)
+        for string in txt.strings:  # RFC 1035 §3.3: a length byte, then the string
+            _bounded(len(string), 0xFF, "TXT character-string length")
+        return txt
     if rtype == RType.SOA:
         mname, rname, *nums = text.split()
         if len(nums) != 5:

@@ -972,6 +972,32 @@ example.com. 3600 IN TXT "v=spf1 mx -all"
         with pytest.raises(ValueError, match=f"line 2: MX preference {pref} is outside"):
             parse_zone_text(self._seed(mx=pref))
 
+    @pytest.mark.parametrize("token", ["TYPE70000", "TYPE65536", "TYPE-1"])
+    def test_record_type_outside_16_bits_is_refused(self, token):
+        # TYPE70000 loaded, and every ANY answer holding it was a SERVFAIL
+        with pytest.raises(ValueError, match=f"line 2: record type {token[4:]} is outside"):
+            parse_zone_text(self.SOA_LINE.format(ttl="3600", nums=self.NUMS)
+                            + f"example.com. 300 IN {token} abcd\n")
+
+    @pytest.mark.parametrize("rdata", ['"' + "x" * 256 + '"', '"short" "' + "y" * 300 + '"'],
+                             ids=["one-string-of-256", "second-string-of-300"])
+    def test_txt_string_over_255_bytes_is_refused(self, rdata):
+        # it loaded, and every TXT answer holding it was a SERVFAIL
+        with pytest.raises(ValueError, match="line 2: TXT character-string length .* is outside"):
+            parse_zone_text(self.SOA_LINE.format(ttl="3600", nums=self.NUMS)
+                            + f"example.com. 300 IN TXT {rdata}\n")
+
+    def test_record_type_and_txt_at_their_bounds_are_served(self, bus):
+        zone = parse_zone_text(self.SOA_LINE.format(ttl="3600", nums=self.NUMS)
+                               + "example.com. 300 IN TYPE65535 abcd\n"
+                               + 'example.com. 300 IN TXT "' + "x" * 255 + '"\n')
+        server = attach_server(bus, "10.0.0.1", zone)
+        for rtype in (RType.ANY, RType.TXT, 65535):
+            reply = decode_message(client(bus).exchange(
+                encode_message(make_query(APEX, rtype, msg_id=7)), "10.0.0.1", 1.0))
+            assert reply.rcode == Rcode.NOERROR and reply.answers
+        assert server.faults == 0
+
     def test_parse_policies(self):
         assert isinstance(parse_policy("deny"), Deny)
         acl = parse_policy("ipacl 192.0.2.1, 192.0.2.2")

@@ -18,6 +18,7 @@ from zptoolkit.scanner import (
     RETRIES_VERIFY,
     AttestationRequired,
     ProbeConfig,
+    ProbeOutcome,
     ProbeTarget,
     Verdict,
     build_probe,
@@ -278,6 +279,14 @@ class TestRunProbe:
         with pytest.raises(AttestationRequired):
             run_probe(ProbeTarget(APEX, "127.0.0.1:5399"), ProbeConfig(), UdpTransport())
 
+    def test_attestation_gate_for_a_udp_scan_comes_first(self):
+        def targets():
+            raise AssertionError("a target was read before the attestation was checked")
+            yield
+
+        with pytest.raises(AttestationRequired):
+            run_scan(targets(), ProbeConfig(), UdpTransport())
+
 
 class TestRunScan:
     def test_fleet_counts_match_policy_ground_truth(self, bus):
@@ -512,9 +521,14 @@ def zone_name(draw) -> DnsName:
     return DnsName(labels)
 
 
+# an open zone whose server never receives the cleanup's delete
+STICKY = "sticky"
+
+
 @st.composite
 def scans(draw):
-    """Targets over drawn zones and endpoints, a policy per answering pair, a sentinel label."""
+    """Targets over drawn zones and endpoints, a policy per answering pair
+    (open, deny or sticky), a sentinel label."""
     zones = draw(st.lists(zone_name(), min_size=1, max_size=4))
     targets = []
     for _ in range(draw(st.integers(1, 6))):
@@ -522,7 +536,7 @@ def scans(draw):
         if draw(st.booleans()):  # the same zone in another case
             zone = DnsName(z.swapcase() for z in zone.labels)
         targets.append(ProbeTarget(zone, draw(st.sampled_from(ANSWERING + DARK))))
-    policies = {t: draw(st.sampled_from([Open(), Deny()])) for t in targets}
+    policies = {t: draw(st.sampled_from([Open(), Deny(), STICKY])) for t in targets}
     sentinel = draw(label(draw(st.integers(1, 63))))
     address = draw(st.sampled_from([IPv4Address("192.0.2.80"), IPv6Address("2001:db8::80")]))
     return targets, policies, ProbeConfig(sentinel_label=sentinel, probe_address=address)
@@ -541,14 +555,28 @@ def _served_zone(apex: DnsName, policy) -> authsim.ZoneConfig:
 @settings(max_examples=150, deadline=None)
 def test_every_scan_input_is_an_outcome(scan):
     targets, policies, cfg = scan
-    bus = DatagramBus(clock=ManualClock(), rng=random.Random(0))
+    sticky = set()  # (nameserver, zone) pairs whose deletes are lost
+
+    def lose_deletes(dgram) -> bool:
+        if dgram.payload[2] & 0xF8 != Opcode.UPDATE << 3:
+            return False
+        msg = decode_message(dgram.payload)
+        return msg.updates[0].rclass == RClass.NONE and (dgram.destination,
+                                                         msg.zone.name) in sticky
+
+    bus = DatagramBus(clock=ManualClock(), rng=random.Random(0), drop_filter=lose_deletes)
     servers = {}
     for target in targets:
         if target.nameserver in ANSWERING:
             if target.nameserver not in servers:
                 servers[target.nameserver] = attach_server(bus, target.nameserver)
-            servers[target.nameserver].add_zone(_served_zone(target.zone,
-                                                             policies.get(target, Open())))
+            policy = policies.get(target, Open())
+            key = (target.nameserver, target.zone)  # a later case variant serves in its place
+            sticky.discard(key)
+            if policy == STICKY:
+                sticky.add(key)
+                policy = Open()
+            servers[target.nameserver].add_zone(_served_zone(target.zone, policy))
     result = run_scan(targets, cfg, SimTransport(bus, SCANNER_SOURCE), bus.clock,
                       random.Random(1))
     pairs = list(dict.fromkeys((t.zone.to_text().lower(), t.nameserver) for t in targets))
@@ -556,6 +584,10 @@ def test_every_scan_input_is_an_outcome(scan):
             for o in result.outcomes] == pairs
     assert result.snapshot.tested.pairs == len(pairs)
     for outcome in result.outcomes:
+        # run_probe fills outcomes slot by slot, past ProbeOutcome.__post_init__:
+        # the public constructor must accept each one as it stands
+        rebuilt = ProbeOutcome(*(getattr(outcome, f.name) for f in dataclasses.fields(outcome)))
+        assert rebuilt == outcome
         zone, nameserver = outcome.target.zone, outcome.target.nameserver
         too_long = len(zone.to_wire()) + 1 + len(cfg.sentinel_label) > 255
         assert (outcome.verdict is Verdict.NOT_PROBED) == too_long
@@ -563,10 +595,16 @@ def test_every_scan_input_is_an_outcome(scan):
             assert outcome.detection_updates_sent == 0
         elif nameserver in DARK:
             assert outcome.verdict is Verdict.UNREACHABLE
+        elif (nameserver, zone) in sticky:
+            assert outcome.verdict is Verdict.CLEANUP_FAILED
+            assert outcome.cleanup_confirmed is False
+            assert outcome.cleanup_updates_sent == RETRIES_CLEANUP
         else:
             served = servers[nameserver].zones[zone]
             expected = Verdict.VULNERABLE_CONFIRMED if isinstance(served.policy, Open) \
                 else Verdict.NOT_VULNERABLE
             assert outcome.verdict is expected
+            assert outcome.cleanup_confirmed is (
+                True if expected is Verdict.VULNERABLE_CONFIRMED else None)
             assert served.rrset(zone.prepend(cfg.sentinel_label), cfg.record_type) == ()
     assert all(server.faults == 0 for server in servers.values())

@@ -3,6 +3,7 @@ servers put on the wire because of it."""
 
 import dataclasses
 import hashlib
+import json
 import random
 from ipaddress import IPv4Address, IPv6Address
 
@@ -13,14 +14,14 @@ from hypothesis import strategies as st
 from zptoolkit import authsim, transport
 from zptoolkit.authsim import (IpAcl, NameServer, Open, Primary, Secondary, SignedKey, ZoneConfig,
                                make_soa)
-from zptoolkit.scanner import ProbeConfig, ProbeTarget, run_scan
+from zptoolkit.scanner import ProbeConfig, ProbeTarget, Verdict, run_scan
 from zptoolkit.tsig import sign_message
 from zptoolkit.wire import (AddRecord, DeleteAllAtName, DeleteExactRecord, DeleteRRset,
                             DnsMessage, DnsName, MxData, Opcode, Question, RClass, Rcode,
                             ResourceRecord, RType, SoaData, TxtData, decode_message,
                             encode_message, make_query, make_update)
 
-from conftest import LAB_KEY, SCANNER_SOURCE
+from conftest import LAB_KEY, SCANNER_SOURCE, basic_zone, random_fleet
 
 # --- golden tap: a seeded mini hosting fleet, hashed datagram by datagram ---
 
@@ -168,6 +169,86 @@ def test_golden_tap_is_unchanged():
         _assert_same_zone(servers[primary].zones[apex], servers[secondary].zones[apex])
     assert sum(o.vulnerable for o in result.outcomes) > 0
     assert _tap_digest(bus) == GOLDEN_TAP_DIGEST
+
+
+# --- golden outcomes: every field of every outcome a seeded scan reports ---
+
+# sha256 over ``to_json_obj()`` of every outcome of ``_golden_fleet_run(seed=3)``:
+# verdicts, rcodes, phase times, send counts and start times. Recorded before the
+# probe cycle was rewritten to build its messages and outcomes slot by slot
+GOLDEN_OUTCOME_DIGEST = "7969dc998fea823b13c1dbdc4b5244aebac686ccd6ff2204024c1d80ac25c767"
+# the same over ``_lossy_fleet_scan(seed=5)``, recorded at the same time
+LOSSY_OUTCOME_DIGEST = "69afe4a02b631084988689ec677bcb6cdd5b313e39438fcfda30ff7505565501"
+
+
+def _outcome_digest(outcomes) -> str:
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update(json.dumps(outcome.to_json_obj(), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _lossy_fleet_scan(seed: int):
+    """A random_fleet scan on a bus that loses a fifth of all datagrams and
+    delays each by 1-250 ms, beside targets that reach every other verdict: dark
+    addresses, a zone too long for the sentinel, a server that answers queries
+    with junk, one that answers an UPDATE under another id, one that accepts
+    updates it never stores, one that never receives a delete, and a zone
+    that already holds another sentinel address."""
+    rng = random.Random(f"lossy:{seed}")
+    delay_rng = random.Random(seed)
+    cfg = ProbeConfig(timeout=0.5)
+
+    def no_deletes(dgram) -> bool:  # the delete of the cleanup never reaches 10.9.0.4
+        if dgram.destination != "10.9.0.4" or dgram.payload[2] & 0xF8 != Opcode.UPDATE << 3:
+            return False
+        return decode_message(dgram.payload).updates[0].rclass == RClass.NONE
+
+    bus = transport.DatagramBus(clock=transport.ManualClock(), rng=random.Random(seed),
+                                loss_rate=0.2, drop_filter=no_deletes,
+                                delay_fn=lambda d: delay_rng.uniform(0.001, 0.25))
+    _, targets, _ = random_fleet(bus, rng, 60)
+
+    def answering(address, answer):
+        def handle(dgram, now):
+            msg = decode_message(dgram.payload)
+            return [transport.SimDatagram(address, dgram.source, answer(msg))]
+        bus.attach(address, handle)
+
+    def reply(msg, msg_id=None, answers=()):
+        return encode_message(dataclasses.replace(msg, id=msg.id if msg_id is None else msg_id,
+                                                  is_response=True, answers=answers))
+
+    answering("10.9.0.1", lambda m: reply(m) if m.opcode == Opcode.UPDATE else b"\x00junk")
+    answering("10.9.0.2", lambda m: reply(m, msg_id=m.id ^ 1))
+    answering("10.9.0.3", lambda m: reply(m))
+    apex = DnsName.from_text("crowded.example")
+    sentinel = apex.prepend(cfg.sentinel_label)
+    authsim.build_fleet(bus, [
+        ("10.9.0.4", basic_zone("nodelete.example", Open())),
+        ("10.9.0.5", basic_zone("crowded.example", Open(), extra=[ResourceRecord(
+            sentinel, RType.A, RClass.IN, 60, IPv4Address("198.51.100.1"))])),
+    ])
+    extra = [ProbeTarget(DnsName.from_text(f"odd{i}.example"), f"10.9.0.{i}") for i in (1, 2, 3)]
+    extra += [ProbeTarget(DnsName.from_text("nodelete.example"), "10.9.0.4"),
+              ProbeTarget(apex, "10.9.0.5"),
+              ProbeTarget(DnsName.from_text("dark.example"), "10.9.0.6"),
+              ProbeTarget(DnsName([b"a" * 63] * 3 + [b"b" * 51]), "10.9.0.5")]
+    targets = targets + extra + [rng.choice(targets) for _ in range(5)]
+    return run_scan(targets, cfg, transport.SimTransport(bus, SCANNER_SOURCE), bus.clock,
+                    random.Random(seed))
+
+
+def test_golden_outcomes_are_unchanged():
+    _, _, _, result, _ = _golden_fleet_run(seed=3)
+    assert _outcome_digest(result.outcomes) == GOLDEN_OUTCOME_DIGEST
+
+
+def test_lossy_scan_outcomes_are_unchanged():
+    result = _lossy_fleet_scan(seed=5)
+    verdicts = {o.verdict for o in result.outcomes}
+    assert verdicts == set(Verdict), f"the scan must reach every verdict: {verdicts}"
+    assert _outcome_digest(result.outcomes) == LOSSY_OUTCOME_DIGEST
 
 
 # --- differential test: apply_update and derive against the algorithm they replaced ---

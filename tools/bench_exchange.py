@@ -2,7 +2,7 @@
 
 Usage: PYTHONPATH=src python3 tools/bench_exchange.py [--seed N] [--repeats N]
 
-It prints one JSON object with three measurements:
+It prints one JSON object with five measurements:
 
 - probe_us: µs per ``run_probe`` on a small bus with one server per kind,
   the minimum over the repeats of a batch of probes, each repeat on a
@@ -10,6 +10,20 @@ It prints one JSON object with three measurements:
   REFUSED), a vulnerable probe four (update, lookup, delete, re-check on
   an ``open`` zone), and a dark probe three sends that time out (no server
   at the address).
+- vulnerable_exchanges_us: the vulnerable probe split into its four
+  exchanges, probe, verify, delete and recheck, each the minimum over the
+  repeats of its mean µs in a batch. One exchange's share runs from the
+  moment the one before it returned (for the probe, from the call of
+  ``run_probe``) to the moment it returns: the client's reading of the
+  last reply, the building and encoding of this request, and the bus and
+  server. The recheck also takes what ``run_probe`` does after it.
+  Measured through a client transport that stamps the time as each
+  exchange returns, so the four add up to slightly more than probe_us.
+- server_us: µs of ``NameServer.handle_datagram`` per message kind, from
+  the same batches (and from refused probes for ``refusal``): an accepted
+  add, a delete, a lookup hit, an NXDOMAIN lookup, and a refusal. Each is
+  the minimum over the repeats of its mean in a batch, timed by a wrapper
+  around the handler that the bus calls.
 - tap_entry: what ``DatagramBus.send`` keeps per datagram in the tap:
   GC-tracked objects (``gc.get_objects()`` before and after) and retained
   bytes (``tracemalloc``), the payload included, over 2,000 datagrams of
@@ -83,6 +97,79 @@ def probe_us(seed: int, repeats: int) -> dict:
             best = min(best, (time.perf_counter() - t0) * 1e6 / batch)
         out[kind] = round(best, 2)
     return out
+
+
+class _StampedTransport:
+    """A client transport that records ``perf_counter`` as each exchange returns."""
+
+    def __init__(self, inner: SimTransport):
+        self.inner = inner
+        self.stamps: list[float] = []
+
+    def exchange(self, payload: bytes, destination: str, timeout: float):
+        reply = self.inner.exchange(payload, destination, timeout)
+        self.stamps.append(time.perf_counter())
+        return reply
+
+
+EXCHANGES = ("probe", "verify", "delete", "recheck")
+SERVER_KINDS = ("accepted_add", "lookup_hit", "delete", "nxdomain")  # in a vulnerable probe's order
+
+
+def split_us(seed: int, repeats: int) -> tuple[dict, dict]:
+    """Minimum µs per exchange of a vulnerable probe and per server message kind."""
+    cfg = scanner.ProbeConfig()
+    best_exchange = dict.fromkeys(EXCHANGES, float("inf"))
+    best_server = dict.fromkeys((*SERVER_KINDS, "refusal"), float("inf"))
+    perf = time.perf_counter
+    for repeat in range(repeats):
+        rng = random.Random(f"{seed}:split:{repeat}")
+        bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed))
+        apex = DnsName.from_text("zone.example")
+        handled: dict[str, list[float]] = {SERVERS["refused"]: [], SERVERS["vulnerable"]: []}
+        for kind, policy in (("refused", Deny()), ("vulnerable", Open())):
+            server = authsim.NameServer(SERVERS[kind], [_zone(apex, policy, 8, rng)])
+            times = handled[SERVERS[kind]]
+
+            def timed(dgram, now, handle=server.handle_datagram, times=times):
+                t0 = perf()
+                out = handle(dgram, now)
+                times.append(perf() - t0)
+                return out
+
+            bus.attach(SERVERS[kind], timed)
+        client = _StampedTransport(SimTransport(bus, SCANNER))
+        vulnerable = scanner.ProbeTarget(apex, SERVERS["vulnerable"])
+        refused = scanner.ProbeTarget(apex, SERVERS["refused"])
+        for target in (vulnerable, refused):  # one untimed probe of each first
+            scanner.run_probe(target, cfg, client, bus.clock, rng)
+        for times in handled.values():
+            times.clear()
+        sums = dict.fromkeys(EXCHANGES, 0.0)
+        batch = BATCH["vulnerable"]
+        for _ in range(batch):
+            client.stamps.clear()
+            t0 = perf()
+            outcome = scanner.run_probe(vulnerable, cfg, client, bus.clock, rng)
+            end = perf()
+            if outcome.verdict is not scanner.Verdict.VULNERABLE_CONFIRMED or \
+                    len(client.stamps) != len(EXCHANGES):
+                raise SystemExit("split: the vulnerable probe did not make its four exchanges")
+            marks = [t0, *client.stamps[:-1], end]
+            for name, start, stop in zip(EXCHANGES, marks, marks[1:]):
+                sums[name] += stop - start
+        for name in EXCHANGES:
+            best_exchange[name] = min(best_exchange[name], sums[name] * 1e6 / batch)
+        times = handled[SERVERS["vulnerable"]]
+        for i, name in enumerate(SERVER_KINDS):
+            best_server[name] = min(best_server[name],
+                                    sum(times[i::len(SERVER_KINDS)]) * 1e6 / batch)
+        for _ in range(BATCH["refused"]):
+            scanner.run_probe(refused, cfg, client, bus.clock, rng)
+        best_server["refusal"] = min(best_server["refusal"], sum(handled[SERVERS["refused"]])
+                                     * 1e6 / BATCH["refused"])
+    return ({name: round(us, 2) for name, us in best_exchange.items()},
+            {name: round(us, 2) for name, us in best_server.items()})
 
 
 def tap_entry(seed: int) -> dict:
@@ -177,11 +264,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
+    exchanges, server = split_us(args.seed, args.repeats)
     print(json.dumps({
         "python": platform.python_version(),
         "seed": args.seed,
         "repeats": args.repeats,
         "probe_us_min": probe_us(args.seed, args.repeats),
+        "vulnerable_exchanges_us_min": exchanges,
+        "server_us_min": server,
         "tap_entry": tap_entry(args.seed),
         "fleet_scan": fleet_scan(args.seed),
     }, indent=2))
