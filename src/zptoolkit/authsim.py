@@ -24,6 +24,7 @@ import json
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from ipaddress import IPv4Address
 from itertools import islice
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
@@ -135,9 +136,13 @@ Role = Union[Primary, Secondary]
 # query and refusal paths a few per request, and each ``RType.X`` is a class
 # attribute lookup several times dearer than a global
 _SOA, _NS, _CNAME, _ANY, _AXFR = RType.SOA, RType.NS, RType.CNAME, RType.ANY, RType.AXFR
+_IXFR, _TSIG = RType.IXFR, RType.TSIG
 _IN, _CLASS_ANY, _CLASS_NONE = RClass.IN, RClass.ANY, RClass.NONE
 _NOERROR, _FORMERR, _NXDOMAIN = Rcode.NOERROR, Rcode.FORMERR, Rcode.NXDOMAIN
-_NOTAUTH, _REFUSED, _UPDATE = Rcode.NOTAUTH, Rcode.REFUSED, Opcode.UPDATE
+_REFUSED, _YXDOMAIN, _YXRRSET, _NXRRSET = Rcode.REFUSED, Rcode.YXDOMAIN, Rcode.YXRRSET, Rcode.NXRRSET
+_NOTAUTH, _NOTZONE = Rcode.NOTAUTH, Rcode.NOTZONE
+_QUERY, _UPDATE = Opcode.QUERY, Opcode.UPDATE
+_RCODE_NAME = {rcode: rcode.name for rcode in Rcode}  # the journal's names, without ``.name``
 
 
 @_slot_init
@@ -239,22 +244,38 @@ class ZoneConfig:
         order given, so answers do not depend on the hash seed. The touched
         names go to ``_patch`` as one batch.
         """
-        removed, added = list(removed), list(added)
-        # owner name -> its records as they become
-        touched = {rr.name: list(self.records_at(rr.name)) for rr in (*removed, *added)}
+        by_name = self.by_name
+        touched: dict[DnsName, list[ResourceRecord]] = {}  # owner name -> its records as they become
         for rr in removed:
-            if not any(_same(old, rr) for old in self.records_at(rr.name)):
+            name = rr.name
+            before = by_name.get(name, ())
+            for old in before:
+                if _same(old, rr):
+                    break
+            else:
                 raise ValueError("a removed record is not in the zone")
-            now = touched[rr.name]
-            now[:] = [old for old in now if not _same(old, rr)]
+            now = touched.get(name)
+            if now is None:
+                now = touched[name] = list(before)
+            kept = []
+            for old in now:
+                if not _same(old, rr):
+                    kept.append(old)
+            now[:] = kept
         for rr in added:
-            now = touched[rr.name]
+            name = rr.name
+            now = touched.get(name)
+            if now is None:
+                now = touched[name] = list(by_name.get(name, ()))
             i = _find(now, rr.rtype, rr.rdata)
             if i < 0:
                 now.append(rr)
             elif not _same(now[i], rr):
-                raise ValueError(_CLASH.format(rr.name.to_text()))
-        return self._patch([(name, tuple(now)) for name, now in touched.items()])
+                raise ValueError(_CLASH.format(name.to_text()))
+        patches = []
+        for name, now in touched.items():
+            patches.append((name, tuple(now)))
+        return self._patch(patches)
 
     def _patch(self, patches: Iterable[tuple[DnsName, tuple[ResourceRecord, ...]]]) -> "ZoneConfig":
         """This zone with each patched name holding exactly the records given (none drops it).
@@ -432,7 +453,8 @@ def _with_serial(soa: ResourceRecord, serial: int) -> ResourceRecord:
 # --- ACL evaluation ---
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class Allow:
     """Update may proceed; ``message`` is the (possibly TSIG-stripped) core message."""
 
@@ -480,31 +502,33 @@ def acl_check(policy: UpdatePolicy, datagram_source: str, msg: DnsMessage, now: 
 
 def evaluate_prerequisites(zone: ZoneConfig, prereqs: Iterable[ResourceRecord]) -> Rcode:
     """Return NOERROR or the rcode of the first violated prerequisite."""
+    apex, by_name = zone.apex, zone.by_name
     for rr in prereqs:
         if rr.ttl != 0:
-            return Rcode.FORMERR
-        if not rr.name.is_subdomain_of(zone.apex):
-            return Rcode.NOTZONE
-        if rr.rclass == RClass.ANY:
-            if rr.rdata != b"":
-                return Rcode.FORMERR
-            if rr.rtype == RType.ANY:
-                if not zone.records_at(rr.name):
-                    return Rcode.NXDOMAIN
-            elif not zone.rrset(rr.name, rr.rtype):
-                return Rcode.NXRRSET
-        elif rr.rclass == RClass.NONE:
-            if rr.rdata != b"":
-                return Rcode.FORMERR
-            if rr.rtype == RType.ANY:
-                if zone.records_at(rr.name):
-                    return Rcode.YXDOMAIN
-            elif zone.rrset(rr.name, rr.rtype):
-                return Rcode.YXRRSET
-        else:
+            return _FORMERR
+        if not rr.name.is_subdomain_of(apex):
+            return _NOTZONE
+        rclass, rtype = rr.rclass, rr.rtype
+        if rclass != _CLASS_ANY and rclass != _CLASS_NONE:
             # value-dependent prerequisites are outside the supported subset
-            return Rcode.FORMERR
-    return Rcode.NOERROR
+            return _FORMERR
+        if rr.rdata != b"":
+            return _FORMERR
+        at_name = by_name.get(rr.name, ())
+        if rtype == _ANY:
+            exists = bool(at_name)
+        else:
+            exists = False
+            for old in at_name:
+                if old.rtype == rtype:
+                    exists = True
+                    break
+        if rclass == _CLASS_ANY:
+            if not exists:
+                return _NXDOMAIN if rtype == _ANY else _NXRRSET
+        elif exists:
+            return _YXDOMAIN if rtype == _ANY else _YXRRSET
+    return _NOERROR
 
 
 # --- update application (RFC 2136 §3.4) ---
@@ -512,27 +536,31 @@ def evaluate_prerequisites(zone: ZoneConfig, prereqs: Iterable[ResourceRecord]) 
 
 # meta types that no update record may carry as data (RFC 2136 §3.4.1.3)
 _MAILB, _MAILA = 253, 254
-_NOT_ADDABLE = (_ANY, RType.AXFR, _MAILB, _MAILA, RType.TSIG)
-_NOT_DELETABLE_AS_RRSET = (RType.AXFR, _MAILB, _MAILA)
-_NOT_DELETABLE_EXACTLY = (_ANY, RType.AXFR, _MAILB, _MAILA)
+_NOT_ADDABLE = (_ANY, _AXFR, _MAILB, _MAILA, _TSIG)
+_NOT_DELETABLE_AS_RRSET = (_AXFR, _MAILB, _MAILA)
+_NOT_DELETABLE_EXACTLY = (_ANY, _AXFR, _MAILB, _MAILA)
 
 
 def _prescan_updates(zone: ZoneConfig, updates: Iterable[ResourceRecord]) -> Rcode:
+    apex = zone.apex
     for rr in updates:
-        if not rr.name.is_subdomain_of(zone.apex):
-            return Rcode.NOTZONE
-        if rr.rclass == _IN:
-            if rr.rtype in _NOT_ADDABLE or rr.rdata == b"":
-                return Rcode.FORMERR
-        elif rr.rclass == _CLASS_ANY:
+        if not rr.name.is_subdomain_of(apex):
+            return _NOTZONE
+        rclass = rr.rclass
+        if rclass == _IN:
+            rdata = rr.rdata
+            # an address never equals b"", and asking it costs a caught AttributeError
+            if rr.rtype in _NOT_ADDABLE or (rdata.__class__ is not IPv4Address and rdata == b""):
+                return _FORMERR
+        elif rclass == _CLASS_ANY:
             if rr.ttl != 0 or rr.rdata != b"" or rr.rtype in _NOT_DELETABLE_AS_RRSET:
-                return Rcode.FORMERR
-        elif rr.rclass == _CLASS_NONE:
+                return _FORMERR
+        elif rclass == _CLASS_NONE:
             if rr.ttl != 0 or rr.rtype in _NOT_DELETABLE_EXACTLY:
-                return Rcode.FORMERR
+                return _FORMERR
         else:
-            return Rcode.FORMERR
-    return Rcode.NOERROR
+            return _FORMERR
+    return _NOERROR
 
 
 def apply_update(zone: ZoneConfig, msg: DnsMessage) -> tuple[ZoneConfig, Rcode]:
@@ -550,57 +578,86 @@ def apply_update(zone: ZoneConfig, msg: DnsMessage) -> tuple[ZoneConfig, Rcode]:
     replacement is an added record. The apex ends with its bumped SOA. The
     changed names go to ``ZoneConfig._patch`` in one batch.
     """
-    if msg.zone is None or msg.zone.rtype != _SOA:
-        return zone, Rcode.FORMERR
+    question = msg.question
+    if not question or question[0].rtype != _SOA:
+        return zone, _FORMERR
     apex = zone.apex
-    if msg.zone.name != apex:
-        return zone, Rcode.NOTZONE
-    rc = _prescan_updates(zone, msg.updates)
-    if rc != Rcode.NOERROR:
+    if question[0].name != apex:
+        return zone, _NOTZONE
+    updates = msg.authority
+    rc = _prescan_updates(zone, updates)
+    if rc != _NOERROR:
         return zone, rc
+    by_name = zone.by_name
     # owner name -> (records before, working list of records after)
     touched: dict[DnsName, tuple[tuple[ResourceRecord, ...], list[ResourceRecord]]] = {}
-    for rr in msg.updates:
+    for rr in updates:
         name = rr.name
         entry = touched.get(name)
         if entry is None:
-            before = zone.records_at(name)
+            before = by_name.get(name, ())
             entry = touched[name] = (before, list(before))
         now = entry[1]
-        rtype = rr.rtype
-        if rr.rclass == _IN:
+        rtype, rclass = rr.rtype, rr.rclass
+        if rclass == _IN:
             if rtype == _SOA:
                 continue
             if rtype == _CNAME:
-                if not any(old.rtype != _CNAME for old in now):
+                for old in now:
+                    if old.rtype != _CNAME:
+                        break
+                else:
                     now[:] = [rr]  # at most one CNAME was there: this one replaces it
                 continue
-            if any(old.rtype == _CNAME for old in now):
-                continue
-            i = _find(now, rtype, rr.rdata)
-            if i < 0:
-                now.append(rr)
+            for old in now:
+                if old.rtype == _CNAME:
+                    break
             else:
-                now[i] = rr
-        elif rr.rclass == _CLASS_ANY:
-            protected = (_SOA, _NS) if name == apex else ()
-            now[:] = [old for old in now
-                      if old.rtype in protected or rtype != _ANY and rtype != old.rtype]
+                i = _find(now, rtype, rr.rdata)
+                if i < 0:
+                    now.append(rr)
+                else:
+                    now[i] = rr
+        elif rclass == _CLASS_ANY:
+            at_apex = name == apex
+            kept = []
+            for old in now:
+                if at_apex and (old.rtype == _SOA or old.rtype == _NS) or \
+                        rtype != _ANY and rtype != old.rtype:
+                    kept.append(old)
+            now[:] = kept
         elif rtype != _SOA:  # class NONE
             i = _find(now, rtype, rr.rdata)
-            if i < 0 or rtype == _NS and name == apex and \
-                    sum(old.rtype == _NS for old in now) == 1:
+            if i < 0:
                 continue
+            if rtype == _NS and name == apex:
+                ns_count = 0
+                for old in now:
+                    if old.rtype == _NS:
+                        ns_count += 1
+                if ns_count == 1:
+                    continue
             del now[i]
-    changed = {name: rrs for name, (before, now) in touched.items()
-               if (rrs := _survivors_then_added(before, now)) is not before}
-    if not changed:
-        return zone, Rcode.NOERROR
-    at_apex = changed.pop(apex, zone.records_at(apex))
-    soa = next(rr for rr in at_apex if rr.rtype == _SOA)  # an UPDATE never removes it
-    new_soa = _with_serial(soa, (soa.rdata.serial + 1) & 0xFFFFFFFF)
-    at_apex = (*(rr for rr in at_apex if rr is not soa), new_soa)
-    return zone._patch([*changed.items(), (apex, at_apex)]), Rcode.NOERROR
+    before_apex = by_name.get(apex, ())
+    apex_entry = touched.pop(apex, None)
+    at_apex = before_apex if apex_entry is None else _survivors_then_added(*apex_entry)
+    patches = []
+    for name, (before, now) in touched.items():
+        rrs = _survivors_then_added(before, now)
+        if rrs is not before:
+            patches.append((name, rrs))
+    if not patches and at_apex is before_apex:
+        return zone, _NOERROR
+    rest = []
+    soa = None
+    for rr in at_apex:
+        if soa is None and rr.rtype == _SOA:  # an UPDATE never removes it
+            soa = rr
+        else:
+            rest.append(rr)
+    rest.append(_with_serial(soa, (soa.rdata.serial + 1) & 0xFFFFFFFF))
+    patches.append((apex, tuple(rest)))
+    return zone._patch(patches), _NOERROR
 
 
 def _survivors_then_added(before: tuple[ResourceRecord, ...],
@@ -614,12 +671,22 @@ def _survivors_then_added(before: tuple[ResourceRecord, ...],
     if not before:
         return tuple(now) if now else before
     old_ids = set(map(id, before))
-    now = [rr if id(rr) in old_ids else _survivor_equal_to(before, rr) for rr in now]
-    kept = set(map(id, now))
-    survivors = [rr for rr in before if id(rr) in kept]
+    kept = set()
+    added = []
+    for rr in now:
+        if id(rr) not in old_ids:
+            rr = _survivor_equal_to(before, rr)
+            if id(rr) not in old_ids:
+                added.append(rr)
+                continue
+        kept.add(id(rr))
+    survivors = []
+    for rr in before:
+        if id(rr) in kept:
+            survivors.append(rr)
     if len(survivors) == len(now) == len(before):
         return before
-    return (*survivors, *(rr for rr in now if id(rr) not in old_ids))
+    return (*survivors, *added)
 
 
 def _survivor_equal_to(before: tuple[ResourceRecord, ...], rr: ResourceRecord) -> ResourceRecord:
@@ -632,25 +699,32 @@ def _survivor_equal_to(before: tuple[ResourceRecord, ...], rr: ResourceRecord) -
 
 
 def _is_apex_soa(rr: ResourceRecord, apex: DnsName) -> bool:
-    return rr.rtype == RType.SOA and rr.name == apex and isinstance(rr.rdata, SoaData)
+    return rr.rtype == _SOA and rr.name == apex and isinstance(rr.rdata, SoaData)
 
 
 def _parse_diff(apex: DnsName, answers: tuple[ResourceRecord, ...]):
     """(old SOA, new SOA, deleted, added) from one RFC 1995 difference
     sequence, or None when the answers are not one."""
-    if len(answers) < 4 or not (_is_apex_soa(answers[0], apex) and _is_apex_soa(answers[1], apex)):
+    last = len(answers) - 1
+    if last < 3 or not (_is_apex_soa(answers[0], apex) and _is_apex_soa(answers[1], apex)):
         return None
-    new_soa, body = answers[0], answers[2:-1]
-    marks = [i for i, rr in enumerate(body) if rr.rtype == RType.SOA]
-    if answers[-1] != new_soa or len(marks) != 1 or body[marks[0]] != new_soa:
+    new_soa = answers[0]
+    mark = 0  # the one SOA between the old SOA and the last record
+    for i in range(2, last):
+        if answers[i].rtype == _SOA:
+            if mark:
+                return None
+            mark = i
+    if not mark or answers[last] != new_soa or answers[mark] != new_soa:
         return None
-    return answers[1], new_soa, body[:marks[0]], body[marks[0] + 1:]
+    return answers[1], new_soa, answers[2:mark], answers[mark + 1:last]
 
 
 # --- honeypot journal ---
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class HoneypotEvent:
     ts: float
     source: str
@@ -672,12 +746,16 @@ class HoneypotEvent:
         }
 
 
+_honeypot_event = _builder(HoneypotEvent)
+
+
 def _change_kind(rr: ResourceRecord) -> str:
-    if rr.rclass == RClass.IN:
+    rclass = rr.rclass
+    if rclass == _IN:
         return "add"
-    if rr.rclass == RClass.ANY:
-        return "delete_name" if rr.rtype == RType.ANY else "delete_rrset"
-    if rr.rclass == RClass.NONE:
+    if rclass == _CLASS_ANY:
+        return "delete_name" if rr.rtype == _ANY else "delete_rrset"
+    if rclass == _CLASS_NONE:
         return "delete_exact"
     return "unknown"
 
@@ -903,18 +981,29 @@ class NameServer:
         secondaries = self.secondaries.get(new.apex)
         if not secondaries:
             return []
-        deleted, added = [], []
-        for name in dict.fromkeys(rr.name for rr in updates):
-            before, after = old.records_at(name), new.records_at(name)
+        old_soa, new_soa = old.soa, new.soa
+        # the two halves of the answers: the SOAs that open each, then its records
+        deleted, added = [new_soa, old_soa], [new_soa]
+        old_by_name, new_by_name = old.by_name, new.by_name
+        seen = set()
+        for update in updates:
+            name = update.name
+            if name in seen:
+                continue
+            seen.add(name)
+            before, after = old_by_name.get(name, ()), new_by_name.get(name, ())
             if before is after:
                 continue
             old_ids, new_ids = set(map(id, before)), set(map(id, after))
-            deleted += [rr for rr in before if id(rr) not in new_ids and rr.rtype != RType.SOA]
-            added += [rr for rr in after if id(rr) not in old_ids and rr.rtype != RType.SOA]
-        old_soa, new_soa = old.soa, new.soa
-        msg = _message(new_soa.rdata.serial & 0xFFFF, Opcode.QUERY, Rcode.NOERROR, True, True,
-                       (_question(new.apex, RType.IXFR, RClass.IN),),
-                       (new_soa, old_soa, *deleted, new_soa, *added, new_soa), (), (), 0)
+            for rr in before:
+                if id(rr) not in new_ids and rr.rtype != _SOA:
+                    deleted.append(rr)
+            for rr in after:
+                if id(rr) not in old_ids and rr.rtype != _SOA:
+                    added.append(rr)
+        added.append(new_soa)
+        msg = _message(new_soa.rdata.serial & 0xFFFF, _QUERY, _NOERROR, True, True,
+                       (_question(new.apex, _IXFR, _IN),), (*deleted, *added), (), (), 0)
         try:
             payload = encode_message(msg)
         except OversizeMessage:
@@ -926,7 +1015,7 @@ class NameServer:
         apex = msg.question[0].name
         zone = self.zones.get(apex)
         if zone is None or dgram.source not in self.secondaries.get(apex, ()):
-            return [self._reply(dgram, self._response(msg, Rcode.REFUSED))]
+            return [self._reply(dgram, self._response(msg, _REFUSED))]
         return self._zone_stream(zone, msg.id, [dgram.source])
 
     def _zone_stream(self, zone: ZoneConfig, msg_id: int,
@@ -939,8 +1028,8 @@ class NameServer:
         """
         soa = zone.soa
         body = [rr for rrs in zone.by_name.values() for rr in rrs if rr is not soa]
-        head = _message(msg_id, Opcode.QUERY, Rcode.NOERROR, True, True,
-                        (_question(zone.apex, RType.AXFR, RClass.IN),), (), (), (), 0)
+        head = _message(msg_id, _QUERY, _NOERROR, True, True,
+                        (_question(zone.apex, _AXFR, _IN),), (), (), (), 0)
         payloads = encode_stream(head, [soa, *body, soa])
         return [_datagram(self.address, addr, payload)
                 for addr in destinations for payload in payloads]
@@ -948,12 +1037,13 @@ class NameServer:
     # -- responses arriving at this server (transfers, relayed rcodes) --
 
     def _handle_response(self, msg: DnsMessage, dgram: SimDatagram, now: float) -> list[SimDatagram]:
-        if len(msg.question) == 1 and msg.question[0].rtype in (RType.IXFR, RType.AXFR):
-            zone = self.zones.get(msg.question[0].name)
+        question = msg.question
+        if len(question) == 1 and (question[0].rtype == _IXFR or question[0].rtype == _AXFR):
+            zone = self.zones.get(question[0].name)
             if zone is None or not isinstance(zone.role, Secondary) or \
                     dgram.source != zone.role.primary_address:
                 return []
-            if msg.question[0].rtype == RType.IXFR:
+            if question[0].rtype == _IXFR:
                 return self._apply_diff(zone, msg)
             return self._apply_stream(zone, msg)
         entry = self._forwards.get(msg.id)
@@ -979,7 +1069,7 @@ class NameServer:
         old_soa, new_soa, deleted, added = diff
         if old_soa.rdata.serial != zone.soa_serial:
             # a push went missing: resynchronise from the primary
-            query = make_query(zone.apex, RType.AXFR, msg_id=zone.soa_serial)
+            query = make_query(zone.apex, _AXFR, msg_id=zone.soa_serial)
             return [_datagram(self.address, zone.role.primary_address, encode_message(query))]
         try:
             # the new SOA last, where the primary's UPDATE put it
@@ -1036,19 +1126,16 @@ class NameServer:
         if msg is None:
             zone_name, kinds, names = "", (), ()
         else:
-            zone_name = msg.zone.name.to_text() if msg.zone else ""
-            kinds = tuple(_change_kind(rr) for rr in msg.updates)
-            names = tuple(rr.name.to_text() for rr in msg.updates)
-        event = HoneypotEvent(
-            ts=now,
-            source=dgram.source,
-            zone=zone_name,
-            kinds=kinds,
-            names=names,
-            rcode=outcome if isinstance(outcome, str) else outcome.name,
-            raw=dgram.payload,
-        )
-        self.journal_sink(event)
+            question = msg.question
+            zone_name = question[0].name.to_text() if question else ""
+            kinds, names = [], []
+            for rr in msg.authority:
+                kinds.append(_change_kind(rr))
+                names.append(rr.name.to_text())
+            kinds, names = tuple(kinds), tuple(names)
+        rcode = outcome if isinstance(outcome, str) else _RCODE_NAME[outcome]
+        self.journal_sink(_honeypot_event(now, dgram.source, zone_name, kinds, names, rcode,
+                                          dgram.payload))
 
 
 # --- zone seed files and fleets ---

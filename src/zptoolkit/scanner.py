@@ -324,19 +324,22 @@ def run_scan(targets: Iterable[ProbeTarget], cfg: ProbeConfig, transport: Transp
     clock = clock or transport.clock
     rng = rng or random.Random()
     pacer = Pacer(clock, cfg.per_nameserver_rate)
-    pairs: set[tuple[str, str]] = set()
+    # (zone, nameserver) pairs, the zone by its lower-cased wire bytes: a label
+    # that holds a "." byte is not two labels, and case variants are one zone
+    pairs: set[tuple[bytes, str]] = set()
     outcomes: list[ProbeOutcome] = []
     vulnerable: set[tuple[str, str]] = set()
     for target in targets:
-        key = (target.zone.to_text().lower(), target.nameserver)
+        zone, nameserver = target.zone, target.nameserver
+        key = (zone._key, nameserver)
         if key in pairs:
             continue
         pairs.add(key)
-        pacer.wait(target.nameserver)
+        pacer.wait(nameserver)
         result = run_probe(target, cfg, transport, clock, rng)
         outcomes.append(result)
         if result.vulnerable:
-            vulnerable.add(key)
+            vulnerable.add((zone.to_text().lower(), nameserver))
     snapshot = ScanSnapshot.from_pairs(clock.now(), derive_counts(pairs), vulnerable)
     return ScanResult(outcomes, snapshot)
 

@@ -22,6 +22,9 @@ from .wire import (
     RType,
     TsigData,
     _message,
+    _record,
+    _slot_init,
+    _tsig_data,
     encode_message,
 )
 
@@ -60,7 +63,8 @@ class RejectReason(Enum):
     BAD_TIME = "BadTime"
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class Accept:
     """Verification succeeded; ``message`` is the core message with the TSIG stripped."""
 
@@ -74,10 +78,20 @@ class Reject:
 
 VerifyResult = Union[Accept, Reject]
 
+# a rejection carries nothing but its reason, so every rejection is one of these
+_NO_SIGNATURE = Reject(RejectReason.NO_SIGNATURE)
+_UNKNOWN_KEY = Reject(RejectReason.UNKNOWN_KEY)
+_BAD_SIGNATURE = Reject(RejectReason.BAD_SIGNATURE)
+_BAD_TIME = Reject(RejectReason.BAD_TIME)
+
+_TSIG, _CLASS_ANY = RType.TSIG, RClass.ANY
+_pack_class_ttl = struct.Struct("!HI").pack
+_pack_fudge_error_other = struct.Struct("!HHH").pack
+
 
 def _find_tsig(msg: DnsMessage) -> ResourceRecord | None:
     for rr in msg.additional:
-        if rr.rtype == RType.TSIG:
+        if rr.rtype == _TSIG:
             return rr
     return None
 
@@ -89,25 +103,22 @@ def _with_additional(msg: DnsMessage, additional: tuple[ResourceRecord, ...]) ->
 
 
 def _strip_tsig(msg: DnsMessage) -> DnsMessage:
-    return _with_additional(msg, tuple(rr for rr in msg.additional if rr.rtype != RType.TSIG))
+    kept = []
+    for rr in msg.additional:
+        if rr.rtype != _TSIG:
+            kept.append(rr)
+    return _with_additional(msg, tuple(kept))
 
 
-def _compute_mac(secret: bytes, core_wire: bytes, *, name_wire: bytes, rclass: int, ttl: int,
-                 algorithm_wire: bytes, time_signed: int, fudge: int,
-                 error: int = 0, other: bytes = b"") -> bytes:
+def _compute_mac(secret: bytes, core_wire: bytes, name_wire: bytes, rclass: int, ttl: int,
+                 algorithm_wire: bytes, time_signed: int, fudge: int, error: int,
+                 other: bytes) -> bytes:
     # RFC 2845 §3.4 composition: whole message (sans TSIG) + the TSIG
     # variables. Name and algorithm enter exactly as carried on the wire so
     # that every bit of the signed datagram stays tamper-evident.
-    variables = (
-        name_wire
-        + struct.pack("!HI", rclass, ttl)
-        + algorithm_wire
-        + time_signed.to_bytes(6, "big")
-        + struct.pack("!H", fudge)
-        + struct.pack("!H", error)
-        + struct.pack("!H", len(other))
-        + other
-    )
+    variables = (name_wire + _pack_class_ttl(rclass, ttl) + algorithm_wire
+                 + time_signed.to_bytes(6, "big") + _pack_fudge_error_other(fudge, error, len(other))
+                 + other)
     return hmac.new(secret, core_wire + variables, hashlib.sha256).digest()
 
 
@@ -116,19 +127,12 @@ def sign_message(msg: DnsMessage, key: TsigKey, now: int) -> DnsMessage:
     if _find_tsig(msg) is not None:
         raise AlreadySigned("message already carries a TSIG record")
     time_signed = int(now)
-    mac = _compute_mac(
-        key.secret, encode_message(msg),
-        name_wire=key.key_name.to_wire(), rclass=RClass.ANY, ttl=0,
-        algorithm_wire=key.algorithm.to_wire(), time_signed=time_signed, fudge=FUDGE_SECONDS,
-    )
-    tsig_rr = ResourceRecord(
-        name=key.key_name,
-        rtype=RType.TSIG,
-        rclass=RClass.ANY,
-        ttl=0,
-        rdata=TsigData(key.algorithm, time_signed, FUDGE_SECONDS, mac, msg.id, 0, b""),
-    )
-    return _with_additional(msg, msg.additional + (tsig_rr,))
+    name, algorithm = key.key_name, key.algorithm
+    mac = _compute_mac(key.secret, encode_message(msg), name._wire, _CLASS_ANY, 0,
+                       algorithm._wire, time_signed, FUDGE_SECONDS, 0, b"")
+    tsig_rr = _record(name, _TSIG, _CLASS_ANY, 0,
+                      _tsig_data(algorithm, time_signed, FUDGE_SECONDS, mac, msg.id, 0, b""))
+    return _with_additional(msg, (*msg.additional, tsig_rr))
 
 
 def verify_message(msg: DnsMessage, keyring: Iterable[TsigKey], now: int) -> VerifyResult:
@@ -139,34 +143,31 @@ def verify_message(msg: DnsMessage, keyring: Iterable[TsigKey], now: int) -> Ver
     """
     tsig_rr = _find_tsig(msg)
     if tsig_rr is None:
-        return Reject(RejectReason.NO_SIGNATURE)
+        return _NO_SIGNATURE
     tsig: TsigData = tsig_rr.rdata
     if not isinstance(tsig, TsigData):
-        return Reject(RejectReason.BAD_SIGNATURE)
-    candidates = [k for k in keyring if k.key_name == tsig_rr.name and k.algorithm == tsig.algorithm]
-    if not candidates:
-        return Reject(RejectReason.UNKNOWN_KEY)
-    core = _strip_tsig(msg)
-    # the MAC is checked over a re-encoding of the unsigned message, not over
-    # the bytes received: a signer that compresses names differently is
-    # rejected (RFC 8945 §4.3.3 wants the received prefix; ROADMAP item 2)
-    core_wire = encode_message(core)
-    if tsig.original_id != msg.id:
-        # a forwarder gave the message an id of its own: the MAC covers the
-        # header as signed, with the Original ID (RFC 8945 §4.3.3)
-        core_wire = tsig.original_id.to_bytes(2, "big") + core_wire[2:]
-    valid = any(
-        hmac.compare_digest(
-            _compute_mac(key.secret, core_wire,
-                         name_wire=tsig_rr.name.to_wire(), rclass=tsig_rr.rclass,
-                         ttl=tsig_rr.ttl, algorithm_wire=tsig.algorithm.to_wire(),
-                         time_signed=tsig.time_signed, fudge=tsig.fudge,
-                         error=tsig.error, other=tsig.other),
-            tsig.mac)
-        for key in candidates
-    )
-    if not valid:
-        return Reject(RejectReason.BAD_SIGNATURE)
+        return _BAD_SIGNATURE
+    name, algorithm = tsig_rr.name, tsig.algorithm
+    core = core_wire = None
+    for key in keyring:
+        if not (key.key_name == name and key.algorithm == algorithm):
+            continue
+        if core is None:
+            core = _strip_tsig(msg)
+            # the MAC is checked over a re-encoding of the unsigned message, not
+            # over the bytes received: a signer that compresses names differently
+            # is rejected (RFC 8945 §4.3.3 wants the received prefix; ROADMAP item 2)
+            core_wire = encode_message(core)
+            if tsig.original_id != msg.id:
+                # a forwarder gave the message an id of its own: the MAC covers
+                # the header as signed, with the Original ID (RFC 8945 §4.3.3)
+                core_wire = tsig.original_id.to_bytes(2, "big") + core_wire[2:]
+        mac = _compute_mac(key.secret, core_wire, name._wire, tsig_rr.rclass, tsig_rr.ttl,
+                           algorithm._wire, tsig.time_signed, tsig.fudge, tsig.error, tsig.other)
+        if hmac.compare_digest(mac, tsig.mac):
+            break
+    else:
+        return _UNKNOWN_KEY if core is None else _BAD_SIGNATURE
     if abs(int(now) - tsig.time_signed) > tsig.fudge:
-        return Reject(RejectReason.BAD_TIME)
+        return _BAD_TIME
     return Accept(core)

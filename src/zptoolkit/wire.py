@@ -11,9 +11,21 @@ that go on the wire, and those bytes lower-cased, which equality and
 hashing compare. Its public constructor, ``from_text`` and ``prepend``
 check every label and the 255-byte bound, and the decoder bounds what it
 reads the same way, so every name is valid and the encoder appends its bytes
-unchecked. The decoder slices an uncompressed name out of the message in
-one piece and joins the runs of a compressed one, and it coerces its input
-to ``bytes`` once, so that no name holds a mutable buffer.
+unchecked. The decoder reads a name in one walk over its label lengths: an
+uncompressed name, which is every name this package encodes, is then one
+slice of the message, and only a name that reaches a pointer goes on to
+the reader that follows pointers and joins the runs between them. It
+coerces its input to ``bytes`` once, so that no name holds a mutable buffer.
+
+The codec compares record types as plain ints held in module globals
+(``_A``, ``_SOA``, ...), never as ``RType`` members read through their
+class, which costs several times as much per read. The encoder appends
+each record to the message buffer as it goes, its fixed fields in one
+precompiled struct; the decoder reads each section in one loop, and a
+section with no records is ``()``. A record that repeats the first of its
+section byte for byte is read once, as an IXFR diff's new SOA and an AXFR
+stream's closing SOA are. Decoded record types and classes are plain
+ints; the opcode and rcode are ``Opcode`` and ``Rcode`` members.
 
 Records, their rdata, questions and messages are slotted frozen
 dataclasses: an instance holds its fields in slots and has no dict,
@@ -26,9 +38,10 @@ the one ``dataclasses`` makes, which set each field through
 function that takes every field, in field order, and skips ``__init__``
 and ``__post_init__``, so its caller must already hold what that check
 would check, and says so at the call. Each builder is bound once, at
-module level: ``_record``, ``_soa``, ``_question`` and ``_message`` here,
-and those of datagrams, tap entries, zone versions, probe outcomes and
-remediation subjects beside their classes.
+module level: ``_record``, the rdata builders ``_soa``, ``_mx``, ``_txt``
+and ``_tsig_data``, ``_question`` and ``_message`` here, and those of
+datagrams, tap entries, zone versions, honeypot events, probe outcomes
+and remediation subjects beside their classes.
 """
 
 from __future__ import annotations
@@ -402,6 +415,9 @@ class ResourceRecord:
 
 _record = _builder(ResourceRecord)
 _soa = _builder(SoaData)
+_mx = _builder(MxData)
+_txt = _builder(TxtData)
+_tsig_data = _builder(TsigData)
 
 
 @_slot_init
@@ -536,81 +552,84 @@ def make_update(
 
 # --- encoding ---
 
+# Type codes as plain ints: the codec compares them per record, and an enum
+# member read through its class costs several times a module global
+_A, _NS, _CNAME, _SOA, _MX, _TXT, _AAAA, _TSIG = map(int, (
+    RType.A, RType.NS, RType.CNAME, RType.SOA, RType.MX, RType.TXT, RType.AAAA, RType.TSIG))
 
-def _encode_rdata(rtype: int, rdata: Rdata) -> bytes:
-    if isinstance(rdata, bytes):
-        return rdata
-    if rtype in (RType.A, RType.AAAA):
-        return rdata.packed
-    if rtype in (RType.NS, RType.CNAME):
-        return rdata._wire
-    if rtype == RType.MX:
-        return struct.pack("!H", rdata.preference) + rdata.exchange._wire
-    if rtype == RType.TXT:
-        out = bytearray()
-        for s in rdata.strings:
-            if len(s) > 255:
-                raise WireError("TXT character-string longer than 255 bytes")
-            out.append(len(s))
-            out += s
-        return bytes(out)
-    if rtype == RType.SOA:
-        return (
-            rdata.mname._wire
-            + rdata.rname._wire
-            + struct.pack("!IIIII", rdata.serial, rdata.refresh, rdata.retry, rdata.expire, rdata.minimum)
-        )
-    if rtype == RType.TSIG:
-        return (
-            rdata.algorithm._wire
-            + rdata.time_signed.to_bytes(6, "big")
-            + struct.pack("!H", rdata.fudge)
-            + struct.pack("!H", len(rdata.mac))
-            + rdata.mac
-            + struct.pack("!HH", rdata.original_id, rdata.error)
-            + struct.pack("!H", len(rdata.other))
-            + rdata.other
-        )
-    raise WireError(f"cannot encode rdata {rdata!r} for rtype {rtype}")
+_pack_header = _HEADER.pack
+_pack_question = _QUESTION.pack
+_pack_record = _RECORD.pack
+_pack_u16 = struct.Struct("!H").pack
+_pack_soa_numbers = struct.Struct("!IIIII").pack
+_pack_tsig_sizes = struct.Struct("!HH").pack  # fudge, MAC size
+_pack_tsig_tail = struct.Struct("!HHH").pack  # original id, error, other size
+
+
+def _put_records(out: bytearray, records: Iterable[ResourceRecord]) -> None:
+    """Append each record's wire form to ``out``: the owner, the fixed fields
+    in one pack, and the rdata, whose type is read as a plain int."""
+    for rr in records:
+        rtype, rdata = rr.rtype, rr.rdata
+        if isinstance(rdata, bytes):
+            raw = rdata
+        elif rtype == _A or rtype == _AAAA:
+            raw = rdata.packed
+        elif rtype == _SOA:
+            raw = rdata.mname._wire + rdata.rname._wire + _pack_soa_numbers(
+                rdata.serial, rdata.refresh, rdata.retry, rdata.expire, rdata.minimum)
+        elif rtype == _NS or rtype == _CNAME:
+            raw = rdata._wire
+        elif rtype == _MX:
+            raw = _pack_u16(rdata.preference) + rdata.exchange._wire
+        elif rtype == _TXT:
+            raw = bytearray()
+            for s in rdata.strings:
+                if len(s) > 255:
+                    raise WireError("TXT character-string longer than 255 bytes")
+                raw.append(len(s))
+                raw += s
+        elif rtype == _TSIG:
+            mac, other = rdata.mac, rdata.other
+            raw = (rdata.algorithm._wire + rdata.time_signed.to_bytes(6, "big")
+                   + _pack_tsig_sizes(rdata.fudge, len(mac)) + mac
+                   + _pack_tsig_tail(rdata.original_id, rdata.error, len(other)) + other)
+        else:
+            raise WireError(f"cannot encode rdata {rdata!r} for rtype {rtype}")
+        size = len(raw)
+        if size > 0xFFFF:
+            raise OversizeMessage(f"{size}-byte rdata exceeds the 16-bit length field")
+        out += rr.name._wire
+        out += _pack_record(rtype, rr.rclass, rr.ttl & 0xFFFFFFFF, size)
+        out += raw
 
 
 def _encode_record(rr: ResourceRecord) -> bytes:
-    rdata = _encode_rdata(rr.rtype, rr.rdata)
-    if len(rdata) > 0xFFFF:
-        raise OversizeMessage(f"{len(rdata)}-byte rdata exceeds the 16-bit length field")
-    return (
-        rr.name._wire
-        + struct.pack("!HHIH", rr.rtype, rr.rclass, rr.ttl & 0xFFFFFFFF, len(rdata))
-        + rdata
-    )
+    out = bytearray()
+    _put_records(out, (rr,))
+    return bytes(out)
 
 
 def encode_message(msg: DnsMessage) -> bytes:
     """Render a message to RFC-compliant wire bytes; names are never compressed."""
-    flags = 0
+    question, answers, authority, additional = (msg.question, msg.answers, msg.authority,
+                                                msg.additional)
+    flags = ((msg.opcode & 0xF) << 11) | (msg.extra_flags & 0x03F0) | (msg.rcode & 0xF)
     if msg.is_response:
         flags |= 0x8000
-    flags |= (int(msg.opcode) & 0xF) << 11
     if msg.authoritative:
         flags |= 0x0400
-    flags |= msg.extra_flags & 0x03F0
-    flags |= int(msg.rcode) & 0xF
-    out = bytearray(
-        _HEADER.pack(
-            msg.id & 0xFFFF,
-            flags,
-            len(msg.question),
-            len(msg.answers),
-            len(msg.authority),
-            len(msg.additional),
-        )
-    )
-    for q in msg.question:
+    out = bytearray(_pack_header(msg.id & 0xFFFF, flags, len(question), len(answers),
+                                 len(authority), len(additional)))
+    for q in question:
         out += q.name._wire
-        out += struct.pack("!HH", q.rtype, q.rclass)
-    for section in (msg.answers, msg.authority, msg.additional):
-        for rr in section:
-            out += _encode_record(rr)
+        out += _pack_question(q.rtype, q.rclass)
+    if answers:
+        _put_records(out, answers)
+    if authority:
+        _put_records(out, authority)
+    if additional:
+        _put_records(out, additional)
     if len(out) > MAX_MESSAGE_SIZE:
         raise OversizeMessage(f"{len(out)} bytes exceeds {MAX_MESSAGE_SIZE}")
     return bytes(out)
@@ -637,16 +656,52 @@ def encode_stream(head: DnsMessage, records: Iterable[ResourceRecord]) -> list[b
             size = len(prefix)
         runs[-1].append(encoded)
         size += len(encoded)
-    return [prefix[:6] + struct.pack("!H", len(run)) + prefix[8:] + b"".join(run) for run in runs]
+    return [prefix[:6] + _pack_u16(len(run)) + prefix[8:] + b"".join(run) for run in runs]
 
 
 # --- decoding ---
 
+_unpack_header = _HEADER.unpack_from
+_unpack_question = _QUESTION.unpack_from
+_unpack_record = _RECORD.unpack_from
+_unpack_u16 = struct.Struct("!H").unpack_from
+_unpack_soa_numbers = struct.Struct("!IIIII").unpack_from
+_unpack_tsig_sizes = struct.Struct("!HH").unpack_from
+_unpack_tsig_tail = struct.Struct("!HHH").unpack_from
+
 
 def _read_name(data: bytes, offset: int) -> tuple[DnsName, int]:
-    """The name at ``offset`` and the offset after it: one slice of ``data``
-    when it is uncompressed, the joined runs between its pointers when not."""
-    pos = start = offset
+    """The name at ``offset`` and the offset after it.
+
+    One walk over the labels; an uncompressed name, which every name this
+    package encodes is, is then one slice of ``data``. At the first byte
+    that is not a label length the walk hands over to ``_read_compressed``.
+    """
+    pos = offset
+    try:
+        n = data[pos]
+        while 0 < n < 0x40:
+            pos += n + 1
+            n = data[pos]
+    except IndexError:
+        raise TruncatedMessage("name ran off the end of the message") from None
+    if n:
+        return _read_compressed(data, offset, pos)
+    pos += 1
+    if pos - offset > MAX_NAME_WIRE_LENGTH:
+        raise DecodeError("decoded name exceeds 255 wire bytes")
+    wire = data[offset:pos]
+    name = _new(DnsName)
+    key = wire.lower()
+    name._wire = wire
+    name._key = wire if key == wire else key
+    return name, pos
+
+
+def _read_compressed(data: bytes, offset: int, pos: int) -> tuple[DnsName, int]:
+    """``_read_name`` from ``pos``, the first byte of the name at ``offset``
+    that is not a label length: the joined runs between its pointers."""
+    start = offset
     runs = None  # the runs before each pointer followed so far
     total = 1  # wire bytes, counting the root label, of the runs before ``start``
     end = None
@@ -662,8 +717,6 @@ def _read_name(data: bytes, offset: int) -> tuple[DnsName, int]:
         elif b0 == 0:
             if total + pos - start > MAX_NAME_WIRE_LENGTH:
                 raise DecodeError("decoded name exceeds 255 wire bytes")
-            if runs is None:
-                return _named(data[start:pos + 1]), pos + 1
             runs.append(data[start:pos + 1])
             return _named(b"".join(runs)), end
         elif b0 >= 0xC0:
@@ -684,79 +737,105 @@ def _read_name(data: bytes, offset: int) -> tuple[DnsName, int]:
             raise MalformedPointer(f"reserved label type 0x{b0 & 0xC0:02x} at offset {pos}")
 
 
-def _decode_rdata(data: bytes, rdata_start: int, rdlength: int, rtype: int) -> Rdata:
-    """Rdata of any type but a well-formed A or AAAA, which ``_read_record`` decodes inline."""
-    if rdlength == 0:
+def _decode_rdata(data: bytes, pos: int, end: int, rtype: int) -> Rdata:
+    """Rdata of any type but a well-formed A, which ``_read_records`` decodes
+    inline, running from ``pos`` to ``end``."""
+    if pos == end:
         return b""
-    end = rdata_start + rdlength
-    if rtype in (RType.NS, RType.CNAME):
-        name, pos = _read_name(data, rdata_start)
-        return name if pos <= end else data[rdata_start:end]
-    if rtype == RType.MX and rdlength >= 3:
-        (pref,) = struct.unpack_from("!H", data, rdata_start)
-        name, pos = _read_name(data, rdata_start + 2)
-        return MxData(pref, name) if pos <= end else data[rdata_start:end]
-    if rtype == RType.TXT:
+    if rtype == _SOA:
+        mname, pos = _read_name(data, pos)
+        rname, pos = _read_name(data, pos)
+        if pos + 20 > end:
+            raise TruncatedMessage("SOA numeric fields truncated")
+        return _soa(mname, rname, *_unpack_soa_numbers(data, pos))
+    if rtype == _AAAA and end - pos == 16:
+        return IPv6Address(data[pos:end])
+    if rtype == _NS or rtype == _CNAME:
+        name, after = _read_name(data, pos)
+        return name if after <= end else data[pos:end]
+    if rtype == _MX and end - pos >= 3:
+        name, after = _read_name(data, pos + 2)
+        return _mx(_unpack_u16(data, pos)[0], name) if after <= end else data[pos:end]
+    if rtype == _TXT:
         strings = []
-        pos = rdata_start
         while pos < end:
             n = data[pos]
             if pos + 1 + n > end:
                 raise TruncatedMessage("TXT character-string overruns rdata")
-            strings.append(data[pos + 1 : pos + 1 + n])
+            strings.append(data[pos + 1:pos + 1 + n])
             pos += 1 + n
-        return TxtData(tuple(strings))
-    if rtype == RType.SOA:
-        mname, pos = _read_name(data, rdata_start)
-        rname, pos = _read_name(data, pos)
-        if pos + 20 > end:
-            raise TruncatedMessage("SOA numeric fields truncated")
-        serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", data, pos)
-        return _soa(mname, rname, serial, refresh, retry, expire, minimum)
-    if rtype == RType.TSIG:
-        alg, pos = _read_name(data, rdata_start)
+        return _txt(tuple(strings))
+    if rtype == _TSIG:
+        alg, pos = _read_name(data, pos)
         if pos + 10 > end:
             raise TruncatedMessage("TSIG fixed fields truncated")
-        time_signed = int.from_bytes(data[pos : pos + 6], "big")
-        (fudge, mac_size) = struct.unpack_from("!HH", data, pos + 6)
+        time_signed = int.from_bytes(data[pos:pos + 6], "big")
+        fudge, mac_size = _unpack_tsig_sizes(data, pos + 6)
         pos += 10
         if pos + mac_size + 6 > end:
             raise TruncatedMessage("TSIG MAC truncated")
-        mac = data[pos : pos + mac_size]
-        pos += mac_size
-        original_id, error, other_len = struct.unpack_from("!HHH", data, pos)
-        pos += 6
-        if pos + other_len > end:
+        mac = data[pos:pos + mac_size]
+        original_id, error, other_size = _unpack_tsig_tail(data, pos + mac_size)
+        pos += mac_size + 6
+        if pos + other_size > end:
             raise TruncatedMessage("TSIG other data truncated")
-        return TsigData(alg, time_signed, fudge, mac, original_id, error, data[pos : pos + other_len])
+        return _tsig_data(alg, time_signed, fudge, mac, original_id, error,
+                          data[pos:pos + other_size])
     # unknown types, or known types with off-contract lengths, stay opaque
-    return data[rdata_start:end]
+    return data[pos:end]
+
+
+def _read_records(data: bytes, pos: int, count: int) -> tuple[tuple[ResourceRecord, ...], int]:
+    """The ``count`` records from ``pos`` on, and the offset after them.
+
+    A later record whose bytes repeat those of the section's first is the
+    first record's object, read once: the same bytes further on decode to
+    the same values, as a pointer valid at one place is valid at any later
+    one. An IXFR diff repeats its new SOA, and an AXFR stream its SOA.
+    """
+    size = len(data)
+    records = []
+    append = records.append
+    first = first_wire = None  # the first record and its bytes, in a section of two or more
+    for _ in range(count):
+        if first_wire is not None and data.startswith(first_wire, pos):
+            append(first)
+            pos += len(first_wire)
+            continue
+        start = pos
+        name, pos = _read_name(data, pos)
+        if pos + 10 > size:
+            raise TruncatedMessage("record fixed fields truncated")
+        rtype, rclass, ttl, rdlength = _unpack_record(data, pos)
+        pos += 10
+        end = pos + rdlength
+        if end > size:
+            raise TruncatedMessage("rdata truncated")
+        if rtype == _A and rdlength == 4:
+            rdata = IPv4Address(data[pos:end])
+        else:
+            rdata = _decode_rdata(data, pos, end, rtype)
+        rr = _record(name, rtype, rclass, ttl, rdata)
+        append(rr)
+        if first is None and count > 1:
+            first, first_wire = rr, data[start:end]
+        pos = end
+    return tuple(records), pos
 
 
 def _read_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
-    name, pos = _read_name(data, offset)
-    if pos + 10 > len(data):
-        raise TruncatedMessage("record fixed fields truncated")
-    rtype, rclass, ttl, rdlength = _RECORD.unpack_from(data, pos)
-    pos += 10
-    end = pos + rdlength
-    if end > len(data):
-        raise TruncatedMessage("rdata truncated")
-    if rtype == 1 and rdlength == 4:  # A
-        rdata = IPv4Address(data[pos:end])
-    elif rtype == 28 and rdlength == 16:  # AAAA
-        rdata = IPv6Address(data[pos:end])
-    else:
-        rdata = _decode_rdata(data, pos, rdlength, rtype)
-    return _record(name, rtype, rclass, ttl, rdata), end
+    """The record at ``offset`` and the offset after it (``tools/bench_values.py`` times it)."""
+    (rr,), pos = _read_records(data, offset, 1)
+    return rr, pos
 
 
 def decode_message(data: bytes) -> DnsMessage:
     """Parse wire bytes (or any bytes-like) into a DnsMessage; all failures raise a DecodeError subclass."""
     data = bytes(data)  # once, so every slice below is a bytes object
-    if len(data) < 12:
-        raise TruncatedMessage(f"{len(data)}-byte input is shorter than the 12-byte header")
-    msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data, 0)
+    size = len(data)
+    if size < 12:
+        raise TruncatedMessage(f"{size}-byte input is shorter than the 12-byte header")
+    msg_id, flags, qdcount, ancount, nscount, arcount = _unpack_header(data)
     opcode = _OPCODES.get((flags >> 11) & 0xF)
     if opcode is None:
         raise BadOpcode(f"opcode {(flags >> 11) & 0xF} outside {{0, 5}}")
@@ -764,24 +843,25 @@ def decode_message(data: bytes) -> DnsMessage:
     if rcode is None:
         raise DecodeError(f"unassigned rcode {flags & 0xF}")
     pos = 12
-    question = []
-    for _ in range(qdcount):
-        name, pos = _read_name(data, pos)
-        if pos + 4 > len(data):
-            raise TruncatedMessage("question fixed fields truncated")
-        rtype, rclass = _QUESTION.unpack_from(data, pos)
-        pos += 4
-        question.append(_question(name, rtype, rclass))
-    sections = []
-    for count in (ancount, nscount, arcount):
-        records = []
-        for _ in range(count):
-            rr, pos = _read_record(data, pos)
-            records.append(rr)
-        sections.append(tuple(records))
-    answers, authority, additional = sections
+    question = answers = authority = additional = ()
+    if qdcount:
+        questions = []
+        for _ in range(qdcount):
+            name, pos = _read_name(data, pos)
+            if pos + 4 > size:
+                raise TruncatedMessage("question fixed fields truncated")
+            rtype, rclass = _unpack_question(data, pos)
+            pos += 4
+            questions.append(_question(name, rtype, rclass))
+        question = tuple(questions)
+    if ancount:
+        answers, pos = _read_records(data, pos, ancount)
+    if nscount:
+        authority, pos = _read_records(data, pos, nscount)
+    if arcount:
+        additional, pos = _read_records(data, pos, arcount)
     return _message(msg_id, opcode, rcode, bool(flags & 0x8000), bool(flags & 0x0400),
-                    tuple(question), answers, authority, additional, flags & 0x03F0)
+                    question, answers, authority, additional, flags & 0x03F0)
 
 
 # --- zone-file style text forms (seed files, reports) ---

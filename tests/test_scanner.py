@@ -346,6 +346,18 @@ class TestRunScan:
         assert snap.tested.pairs == snap.vulnerable.pairs == 2
         assert snap.vulnerable_pairs == {("example.com", "10.0.0.1"), ("example.com", "10.0.0.2")}
 
+    def test_a_label_holding_a_dot_is_not_two_labels(self, bus):
+        # one text form, two names: each is its own pair, and case variants stay one
+        dotted, split = DnsName([b"a.b", b"example"]), DnsName.from_text("a.b.example")
+        assert dotted != split and dotted.to_text() == split.to_text()
+        attach_server(bus, "10.0.0.1")
+        targets = [ProbeTarget(dotted, "10.0.0.1"), ProbeTarget(split, "10.0.0.1"),
+                   ProbeTarget(DnsName([b"A.B", b"EXAMPLE"]), "10.0.0.1")]
+        result = run_scan(targets, CFG, SimTransport(bus, SCANNER_SOURCE), bus.clock,
+                          random.Random(1))
+        assert [o.target.zone for o in result.outcomes] == [dotted, split]
+        assert result.snapshot.tested.pairs == 2 and result.snapshot.tested.domains == 2
+
     def test_faulty_update_handler_answers_servfail(self, bus, monkeypatch, caplog):
         broken = DnsName.from_text("broken.example")
         apply_update = authsim.apply_update

@@ -13,7 +13,8 @@ import pytest
 
 from zptoolkit import analytics, authsim, transport, wire
 from zptoolkit.analytics import RemediationSubject
-from zptoolkit.authsim import Open, Primary, Secondary, ZoneConfig, apply_update, make_soa
+from zptoolkit.authsim import (Allow, HoneypotEvent, Open, Primary, Secondary, ZoneConfig,
+                               apply_update, make_soa)
 from zptoolkit.scanner import ProbeConfig, ProbeOutcome, ProbeTarget, Verdict, parse_pair_lines, \
     run_probe
 from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram, SimTransport, TapEntry
@@ -48,7 +49,7 @@ DEEP = WWW.prepend("a").prepend("b")  # three labels below the apex: two ancesto
 KEY = TsigKey(DnsName.from_text("update-key"), b"update-key-secret-123456")
 
 SLOTTED = (ResourceRecord, SoaData, MxData, TxtData, TsigData, DnsMessage, Question, SimDatagram,
-           TapEntry, ProbeTarget, ProbeOutcome, ZoneConfig)
+           TapEntry, ProbeTarget, ProbeOutcome, ZoneConfig, HoneypotEvent, Accept, Allow)
 
 
 def constructed_records() -> list[ResourceRecord]:
@@ -255,6 +256,9 @@ def test_positional_builders_equal_the_constructors():
         (wire._record, ResourceRecord, (WWW, RType.A, RClass.IN, 300, IPv4Address("192.0.2.1"))),
         (wire._soa, SoaData, (APEX.prepend("ns1"), APEX.prepend("hostmaster"), 7, 3600, 600,
                               86400, 300)),
+        (wire._mx, MxData, (10, APEX.prepend("mail"))),
+        (wire._txt, TxtData, ((b"v=spf1", b"-all"),)),
+        (wire._tsig_data, TsigData, (APEX, 100, 300, b"mac", 5, 0, b"")),
         (wire._question, Question, (APEX, RType.SOA, RClass.IN)),
         (wire._message, DnsMessage, (7, Opcode.UPDATE, Rcode.NXDOMAIN, True, False, (question,),
                                      tuple(records[:1]), tuple(records[1:3]), tuple(records[3:]),
@@ -264,6 +268,8 @@ def test_positional_builders_equal_the_constructors():
         (authsim._zone_config, ZoneConfig, (zone.apex, zone.role, zone.policy, zone.by_name,
                                             zone._below)),
         (analytics._swept_subject, RemediationSubject, (1.0, 2.0, 3.0, "eu")),
+        (authsim._honeypot_event, HoneypotEvent, (1.5, "198.51.100.1", "example.com", ("add",),
+                                                  ("www.example.com",), "NOERROR", b"raw")),
     ]
     for build, cls, args in inputs:
         fields = dataclasses.fields(cls)
@@ -332,6 +338,10 @@ VALID = {
     ProbeOutcome: outcome_args(),
     ZoneConfig: zone_args(make_soa(APEX), *deep_zone().records_at(DEEP)),
     RemediationSubject: dict(notified_at=1.0, last_seen_vulnerable=2.0, group="eu"),
+    HoneypotEvent: dict(ts=1.5, source="198.51.100.1", zone="example.com", kinds=("add",),
+                        names=("www.example.com",), rcode="NOERROR", raw=b"raw"),
+    Accept: dict(message=DnsMessage(7)),
+    Allow: dict(message=DnsMessage(7)),
 }
 
 # arguments that each class's ``__post_init__`` refuses

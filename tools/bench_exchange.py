@@ -2,7 +2,7 @@
 
 Usage: PYTHONPATH=src python3 tools/bench_exchange.py [--seed N] [--repeats N]
 
-It prints one JSON object with five measurements:
+It prints one JSON object with six measurements:
 
 - probe_us: µs per ``run_probe`` on a small bus with one server per kind,
   the minimum over the repeats of a batch of probes, each repeat on a
@@ -24,6 +24,13 @@ It prints one JSON object with five measurements:
   add, a delete, a lookup hit, an NXDOMAIN lookup, and a refusal. Each is
   the minimum over the repeats of its mean in a batch, timed by a wrapper
   around the handler that the bus calls.
+- tenant_pair_us: µs per tenant pair, the unit behind hosting-scan's
+  ``op_ms_p50``: a TSIG-signed UPDATE adding one A record and one deleting
+  it, each sent by ``exchange_message`` to a primary whose signed-key zone
+  (12 records) has one secondary. The primary journals each update to a
+  JSONL file and pushes each change to the secondary as one IXFR message,
+  which the secondary applies. The minimum over the repeats of the mean
+  of a batch, each repeat on a fresh bus and journal file.
 - tap_entry: what ``DatagramBus.send`` keeps per datagram in the tap:
   GC-tracked objects (``gc.get_objects()`` before and after) and retained
   bytes (``tracemalloc``), the payload included, over 2,000 datagrams of
@@ -41,22 +48,29 @@ measures two checkouts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
+import os
 import platform
 import random
+import tempfile
 import time
 import tracemalloc
 from ipaddress import IPv4Address
 
 from zptoolkit import authsim, scanner, tsig
-from zptoolkit.authsim import Deny, IpAcl, Open, Primary, SignedKey, ZoneConfig, make_soa
-from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram, SimTransport
-from zptoolkit.wire import DnsName, RClass, ResourceRecord, RType
+from zptoolkit.authsim import Deny, IpAcl, Open, Primary, Secondary, SignedKey, ZoneConfig, make_soa
+from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram, SimTransport, exchange_message
+from zptoolkit.wire import (AddRecord, DeleteExactRecord, DnsName, RClass, Rcode, ResourceRecord,
+                            RType, make_update)
 
 SCANNER = "scanner.client"
 BATCH = {"refused": 2_000, "vulnerable": 500, "dark": 1_000}
 SERVERS = {"refused": "10.0.0.1", "vulnerable": "10.0.0.2", "dark": "10.0.0.3"}
+TENANT = "tenant.client"
+PRIMARY, SECONDARY = "10.0.1.1", "10.0.1.2"
+TENANT_PAIRS = 300
 TAP_DATAGRAMS = 2_000
 FLEET = 10_000
 KEY = tsig.TsigKey(DnsName.from_text("fleet-key"), b"fleet-secret-0123456789")
@@ -172,6 +186,47 @@ def split_us(seed: int, repeats: int) -> tuple[dict, dict]:
             {name: round(us, 2) for name, us in best_server.items()})
 
 
+def _tenant_pair(bus: DatagramBus, client: SimTransport, apex: DnsName, k: int,
+                 rng: random.Random) -> None:
+    """A signed add and then a signed delete of ``tenant<k>.<apex>``, each answered NOERROR."""
+    record = ResourceRecord(apex.prepend(f"tenant{k}"), RType.A, RClass.IN, 300,
+                            IPv4Address(0x0A640000 + k))
+    for change in (AddRecord(record), DeleteExactRecord(record)):
+        signed = tsig.sign_message(make_update(apex, [change], rng=rng), KEY,
+                                   int(bus.clock.now()))
+        reply = exchange_message(client, PRIMARY, signed, timeout=1.0)
+        if reply is None or reply.rcode is not Rcode.NOERROR:
+            raise SystemExit("tenant: a signed update was not answered NOERROR")
+
+
+def tenant_pair_us(seed: int, repeats: int) -> float:
+    """Minimum µs per tenant pair over ``repeats`` batches."""
+    best = float("inf")
+    apex = DnsName.from_text("tenant.example")
+    with tempfile.TemporaryDirectory() as tmp:
+        for repeat in range(repeats):
+            rng = random.Random(f"{seed}:tenant:{repeat}")
+            bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed))
+            zone = _zone(apex, SignedKey((KEY,)), 12, rng)
+            sink = authsim.open_journal(os.path.join(tmp, f"journal-{repeat}.jsonl"))
+            try:
+                servers = authsim.build_fleet(
+                    bus, [(PRIMARY, zone),
+                          (SECONDARY, dataclasses.replace(zone, role=Secondary(PRIMARY)))],
+                    honeypot=True, journal_sink=sink)
+                client = SimTransport(bus, TENANT)
+                _tenant_pair(bus, client, apex, 0, rng)  # one untimed pair first
+                t0 = time.perf_counter()
+                for k in range(1, TENANT_PAIRS + 1):
+                    _tenant_pair(bus, client, apex, k, rng)
+                best = min(best, (time.perf_counter() - t0) * 1e6 / TENANT_PAIRS)
+            finally:
+                sink.close()
+            if servers[SECONDARY].zones[apex].records != servers[PRIMARY].zones[apex].records:
+                raise SystemExit("tenant: the secondary differs from its primary")
+    return round(best, 2)
+
+
 def tap_entry(seed: int) -> dict:
     """GC-tracked objects and bytes that the tap keeps per datagram sent."""
     rng = random.Random(f"{seed}:tap")
@@ -272,6 +327,7 @@ def main() -> None:
         "probe_us_min": probe_us(args.seed, args.repeats),
         "vulnerable_exchanges_us_min": exchanges,
         "server_us_min": server,
+        "tenant_pair_us_min": tenant_pair_us(args.seed, args.repeats),
         "tap_entry": tap_entry(args.seed),
         "fleet_scan": fleet_scan(args.seed),
     }, indent=2))

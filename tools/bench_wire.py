@@ -2,14 +2,20 @@
 
 Usage: PYTHONPATH=src python3 tools/bench_wire.py [--seed N] [--repeats N]
 
-It builds seeded messages of four shapes, through the public builders:
+It builds seeded messages of seven shapes, through the public builders:
 
 - probe-update: the scanner's probe, an UPDATE adding one A record at
   `<sentinel>.<zone>` (``scanner.build_probe``);
 - a-answer: an authoritative answer to an A query, one A record;
 - nxdomain: an NXDOMAIN answer with the zone's SOA as authority;
 - ixfr-diff: an IXFR push of 50 records (RFC 1995 section 4): new SOA,
-  old SOA, 23 deleted A records, new SOA, 23 added A records, new SOA.
+  old SOA, 23 deleted A records, new SOA, 23 added A records, new SOA;
+- signed-update: a tenant's UPDATE adding one A record, signed with
+  TSIG (``tsig.sign_message``), so it carries a TSIG record too;
+- ixfr-push: the push of a one-record change to a secondary: new SOA,
+  old SOA, new SOA, the added A record, new SOA;
+- refused: a server's REFUSED reply to the scanner's probe, the probe's
+  question and nothing else.
 
 For each shape it encodes and then decodes the same messages, and it
 decodes wire names of two to five labels on their own. It also makes
@@ -35,15 +41,16 @@ import time
 import tracemalloc
 from ipaddress import IPv4Address
 
-from zptoolkit import wire
+from zptoolkit import tsig, wire
 from zptoolkit.scanner import ProbeConfig, ProbeTarget, build_probe
-from zptoolkit.wire import (DnsMessage, DnsName, Question, RClass, Rcode, ResourceRecord, RType,
-                            SoaData, decode_message, encode_message, make_query)
+from zptoolkit.wire import (AddRecord, DnsMessage, DnsName, Question, RClass, Rcode, ResourceRecord,
+                            RType, SoaData, decode_message, encode_message, make_query, make_update)
 
 MESSAGES = 500  # distinct messages per shape; each is timed ROUNDS times
 ROUNDS = 4
 NAMES = 2_000
 DIFF_CHANGES = 23  # deleted and added records each, so 2 * 23 + 4 SOAs = 50 records
+KEY = tsig.TsigKey(DnsName.from_text("tenant-key"), b"tenant-secret-0123456789")
 
 
 def _label(rng: random.Random) -> str:
@@ -98,8 +105,32 @@ def ixfr_diff(rng: random.Random) -> DnsMessage:
                       answers=(new, old, *deleted, new, *added, new))
 
 
+def signed_update(rng: random.Random) -> DnsMessage:
+    zone = _zone(rng)
+    record = ResourceRecord(zone.prepend(_label(rng)), RType.A, RClass.IN, 300, _address(rng))
+    update = make_update(zone, [AddRecord(record)], rng=rng)
+    return tsig.sign_message(update, KEY, rng.randrange(1 << 31))
+
+
+def ixfr_push(rng: random.Random) -> DnsMessage:
+    zone = _zone(rng)
+    serial = rng.randrange(1, 1 << 31)
+    old, new = _soa(zone, serial), _soa(zone, serial + 1)
+    added = ResourceRecord(zone.prepend(_label(rng)), RType.A, RClass.IN, 300, _address(rng))
+    return DnsMessage(id=(serial + 1) & 0xFFFF, is_response=True, authoritative=True,
+                      question=(Question(zone, RType.IXFR, RClass.IN),),
+                      answers=(new, old, new, added, new))
+
+
+def refused(rng: random.Random) -> DnsMessage:
+    probe = probe_update(rng)
+    return DnsMessage(id=probe.id, opcode=probe.opcode, rcode=Rcode.REFUSED, is_response=True,
+                      question=probe.question)
+
+
 SHAPES = {"probe-update": probe_update, "a-answer": a_answer, "nxdomain": nxdomain,
-          "ixfr-diff": ixfr_diff}
+          "ixfr-diff": ixfr_diff, "signed-update": signed_update, "ixfr-push": ixfr_push,
+          "refused": refused}
 
 
 def per_call_us(fn, items: list) -> float:
