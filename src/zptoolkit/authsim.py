@@ -31,6 +31,7 @@ from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 from . import tsig as tsig_mod
 from .transport import DatagramBus, SimDatagram, _datagram
 from .wire import (
+    MAX_TTL,
     DecodeError,
     DnsMessage,
     DnsName,
@@ -1139,8 +1140,6 @@ class NameServer:
 
 
 # --- zone seed files and fleets ---
-
-MAX_TTL = 2**31 - 1  # RFC 2181 section 8: a TTL is a 31-bit unsigned number
 
 
 def parse_zone_text(text: str, keys: Optional[Mapping[str, tsig_mod.TsigKey]] = None) -> ZoneConfig:

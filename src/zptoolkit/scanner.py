@@ -23,6 +23,7 @@ from .transport import (
     parse_endpoint,
 )
 from .wire import (
+    MAX_TTL,
     DecodeError,
     DnsMessage,
     DnsName,
@@ -31,6 +32,7 @@ from .wire import (
     RClass,
     Rcode,
     RType,
+    _bounded,
     _builder,
     _draw_id,
     _message,
@@ -92,6 +94,9 @@ class ProbeConfig:
     def __post_init__(self):
         if not self.sentinel_label or len(self.sentinel_label) > 63 or b"." in self.sentinel_label:
             raise ValueError("sentinel_label must be a single valid DNS label")
+        _bounded(self.ttl, MAX_TTL, "ttl")
+        if not self.timeout > 0:  # NaN fails too
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
 
     @property
     def record_type(self) -> int:

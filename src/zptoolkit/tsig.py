@@ -45,7 +45,6 @@ class AlreadySigned(TsigError):
 class TsigKey:
     key_name: DnsName
     secret: bytes = field(repr=False)
-    algorithm: DnsName = HMAC_SHA256
 
     def __post_init__(self):
         if len(self.secret) < MIN_SECRET_BYTES:
@@ -53,7 +52,7 @@ class TsigKey:
 
     def __repr__(self) -> str:
         # the secret stays out of logs and reports
-        return f"TsigKey(key_name={self.key_name!r}, secret=<redacted>, algorithm={self.algorithm!r})"
+        return f"TsigKey(key_name={self.key_name!r}, secret=<redacted>)"
 
 
 class RejectReason(Enum):
@@ -127,11 +126,11 @@ def sign_message(msg: DnsMessage, key: TsigKey, now: int) -> DnsMessage:
     if _find_tsig(msg) is not None:
         raise AlreadySigned("message already carries a TSIG record")
     time_signed = int(now)
-    name, algorithm = key.key_name, key.algorithm
+    name = key.key_name
     mac = _compute_mac(key.secret, encode_message(msg), name._wire, _CLASS_ANY, 0,
-                       algorithm._wire, time_signed, FUDGE_SECONDS, 0, b"")
+                       HMAC_SHA256._wire, time_signed, FUDGE_SECONDS, 0, b"")
     tsig_rr = _record(name, _TSIG, _CLASS_ANY, 0,
-                      _tsig_data(algorithm, time_signed, FUDGE_SECONDS, mac, msg.id, 0, b""))
+                      _tsig_data(HMAC_SHA256, time_signed, FUDGE_SECONDS, mac, msg.id, 0, b""))
     return _with_additional(msg, (*msg.additional, tsig_rr))
 
 
@@ -148,9 +147,11 @@ def verify_message(msg: DnsMessage, keyring: Iterable[TsigKey], now: int) -> Ver
     if not isinstance(tsig, TsigData):
         return _BAD_SIGNATURE
     name, algorithm = tsig_rr.name, tsig.algorithm
+    if algorithm != HMAC_SHA256:  # no key holds a secret for another algorithm
+        return _UNKNOWN_KEY
     core = core_wire = None
     for key in keyring:
-        if not (key.key_name == name and key.algorithm == algorithm):
+        if key.key_name != name:
             continue
         if core is None:
             core = _strip_tsig(msg)

@@ -56,6 +56,7 @@ from typing import Iterable, Iterator, Optional, Union
 MAX_MESSAGE_SIZE = 65535
 MAX_LABEL_LENGTH = 63
 MAX_NAME_WIRE_LENGTH = 255
+MAX_TTL = 2**31 - 1  # RFC 2181 section 8: a TTL is a 31-bit unsigned number
 
 _HEADER = struct.Struct("!HHHHHH")
 _QUESTION = struct.Struct("!HH")
@@ -821,12 +822,6 @@ def _read_records(data: bytes, pos: int, count: int) -> tuple[tuple[ResourceReco
             first, first_wire = rr, data[start:end]
         pos = end
     return tuple(records), pos
-
-
-def _read_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
-    """The record at ``offset`` and the offset after it (``tools/bench_values.py`` times it)."""
-    (rr,), pos = _read_records(data, offset, 1)
-    return rr, pos
 
 
 def decode_message(data: bytes) -> DnsMessage:

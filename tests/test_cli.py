@@ -122,6 +122,17 @@ class TestScan:
                      "--out", str(tmp_path / "o.jsonl"), "--timeout", "0.05"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--timeout", "-1"), ("--ttl", "-5")])
+    def test_impossible_timeout_or_ttl_is_2_before_any_probe(self, tmp_path, fleet_file,
+                                                             pairs_file, flag, value, capsys):
+        out = tmp_path / "o.jsonl"
+        code = main(["scan", "--pairs", pairs_file, "--fleet", fleet_file, "--out", str(out),
+                     flag, value])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("zptool: ")
+        assert not out.exists()
+
     def test_sim_scan_without_fleet_is_runtime_error(self, tmp_path, pairs_file):
         code = main(["scan", "--pairs", pairs_file, "--out", str(tmp_path / "o.jsonl")])
         assert code == 2

@@ -80,6 +80,17 @@ class TestBuildProbe:
         with pytest.raises(ValueError):
             ProbeConfig(sentinel_label=b"")
 
+    @pytest.mark.parametrize("field,value", [("ttl", -5), ("ttl", 2**31), ("timeout", 0.0),
+                                             ("timeout", -1.0), ("timeout", float("nan"))])
+    def test_impossible_ttl_or_timeout_rejected(self, field, value):
+        # RFC 2181 section 8: a TTL is 0..2^31-1; the encoder would mask -5 to 4294967291
+        with pytest.raises(ValueError):
+            ProbeConfig(**{field: value})
+
+    def test_ttl_bounds_accepted(self):
+        for ttl in (0, wire.MAX_TTL):
+            build_probe(ProbeTarget(APEX, "10.0.0.1"), ProbeConfig(ttl=ttl), msg_id=1)
+
 
 class TestRunProbe:
     def test_open_zone_vulnerable_confirmed_with_no_residue(self, bus):

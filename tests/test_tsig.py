@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zptoolkit import tsig
 from zptoolkit.tsig import (
     Accept,
     AlreadySigned,
@@ -22,6 +23,7 @@ from zptoolkit.wire import (
     RClass,
     ResourceRecord,
     RType,
+    TsigData,
     WireError,
     decode_message,
     encode_message,
@@ -129,6 +131,22 @@ def test_secret_never_in_repr():
 def test_short_secret_rejected():
     with pytest.raises(ValueError):
         TsigKey(DnsName.from_text("weak"), b"tooshort")
+
+
+def test_a_message_naming_another_algorithm_is_unknown_key():
+    # only hmac-sha256 is implemented, so no key may name another algorithm, and
+    # a message naming hmac-md5 over a valid HMAC-SHA256 MAC is not accepted
+    md5 = DnsName.from_text("hmac-md5.sig-alg.reg.int")
+    with pytest.raises(TypeError):
+        TsigKey(DnsName.from_text("key-a"), KEY_A.secret, algorithm=md5)
+    assert "algorithm" not in repr(KEY_A)
+    core = probe_update()
+    mac = tsig._compute_mac(KEY_A.secret, encode_message(core), KEY_A.key_name._wire, RClass.ANY,
+                            0, md5._wire, 0, tsig.FUDGE_SECONDS, 0, b"")
+    record = ResourceRecord(KEY_A.key_name, RType.TSIG, RClass.ANY, 0,
+                            TsigData(md5, 0, tsig.FUDGE_SECONDS, mac, core.id, 0, b""))
+    forged = dataclasses.replace(core, additional=(record,))
+    assert verify_message(forged, {KEY_A}, now=0) == Reject(RejectReason.UNKNOWN_KEY)
 
 
 def test_key_name_case_insensitive():

@@ -7,7 +7,7 @@ For each shape it builds a seeded campaign: a baseline scan of about
 after it, 9 or 26 scans in all. Each week 12% of the live nameservers are
 fixed, 3% of the other pairs go, and 2% new pairs appear; domains cluster
 on a few nameservers, and 95% of the nameservers fall inside one of 300
-attributed prefixes. It then times, with the garbage collector off:
+attributed prefixes. It then times:
 
 - subjects: ``subjects_from_snapshots`` at domain scope, grouped by country;
 - kaplan_meier: ``kaplan_meier`` over those subjects;
@@ -16,21 +16,15 @@ attributed prefixes. It then times, with the garbage collector off:
   subjects, the overall and per-group curves, the remediation summary, the
   notification entries and batch), on a freshly built attribution map.
 
-It prints one JSON object: per shape, the subject and event-time counts and
-the median over the repeats of each time in ms. The zptoolkit on PYTHONPATH
-is the one measured, so the same command times two checkouts.
+It prints, per shape, the subject and event-time counts and the median over
+the repeats of each time in ms.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import platform
 import random
-import statistics
-import time
 
+import _kit as kit
 from zptoolkit import analytics
 from zptoolkit.analytics import (AggregationKey, Attribution, AttributionMap, CategoryCounts,
                                  CsirtInfo, CsirtType, ScanSnapshot)
@@ -119,18 +113,7 @@ def report(snapshots: list[ScanSnapshot], attribution: AttributionMap, domain_gr
     analytics.make_notification_batch(entries, analytics.NotificationTemplate("https://example.org/guide"))
 
 
-def timed_ms(fn, *args, **kwargs):
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        return out, (time.perf_counter() - t0) * 1e3
-    finally:
-        gc.enable()
-
-
-def measure(pairs: int, scans: int, seed: int, repeats: int) -> dict:
+def measure_shape(pairs: int, scans: int, seed: int, repeats: int) -> dict:
     rng = random.Random(seed * 1_000_003 + pairs * 31 + scans)
     prefixes, csirts, networks = attribution_inputs(rng)
     snapshots = campaign(pairs, scans, networks, rng)
@@ -143,33 +126,29 @@ def measure(pairs: int, scans: int, seed: int, repeats: int) -> dict:
     def csirt_group(cid: str) -> str:
         return csirt_type.get(cid, "unattributed")
 
-    times: dict[str, list[float]] = {"subjects": [], "kaplan_meier": [], "report": []}
-    for _ in range(repeats):
-        subjects, ms = timed_ms(analytics.subjects_from_snapshots, snapshots, T0 + 86400.0,
-                                scope="domain", group_of=domain_group.get)
-        times["subjects"].append(ms)
-        curve, ms = timed_ms(analytics.kaplan_meier, subjects)
-        times["kaplan_meier"].append(ms)
-        attribution = AttributionMap(prefixes, csirts)  # no answers kept from an earlier report
-        _, ms = timed_ms(report, snapshots, attribution, domain_group.get, csirt_group)
-        times["report"].append(ms)
+    made = {}
+
+    def subjects() -> None:
+        made["subjects"] = analytics.subjects_from_snapshots(
+            snapshots, T0 + 86400.0, scope="domain", group_of=domain_group.get)
+
+    def kaplan_meier() -> None:
+        made["curve"] = analytics.kaplan_meier(made["subjects"])
+
+    times = {"subjects": kit.per_call(subjects, repeats),
+             "kaplan_meier": kit.per_call(kaplan_meier, repeats),
+             # a fresh map each repeat: no answers kept from an earlier report
+             "report": kit.per_call(
+                 lambda attribution: report(snapshots, attribution, domain_group.get, csirt_group),
+                 repeats, setup=lambda _: AttributionMap(prefixes, csirts))}
     return {"pairs": len(snapshots[0].vulnerable_pairs), "scans": scans,
-            "subjects": len(subjects), "event_times": len(curve.times),
-            **{f"{name}_ms_median": round(statistics.median(ms), 2) for name, ms in times.items()}}
+            "subjects": len(made["subjects"]), "event_times": len(made["curve"].times),
+            **{f"{name}_ms_median": round(t.median * 1e3, 2) for name, t in times.items()}}
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args()
-    print(json.dumps({
-        "python": platform.python_version(),
-        "seed": args.seed,
-        "repeats": args.repeats,
-        "shapes": [measure(pairs, scans, args.seed, args.repeats) for pairs, scans in SHAPES],
-    }, indent=2))
+def measure(seed: int, repeats: int) -> dict:
+    return {"shapes": [measure_shape(pairs, scans, seed, repeats) for pairs, scans in SHAPES]}
 
 
 if __name__ == "__main__":
-    main()
+    kit.main(measure, repeats=3)

@@ -5,22 +5,17 @@ Usage: PYTHONPATH=src python3 tools/bench_attribution.py [--seed N] [--repeats N
 For each map size it builds a seeded IPv4 map: 80% of the prefixes are
 /16 to /22 blocks, and 20% are /24 more-specifics inside them. It then
 looks up a fixed list of addresses, 10% of which no prefix covers (they
-are drawn from 240.0.0.0/4, which no prefix reaches). It prints one JSON
-object: per size, the median over the repeats of the µs per lookup and
-of the ms to build the map. The zptoolkit on PYTHONPATH is the one
-measured, so the same command times two checkouts.
+are drawn from 240.0.0.0/4, which no prefix reaches), each repeat on a
+freshly built map, since a map keeps each answer. It prints, per size, the
+median over the repeats of the µs per lookup and of the ms to build the map.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import random
-import statistics
-import time
 from ipaddress import IPv4Address
 
+import _kit as kit
 from zptoolkit.analytics import Attribution, AttributionMap
 
 SIZES = (300, 3_000, 30_000)
@@ -51,34 +46,24 @@ def seeded_map_inputs(size: int, rng: random.Random) -> tuple[list, list[str]]:
     return prefixes, addresses
 
 
-def measure(size: int, seed: int, repeats: int) -> dict:
+def measure_size(size: int, seed: int, repeats: int) -> dict:
     prefixes, addresses = seeded_map_inputs(size, random.Random(seed * 1_000_003 + size))
-    build_ms, lookup_us = [], []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        amap = AttributionMap(prefixes)
-        t1 = time.perf_counter()
-        unknown = sum(amap.lookup(a).asn == "unknown" for a in addresses)
-        t2 = time.perf_counter()
-        build_ms.append((t1 - t0) * 1e3)
-        lookup_us.append((t2 - t1) * 1e6 / len(addresses))
-    return {"prefixes": size, "lookups": len(addresses), "unattributed": unknown,
-            "lookup_us_median": round(statistics.median(lookup_us), 2),
-            "build_ms_median": round(statistics.median(build_ms), 2)}
+    unknown = []
+
+    def lookups(amap: AttributionMap) -> None:
+        unknown.append(sum(amap.lookup(a).asn == "unknown" for a in addresses))
+
+    lookup = kit.per_call(lookups, repeats, len(addresses),
+                          setup=lambda _: AttributionMap(prefixes))
+    build = kit.per_call(lambda: AttributionMap(prefixes), repeats)
+    return {"prefixes": size, "lookups": len(addresses), "unattributed": unknown[-1],
+            "lookup_us_median": round(lookup.median * 1e6, 2),
+            "build_ms_median": round(build.median * 1e3, 2)}
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args()
-    print(json.dumps({
-        "python": platform.python_version(),
-        "seed": args.seed,
-        "repeats": args.repeats,
-        "sizes": [measure(size, args.seed, args.repeats) for size in SIZES],
-    }, indent=2))
+def measure(seed: int, repeats: int) -> dict:
+    return {"sizes": [measure_size(size, seed, repeats) for size in SIZES]}
 
 
 if __name__ == "__main__":
-    main()
+    kit.main(measure, repeats=3)

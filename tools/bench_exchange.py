@@ -2,7 +2,7 @@
 
 Usage: PYTHONPATH=src python3 tools/bench_exchange.py [--seed N] [--repeats N]
 
-It prints one JSON object with six measurements:
+It prints six measurements:
 
 - probe_us: µs per ``run_probe`` on a small bus with one server per kind,
   the minimum over the repeats of a batch of probes, each repeat on a
@@ -39,26 +39,21 @@ It prints one JSON object with six measurements:
   of a fleet-scan-shaped fleet triggers, counted and timed by
   ``gc.callbacks``: 10,000 one-zone servers under the four policy
   archetypes, 10% dark, 5-105 ms seeded one-way delays. Set-up is not
-  counted.
-
-The zptoolkit on PYTHONPATH is the one measured, so the same command
-measures two checkouts.
+  counted, and the collector stays on for it.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import gc
-import json
 import os
-import platform
 import random
 import tempfile
 import time
-import tracemalloc
+from contextlib import ExitStack, closing
 from ipaddress import IPv4Address
 
+import _kit as kit
 from zptoolkit import authsim, scanner, tsig
 from zptoolkit.authsim import Deny, IpAcl, Open, Primary, Secondary, SignedKey, ZoneConfig, make_soa
 from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram, SimTransport, exchange_message
@@ -68,6 +63,10 @@ from zptoolkit.wire import (AddRecord, DeleteExactRecord, DnsName, RClass, Rcode
 SCANNER = "scanner.client"
 BATCH = {"refused": 2_000, "vulnerable": 500, "dark": 1_000}
 SERVERS = {"refused": "10.0.0.1", "vulnerable": "10.0.0.2", "dark": "10.0.0.3"}
+VERDICTS = {"refused": scanner.Verdict.NOT_VULNERABLE,
+            "vulnerable": scanner.Verdict.VULNERABLE_CONFIRMED,
+            "dark": scanner.Verdict.UNREACHABLE}
+APEX = DnsName.from_text("zone.example")
 TENANT = "tenant.client"
 PRIMARY, SECONDARY = "10.0.1.1", "10.0.1.2"
 TENANT_PAIRS = 300
@@ -86,31 +85,27 @@ def _zone(apex: DnsName, policy, size: int, rng: random.Random) -> ZoneConfig:
     return ZoneConfig.build(apex, Primary(), policy, records)
 
 
-def probe_us(seed: int, repeats: int) -> dict:
-    """Minimum µs per probe of each kind over ``repeats`` batches."""
-    out = {}
+def probe_us(kind: str, seed: int, repeats: int) -> float:
+    """Minimum µs per probe of ``kind`` over ``repeats`` batches, each on a fresh bus."""
     cfg = scanner.ProbeConfig()
-    for kind, batch in BATCH.items():
-        best = float("inf")
-        for repeat in range(repeats):
-            rng = random.Random(f"{seed}:{kind}:{repeat}")
-            bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed))
-            apex = DnsName.from_text("zone.example")
-            authsim.build_fleet(bus, [(SERVERS["refused"], _zone(apex, Deny(), 8, rng)),
-                                      (SERVERS["vulnerable"], _zone(apex, Open(), 8, rng))])
-            client = SimTransport(bus, SCANNER)
-            target = scanner.ProbeTarget(apex, SERVERS[kind])
-            expected = {"refused": scanner.Verdict.NOT_VULNERABLE,
-                        "vulnerable": scanner.Verdict.VULNERABLE_CONFIRMED,
-                        "dark": scanner.Verdict.UNREACHABLE}[kind]
-            if scanner.run_probe(target, cfg, client, bus.clock, rng).verdict is not expected:
-                raise SystemExit(f"{kind}: the probe did not read {expected}")
-            t0 = time.perf_counter()
-            for _ in range(batch):
-                scanner.run_probe(target, cfg, client, bus.clock, rng)
-            best = min(best, (time.perf_counter() - t0) * 1e6 / batch)
-        out[kind] = round(best, 2)
-    return out
+    target = scanner.ProbeTarget(APEX, SERVERS[kind])
+
+    def fresh_bus(repeat: int):
+        rng = random.Random(f"{seed}:{kind}:{repeat}")
+        bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed))
+        authsim.build_fleet(bus, [(SERVERS["refused"], _zone(APEX, Deny(), 8, rng)),
+                                  (SERVERS["vulnerable"], _zone(APEX, Open(), 8, rng))])
+        client = SimTransport(bus, SCANNER)
+        if scanner.run_probe(target, cfg, client, bus.clock, rng).verdict is not VERDICTS[kind]:
+            raise SystemExit(f"{kind}: the probe did not read {VERDICTS[kind]}")
+        return client, bus.clock, rng
+
+    def probes(state) -> None:
+        client, clock, rng = state
+        for _ in range(BATCH[kind]):
+            scanner.run_probe(target, cfg, client, clock, rng)
+
+    return round(kit.per_call(probes, repeats, BATCH[kind], setup=fresh_bus).min * 1e6, 2)
 
 
 class _StampedTransport:
@@ -133,16 +128,16 @@ SERVER_KINDS = ("accepted_add", "lookup_hit", "delete", "nxdomain")  # in a vuln
 def split_us(seed: int, repeats: int) -> tuple[dict, dict]:
     """Minimum µs per exchange of a vulnerable probe and per server message kind."""
     cfg = scanner.ProbeConfig()
-    best_exchange = dict.fromkeys(EXCHANGES, float("inf"))
-    best_server = dict.fromkeys((*SERVER_KINDS, "refusal"), float("inf"))
     perf = time.perf_counter
-    for repeat in range(repeats):
+    vulnerable = scanner.ProbeTarget(APEX, SERVERS["vulnerable"])
+    refused = scanner.ProbeTarget(APEX, SERVERS["refused"])
+
+    def fresh_bus(repeat: int):
         rng = random.Random(f"{seed}:split:{repeat}")
         bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed))
-        apex = DnsName.from_text("zone.example")
         handled: dict[str, list[float]] = {SERVERS["refused"]: [], SERVERS["vulnerable"]: []}
         for kind, policy in (("refused", Deny()), ("vulnerable", Open())):
-            server = authsim.NameServer(SERVERS[kind], [_zone(apex, policy, 8, rng)])
+            server = authsim.NameServer(SERVERS[kind], [_zone(APEX, policy, 8, rng)])
             times = handled[SERVERS[kind]]
 
             def timed(dgram, now, handle=server.handle_datagram, times=times):
@@ -153,18 +148,20 @@ def split_us(seed: int, repeats: int) -> tuple[dict, dict]:
 
             bus.attach(SERVERS[kind], timed)
         client = _StampedTransport(SimTransport(bus, SCANNER))
-        vulnerable = scanner.ProbeTarget(apex, SERVERS["vulnerable"])
-        refused = scanner.ProbeTarget(apex, SERVERS["refused"])
         for target in (vulnerable, refused):  # one untimed probe of each first
             scanner.run_probe(target, cfg, client, bus.clock, rng)
         for times in handled.values():
             times.clear()
+        return client, bus.clock, rng, handled
+
+    def probes(state) -> dict:
+        client, clock, rng, handled = state
         sums = dict.fromkeys(EXCHANGES, 0.0)
         batch = BATCH["vulnerable"]
         for _ in range(batch):
             client.stamps.clear()
             t0 = perf()
-            outcome = scanner.run_probe(vulnerable, cfg, client, bus.clock, rng)
+            outcome = scanner.run_probe(vulnerable, cfg, client, clock, rng)
             end = perf()
             if outcome.verdict is not scanner.Verdict.VULNERABLE_CONFIRMED or \
                     len(client.stamps) != len(EXCHANGES):
@@ -172,18 +169,18 @@ def split_us(seed: int, repeats: int) -> tuple[dict, dict]:
             marks = [t0, *client.stamps[:-1], end]
             for name, start, stop in zip(EXCHANGES, marks, marks[1:]):
                 sums[name] += stop - start
-        for name in EXCHANGES:
-            best_exchange[name] = min(best_exchange[name], sums[name] * 1e6 / batch)
+        parts = {("exchange", name): spent / batch for name, spent in sums.items()}
         times = handled[SERVERS["vulnerable"]]
         for i, name in enumerate(SERVER_KINDS):
-            best_server[name] = min(best_server[name],
-                                    sum(times[i::len(SERVER_KINDS)]) * 1e6 / batch)
+            parts["server", name] = sum(times[i::len(SERVER_KINDS)]) / batch
         for _ in range(BATCH["refused"]):
-            scanner.run_probe(refused, cfg, client, bus.clock, rng)
-        best_server["refusal"] = min(best_server["refusal"], sum(handled[SERVERS["refused"]])
-                                     * 1e6 / BATCH["refused"])
-    return ({name: round(us, 2) for name, us in best_exchange.items()},
-            {name: round(us, 2) for name, us in best_server.items()})
+            scanner.run_probe(refused, cfg, client, clock, rng)
+        parts["server", "refusal"] = sum(handled[SERVERS["refused"]]) / BATCH["refused"]
+        return parts
+
+    us = kit.per_call(probes, repeats, setup=fresh_bus, parts=True)
+    return ({name: round(us["exchange", name].min * 1e6, 2) for name in EXCHANGES},
+            {name: round(us["server", name].min * 1e6, 2) for name in (*SERVER_KINDS, "refusal")})
 
 
 def _tenant_pair(bus: DatagramBus, client: SimTransport, apex: DnsName, k: int,
@@ -201,30 +198,32 @@ def _tenant_pair(bus: DatagramBus, client: SimTransport, apex: DnsName, k: int,
 
 def tenant_pair_us(seed: int, repeats: int) -> float:
     """Minimum µs per tenant pair over ``repeats`` batches."""
-    best = float("inf")
     apex = DnsName.from_text("tenant.example")
-    with tempfile.TemporaryDirectory() as tmp:
-        for repeat in range(repeats):
+    fleets = []
+    with tempfile.TemporaryDirectory() as tmp, ExitStack() as journals:
+        def fresh_bus(repeat: int):
             rng = random.Random(f"{seed}:tenant:{repeat}")
             bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed))
             zone = _zone(apex, SignedKey((KEY,)), 12, rng)
-            sink = authsim.open_journal(os.path.join(tmp, f"journal-{repeat}.jsonl"))
-            try:
-                servers = authsim.build_fleet(
-                    bus, [(PRIMARY, zone),
-                          (SECONDARY, dataclasses.replace(zone, role=Secondary(PRIMARY)))],
-                    honeypot=True, journal_sink=sink)
-                client = SimTransport(bus, TENANT)
-                _tenant_pair(bus, client, apex, 0, rng)  # one untimed pair first
-                t0 = time.perf_counter()
-                for k in range(1, TENANT_PAIRS + 1):
-                    _tenant_pair(bus, client, apex, k, rng)
-                best = min(best, (time.perf_counter() - t0) * 1e6 / TENANT_PAIRS)
-            finally:
-                sink.close()
-            if servers[SECONDARY].zones[apex].records != servers[PRIMARY].zones[apex].records:
-                raise SystemExit("tenant: the secondary differs from its primary")
-    return round(best, 2)
+            sink = journals.enter_context(
+                closing(authsim.open_journal(os.path.join(tmp, f"journal-{repeat}.jsonl"))))
+            secondary = dataclasses.replace(zone, role=Secondary(PRIMARY))
+            fleets.append(authsim.build_fleet(bus, [(PRIMARY, zone), (SECONDARY, secondary)],
+                                              honeypot=True, journal_sink=sink))
+            client = SimTransport(bus, TENANT)
+            _tenant_pair(bus, client, apex, 0, rng)  # one untimed pair first
+            return bus, client, rng
+
+        def pairs(state) -> None:
+            bus, client, rng = state
+            for k in range(1, TENANT_PAIRS + 1):
+                _tenant_pair(bus, client, apex, k, rng)
+
+        timing = kit.per_call(pairs, repeats, TENANT_PAIRS, setup=fresh_bus)
+    for servers in fleets:
+        if servers[SECONDARY].zones[apex].records != servers[PRIMARY].zones[apex].records:
+            raise SystemExit("tenant: the secondary differs from its primary")
+    return round(timing.min * 1e6, 2)
 
 
 def tap_entry(seed: int) -> dict:
@@ -235,25 +234,13 @@ def tap_entry(seed: int) -> dict:
                 for _ in range(TAP_DATAGRAMS)]
     sources = [f"10.0.{i >> 8}.{i & 255}" for i in range(TAP_DATAGRAMS)]
     bus = DatagramBus(clock=ManualClock(), drop_filter=lambda dgram: True)
-    gc.collect()
-    objects = len(gc.get_objects())
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for source, payload in zip(sources, payloads):
-            bus.send(SimDatagram(source, "10.0.0.1", bytes(payload)))
-        after = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    gc.collect()
-    tracked = len(gc.get_objects()) - objects
+    gc_objects, retained = kit.census(
+        lambda i: bus.send(SimDatagram(sources[i], "10.0.0.1", bytes(payloads[i]))),
+        range(TAP_DATAGRAMS), gc_objects=True)
     if len(bus.tap) != TAP_DATAGRAMS:
         raise SystemExit("the tap did not record every datagram")
-    return {
-        "gc_objects": round(tracked / TAP_DATAGRAMS, 3),
-        "retained_bytes": round((after - before) / TAP_DATAGRAMS, 1),
-        "payload_bytes": round(sum(map(len, payloads)) / TAP_DATAGRAMS, 1),
-    }
+    return {"gc_objects": gc_objects, "retained_bytes": retained,
+            "payload_bytes": round(sum(map(len, payloads)) / TAP_DATAGRAMS, 1)}
 
 
 def _fleet(seed: int):
@@ -314,24 +301,15 @@ def fleet_scan(seed: int) -> dict:
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args()
-    exchanges, server = split_us(args.seed, args.repeats)
-    print(json.dumps({
-        "python": platform.python_version(),
-        "seed": args.seed,
-        "repeats": args.repeats,
-        "probe_us_min": probe_us(args.seed, args.repeats),
-        "vulnerable_exchanges_us_min": exchanges,
-        "server_us_min": server,
-        "tenant_pair_us_min": tenant_pair_us(args.seed, args.repeats),
-        "tap_entry": tap_entry(args.seed),
-        "fleet_scan": fleet_scan(args.seed),
-    }, indent=2))
+def measure(seed: int, repeats: int) -> dict:
+    exchanges, server = split_us(seed, repeats)
+    return {"probe_us_min": {kind: probe_us(kind, seed, repeats) for kind in BATCH},
+            "vulnerable_exchanges_us_min": exchanges,
+            "server_us_min": server,
+            "tenant_pair_us_min": tenant_pair_us(seed, repeats),
+            "tap_entry": tap_entry(seed),
+            "fleet_scan": fleet_scan(seed)}
 
 
 if __name__ == "__main__":
-    main()
+    kit.main(measure, repeats=7)

@@ -6,7 +6,7 @@ Usage: PYTHONPATH=src python3 tools/bench_zone_write.py [--seed N] [--repeats N]
 
 It builds seeded zones of 8, 300 and 3,000 records (SOA, apex NS and A,
 glue, then host A records), and of 20,000 for the probe cycle, and measures
-seven things:
+six things:
 
 - apply: µs per one-record add plus its exact delete, through
   ``authsim.apply_update``, at each zone size: the scanner's probe and
@@ -31,31 +31,23 @@ seven things:
   ``dataclasses.replace(zone, role=Secondary(...))``, the copy a secondary
   gets, at 8, 300 and 3,000 records; and per build and per replace, the
   same three ``__hash__`` counts and the number of ``DnsName.labels_below``
-  calls, which depend on neither the host nor the hash seed;
-- constructors: µs per ``ResourceRecord(...)``, the public constructor,
-  against ``wire._record(...)``, the builder that skips ``__init__``.
+  calls, which depend on neither the host nor the hash seed.
 
-Timed loops run with the garbage collector off, as timeit does. It prints
-one JSON object with the medians over the repeats. The zptoolkit on
-PYTHONPATH is the one measured, so the same command times two checkouts.
+It prints the medians over the repeats. The public ``ResourceRecord(...)``
+constructor is timed beside ``wire._record`` by ``tools/bench_values.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import gc
-import json
-import platform
 import random
-import statistics
 import sys
 import time
-import timeit
 from collections import Counter
 from contextlib import contextmanager
 from ipaddress import IPv4Address
 
+import _kit as kit
 from zptoolkit import authsim, wire
 from zptoolkit.authsim import NameServer, Open, Primary, Secondary, ZoneConfig, make_soa
 from zptoolkit.transport import SimDatagram
@@ -66,7 +58,6 @@ SIZES = (8, 300, 3_000)
 READ_SIZES = (*SIZES, 20_000)
 PAIRS = 500  # add+delete pairs per timed round
 CYCLES = 50  # probe cycles per timed round
-ROUNDS_PER_VALUE = 20_000  # records made per timed round of the constructors
 RECORDS_PER_BUILD_ROUND = 30_000  # records per timed round of builds or replaces, at any size
 PRIMARY, SECONDARY, CLIENT = "10.0.0.1", "10.0.0.2", "198.51.100.1"
 
@@ -93,22 +84,9 @@ def seeded_zone(size: int, rng: random.Random) -> ZoneConfig:
 def probe_pair(zone: ZoneConfig, rng: random.Random):
     """The scanner's probe and its cleanup: add one A record, then delete exactly it."""
     record = ResourceRecord(zone.apex.prepend("researchstudyzp"), RType.A, RClass.IN, 120,
-                            IPv4Address(rng.randrange(1 << 24, 224 << 24)))
+                            kit.address(rng))
     return (make_update(zone.apex, [AddRecord(record)], rng=rng),
             make_update(zone.apex, [DeleteExactRecord(record)], rng=rng))
-
-
-def timed(fn, rounds: int) -> float:
-    """Seconds for ``rounds`` calls of ``fn``, with the collector off."""
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            fn()
-        return time.perf_counter() - t0
-    finally:
-        gc.enable()
 
 
 def measure_apply(size: int, seed: int, repeats: int) -> dict:
@@ -120,8 +98,8 @@ def measure_apply(size: int, seed: int, repeats: int) -> dict:
         added, _ = authsim.apply_update(zone, add)
         authsim.apply_update(added, delete)
 
-    runs = [timed(one_pair, PAIRS) * 1e6 / PAIRS for _ in range(repeats)]
-    return {"records": size, "add_delete_us_median": round(statistics.median(runs), 2)}
+    return {"records": size,
+            "add_delete_us_median": round(kit.over(one_pair, [()], repeats, PAIRS).median * 1e6, 2)}
 
 
 def measure_push(size: int, seed: int, repeats: int) -> dict:
@@ -131,27 +109,25 @@ def measure_push(size: int, seed: int, repeats: int) -> dict:
     secondary = NameServer(SECONDARY, [dataclasses.replace(zone, role=Secondary(PRIMARY))])
     primary.register_secondary(zone.apex, SECONDARY)
     payloads = [encode_message(m) for m in probe_pair(zone, rng)]
-    spent = {"primary": 0.0, "secondary": 0.0}
 
-    def one_update(payload: bytes):
-        t0 = time.perf_counter()
-        _, push = primary.handle_datagram(SimDatagram(CLIENT, PRIMARY, payload), 0.0)
-        t1 = time.perf_counter()
-        secondary.handle_datagram(push, 0.0)
-        spent["primary"] += t1 - t0
-        spent["secondary"] += time.perf_counter() - t1
+    def updates():
+        primary_s = secondary_s = 0.0
+        for _ in range(PAIRS):
+            for payload in payloads:
+                t0 = time.perf_counter()
+                _, push = primary.handle_datagram(SimDatagram(CLIENT, PRIMARY, payload), 0.0)
+                t1 = time.perf_counter()
+                secondary.handle_datagram(push, 0.0)
+                primary_s += t1 - t0
+                secondary_s += time.perf_counter() - t1
+        return {"primary": primary_s / (2 * PAIRS), "secondary": secondary_s / (2 * PAIRS)}
 
-    primary_us, secondary_us = [], []
-    for _ in range(repeats):
-        spent.update(primary=0.0, secondary=0.0)
-        timed(lambda: [one_update(p) for p in payloads], PAIRS)
-        primary_us.append(spent["primary"] * 1e6 / (2 * PAIRS))
-        secondary_us.append(spent["secondary"] * 1e6 / (2 * PAIRS))
+    us = kit.per_call(updates, repeats, parts=True)
     if secondary.zones[zone.apex].records != primary.zones[zone.apex].records:
         raise SystemExit(f"push at {size} records: the secondary does not match its primary")
     return {"records": size,
-            "primary_update_us_median": round(statistics.median(primary_us), 2),
-            "secondary_apply_us_median": round(statistics.median(secondary_us), 2)}
+            "primary_update_us_median": round(us["primary"].median * 1e6, 2),
+            "secondary_apply_us_median": round(us["secondary"].median * 1e6, 2)}
 
 
 def probe_cycle(size: int, seed: int):
@@ -177,38 +153,31 @@ def probe_cycle(size: int, seed: int):
     return [first_step, *steps[1:]]
 
 
-def _check_cycle(steps, size: int) -> None:
+def measure_read(size: int, seed: int, repeats: int) -> dict:
+    steps = probe_cycle(size, seed)
     add, verify, delete, recheck = (decode_message(step().payload) for step in steps)
     if (add.rcode, delete.rcode, recheck.rcode) != (Rcode.NOERROR, Rcode.NOERROR, Rcode.NXDOMAIN) \
             or not verify.answers:
         raise SystemExit(f"probe cycle at {size} records: unexpected replies")
-
-
-def measure_read(size: int, seed: int, repeats: int) -> dict:
-    steps = probe_cycle(size, seed)
-    _check_cycle(steps, size)
     add, verify, delete, recheck = steps
-    spent = {"cycle": 0.0, "answer": 0.0}
 
-    def one_cycle():
-        t0 = time.perf_counter()
-        add()
-        verify()
-        delete()
-        t1 = time.perf_counter()
-        recheck()
-        t2 = time.perf_counter()
-        spent["cycle"] += t2 - t0
-        spent["answer"] += t2 - t1
+    def cycles():
+        cycle_s = answer_s = 0.0
+        for _ in range(CYCLES):
+            t0 = time.perf_counter()
+            add()
+            verify()
+            delete()
+            t1 = time.perf_counter()
+            recheck()
+            t2 = time.perf_counter()
+            cycle_s += t2 - t0
+            answer_s += t2 - t1
+        return {"cycle": cycle_s / CYCLES, "answer": answer_s / CYCLES}
 
-    cycle_us, answer_us = [], []
-    for _ in range(repeats):
-        spent.update(cycle=0.0, answer=0.0)
-        timed(one_cycle, CYCLES)
-        cycle_us.append(spent["cycle"] * 1e6 / CYCLES)
-        answer_us.append(spent["answer"] * 1e6 / CYCLES)
-    return {"records": size, "cycle_us_median": round(statistics.median(cycle_us), 2),
-            "first_nxdomain_us_median": round(statistics.median(answer_us), 2)}
+    us = kit.per_call(cycles, repeats, parts=True)
+    return {"records": size, "cycle_us_median": round(us["cycle"].median * 1e6, 2),
+            "first_nxdomain_us_median": round(us["answer"].median * 1e6, 2)}
 
 
 def count_read_calls(size: int, seed: int) -> dict:
@@ -295,8 +264,7 @@ def measure_build(size: int, seed: int, repeats: int) -> dict:
     rounds = RECORDS_PER_BUILD_ROUND // size
     out = {"records": size}
     for step, fn in steps.items():
-        runs = [timed(fn, rounds) * 1e6 / rounds for _ in range(repeats)]
-        out[f"{step}_us_median"] = round(statistics.median(runs), 2)
+        out[f"{step}_us_median"] = round(kit.over(fn, [()], repeats, rounds).median * 1e6, 2)
     counts: Counter = Counter()
     with counted(counts):
         for step, fn in steps.items():
@@ -306,36 +274,14 @@ def measure_build(size: int, seed: int, repeats: int) -> dict:
     return out
 
 
-def measure_constructors(repeats: int) -> dict:
-    """µs per A record made by the public constructor and by the builder."""
-    names = {"ResourceRecord": ResourceRecord, "_record": wire._record,
-             "name": DnsName.from_text("www.example.com"), "ip": IPv4Address("192.0.2.1")}
-    out = {}
-    for label in ("ResourceRecord", "_record"):
-        timer = timeit.Timer(f"{label}(name, 1, 1, 300, ip)", globals=names)  # collector off
-        runs = [timer.timeit(ROUNDS_PER_VALUE) * 1e6 / ROUNDS_PER_VALUE for _ in range(repeats)]
-        out[f"{label}_us_median"] = round(statistics.median(runs), 3)
-    return out
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
-    print(json.dumps({
-        "python": platform.python_version(),
-        "seed": args.seed,
-        "repeats": args.repeats,
-        "hashes_per_update": count_hashes(args.seed),
-        "apply": [measure_apply(size, args.seed, args.repeats) for size in SIZES],
-        "push": [measure_push(size, args.seed, args.repeats) for size in SIZES],
-        "read": [measure_read(size, args.seed, args.repeats) for size in READ_SIZES],
-        "read_calls": [count_read_calls(size, args.seed) for size in READ_SIZES],
-        "build": [measure_build(size, args.seed, args.repeats) for size in SIZES],
-        "constructors": measure_constructors(args.repeats),
-    }, indent=2))
+def measure(seed: int, repeats: int) -> dict:
+    return {"hashes_per_update": count_hashes(seed),
+            "apply": [measure_apply(size, seed, repeats) for size in SIZES],
+            "push": [measure_push(size, seed, repeats) for size in SIZES],
+            "read": [measure_read(size, seed, repeats) for size in READ_SIZES],
+            "read_calls": [count_read_calls(size, seed) for size in READ_SIZES],
+            "build": [measure_build(size, seed, repeats) for size in SIZES]}
 
 
 if __name__ == "__main__":
-    main()
+    kit.main(measure, repeats=5)
