@@ -94,6 +94,7 @@ ATTACKER_CNAME_TARGET = DnsName.from_text("proof.attacker-mail.test")
 
 SHADOW_SUBDOMAIN_COUNT = 10
 SHADOW_ADDRESS_POOL = 5
+REFERRAL_HOPS = 4  # servers a referral chase asks before it gives up
 
 _LAB_KEY = TsigKey(DnsName.from_text("lab-update-key"), b"lab-secret-0123456789abcdef")
 
@@ -201,11 +202,10 @@ class AttackLab:
             return set()
         return {rr.rdata for rr in reply.answers if rr.rtype == rtype and rr.name == name}
 
-    def resolve_following_referrals(self, name: DnsName, rtype: int,
-                                    start: str = VICTIM_NS_ADDRESS, max_hops: int = 4) -> set:
-        """Chase NS referrals with glue, the way a validating client would."""
-        server = start
-        for _ in range(max_hops):
+    def resolve_following_referrals(self, name: DnsName, rtype: int) -> set:
+        """Chase NS referrals with glue from the victim, as a validating client would."""
+        server = VICTIM_NS_ADDRESS
+        for _ in range(REFERRAL_HOPS):
             reply = self.query(name, rtype, server)
             if reply is None:
                 return set()
@@ -441,10 +441,9 @@ class TaxonomyMatrix:
         return "\n".join(lines)
 
 
-def run_taxonomy_matrix(policies: Optional[Iterable[UpdatePolicy]] = None, *,
-                        spoofing_enabled: bool = True, seed: int = 0) -> TaxonomyMatrix:
+def run_taxonomy_matrix(*, spoofing_enabled: bool = True, seed: int = 0) -> TaxonomyMatrix:
     """Every scenario against every policy, each cell on an isolated fixture."""
-    policies = tuple(policies) if policies is not None else all_policies()
+    policies = all_policies()
     labels = tuple(policy_label(p) for p in policies)
     cells = []
     for scenario in ScenarioName:

@@ -161,8 +161,8 @@ class ZoneConfig:
     the zone: the constructor reads the depth of an owner at the apex or
     one label below it off the owner's first length byte, and walks the
     labels of deeper owners only. When no owner lies two or more labels
-    below the apex, the index is ``_NO_ANCESTORS``, one empty read-only
-    mapping that all such zones share. Every owner lies at or below the
+    below the apex, the index is ``_NO_ANCESTORS``, one empty dict that
+    all such zones share. Every owner lies at or below the
     apex: the constructor and ``_patch`` raise ValueError for any other.
 
     ``build`` hashes each record's owner name once and hashes rdata only at
@@ -369,29 +369,8 @@ class ZoneConfig:
 _zone_config = _builder(ZoneConfig)
 
 
-class _NoAncestors(Mapping):
-    """The ancestor index of every zone whose owners all sit at most one label
-    below the apex: empty, read-only, one object, and pickled as that object."""
-
-    __slots__ = ()
-
-    def __getitem__(self, name):
-        raise KeyError(name)
-
-    def __contains__(self, name) -> bool:
-        return False
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def __reduce__(self) -> str:
-        return "_NO_ANCESTORS"
-
-
-_NO_ANCESTORS = _NoAncestors()
+# the ancestor index shared by every zone with no owner two labels below its apex
+_NO_ANCESTORS: dict[DnsName, int] = {}
 
 _CLASH = "two records at {} share type and rdata but not TTL or class"
 _OUTSIDE = "owner {} lies outside the zone {}"
@@ -796,7 +775,7 @@ class NameServer:
     order; distinct servers share nothing but the bus.
     """
 
-    __slots__ = ("address", "zones", "secondaries", "honeypot", "journal_sink", "_forwards",
+    __slots__ = ("address", "zones", "secondaries", "journal_sink", "_forwards",
                  "_last_forward_id", "_streams", "faults")
 
     def __init__(self, address: str, zones: Iterable[ZoneConfig] = (), *,
@@ -805,8 +784,7 @@ class NameServer:
         self.address = address
         self.zones: dict[DnsName, ZoneConfig] = {}
         self.secondaries: dict[DnsName, list[str]] = {}
-        self.honeypot = honeypot
-        self.journal_sink = journal_sink
+        self.journal_sink = journal_sink if honeypot else None
         # forwarded id -> (primary, requester, the requester's id as sent, deadline)
         self._forwards: dict[int, tuple[str, str, bytes, float]] = {}
         self._last_forward_id = 0
@@ -1122,7 +1100,7 @@ class NameServer:
                  outcome: Union[Rcode, str]) -> None:
         """Record one UPDATE attempt; ``outcome`` is the rcode sent back,
         ``FORWARDED`` when the primary answers, or ``DROPPED`` when nothing does."""
-        if not self.honeypot or self.journal_sink is None:
+        if self.journal_sink is None:
             return
         if msg is None:
             zone_name, kinds, names = "", (), ()
@@ -1237,7 +1215,7 @@ def build_fleet(bus: DatagramBus, zones_by_address: Iterable[tuple[str, ZoneConf
     return servers
 
 
-def make_soa(apex: DnsName, serial: int = 1, ttl: int = 3600) -> ResourceRecord:
-    """Convenience SOA for fixtures: ns1.<apex> / hostmaster.<apex>."""
-    return _record(apex, _SOA, _IN, ttl, _soa(apex.prepend("ns1"), apex.prepend("hostmaster"),
+def make_soa(apex: DnsName, serial: int = 1) -> ResourceRecord:
+    """Convenience SOA for fixtures: ns1.<apex> / hostmaster.<apex>, TTL 3600."""
+    return _record(apex, _SOA, _IN, 3600, _soa(apex.prepend("ns1"), apex.prepend("hostmaster"),
                                               serial, 7200, 900, 1209600, 86400))

@@ -98,6 +98,8 @@ def _cmd_scan(args) -> int:
         transport = SimTransport(bus)
     else:
         transport = UdpTransport()
+    # auto-resolve mode sends queries too: refuse an unattested UDP scan first
+    scanner._require_attestation(cfg, transport)
     if args.pairs:
         with open(args.pairs, encoding="utf-8") as fh:
             targets = list(scanner.parse_pair_lines(fh))
@@ -241,15 +243,7 @@ def _load_attribution(args) -> analytics.AttributionMap:
     return analytics.AttributionMap.from_csv(prefix_csv, csirt_csv)
 
 
-_REPORT_INPUTS = {"rates": ("snapshot",), "aggregate": ("snapshot",), "diff": ("earlier", "later"),
-                  "survival": ("baseline",), "notify": ("baseline", "current")}
-
-
 def _cmd_report(args) -> int:
-    missing = [f"--{opt}" for opt in _REPORT_INPUTS[args.mode] if getattr(args, opt) is None]
-    if missing:
-        print(f"zptool report: error: {args.mode} needs {' and '.join(missing)}", file=sys.stderr)
-        return 1
     if args.mode == "rates":
         rows = analytics.compute_rates(_load_snapshot(args.snapshot), decimals=args.decimals)
         for category, row in rows.items():
@@ -286,17 +280,17 @@ def _cmd_report(args) -> int:
         curve = analytics.kaplan_meier(subjects)
         _write_or_print(args.out, analytics.survival_series_csv(curve))
         return 0
-    if args.mode == "notify":
-        entries = analytics.notification_entries(_load_snapshot(args.baseline),
-                                                 _load_snapshot(args.current),
-                                                 _load_attribution(args))
-        template = analytics.NotificationTemplate(guide_url=args.guide_url)
-        batch = analytics.make_notification_batch(entries, template)
-        lines = [json.dumps({"recipient": n.recipient, "subject": n.subject, "body": n.body})
-                 for n in batch]
-        _write_or_print(args.out, "\n".join(lines) + ("\n" if lines else ""))
-        print(f"{len(batch)} notification(s) generated", file=sys.stderr)
-        return 0
+    # notify
+    entries = analytics.notification_entries(_load_snapshot(args.baseline),
+                                             _load_snapshot(args.current),
+                                             _load_attribution(args))
+    template = analytics.NotificationTemplate(guide_url=args.guide_url)
+    batch = analytics.make_notification_batch(entries, template)
+    lines = [json.dumps({"recipient": n.recipient, "subject": n.subject, "body": n.body})
+             for n in batch]
+    _write_or_print(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    print(f"{len(batch)} notification(s) generated", file=sys.stderr)
+    return 0
 
 
 # --- parser wiring ---
@@ -356,22 +350,39 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("report", help="campaign analytics")
-    p.add_argument("mode", choices=list(_REPORT_INPUTS))
-    p.add_argument("--snapshot")
-    p.add_argument("--decimals", type=int, default=3)
-    p.add_argument("--attribution", help=f"prefix CSV (or ${ATTRIBUTION_ENV})")
-    p.add_argument("--csirts", help="CSIRT metadata CSV")
-    p.add_argument("--key", choices=["asn", "country", "csirt"], default="csirt")
-    p.add_argument("--earlier")
-    p.add_argument("--later")
-    p.add_argument("--baseline")
-    p.add_argument("--current")
-    p.add_argument("--rescans", nargs="*", default=[])
-    p.add_argument("--notified-at", type=float, default=0.0)
-    p.add_argument("--scope", choices=["domain", "nameserver", "pair"], default="domain")
-    p.add_argument("--guide-url", default="https://dnsinstitute.com/documentation/")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_report)
+    modes = p.add_subparsers(dest="mode", required=True, parser_class=_Parser)
+
+    m = modes.add_parser("rates", help="vulnerable share of tested domains, nameservers, pairs")
+    m.add_argument("--snapshot", required=True)
+    m.add_argument("--decimals", type=int, default=3)
+
+    m = modes.add_parser("aggregate", help="vulnerable resources per ASN, country or CSIRT")
+    m.add_argument("--snapshot", required=True)
+    m.add_argument("--attribution", help=f"prefix CSV (or ${ATTRIBUTION_ENV})")
+    m.add_argument("--csirts", help="CSIRT metadata CSV")
+    m.add_argument("--key", choices=["asn", "country", "csirt"], default="csirt")
+    m.add_argument("--out")
+
+    m = modes.add_parser("diff", help="remediated, persistent and new between two scans")
+    m.add_argument("--earlier", required=True)
+    m.add_argument("--later", required=True)
+    m.add_argument("--out")
+
+    m = modes.add_parser("survival", help="Kaplan-Meier remediation curve")
+    m.add_argument("--baseline", required=True)
+    m.add_argument("--rescans", nargs="*", default=[])
+    m.add_argument("--notified-at", type=float, default=0.0)
+    m.add_argument("--scope", choices=["domain", "nameserver", "pair"], default="domain")
+    m.add_argument("--out")
+
+    m = modes.add_parser("notify", help="CSIRT notification batch")
+    m.add_argument("--baseline", required=True)
+    m.add_argument("--current", required=True)
+    m.add_argument("--attribution", help=f"prefix CSV (or ${ATTRIBUTION_ENV})")
+    m.add_argument("--csirts", help="CSIRT metadata CSV")
+    m.add_argument("--guide-url", default="https://dnsinstitute.com/documentation/")
+    m.add_argument("--out")
     return parser
 
 

@@ -34,7 +34,6 @@ from .wire import (
     RType,
     _bounded,
     _builder,
-    _draw_id,
     _message,
     _question,
     _record,
@@ -48,6 +47,8 @@ DEFAULT_SENTINEL = b"researchstudyzp"
 RETRIES_VERIFY = 2
 # delete-and-recheck rounds before a failed cleanup is surfaced
 RETRIES_CLEANUP = 5
+# the longest wait for one reply, in seconds; a sim clock or a socket needs a finite one
+MAX_TIMEOUT_S = 3600
 
 
 class ScannerError(Exception):
@@ -87,16 +88,18 @@ class ProbeConfig:
     probe_address: Union[IPv4Address, IPv6Address] = IPv4Address("192.0.2.80")
     sentinel_label: bytes = DEFAULT_SENTINEL
     ttl: int = 120
-    timeout: float = 3.0
-    per_nameserver_rate: float = 2.0
+    timeout: float = 3.0  # seconds per reply: above 0, at most MAX_TIMEOUT_S
+    per_nameserver_rate: float = 2.0  # above 0; inf leaves no gap
     probe_address_attested: bool = False
 
     def __post_init__(self):
         if not self.sentinel_label or len(self.sentinel_label) > 63 or b"." in self.sentinel_label:
             raise ValueError("sentinel_label must be a single valid DNS label")
         _bounded(self.ttl, MAX_TTL, "ttl")
-        if not self.timeout > 0:  # NaN fails too
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if not 0 < self.timeout <= MAX_TIMEOUT_S:  # NaN fails too
+            raise ValueError(f"timeout must be in (0, {MAX_TIMEOUT_S}] s, got {self.timeout}")
+        if not self.per_nameserver_rate > 0:  # NaN fails too
+            raise ValueError(f"per_nameserver_rate must be > 0, got {self.per_nameserver_rate}")
 
     @property
     def record_type(self) -> int:
@@ -171,9 +174,9 @@ _NOERROR = Rcode.NOERROR
 _ADDRESSES = (IPv4Address, IPv6Address)
 
 
-def build_probe(target: ProbeTarget, cfg: ProbeConfig, *,
-                msg_id: Optional[int] = None, rng: Optional[random.Random] = None) -> DnsMessage:
-    """The single detection datagram: an UPDATE adding `<sentinel>.<zone>`.
+def build_probe(target: ProbeTarget, cfg: ProbeConfig, rng: random.Random) -> DnsMessage:
+    """The single detection datagram: an UPDATE adding `<sentinel>.<zone>`,
+    its id drawn from ``rng``.
 
     The message ``make_update`` makes for that one add, built directly: its
     zone section, ``question``, is (zone, SOA, IN), and its one update
@@ -184,7 +187,7 @@ def build_probe(target: ProbeTarget, cfg: ProbeConfig, *,
     zone = target.zone
     record = _record(zone.prepend(cfg.sentinel_label), cfg.record_type, _IN, cfg.ttl,
                      cfg.probe_address)
-    return _message(_draw_id(msg_id, rng), _UPDATE, _NOERROR, False, False,
+    return _message(rng.randrange(0x10000), _UPDATE, _NOERROR, False, False,
                     (_question(zone, _SOA, _IN),), (), (record,), (), 0)
 
 
@@ -205,7 +208,7 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     clock = clock or transport.clock
     rng = rng or random.Random()
     try:
-        probe = build_probe(target, cfg, rng=rng)
+        probe = build_probe(target, cfg, rng)
     except InvalidLabel:
         return _outcome(target, _NOT_PROBED, None, 0.0, 0.0, 0.0, None, 0, 0, clock.now())
     record = probe.updates[0]
@@ -297,11 +300,11 @@ def _cleanup_own_record(target, zone_question, record, question, cfg, transport,
 
 
 class Pacer:
-    """Per-nameserver send gate: consecutive probes to one address keep a minimum gap."""
+    """Per-nameserver send gate: consecutive probes to one address keep a gap of 1 / rate."""
 
     def __init__(self, clock, rate_per_second: float):
         self.clock = clock
-        self.min_gap = 1.0 / rate_per_second if rate_per_second > 0 else 0.0
+        self.min_gap = 1.0 / rate_per_second
         self._next_slot: dict[str, float] = {}
 
     def wait(self, nameserver: str) -> None:

@@ -29,6 +29,11 @@ from typing import Callable, Optional, Protocol, Union
 
 from . import wire
 
+# deliveries one ``DatagramBus.pump`` makes before it calls the traffic a storm
+PUMP_MAX_STEPS = 100_000
+# the port of a nameserver written without one
+DNS_PORT = 53
+
 
 @wire._slot_init
 @dataclass(frozen=True, slots=True)
@@ -164,7 +169,7 @@ class DatagramBus:
         self._seq += 1
         heapq.heappush(self._queue, (now + delay, self._seq, dgram))
 
-    def pump(self, until: Optional[float] = None, max_steps: int = 100_000) -> None:
+    def pump(self, until: Optional[float] = None) -> None:
         """Deliver due datagrams; with ``until``, stop at that sim instant."""
         steps = 0
         while self._queue:
@@ -172,8 +177,8 @@ class DatagramBus:
             if until is not None and deliver_at > until:
                 return
             steps += 1
-            if steps > max_steps:
-                raise RuntimeError("datagram storm: pump exceeded max_steps")
+            if steps > PUMP_MAX_STEPS:
+                raise RuntimeError("datagram storm: pump exceeded PUMP_MAX_STEPS")
             heapq.heappop(self._queue)
             if deliver_at > self.clock.now():
                 self.clock.advance(deliver_at - self.clock.now())
@@ -254,8 +259,9 @@ class Transport(Protocol):
         ...
 
 
-def parse_endpoint(address: str, default_port: int = 53) -> tuple[str, int]:
-    """Split 'host', 'host:port', '[v6]' or '[v6]:port' into (host, port).
+def parse_endpoint(address: str) -> tuple[str, int]:
+    """Split 'host', 'host:port', '[v6]' or '[v6]:port' into (host, port),
+    the port ``DNS_PORT`` when none is given.
 
     A port that is not a decimal number in 0-65535 raises ValueError.
     """
@@ -264,12 +270,12 @@ def parse_endpoint(address: str, default_port: int = 53) -> tuple[str, int]:
         if not bracket or (port and not port.startswith(":")):
             raise ValueError(f"malformed endpoint {address!r}")
         if not port:
-            return host, default_port
+            return host, DNS_PORT
         port = port[1:]
     elif address.count(":") == 1:
         host, _, port = address.partition(":")
     else:
-        return address, default_port
+        return address, DNS_PORT
     if not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ValueError(f"endpoint port must be a number in 0-65535: {address!r}")
     return host, int(port)
@@ -278,12 +284,11 @@ def parse_endpoint(address: str, default_port: int = 53) -> tuple[str, int]:
 class UdpTransport:
     """Real-socket transport for desk-scale interop; no spoofing, ever."""
 
-    def __init__(self, default_port: int = 53):
-        self.default_port = default_port
+    def __init__(self):
         self.clock = SystemClock()
 
     def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
-        host, port = parse_endpoint(destination, self.default_port)
+        host, port = parse_endpoint(destination)
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         with socket.socket(family, socket.SOCK_DGRAM) as sock:
             sock.settimeout(timeout)

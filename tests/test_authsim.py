@@ -477,6 +477,13 @@ class TestQueries:
         assert reply.authority == authority
         assert reply.additional == additional
 
+    @pytest.mark.parametrize("questions", [0, 2])
+    def test_query_without_exactly_one_question_gets_formerr(self, bus, questions):
+        attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()))
+        query = DnsMessage(id=6, question=(Question(APEX, RType.A),) * questions)
+        reply = decode_message(client(bus).exchange(encode_message(query), "10.0.0.1", 1.0))
+        assert (reply.id, reply.rcode, reply.answers) == (6, Rcode.FORMERR, ())
+
     def test_malformed_payload_gets_formerr(self, bus):
         attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()))
         c = client(bus)
@@ -892,6 +899,36 @@ class TestHoneypot:
         lines = [json.loads(l) for l in journal.read_text().splitlines()]
         assert lines == [e.to_json_obj() for e in events] and len(lines) == 3
         sink.close()
+
+    def test_journal_names_each_kind_of_change(self, bus):
+        events = []
+        attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()),
+                      honeypot=True, journal_sink=events.append)
+        www = APEX.prepend("www")
+        probe = a_record(SENTINEL, "192.0.2.80")
+        update = make_update(APEX, [AddRecord(probe), DeleteExactRecord(probe),
+                                    DeleteRRset(APEX, RType.MX), DeleteAllAtName(www)], msg_id=3)
+        client(bus).exchange(encode_message(update), "10.0.0.1", 1.0)
+        (event,) = events
+        assert event.kinds == ("add", "delete_exact", "delete_rrset", "delete_name")
+        assert event.names == (SENTINEL.to_text(), SENTINEL.to_text(), APEX.to_text(),
+                               www.to_text())
+        assert event.rcode == "NOERROR"
+
+    @pytest.mark.parametrize("zone_section", [(), (Question(APEX, RType.A),),
+                                              (Question(APEX, RType.SOA),) * 2],
+                             ids=["none", "not-soa", "two"])
+    def test_update_whose_zone_section_is_not_one_soa_gets_formerr(self, bus, zone_section):
+        events = []
+        server = attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()),
+                               honeypot=True, journal_sink=events.append)
+        before = server.zones[APEX]
+        update = DnsMessage(id=8, opcode=Opcode.UPDATE, question=zone_section,
+                            authority=add_sentinel().authority)
+        reply = decode_message(client(bus).exchange(encode_message(update), "10.0.0.1", 1.0))
+        assert (reply.id, reply.rcode) == (8, Rcode.FORMERR)
+        assert [(e.kinds, e.rcode) for e in events] == [(("add",), "FORMERR")]
+        assert server.zones[APEX] is before
 
     def test_accepted_updates_also_journaled(self, bus):
         events = []

@@ -9,6 +9,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from zptoolkit.cli import main
+from zptoolkit.transport import UdpTransport
 from zptoolkit.tsig import TsigKey, sign_message
 from zptoolkit.wire import (
     AddRecord,
@@ -122,7 +123,19 @@ class TestScan:
                      "--out", str(tmp_path / "o.jsonl"), "--timeout", "0.05"])
         assert code == 2
 
-    @pytest.mark.parametrize("flag,value", [("--timeout", "-1"), ("--ttl", "-5")])
+    def test_unattested_udp_scan_sends_nothing_in_auto_resolve_mode(self, tmp_path, monkeypatch):
+        sent = []
+        monkeypatch.setattr(UdpTransport, "exchange",
+                            lambda self, payload, destination, timeout: sent.append(destination))
+        domains = tmp_path / "zones.txt"
+        domains.write_text("alpha.test\n")
+        code = main(["scan", "--domains", str(domains), "--resolver", "127.0.0.1:5399",
+                     "--transport", "udp", "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert sent == []  # not even the resolver queries
+
+    @pytest.mark.parametrize("flag,value", [("--timeout", "-1"), ("--ttl", "-5"),
+                                            ("--timeout", "inf"), ("--rate", "0")])
     def test_impossible_timeout_or_ttl_is_2_before_any_probe(self, tmp_path, fleet_file,
                                                              pairs_file, flag, value, capsys):
         out = tmp_path / "o.jsonl"
@@ -392,6 +405,14 @@ class TestReport:
         assert note["subject"] == "1 domain(s) still vulnerable to zone poisoning, 1 nameservers fixed"
         assert note["recipient"] == "JP CERT"
 
+    def test_option_of_another_mode_is_a_usage_error(self, tmp_path, capsys):
+        snap = tmp_path / "s.json"
+        self.write_snapshot(snap, 1.0, {("a.test", "10.0.0.1")})
+        assert main(["report", "rates", "--snapshot", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["report", "rates", "--snapshot", str(snap), "--key", "asn"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].endswith("unrecognized arguments: --key asn")
+
     def test_aggregate(self, tmp_path, capsys):
         attribution = tmp_path / "prefix.csv"
         attribution.write_text("10.0.0.0/8,64500,JP,jp-cert\n")
@@ -415,8 +436,9 @@ class TestExitCodes:
     ])
     def test_report_without_its_input_is_1_naming_it(self, capsys, mode, missing):
         assert main(["report", mode]) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("zptool report") and line.endswith(f"needs {missing}")
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith(f"zptool report {mode}: error: the following arguments are required")
+        assert all(option in line for option in missing.split(" and "))
 
     def test_runtime_error_is_2(self, tmp_path):
         assert main(["report", "rates", "--snapshot", str(tmp_path / "missing.json")]) == 2

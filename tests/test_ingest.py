@@ -144,7 +144,39 @@ def resolver_fixture(bus):
     return attach_server(bus, "10.0.53.53", zone)
 
 
+def glueless_fixture(bus):
+    """One server for ``example`` and ``other.example``. ``child.example`` is
+    delegated to ``ns.other.example``, whose address only ``other.example``
+    holds, so the referral carries no glue; ``one.example`` and
+    ``two.example`` are delegated to ``ns.gone.example``, which has none."""
+    apex, other = N("example"), N("other.example")
+    records = [make_soa(apex), ResourceRecord(apex, RType.NS, RClass.IN, 60, apex.prepend("ns1")),
+               ResourceRecord(N("child.example"), RType.NS, RClass.IN, 60, N("ns.other.example"))]
+    for zone_text in ("one.example", "two.example"):
+        records.append(ResourceRecord(N(zone_text), RType.NS, RClass.IN, 60, N("ns.gone.example")))
+    other_records = [make_soa(other), ResourceRecord(N("ns.other.example"), RType.A, RClass.IN,
+                                                     60, IPv4Address("192.0.2.9"))]
+    return attach_server(bus, "10.0.53.53",
+                         ZoneConfig.build(apex, authsim.Primary(), Deny(), records),
+                         ZoneConfig.build(other, authsim.Primary(), Deny(), other_records))
+
+
 class TestResolveTargets:
+    def test_nameserver_without_glue_is_resolved_by_its_own_query(self, bus, sim_transport):
+        glueless_fixture(bus)
+        universe, stats = resolve_targets([N("child.example")], "10.0.53.53", sim_transport)
+        assert universe.pairs == {(N("child.example"), "192.0.2.9")}
+        assert stats.resolved_domains == 1 and stats.unresolved_ns == 0
+        assert len(bus.tap) == 4  # NS query and referral, A query and answer
+
+    def test_nameserver_that_failed_once_is_not_queried_again(self, bus, sim_transport):
+        glueless_fixture(bus)
+        universe, stats = resolve_targets([N("one.example"), N("two.example")], "10.0.53.53",
+                                          sim_transport)
+        assert not universe.pairs
+        assert stats.unresolved_ns == 1 and stats.domains_without_ns == 2
+        assert len(bus.tap) == 6  # two NS queries and referrals, one A query and its NXDOMAIN
+
     def test_pairs_match_hand_enumerated_ground_truth(self, bus, sim_transport):
         resolver_fixture(bus)
         domains = [N("alpha.test"), N("beta.test"), N("gamma.test"), N("delta.test")]

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from zptoolkit import authsim, wire
 from zptoolkit.authsim import Deny, IpAcl, Open, Secondary, SignedKey
 from zptoolkit.scanner import (
+    MAX_TIMEOUT_S,
     RETRIES_CLEANUP,
     RETRIES_VERIFY,
     AttestationRequired,
+    Pacer,
     ProbeConfig,
     ProbeOutcome,
     ProbeTarget,
@@ -57,7 +59,7 @@ def probe(bus, address, cfg=CFG, seed=1):
 
 class TestBuildProbe:
     def test_sentinel_under_zone(self):
-        msg = build_probe(ProbeTarget(APEX, "10.0.0.1"), CFG, msg_id=1)
+        msg = build_probe(ProbeTarget(APEX, "10.0.0.1"), CFG, random.Random(1))
         assert msg.opcode == Opcode.UPDATE
         (rr,) = msg.updates
         assert rr.name == SENTINEL
@@ -66,12 +68,12 @@ class TestBuildProbe:
 
     def test_sentinel_under_full_registrable_domain(self):
         target = ProbeTarget(DnsName.from_text("example.co.uk"), "10.0.0.1")
-        msg = build_probe(target, CFG, msg_id=1)
+        msg = build_probe(target, CFG, random.Random(1))
         assert msg.updates[0].name == DnsName.from_text("researchstudyzp.example.co.uk")
 
     def test_ipv6_probe_address_emits_aaaa(self):
         cfg = ProbeConfig(probe_address=IPv6Address("2001:db8::80"))
-        msg = build_probe(ProbeTarget(APEX, "10.0.0.1"), cfg, msg_id=1)
+        msg = build_probe(ProbeTarget(APEX, "10.0.0.1"), cfg, random.Random(1))
         assert msg.updates[0].rtype == RType.AAAA
 
     def test_sentinel_label_validation(self):
@@ -80,16 +82,26 @@ class TestBuildProbe:
         with pytest.raises(ValueError):
             ProbeConfig(sentinel_label=b"")
 
-    @pytest.mark.parametrize("field,value", [("ttl", -5), ("ttl", 2**31), ("timeout", 0.0),
-                                             ("timeout", -1.0), ("timeout", float("nan"))])
+    @pytest.mark.parametrize("field,value", [
+        ("ttl", -5), ("ttl", 2**31), ("timeout", 0.0), ("timeout", -1.0),
+        ("timeout", float("nan")), ("timeout", float("inf")), ("timeout", 1e10),
+        ("per_nameserver_rate", 0.0), ("per_nameserver_rate", -1.0),
+        ("per_nameserver_rate", float("nan"))])
     def test_impossible_ttl_or_timeout_rejected(self, field, value):
-        # RFC 2181 section 8: a TTL is 0..2^31-1; the encoder would mask -5 to 4294967291
+        # RFC 2181 section 8: a TTL is 0..2^31-1; the encoder would mask -5 to 4294967291.
+        # An endless wait moves a sim clock to inf and overflows a socket timeout, and
+        # a rate that is not above 0 would silently turn pacing off
         with pytest.raises(ValueError):
             ProbeConfig(**{field: value})
 
+    def test_timeout_and_rate_bounds_accepted(self):
+        ProbeConfig(timeout=MAX_TIMEOUT_S)
+        cfg = ProbeConfig(per_nameserver_rate=float("inf"))
+        assert Pacer(ManualClock(), cfg.per_nameserver_rate).min_gap == 0.0  # no gap
+
     def test_ttl_bounds_accepted(self):
         for ttl in (0, wire.MAX_TTL):
-            build_probe(ProbeTarget(APEX, "10.0.0.1"), ProbeConfig(ttl=ttl), msg_id=1)
+            build_probe(ProbeTarget(APEX, "10.0.0.1"), ProbeConfig(ttl=ttl), random.Random(1))
 
 
 class TestRunProbe:

@@ -53,6 +53,19 @@ def test_signed_message_survives_wire_round_trip():
     assert isinstance(verify_message(again, {KEY_A}, now=1_000_100), Accept)
 
 
+def test_other_additional_record_is_kept_and_signed():
+    glue = ResourceRecord(DnsName.from_text("ns1.example.com"), RType.A, RClass.IN, 60,
+                          IPv4Address("192.0.2.53"))
+    unsigned = dataclasses.replace(probe_update(), additional=(glue,))
+    signed = decode_message(encode_message(sign_message(unsigned, KEY_A, now=1000)))
+    assert len(signed.additional) == 2
+    result = verify_message(signed, {KEY_A}, now=1000)
+    assert isinstance(result, Accept) and result.message == unsigned  # only the TSIG goes
+    forged = dataclasses.replace(glue, rdata=IPv4Address("192.0.2.54"))
+    tampered = dataclasses.replace(signed, additional=(forged, signed.additional[1]))
+    assert verify_message(tampered, {KEY_A}, now=1000) == Reject(RejectReason.BAD_SIGNATURE)
+
+
 def test_tampered_payload_rejected():
     signed = sign_message(probe_update(), KEY_A, now=1000)
     blob = bytearray(encode_message(signed))

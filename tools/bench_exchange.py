@@ -23,7 +23,9 @@ It prints six measurements:
   the same batches (and from refused probes for ``refusal``): an accepted
   add, a delete, a lookup hit, an NXDOMAIN lookup, and a refusal. Each is
   the minimum over the repeats of its mean in a batch, timed by a wrapper
-  around the handler that the bus calls.
+  around the handler that the bus calls. Its zones hold 8 records, so
+  these are the 8-record reference for the probe cycle that
+  ``tools/bench_zone_write.py`` times on larger zones.
 - tenant_pair_us: µs per tenant pair, the unit behind hosting-scan's
   ``op_ms_p50``: a TSIG-signed UPDATE adding one A record and one deleting
   it, each sent by ``exchange_message`` to a primary whose signed-key zone

@@ -19,14 +19,16 @@ six things:
   rdata classes of ``zptoolkit.wire``) and ``IPv4Address.__hash__`` calls,
   counted by wrapping those methods here. The counts do not depend on the
   host or the hash seed, so they are the numbers to compare;
-- read: µs per probe cycle at 8, 300, 3,000 and 20,000 records, all through
+- read: µs per probe cycle at 300, 3,000 and 20,000 records, all through
   ``NameServer.handle_datagram``: add the sentinel, query it, delete exactly
   it, then query it again. That last query is the first NXDOMAIN answer of
-  a fresh zone version, and its µs are reported on their own;
+  a fresh zone version, and its µs are reported on their own. The same
+  four messages on an 8-record zone are timed by ``tools/bench_exchange.py``
+  (``server_us``), the 8-record reference, and not again here;
 - read calls: Python-level function calls (``sys.setprofile`` call events)
-  in that first NXDOMAIN answer, at each size. This count depends on
-  neither the host nor the hash seed, and it grows with the zone when the
-  answer scans the zone;
+  in that first NXDOMAIN answer, at 8, 300, 3,000 and 20,000 records. This
+  count depends on neither the host nor the hash seed, and it grows with
+  the zone when the answer scans the zone;
 - build: µs per ``ZoneConfig.build`` from the zone's records, and per
   ``dataclasses.replace(zone, role=Secondary(...))``, the copy a secondary
   gets, at 8, 300 and 3,000 records; and per build and per replace, the
@@ -56,6 +58,7 @@ from zptoolkit.wire import (AddRecord, DeleteExactRecord, DnsName, RClass, Rcode
 
 SIZES = (8, 300, 3_000)
 READ_SIZES = (*SIZES, 20_000)
+TIMED_READ_SIZES = READ_SIZES[1:]  # bench_exchange's server_us times the 8-record cycle
 PAIRS = 500  # add+delete pairs per timed round
 CYCLES = 50  # probe cycles per timed round
 RECORDS_PER_BUILD_ROUND = 30_000  # records per timed round of builds or replaces, at any size
@@ -278,7 +281,7 @@ def measure(seed: int, repeats: int) -> dict:
     return {"hashes_per_update": count_hashes(seed),
             "apply": [measure_apply(size, seed, repeats) for size in SIZES],
             "push": [measure_push(size, seed, repeats) for size in SIZES],
-            "read": [measure_read(size, seed, repeats) for size in READ_SIZES],
+            "read": [measure_read(size, seed, repeats) for size in TIMED_READ_SIZES],
             "read_calls": [count_read_calls(size, seed) for size in READ_SIZES],
             "build": [measure_build(size, seed, repeats) for size in SIZES]}
 
