@@ -26,11 +26,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from . import tsig as tsig_mod
 from .transport import DatagramBus, SimDatagram, _datagram
 from .wire import (
+    MAX_MESSAGE_SIZE,
     MAX_TTL,
     DecodeError,
     DnsMessage,
@@ -45,7 +48,11 @@ from .wire import (
     WireError,
     _bounded,
     _builder,
+    _encode_record,
     _message,
+    _pack_header,
+    _pack_question,
+    _put_records,
     _question,
     _record,
     _slot_init,
@@ -740,14 +747,33 @@ def _change_kind(rr: ResourceRecord) -> str:
     return "unknown"
 
 
+_float_repr = float.__repr__
+
+
+def _journal_line(event: HoneypotEvent) -> bytes:
+    """``json.dumps(event.to_json_obj()) + "\\n"``, rendered field by field:
+    the same escapes and number forms, with no dict or encoder built."""
+    ts = event.ts
+    if ts.__class__ is float and isfinite(ts):
+        ts = _float_repr(ts)
+    else:  # NaN, an infinity, or not a float: json's own spelling
+        ts = json.dumps(ts)
+    return (f'{{"ts": {ts}, "src": {_json_str(event.source)}, "zone": {_json_str(event.zone)}, '
+            f'"kinds": [{", ".join(map(_json_str, event.kinds))}], '
+            f'"names": [{", ".join(map(_json_str, event.names))}], '
+            f'"rcode": {_json_str(event.rcode)}, "raw_hex": "{event.raw.hex()}"}}\n'
+            ).encode("ascii")
+
+
 class _JournalSink:
-    """Append-only JSONL sink on one open handle, flushed after every event."""
+    """Append-only JSONL sink on one binary handle: one write and one flush per
+    event, so every event is in the file when the call returns."""
 
     def __init__(self, path: str):
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open(path, "ab")
 
     def __call__(self, event: HoneypotEvent) -> None:
-        self._fh.write(json.dumps(event.to_json_obj()) + "\n")
+        self._fh.write(_journal_line(event))
         self._fh.flush()
 
     def close(self) -> None:
@@ -766,6 +792,11 @@ def open_journal(path: str) -> _JournalSink:
 # the oldest entry goes, and its client is left to time out
 FORWARDS_MAX = 1024
 FORWARD_EXPIRY_S = 30.0
+
+# an IXFR push's header flags (QR and AA: an authoritative response to a
+# QUERY, NOERROR) and the type and class that follow its question's name
+_PUSH_FLAGS = 0x8400
+_PUSH_QUESTION = _pack_question(_IXFR, _IN)
 
 
 class NameServer:
@@ -960,9 +991,7 @@ class NameServer:
         secondaries = self.secondaries.get(new.apex)
         if not secondaries:
             return []
-        old_soa, new_soa = old.soa, new.soa
-        # the two halves of the answers: the SOAs that open each, then its records
-        deleted, added = [new_soa, old_soa], [new_soa]
+        deleted, added = [old.soa], []  # each half of the diff, after its opening new SOA
         old_by_name, new_by_name = old.by_name, new.by_name
         seen = set()
         for update in updates:
@@ -980,13 +1009,26 @@ class NameServer:
             for rr in after:
                 if id(rr) not in old_ids and rr.rtype != _SOA:
                     added.append(rr)
-        added.append(new_soa)
-        msg = _message(new_soa.rdata.serial & 0xFFFF, _QUERY, _NOERROR, True, True,
-                       (_question(new.apex, _IXFR, _IN),), (*deleted, *added), (), (), 0)
+        # what encode_message gives for that message, with every record
+        # rendered once: the new SOA's bytes stand in all three of its places
+        new_soa = new.soa
+        msg_id = new_soa.rdata.serial & 0xFFFF
+        soa_wire = _encode_record(new_soa)
+        payload = bytearray(_pack_header(msg_id, _PUSH_FLAGS, 1,
+                                         len(deleted) + len(added) + 3, 0, 0))
+        payload += new.apex._wire
+        payload += _PUSH_QUESTION
+        payload += soa_wire
         try:
-            payload = encode_message(msg)
-        except OversizeMessage:
-            return self._zone_stream(new, msg.id, secondaries)
+            _put_records(payload, deleted)
+            payload += soa_wire
+            _put_records(payload, added)
+        except OversizeMessage:  # an rdata too long for its 16-bit length field
+            return self._zone_stream(new, msg_id, secondaries)
+        payload += soa_wire
+        if len(payload) > MAX_MESSAGE_SIZE:
+            return self._zone_stream(new, msg_id, secondaries)
+        payload = bytes(payload)
         return [_datagram(self.address, addr, payload) for addr in secondaries]
 
     def _answer_axfr(self, msg: DnsMessage, dgram: SimDatagram) -> list[SimDatagram]:

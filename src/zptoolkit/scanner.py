@@ -82,7 +82,9 @@ class ProbeConfig:
     to ``per_nameserver_rate`` probes/second per target address; retry
     counts are the module constants ``RETRIES_VERIFY`` and
     ``RETRIES_CLEANUP``. A reply counts only when it answers the request
-    (id, opcode and question); any other reply is a ``MALFORMED_REPLY``.
+    (id, opcode and question); one that does not is dropped and the
+    request resent, and a reply that does not decode, or only such replies
+    to every attempt, make a ``MALFORMED_REPLY``.
     """
 
     probe_address: Union[IPv4Address, IPv6Address] = IPv4Address("192.0.2.80")
@@ -196,10 +198,11 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     """Classify one domain-nameserver pair.
 
     Phase 1 sends the probe UPDATE: a refusal rcode is NotVulnerable,
-    silence after retries is Unreachable, and a reply that does not answer
-    the request is MalformedReply, as in phase 2. Phase 2 queries the nameserver
-    directly for the sentinel record. Phase 3 deletes it and confirms the
-    removal. Every path is an outcome, never an exception: a zone too long
+    silence after retries is Unreachable, and a reply that does not decode,
+    or only replies that do not answer the request, are MalformedReply, as
+    in phase 2; the probe may have landed all the same, so it is deleted
+    as in phase 3. Phase 2 queries the nameserver directly for the
+    sentinel record. Phase 3 deletes it and confirms the removal. Every path is an outcome, never an exception: a zone too long
     to carry the sentinel label is NotProbed, with nothing sent. Times come
     from ``clock``, by default the transport's own, read once as each phase
     ends; the outcome's ``ts`` is when phase 1 began.
@@ -219,10 +222,17 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
                                        RETRIES_VERIFY)
     t1 = clock.now()
     t_update = (t1 - started) * 1000
-    if not isinstance(reply, DnsMessage):
-        verdict = _UNREACHABLE if reply is None else _MALFORMED_REPLY
-        return _outcome(target, verdict, None, t_update, 0.0, 0.0, None, detection_sends, 0,
+    if reply is None:
+        return _outcome(target, _UNREACHABLE, None, t_update, 0.0, 0.0, None, detection_sends, 0,
                         started)
+    if not isinstance(reply, DnsMessage):
+        # no reply answered the probe, yet a send of it may have been applied:
+        # delete exactly our record, as after phase 2
+        removed, cleanup_sends = _cleanup_own_record(
+            target, probe.question, record, (_question(record.name, record.rtype, _IN),), cfg,
+            transport, rng)
+        return _outcome(target, _MALFORMED_REPLY, None, t_update, 0.0, (clock.now() - t1) * 1000,
+                        removed, detection_sends, cleanup_sends, started)
     if reply.rcode is not _NOERROR:
         return _outcome(target, _NOT_VULNERABLE, reply.rcode, t_update, 0.0, 0.0, None,
                         detection_sends, 0, started)
@@ -263,9 +273,10 @@ def _query_addresses(transport, destination, question, cfg, rng):
     """Resolve the sentinel rrset directly at the target nameserver.
 
     ``question`` is the query's question section, which the verify and
-    every re-check share. Returns the answer addresses, or None after all
-    attempts time out; a reply that does not decode or does not answer the
-    query raises DecodeError.
+    every re-check share. Returns the answer addresses, or None when no
+    attempt got an answer and one timed out; a reply that does not decode,
+    or replies to every attempt that do not answer the query, raise
+    DecodeError.
     """
     query = _message(rng.randrange(0x10000), _QUERY, _NOERROR, False, False, question,
                      (), (), (), 0)

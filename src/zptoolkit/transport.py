@@ -233,21 +233,25 @@ class ClientEndpoint:
 
     def exchange(self, payload: bytes, destination: str, timeout: float,
                  source: Optional[str] = None) -> Optional[bytes]:
-        """Send, run the network until the deadline, and pop the first reply.
+        """Send, run the network until the deadline, and pop the first reply
+        from ``destination``; a datagram from anywhere else is dropped.
 
-        Returns None on timeout: nothing came back in time (dropped, delayed
-        past the deadline, or the reply went to a forged source) and the
-        clock lands on the deadline.
+        Returns None on timeout: nothing came back from ``destination`` in
+        time (dropped, delayed past the deadline, or the reply went to a
+        forged source) and the clock lands on the deadline.
         """
-        self.inbox.clear()  # anything older belongs to an abandoned exchange
+        inbox = self.inbox
+        inbox.clear()  # anything older belongs to an abandoned exchange
         deadline = self.bus.clock.now() + timeout
         self.send(payload, destination, source)
         self.bus.pump(until=deadline)
-        if not self.inbox:
-            if deadline > self.bus.clock.now():
-                self.bus.clock.advance(deadline - self.bus.clock.now())
-            return None
-        return self.inbox.popleft().payload
+        while inbox:
+            reply = inbox.popleft()
+            if reply.source == destination:
+                return reply.payload
+        if deadline > self.bus.clock.now():
+            self.bus.clock.advance(deadline - self.bus.clock.now())
+        return None
 
 
 class Transport(Protocol):
@@ -311,11 +315,16 @@ def exchange_message(transport: Transport, destination: str, msg: "wire.DnsMessa
                      timeout: float = 1.0, retries: int = 0) -> Optional["wire.DnsMessage"]:
     """Send one message and return the reply that answers it.
 
-    The message is encoded once and retransmitted only after a timeout;
-    None means every attempt timed out. A reply answers the request when it
-    is a response with the request's id, opcode and question (RFC 5452
-    section 9.1, less the source address). A reply that does not decode or
-    does not answer raises ``wire.DecodeError``.
+    The message is encoded once and retransmitted, under the same id, only
+    after an attempt that got no answer; None means some attempt timed
+    out and none got an answer. A reply answers the request when it is a
+    response with the request's id, opcode and question (RFC 5452 section
+    9.1; a bus endpoint also matches the source address, ``UdpTransport``
+    does not yet). A reply that decodes but does not answer, such as a
+    late reply to an earlier exchange, is dropped, and its attempt counts
+    as timed out. A reply that does not decode raises ``wire.DecodeError``
+    at once; so does an exchange whose every attempt got only a reply that
+    does not answer.
     """
     reply, _ = _exchange(transport, destination, msg, timeout, retries)
     if isinstance(reply, wire.DecodeError):
@@ -328,6 +337,7 @@ def _exchange(transport: Transport, destination: str, msg: "wire.DnsMessage", ti
     """``exchange_message``'s work: the reply, the ``DecodeError`` it would
     raise, or None, and the number of times the request was sent."""
     payload = wire.encode_message(msg)
+    mismatched = 0  # attempts whose reply decoded but did not answer: each is dropped
     for sends in range(1, retries + 2):
         raw = transport.exchange(payload, destination, timeout)
         if raw is None:
@@ -336,8 +346,10 @@ def _exchange(transport: Transport, destination: str, msg: "wire.DnsMessage", ti
             reply = wire.decode_message(raw)
         except wire.DecodeError as exc:
             return exc, sends
-        if not (reply.is_response and reply.id == msg.id and reply.opcode == msg.opcode
-                and reply.question == msg.question):
-            return wire.DecodeError(f"reply {reply.id} does not answer request {msg.id}"), sends
-        return reply, sends
-    return None, retries + 1
+        if reply.is_response and reply.id == msg.id and reply.opcode == msg.opcode \
+                and reply.question == msg.question:
+            return reply, sends
+        mismatched += 1
+    if mismatched <= retries:  # some attempt timed out
+        return None, retries + 1
+    return wire.DecodeError(f"no reply answers request {msg.id}"), retries + 1

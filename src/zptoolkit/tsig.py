@@ -109,6 +109,13 @@ def _strip_tsig(msg: DnsMessage) -> DnsMessage:
     return _with_additional(msg, tuple(kept))
 
 
+# HMAC-SHA256 states keyed with a secret and fed nothing yet, by secret: a MAC
+# copies one instead of keying a fresh state. A secret past the bound evicts
+# the oldest. Kept here rather than on TsigKey, which must stay picklable
+KEYED_STATES_MAX = 256
+_keyed_states: dict[bytes, hmac.HMAC] = {}
+
+
 def _compute_mac(secret: bytes, core_wire: bytes, name_wire: bytes, rclass: int, ttl: int,
                  algorithm_wire: bytes, time_signed: int, fudge: int, error: int,
                  other: bytes) -> bytes:
@@ -118,7 +125,14 @@ def _compute_mac(secret: bytes, core_wire: bytes, name_wire: bytes, rclass: int,
     variables = (name_wire + _pack_class_ttl(rclass, ttl) + algorithm_wire
                  + time_signed.to_bytes(6, "big") + _pack_fudge_error_other(fudge, error, len(other))
                  + other)
-    return hmac.new(secret, core_wire + variables, hashlib.sha256).digest()
+    keyed = _keyed_states.get(secret)
+    if keyed is None:
+        if len(_keyed_states) >= KEYED_STATES_MAX:
+            del _keyed_states[next(iter(_keyed_states))]
+        keyed = _keyed_states[secret] = hmac.new(secret, digestmod=hashlib.sha256)
+    mac = keyed.copy()
+    mac.update(core_wire + variables)
+    return mac.digest()
 
 
 def sign_message(msg: DnsMessage, key: TsigKey, now: int) -> DnsMessage:

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from ipaddress import IPv4Address
 from pathlib import Path
 
@@ -949,6 +950,55 @@ class TestHoneypot:
         assert isinstance(event, HoneypotEvent)
         with pytest.raises(AttributeError):
             event.rcode = "changed"
+
+
+class _JsonDumpsSink:
+    """The journal sink as it was: each line through ``json.dumps`` on a text handle."""
+
+    def __init__(self, path: str):
+        self._fh = open(path, "a", encoding="utf-8")
+
+    def __call__(self, event: HoneypotEvent) -> None:
+        self._fh.write(json.dumps(event.to_json_obj()) + "\n")
+        self._fh.flush()
+
+    def close(self) -> None:
+        self._fh.close()
+
+
+# labels that ``to_text`` leaves as they are, escapes to JSON, or backslash-escapes
+odd_labels = st.lists(st.sampled_from([b'"', b"\\", b"\xe9", b"\xff", b"\x00", b" ", b"a", b"."]),
+                      min_size=1, max_size=6).map(b"".join)
+event_names = st.lists(odd_labels, min_size=1, max_size=3).map(
+    lambda labels: DnsName([*labels, b"example"]).to_text())
+journal_events = st.builds(
+    authsim._honeypot_event,
+    st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])),
+    st.text(max_size=12), st.one_of(event_names, st.just("")),
+    st.lists(st.sampled_from(["add", "delete_exact", "delete_rrset", "delete_name", "unknown"]),
+             max_size=3).map(tuple),
+    st.lists(event_names, max_size=3).map(tuple),
+    st.sampled_from(["NOERROR", "REFUSED", "FORWARDED", "DROPPED", "FORMERR"]),
+    st.binary(max_size=40))
+
+
+@given(st.lists(journal_events, min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_journal_lines_equal_json_dumps(events):
+    """The sink's file is byte for byte what the json.dumps sink wrote, and holds
+    each event as soon as the sink returns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = os.path.join(tmp, "ours.jsonl"), os.path.join(tmp, "theirs.jsonl")
+        sink, oracle = authsim.open_journal(ours), _JsonDumpsSink(theirs)
+        try:
+            for event in events:
+                sink(event)
+                oracle(event)
+                with open(ours, "rb") as fh, open(theirs, "rb") as oracle_fh:
+                    assert fh.read() == oracle_fh.read()
+        finally:
+            sink.close()
+            oracle.close()
 
 
 class TestSeedFiles:

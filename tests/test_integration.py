@@ -4,12 +4,14 @@ journaling under scan traffic, and verdict soundness on lossy transports."""
 import dataclasses
 import random
 
+import pytest
+
 from zptoolkit.authsim import Deny, IpAcl, NameServer, Open, Secondary, SignedKey
 from zptoolkit.scanner import ProbeConfig, ProbeTarget, Verdict, run_scan
-from zptoolkit.transport import DatagramBus, ManualClock, SimTransport
-from zptoolkit.wire import DnsName, RType
+from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram, SimTransport
+from zptoolkit.wire import DnsName, Opcode, RType
 
-from conftest import LAB_KEY, SCANNER_SOURCE, attach_server, basic_zone
+from conftest import LAB_KEY, SCANNER_SOURCE, attach_server, basic_zone, random_fleet
 
 
 def build_pair_fleet(bus, rng, pairs):
@@ -114,3 +116,60 @@ def test_multi_zone_single_server_scan():
     snap = result.snapshot
     assert snap.tested.nameservers == 1 and snap.tested.domains == 3
     assert snap.vulnerable.domains == 2 and snap.vulnerable.nameservers == 1
+
+
+def _misnumbering(server: NameServer):
+    """``server``'s handler, answering every UPDATE under an id one off the request's."""
+    def handle(dgram, now):
+        out = server.handle_datagram(dgram, now)
+        if out and (dgram.payload[2] >> 3) & 0xF == Opcode.UPDATE:
+            reply = out[0]
+            wrong_id = (int.from_bytes(reply.payload[:2], "big") ^ 1).to_bytes(2, "big")
+            out[0] = SimDatagram(reply.source, reply.destination, wrong_id + reply.payload[2:])
+        return out
+    return handle
+
+
+def _late_reply_scan(seed: int):
+    """The fleet of 200 zones scanned with a 0.5 s timeout over one-way delays of
+    1-900 ms, so that replies land in later exchanges, then left to go quiet.
+    Beside it, three open zones whose servers store every update but answer
+    each UPDATE under another id, so that no reply ever answers a probe."""
+    delay_rng = random.Random(seed)
+    misnumbering = [f"10.9.0.{i}" for i in range(3)]
+
+    def delay(dgram) -> float:  # the misnumbering servers answer in time
+        late = delay_rng.uniform(0.001, 0.9)
+        if dgram.source in misnumbering or dgram.destination in misnumbering:
+            return 0.001
+        return late
+
+    bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed), delay_fn=delay)
+    servers, targets, vulnerable = random_fleet(bus, random.Random("late"), 200)
+    zones = dict(zip(servers.values(), (target.zone for target in targets)))
+    for i, address in enumerate(misnumbering):
+        zone = basic_zone(f"misnumbered{i}.example", Open())
+        server = NameServer(address, [zone])
+        bus.attach(server.address, _misnumbering(server))
+        zones[server] = zone.apex
+        targets.append(ProbeTarget(zone.apex, server.address))
+    before = {server: server.zones[apex].normalized_records() for server, apex in zones.items()}
+    result = run_scan(targets, ProbeConfig(timeout=0.5), SimTransport(bus, SCANNER_SOURCE),
+                      bus.clock, random.Random(seed))
+    bus.pump(until=bus.clock.now() + 10.0)
+    changed = {apex.to_text() for server, apex in zones.items()
+               if server.zones[apex].normalized_records() != before[server]}
+    return result, vulnerable, changed
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8, 9])
+def test_a_late_reply_is_dropped_and_a_probe_that_may_have_landed_is_cleaned_up(seed):
+    """A reply to an earlier exchange does not make a pair malformed, and a probe
+    that no reply answered is deleted all the same: a zone left changed belongs
+    to a pair reported unreachable, whose probe may have landed unseen."""
+    result, vulnerable, changed = _late_reply_scan(seed)
+    verdicts = {o.target.zone.to_text(): o.verdict for o in result.outcomes}
+    assert not [zone for zone in vulnerable if verdicts[zone] is Verdict.MALFORMED_REPLY]
+    assert [verdicts[f"misnumbered{i}.example"] for i in range(3)] == [Verdict.MALFORMED_REPLY] * 3
+    assert {zone: verdicts[zone] for zone in changed
+            if verdicts[zone] is not Verdict.UNREACHABLE} == {}

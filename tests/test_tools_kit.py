@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import _kit as kit  # noqa: E402
+import ab  # noqa: E402
 
 
 def test_timer_minimum_is_at_most_its_median():
@@ -57,3 +58,17 @@ def test_main_prints_one_json_record(capsys):
     assert record["harness"] == "test_tools_kit"
     assert (record["seed"], record["repeats"], record["echo"]) == (3, 1, [3, 1])
     assert record["command"].endswith("test_tools_kit.py --seed 3 --repeats 1")
+
+
+def test_ab_runner_reads_every_number_of_a_record_and_tells_measured_from_deterministic():
+    record = {"probe_us_min": {"dark": 11.5}, "tap_entry": {"gc_objects": 2.0, "ok": True},
+              "shapes": [{"shape": "a", "records": 1, "encode_us_median": 1.9}],
+              "op_ms_p50": 0.3, "peak_rss_mb": 50.1, "pairs_per_s": 5e3,
+              "sim_pairs_per_hour": 48000.0}
+    flat = dict(ab.flatten(record))
+    assert flat == {"probe_us_min.dark": 11.5, "tap_entry.gc_objects": 2.0, "shapes.0.records": 1,
+                    "shapes.0.encode_us_median": 1.9, "op_ms_p50": 0.3, "peak_rss_mb": 50.1,
+                    "pairs_per_s": 5e3, "sim_pairs_per_hour": 48000.0}
+    measured = {name for name in flat if any(map(ab.MEASURED.search, name.split(".")))}
+    assert measured == {"probe_us_min.dark", "shapes.0.encode_us_median", "op_ms_p50",
+                        "peak_rss_mb", "pairs_per_s"}

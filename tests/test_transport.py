@@ -145,19 +145,53 @@ def test_exchange_message_returns_the_matching_reply():
     assert reply.is_response and reply.id == QUERY.id and reply.question == QUERY.question
 
 
-@pytest.mark.parametrize("reply_to", [
-    lambda m: answer(m, id=m.id ^ 1),
-    lambda m: answer(m, question=(Question(DnsName.from_text("other.test"), RType.A),)),
-    lambda m: answer(m, opcode=Opcode.UPDATE),
-    lambda m: encode_message(m),  # the request echoed back, not a response
-    lambda m: b"\xff\xff\xff",
+@pytest.mark.parametrize("reply_to, sends", [
+    (lambda m: answer(m, id=m.id ^ 1), 3),
+    (lambda m: answer(m, question=(Question(DnsName.from_text("other.test"), RType.A),)), 3),
+    (lambda m: answer(m, opcode=Opcode.UPDATE), 3),
+    (lambda m: encode_message(m), 3),  # the request echoed back, not a response
+    (lambda m: b"\xff\xff\xff", 1),
 ], ids=["wrong-id", "wrong-question", "wrong-opcode", "not-a-response", "undecodable"])
-def test_exchange_message_rejects_a_reply_that_does_not_answer(reply_to):
+def test_exchange_message_rejects_a_reply_that_does_not_answer(reply_to, sends):
+    """A reply that decodes but does not answer is dropped and the request resent,
+    the same bytes each time; only when every attempt got such a reply does the
+    exchange fail. A reply that does not decode fails it at once."""
     bus = DatagramBus(clock=ManualClock())
     bus.attach("srv", dns_server("srv", reply_to))
     with pytest.raises(DecodeError):
         exchange_message(ClientEndpoint(bus, "cli"), "srv", QUERY, retries=2)
-    assert len(bus.tap) == 2  # one request, one reply: no retransmission
+    requests = [e.datagram.payload for e in bus.tap if e.datagram.destination == "srv"]
+    assert requests == [encode_message(QUERY)] * sends
+    assert len(bus.tap) == 2 * sends  # one reply to each
+
+
+def test_exchange_message_waits_out_a_late_reply_to_an_earlier_request():
+    """The reply to an abandoned request lands in the next exchange's window and is
+    dropped; the retry, the same request again, gets the answer."""
+    bus = DatagramBus(clock=ManualClock(), delay_fn=lambda d: 0.4 if d.source == "srv" else 0.0)
+    bus.attach("srv", dns_server("srv", answer))
+    client = ClientEndpoint(bus, "cli")
+    earlier = make_query(DnsName.from_text("earlier.example.com"), RType.A, msg_id=7)
+    assert exchange_message(client, "srv", earlier, timeout=0.3) is None
+    reply = exchange_message(client, "srv", QUERY, timeout=0.3, retries=2)
+    assert reply.id == QUERY.id and reply.question == QUERY.question
+    assert [decode_message(e.datagram.payload).id for e in bus.tap
+            if e.datagram.destination == "srv"] == [7, QUERY.id, QUERY.id]
+
+
+def test_exchange_takes_the_reply_from_the_destination_only():
+    """A datagram from another address, such as a late reply from the last server
+    asked, is dropped: the exchange returns the destination's reply, or times out."""
+    bus = DatagramBus(clock=ManualClock(),
+                      delay_fn=lambda d: {"old": 0.1, "srv": 0.2}.get(d.source, 0.0))
+    bus.attach("old", echo_server("old"))
+    bus.attach("srv", echo_server("srv"))
+    client = ClientEndpoint(bus, "cli")
+    assert client.exchange(b"first", "old", 0.05) is None
+    assert client.exchange(b"second", "srv", 1.0) == b"echo:second"
+    assert client.exchange(b"third", "old", 0.05) is None
+    bus.detach("srv")
+    assert client.exchange(b"fourth", "srv", 1.0) is None  # only old's late echo came
 
 
 def test_exchange_message_timeout_after_retries_plus_one_sends():

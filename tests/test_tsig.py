@@ -1,6 +1,8 @@
 """Transaction signatures: identity, tampering, time window, keyring handling."""
 
 import dataclasses
+import hashlib
+import hmac
 from ipaddress import IPv4Address
 
 import pytest
@@ -193,3 +195,41 @@ def test_any_single_bit_mutation_rejected(position):
 def test_sign_verify_identity_property(msg_id, now):
     signed = sign_message(probe_update(msg_id), KEY_A, now=now)
     assert isinstance(verify_message(signed, {KEY_A}, now=now), Accept)
+
+
+# --- the MAC against stdlib hmac, keyed afresh per call as it once was ---
+
+
+def _fresh_mac(secret, core_wire, name_wire, rclass, ttl, algorithm_wire, time_signed, fudge,
+               error, other) -> bytes:
+    """RFC 2845 §3.4: the message, then the TSIG variables, under a fresh HMAC-SHA256."""
+    data = (core_wire + name_wire + rclass.to_bytes(2, "big") + ttl.to_bytes(4, "big")
+            + algorithm_wire + time_signed.to_bytes(6, "big") + fudge.to_bytes(2, "big")
+            + error.to_bytes(2, "big") + len(other).to_bytes(2, "big") + other)
+    return hmac.new(secret, data, hashlib.sha256).digest()
+
+
+mac_inputs = st.tuples(
+    st.binary(min_size=1, max_size=100),  # past 64 bytes the key is hashed first (RFC 2104)
+    st.binary(max_size=300), st.sampled_from([KEY_A.key_name._wire, b"\x00"]),
+    st.sampled_from([255, 1]), st.integers(0, 2**32 - 1),
+    st.sampled_from([tsig.HMAC_SHA256._wire, DnsName.from_text("hmac-md5")._wire]),
+    st.integers(0, 2**48 - 1), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+    st.binary(max_size=8))
+
+
+@given(st.lists(mac_inputs, min_size=1, max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_compute_mac_matches_a_freshly_keyed_hmac(calls, data):
+    """Each MAC, including a secret's second MAC from its kept keyed state, equals
+    stdlib hmac keyed for that call alone."""
+    for args in calls + [data.draw(st.sampled_from(calls))]:
+        assert tsig._compute_mac(*args) == _fresh_mac(*args)
+
+
+def test_keyed_states_stay_bounded_and_correct():
+    args = (b"core", b"\x00", 255, 0, tsig.HMAC_SHA256._wire, 1, 300, 0, b"")
+    secrets = [i.to_bytes(2, "big") * 8 for i in range(tsig.KEYED_STATES_MAX + 10)]
+    for secret in secrets + secrets[:3]:
+        assert tsig._compute_mac(secret, *args) == _fresh_mac(secret, *args)
+    assert len(tsig._keyed_states) <= tsig.KEYED_STATES_MAX

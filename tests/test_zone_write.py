@@ -17,9 +17,9 @@ from zptoolkit.authsim import (IpAcl, NameServer, Open, Primary, Secondary, Sign
 from zptoolkit.scanner import ProbeConfig, ProbeTarget, Verdict, run_scan
 from zptoolkit.tsig import sign_message
 from zptoolkit.wire import (AddRecord, DeleteAllAtName, DeleteExactRecord, DeleteRRset,
-                            DnsMessage, DnsName, MxData, Opcode, Question, RClass, Rcode,
-                            ResourceRecord, RType, SoaData, TxtData, decode_message,
-                            encode_message, make_query, make_update)
+                            DnsMessage, DnsName, MxData, Opcode, OversizeMessage, Question,
+                            RClass, Rcode, ResourceRecord, RType, SoaData, TxtData,
+                            decode_message, encode_message, make_query, make_update)
 
 from conftest import LAB_KEY, SCANNER_SOURCE, basic_zone, random_fleet
 
@@ -108,10 +108,11 @@ def _tenant_changes(apex: DnsName, zone: ZoneConfig, rng: random.Random) -> list
                                      IPv4Address("192.0.2.8")))]
 
 
-def _golden_fleet_run(seed: int):
+def _golden_fleet_run(seed: int, journal_sink=None):
     """Two primaries with a secondary each, 16 zones on each pair: a scan of
     every zone on both servers, then TSIG-signed tenant updates, with the first
-    push of one zone dropped so that its secondary resyncs by AXFR."""
+    push of one zone dropped so that its secondary resyncs by AXFR. Every server
+    journals to ``journal_sink`` when one is given."""
     rng = random.Random(f"golden:{seed}")
     delay_rng = random.Random(seed)
     dropped = []
@@ -136,7 +137,8 @@ def _golden_fleet_run(seed: int):
             fleet += [(primary, zone), (secondary, ZoneConfig(apex, Secondary(primary),
                                                               zone.policy, zone.by_name))]
             zones.append((apex, primary, secondary))
-    servers = authsim.build_fleet(bus, fleet)
+    servers = authsim.build_fleet(bus, fleet, honeypot=journal_sink is not None,
+                                  journal_sink=journal_sink)
     scanner = transport.SimTransport(bus, SCANNER_SOURCE)
     targets = [ProbeTarget(apex, addr) for apex, *addrs in zones for addr in addrs]
     result = run_scan(targets, ProbeConfig(timeout=0.5), scanner, bus.clock, random.Random(seed))
@@ -171,14 +173,54 @@ def test_golden_tap_is_unchanged():
     assert _tap_digest(bus) == GOLDEN_TAP_DIGEST
 
 
+# --- golden journal: the honeypot's JSONL file, byte for byte ---
+
+# sha256 of the journal file ``_golden_journal_run`` leaves: accepted, refused and
+# forwarded updates from the golden fleet run, then malformed and odd-named ones.
+# Recorded while the sink still rendered each line with ``json.dumps``
+GOLDEN_JOURNAL_DIGEST = "b8f55ed33006449c8f8182606647ff3dae6dd4f69e4a86107907dc588d4ccc30"
+
+
+def _golden_journal_run(path) -> None:
+    sink = authsim.open_journal(str(path))
+    try:
+        bus, servers, zones, _, _ = _golden_fleet_run(seed=3, journal_sink=sink)
+        apex, primary, secondary = zones[0]
+        tenant = transport.ClientEndpoint(bus, TENANT)
+        odd = DnsName([b'q"uo\\te', "\u00e9t\u00e9".encode(), b"\xff\x00 ", *apex.labels])
+        add = AddRecord(ResourceRecord(odd, RType.A, RClass.IN, 60, IPv4Address("192.0.2.7")))
+        for payload, destination in [
+                (b"\x00\x01junk", primary),                                 # undecodable
+                (b"\x12\x34\x80\x00junk", secondary),                        # undecodable response
+                (encode_message(make_update(apex, [add], msg_id=5)), primary),  # odd owner name
+                (encode_message(make_update(odd, [add], msg_id=6)), primary),   # not authoritative
+                (encode_message(DnsMessage(id=7, opcode=Opcode.UPDATE)), secondary),  # no zone
+                (encode_message(make_update(apex, [add], msg_id=8)), secondary)]:  # forwarded
+            tenant.send(payload, destination)
+            bus.pump()
+    finally:
+        sink.close()
+
+
+def test_golden_journal_is_unchanged(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    _golden_journal_run(path)
+    rcodes = {json.loads(line)["rcode"] for line in path.read_text().splitlines()}
+    assert {"NOERROR", "REFUSED", "FORWARDED", "FORMERR", "DROPPED", "NOTAUTH"} <= rcodes
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_JOURNAL_DIGEST
+
+
 # --- golden outcomes: every field of every outcome a seeded scan reports ---
 
 # sha256 over ``to_json_obj()`` of every outcome of ``_golden_fleet_run(seed=3)``:
 # verdicts, rcodes, phase times, send counts and start times. Recorded before the
 # probe cycle was rewritten to build its messages and outcomes slot by slot
 GOLDEN_OUTCOME_DIGEST = "7969dc998fea823b13c1dbdc4b5244aebac686ccd6ff2204024c1d80ac25c767"
-# the same over ``_lossy_fleet_scan(seed=5)``, recorded at the same time
-LOSSY_OUTCOME_DIGEST = "69afe4a02b631084988689ec677bcb6cdd5b313e39438fcfda30ff7505565501"
+# the same over ``_lossy_fleet_scan(seed=5)``. Re-recorded when a reply that does
+# not answer began to be dropped and its request resent: 10.9.0.2, which answers
+# every UPDATE under another id, is now unreachable once a retry meets the loss,
+# and its extra sends move the loss draws of every probe after it
+LOSSY_OUTCOME_DIGEST = "e5649bcc4083e6a4820aa4de2a685eff6a31cfce3c8a5985cb4840ff9015cc7b"
 
 
 def _outcome_digest(outcomes) -> str:
@@ -564,6 +606,88 @@ def test_secondary_matches_its_primary_name_by_name(zone, steps):
     tenant.send(encode_message(_update([txt], len(steps))), PRIMARY)
     bus.pump()
     _assert_same_zone(primary.zones[APEX], secondary.zones[APEX])
+
+
+# --- IXFR pushes against the message they replaced, encoded whole ---
+
+
+def _pushes_encoded_whole(server, old, new, updates):
+    """``NameServer._push_diff`` as it was: the RFC 1995 message built as a
+    ``DnsMessage`` and rendered by ``encode_message``, each SOA in each place."""
+    secondaries = server.secondaries.get(new.apex)
+    if not secondaries:
+        return []
+    old_soa, new_soa = old.soa, new.soa
+    deleted, added = [new_soa, old_soa], [new_soa]
+    seen = set()
+    for update in updates:
+        name = update.name
+        if name in seen:
+            continue
+        seen.add(name)
+        before, after = old.by_name.get(name, ()), new.by_name.get(name, ())
+        if before is after:
+            continue
+        old_ids, new_ids = set(map(id, before)), set(map(id, after))
+        deleted += [rr for rr in before if id(rr) not in new_ids and rr.rtype != RType.SOA]
+        added += [rr for rr in after if id(rr) not in old_ids and rr.rtype != RType.SOA]
+    added.append(new_soa)
+    msg = DnsMessage(id=new_soa.rdata.serial & 0xFFFF, is_response=True, authoritative=True,
+                     question=(Question(new.apex, RType.IXFR, RClass.IN),),
+                     answers=(*deleted, *added))
+    try:
+        payload = encode_message(msg)
+    except OversizeMessage:
+        return server._zone_stream(new, msg.id, secondaries)
+    return [transport.SimDatagram(server.address, addr, payload) for addr in secondaries]
+
+
+def _wide_txt(count: int) -> list:
+    """``count`` TXT records at the apex of ~280 wire bytes each: 235 of them
+    fill a message, so a diff that deletes them all goes out as the zone."""
+    return [ResourceRecord(APEX, RType.TXT, RClass.IN, 60, TxtData((b"%03d" % i + b"t" * 252,)))
+            for i in range(count)]
+
+
+def _assert_same_pushes(zone, msg):
+    server = NameServer(PRIMARY, [zone])
+    for secondary in (SECONDARY, "10.5.0.3"):
+        server.register_secondary(APEX, secondary)
+    new, _ = authsim.apply_update(zone, msg)
+    if new is zone:
+        return zone
+    ours = server._push_diff(zone, new, msg.updates)
+    theirs = _pushes_encoded_whole(server, zone, new, msg.updates)
+    assert [(d.source, d.destination, d.payload) for d in ours] == \
+        [(d.source, d.destination, d.payload) for d in theirs]
+    return new
+
+
+@given(zones(), st.sampled_from([0, 200, 250]), st.booleans(),
+       st.lists(st.lists(update_records(), min_size=1, max_size=6), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_push_is_the_whole_message_encoded(zone, wide, clear_apex, batches):
+    """Every push's bytes, for drawn zones and UPDATEs: one message when the diff
+    fits (200 wide TXT records deleted do), the zone as a stream when not (250)."""
+    if wide:
+        zone = zone.derive([], _wide_txt(wide))
+    if clear_apex:
+        batches[0] = [ResourceRecord(APEX, RType.ANY, RClass.ANY, 0, b""), *batches[0]]
+    for i, records in enumerate(batches):
+        zone = _assert_same_pushes(zone, _update(records, i))
+
+
+def test_a_record_too_large_for_any_message_raises_as_it_did():
+    """An rdata past the 16-bit length field fits in no push: both ways raise."""
+    zone = ZoneConfig.build(APEX, Primary(), Open(), [
+        make_soa(APEX), ResourceRecord(APEX, RType.NS, RClass.IN, 3600, NS_TARGETS[0])])
+    huge = ResourceRecord(APEX, RType.TXT, RClass.IN, 60, TxtData((b"t" * 255,) * 260))
+    new, _ = authsim.apply_update(zone, _update([huge]))
+    server = NameServer(PRIMARY, [zone])
+    server.register_secondary(APEX, SECONDARY)
+    for push in (server._push_diff, lambda *args: _pushes_encoded_whole(server, *args)):
+        with pytest.raises(OversizeMessage):
+            push(zone, new, [huge])
 
 
 def test_owner_outside_the_apex_is_refused():
