@@ -19,7 +19,6 @@ from . import authsim
 from .authsim import (
     Deny,
     IpAcl,
-    NameServer,
     Open,
     SignedKey,
     UpdatePolicy,
@@ -31,7 +30,6 @@ from .transport import ClientEndpoint, DatagramBus, ManualClock, SimDatagram, ex
 from .tsig import TsigKey
 from .wire import (
     AddRecord,
-    DecodeError,
     DeleteRRset,
     DnsMessage,
     DnsName,
@@ -116,21 +114,21 @@ def victim_zone(policy: UpdatePolicy) -> ZoneConfig:
     return ZoneConfig.build(apex, authsim.Primary(), policy, records)
 
 
+def attacker_zone() -> ZoneConfig:
+    """The attacker's own open zone, which a shadow delegation points at."""
+    apex = VICTIM_APEX.prepend("account")
+    records = [
+        make_soa(apex),
+        ResourceRecord(apex, RType.NS, RClass.IN, 300, apex.prepend("ns1")),
+        ResourceRecord(apex.prepend("ns1"), RType.A, RClass.IN, 300,
+                       IPv4Address(ATTACKER_NS_ADDRESS)),
+        ResourceRecord(apex.prepend("paypal"), RType.A, RClass.IN, 300, ATTACKER_WEB),
+    ]
+    return ZoneConfig.build(apex, authsim.Primary(), Open(), records)
+
+
 def signed_key_policy() -> SignedKey:
     return SignedKey((_LAB_KEY,))
-
-
-class PayloadSink:
-    """Bus endpoint that just records whatever reaches it (a stand-in service)."""
-
-    def __init__(self, bus: DatagramBus, address: str):
-        self.address = address
-        self.received: list[SimDatagram] = []
-        bus.attach(address, self._recv)
-
-    def _recv(self, dgram: SimDatagram, now: float) -> list:
-        self.received.append(dgram)
-        return []
 
 
 class RelayStub:
@@ -149,51 +147,33 @@ class RelayStub:
 
 
 class AttackLab:
-    """One disposable attack environment: victim fleet, attacker endpoint, stubs."""
+    """One disposable attack environment: the victim's and the attacker's
+    nameservers, the attacker's endpoint, the web host and the proxy."""
 
     def __init__(self, policy: UpdatePolicy, *, spoofing_enabled: bool = True, seed: int = 0):
         self.rng = random.Random(seed)
         self.bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed + 1))
         self.policy = policy
-        self.spoofing_enabled = spoofing_enabled
-        self.victim = NameServer(VICTIM_NS_ADDRESS, [victim_zone(policy)])
-        self.victim.attach(self.bus)
-        self.attacker = ClientEndpoint(self.bus, ATTACKER_SOURCE, allow_spoofing=True)
-        self.web_sink = PayloadSink(self.bus, str(VICTIM_WEB))
+        fleet = [(VICTIM_NS_ADDRESS, victim_zone(policy)), (ATTACKER_NS_ADDRESS, attacker_zone())]
+        self.victim = authsim.build_fleet(self.bus, fleet)[VICTIM_NS_ADDRESS]
+        self.attacker = ClientEndpoint(self.bus, ATTACKER_SOURCE, allow_spoofing=spoofing_enabled)
+        self.web_sink = ClientEndpoint(self.bus, str(VICTIM_WEB))  # records what reaches it
         self.proxy = RelayStub(self.bus, str(ATTACKER_PROXY), str(VICTIM_WEB))
-        self.attacker_ns = self._attacker_nameserver()
         self.fixture_records = self.zone().normalized_records()
         self._tap_start = len(self.bus.tap)
-
-    def _attacker_nameserver(self) -> NameServer:
-        apex = VICTIM_APEX.prepend("account")
-        records = [
-            make_soa(apex),
-            ResourceRecord(apex, RType.NS, RClass.IN, 300, apex.prepend("ns1")),
-            ResourceRecord(apex.prepend("ns1"), RType.A, RClass.IN, 300,
-                           IPv4Address(ATTACKER_NS_ADDRESS)),
-            ResourceRecord(apex.prepend("paypal"), RType.A, RClass.IN, 300, ATTACKER_WEB),
-        ]
-        server = NameServer(ATTACKER_NS_ADDRESS,
-                            [ZoneConfig.build(apex, authsim.Primary(), Open(), records)])
-        server.attach(self.bus)
-        return server
 
     # -- attacker actions --
 
     def send_update(self, changes: Iterable, *, source: Optional[str] = None) -> None:
         """Fire one UPDATE at the victim; scenarios judge its effect by querying afterwards."""
-        if source is not None and not self.spoofing_enabled:
-            source = None  # transport refuses to forge; the claim collapses to the truth
+        if not self.attacker.allow_spoofing:
+            source = None  # the endpoint refuses to forge; the claim collapses to the truth
         msg = make_update(VICTIM_APEX, list(changes), rng=self.rng)
         self.attacker.exchange(encode_message(msg), VICTIM_NS_ADDRESS, timeout=1.0, source=source)
 
     def query(self, name: DnsName, rtype: int, server: str = VICTIM_NS_ADDRESS) -> Optional[DnsMessage]:
-        """The reply answering one query; None on timeout or a reply that does not answer."""
-        try:
-            return exchange_message(self.attacker, server, make_query(name, rtype, rng=self.rng))
-        except DecodeError:
-            return None
+        """The reply answering one query; None when nothing answers it."""
+        return exchange_message(self.attacker, server, make_query(name, rtype, rng=self.rng))
 
     def addresses(self, name: DnsName, rtype: int = RType.A) -> set:
         """The rdata of the ``rtype`` answers at ``name``; empty when nothing answers."""
@@ -297,7 +277,7 @@ def _mitm_redirect(lab: AttackLab) -> tuple[bool, list[str]]:
     lab.bus.pump()
     relayed = any(d.payload == canned for d in lab.proxy.forwarded)
     delivered = any(d.payload == canned and d.source == lab.proxy.address
-                    for d in lab.web_sink.received)
+                    for d in lab.web_sink.inbox)
     return relayed and delivered, [
         f"proxy relayed: {relayed}", f"original host received relayed request: {delivered}"]
 
@@ -387,15 +367,9 @@ _SCENARIOS: dict[ScenarioName, Callable[[AttackLab], tuple[bool, list[str]]]] = 
     ScenarioName.SPOOFED_ACL_BYPASS: _spoofed_acl_bypass,
 }
 
-DEFAULT_POLICIES: tuple[UpdatePolicy, ...] = (
-    Deny(),
-    Open(),
-    IpAcl(frozenset({TRUSTED_SOURCE})),
-)
-
 
 def all_policies() -> tuple[UpdatePolicy, ...]:
-    return DEFAULT_POLICIES + (signed_key_policy(),)
+    return Deny(), Open(), IpAcl(frozenset({TRUSTED_SOURCE})), signed_key_policy()
 
 
 def execute_scenario(scenario: ScenarioName, policy: UpdatePolicy = Open(), *,

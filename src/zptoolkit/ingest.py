@@ -11,7 +11,7 @@ from importlib import resources
 from typing import Iterable, Optional
 
 from .transport import Transport, exchange_message
-from .wire import DecodeError, DnsName, InvalidLabel, Rcode, RType, make_query
+from .wire import DnsName, InvalidLabel, Rcode, RType, make_query
 
 _DEFAULT_SNAPSHOT = "data/public_suffix_snapshot.dat"
 QUERY_TIMEOUT = 1.0  # seconds per attempt at the resolver
@@ -170,11 +170,8 @@ def resolve_targets(domains: Iterable[DnsName], resolver_address: str,
     address_types = (RType.A, RType.AAAA) if cfg.include_ipv6 else (RType.A,)
 
     def query(name: DnsName, rtype: int):
-        try:
-            reply = exchange_message(transport, resolver_address, make_query(name, rtype, rng=rng),
-                                     timeout=QUERY_TIMEOUT, retries=QUERY_RETRIES)
-        except DecodeError:
-            return None
+        reply = exchange_message(transport, resolver_address, make_query(name, rtype, rng=rng),
+                                 timeout=QUERY_TIMEOUT, retries=QUERY_RETRIES)
         if reply is None or reply.rcode != Rcode.NOERROR:
             return None
         for rr in reply.additional:

@@ -19,7 +19,6 @@ from .transport import (
     Transport,
     UdpTransport,
     _exchange,
-    exchange_message,
     parse_endpoint,
 )
 from .wire import (
@@ -280,9 +279,11 @@ def _query_addresses(transport, destination, question, cfg, rng):
     """
     query = _message(rng.randrange(0x10000), _QUERY, _NOERROR, False, False, question,
                      (), (), (), 0)
-    reply = exchange_message(transport, destination, query, cfg.timeout, RETRIES_VERIFY)
+    reply, _ = _exchange(transport, destination, query, cfg.timeout, RETRIES_VERIFY)
     if reply is None:
         return None
+    if not isinstance(reply, DnsMessage):
+        raise reply
     name, rtype = question[0].name, question[0].rtype
     return [rr.rdata for rr in reply.answers
             if rr.rtype == rtype and rr.name == name and isinstance(rr.rdata, _ADDRESSES)]

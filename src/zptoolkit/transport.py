@@ -233,8 +233,10 @@ class ClientEndpoint:
 
     def exchange(self, payload: bytes, destination: str, timeout: float,
                  source: Optional[str] = None) -> Optional[bytes]:
-        """Send, run the network until the deadline, and pop the first reply
-        from ``destination``; a datagram from anywhere else is dropped.
+        """Send, run the network until the deadline, and take the reply from
+        ``destination``: the first datagram from it that starts with the
+        request's id, else the first from it; a datagram from anywhere else
+        is dropped.
 
         Returns None on timeout: nothing came back from ``destination`` in
         time (dropped, delayed past the deadline, or the reply went to a
@@ -245,10 +247,16 @@ class ClientEndpoint:
         deadline = self.bus.clock.now() + timeout
         self.send(payload, destination, source)
         self.bus.pump(until=deadline)
-        while inbox:
-            reply = inbox.popleft()
-            if reply.source == destination:
-                return reply.payload
+        msg_id = payload[:2]
+        first = None
+        for dgram in inbox:
+            if dgram.source == destination:
+                if dgram.payload.startswith(msg_id):
+                    return dgram.payload
+                if first is None:
+                    first = dgram.payload
+        if first is not None:
+            return first
         if deadline > self.bus.clock.now():
             self.bus.clock.advance(deadline - self.bus.clock.now())
         return None
@@ -297,11 +305,11 @@ class UdpTransport:
         with socket.socket(family, socket.SOCK_DGRAM) as sock:
             sock.settimeout(timeout)
             try:
-                sock.sendto(payload, (host, port))
-                data, _ = sock.recvfrom(65535)
-            except (socket.timeout, OSError):
+                sock.connect((host, port))  # the kernel drops datagrams from anyone else
+                sock.send(payload)
+                return sock.recv(65535)
+            except OSError:  # a timeout, or the port refused (ICMP), which ends it at once
                 return None
-        return data
 
 
 class SimTransport(ClientEndpoint):
@@ -313,29 +321,25 @@ class SimTransport(ClientEndpoint):
 
 def exchange_message(transport: Transport, destination: str, msg: "wire.DnsMessage",
                      timeout: float = 1.0, retries: int = 0) -> Optional["wire.DnsMessage"]:
-    """Send one message and return the reply that answers it.
+    """Send one message and return the reply that answers it, or None.
 
     The message is encoded once and retransmitted, under the same id, only
-    after an attempt that got no answer; None means some attempt timed
-    out and none got an answer. A reply answers the request when it is a
-    response with the request's id, opcode and question (RFC 5452 section
-    9.1; a bus endpoint also matches the source address, ``UdpTransport``
-    does not yet). A reply that decodes but does not answer, such as a
-    late reply to an earlier exchange, is dropped, and its attempt counts
-    as timed out. A reply that does not decode raises ``wire.DecodeError``
-    at once; so does an exchange whose every attempt got only a reply that
-    does not answer.
+    after an attempt that got no answer. A reply answers the request when it
+    comes from ``destination`` and is a response with the request's id,
+    opcode and question (RFC 5452 section 9.1). A reply that does not
+    answer, such as a late reply to an earlier exchange, is dropped and its
+    attempt counts as timed out; a reply that does not decode reads as no
+    answer too.
     """
     reply, _ = _exchange(transport, destination, msg, timeout, retries)
-    if isinstance(reply, wire.DecodeError):
-        raise reply
-    return reply
+    return reply if isinstance(reply, wire.DnsMessage) else None
 
 
 def _exchange(transport: Transport, destination: str, msg: "wire.DnsMessage", timeout: float,
               retries: int) -> tuple[Union["wire.DnsMessage", "wire.DecodeError", None], int]:
-    """``exchange_message``'s work: the reply, the ``DecodeError`` it would
-    raise, or None, and the number of times the request was sent."""
+    """``exchange_message``'s work, for the scanner, which tells a malformed reply
+    from silence: the reply, a ``DecodeError`` (a reply that did not decode, or
+    no attempt answered and none timed out) or None, and the sends made."""
     payload = wire.encode_message(msg)
     mismatched = 0  # attempts whose reply decoded but did not answer: each is dropped
     for sends in range(1, retries + 2):

@@ -168,13 +168,24 @@ class DnsName:
 
     @classmethod
     def from_text(cls, text: str) -> "DnsName":
-        text = text.rstrip(".")
-        return cls(text.encode("ascii").split(b".") if text else ())
+        """Labels between dots, where ``\\.`` and ``\\\\`` are a dot and a backslash."""
+        raw = text.encode("ascii")
+        if b"\\" not in raw:
+            raw = raw.rstrip(b".")
+            return cls(raw.split(b".") if raw else ())
+        # each escape becomes a byte that ASCII text cannot hold, and goes back once split
+        raw = raw.replace(b"\\\\", b"\x81").replace(b"\\.", b"\x80").rstrip(b".")
+        return cls([label.replace(b"\x80", b".").replace(b"\x81", b"\\")
+                    for label in raw.split(b".")])
 
     def to_text(self) -> str:
+        """Labels between dots, a label's dot and backslash escaped (RFC 1035 §5.1)."""
         wire = self._wire
         if len(wire) == 1:
             return "."
+        if b"\\" in wire or b"." in wire:  # the "." may be only a length byte of 46
+            return ".".join(label.replace(b"\\", b"\\\\").replace(b".", b"\\.")
+                            .decode("ascii", errors="backslashreplace") for label in _split(wire))
         text = bytearray(wire[1:-1])  # the labels, with a length byte between each two
         pos = wire[0]
         while pos < len(text):

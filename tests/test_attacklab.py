@@ -1,5 +1,7 @@
 """Attack taxonomy: per-scenario effects, policy columns, stealth bookkeeping."""
 
+import hashlib
+
 import pytest
 
 from zptoolkit import attacklab
@@ -93,7 +95,7 @@ class TestScenarioEffects:
         assert report.succeeded
         assert lab.addresses(VICTIM_APEX) == {ATTACKER_PROXY}
         assert lab.proxy.forwarded  # the relay stub carried the client request
-        assert any(d.source == lab.proxy.address for d in lab.web_sink.received)
+        assert any(d.source == lab.proxy.address for d in lab.web_sink.inbox)
 
     def test_shadow_add_a_is_additions_only(self):
         lab = AttackLab(Open())
@@ -182,3 +184,30 @@ class TestMatrix:
         assert header == "scenario,deny,open,ipacl,signedkey"
         assert len(rows) == len(ScenarioName)
         assert all(row.split(",")[2] == "success" for row in rows)  # open column
+
+
+def _lab_digest() -> str:
+    """The matrix CSV with spoofing on and off at two seeds, then every scenario's
+    report (success, observations, datagrams) against every policy, the same way."""
+    digest = hashlib.sha256()
+    for spoofing in (True, False):
+        for seed in (1, 6):
+            digest.update(run_taxonomy_matrix(spoofing_enabled=spoofing, seed=seed)
+                          .to_csv().encode())
+            for scenario in ScenarioName:
+                for policy in attacklab.all_policies():
+                    report = execute_scenario(scenario, policy, spoofing_enabled=spoofing,
+                                              seed=seed)
+                    digest.update(repr((report.scenario.value, report.policy, report.succeeded,
+                                        report.observations,
+                                        report.datagrams_sent)).encode())
+    return digest.hexdigest()
+
+
+LAB_DIGEST = "c311cfcb293e9c935ed994835ad7c35438dac862628be4c43bc50c804903f4fc"
+
+
+def test_attack_lab_output_is_unchanged():
+    """Every cell, observation and datagram of the lab, pinned so that a rebuild
+    of the lab from other parts keeps its output byte for byte."""
+    assert _lab_digest() == LAB_DIGEST

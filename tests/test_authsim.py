@@ -916,6 +916,20 @@ class TestHoneypot:
                                www.to_text())
         assert event.rcode == "NOERROR"
 
+    def test_update_record_of_another_class_is_journaled_unknown_and_gets_formerr(self, bus):
+        events = []
+        server = attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()),
+                               honeypot=True, journal_sink=events.append)
+        before = server.zones[APEX]
+        chaos = ResourceRecord(APEX.prepend("ch"), RType.A, 3, 60, IPv4Address("192.0.2.7"))
+        update = DnsMessage(id=9, opcode=Opcode.UPDATE, question=(Question(APEX, RType.SOA),),
+                            authority=(chaos,))
+        reply = decode_message(client(bus).exchange(encode_message(update), "10.0.0.1", 1.0))
+        assert (reply.id, reply.rcode) == (9, Rcode.FORMERR)
+        assert [(e.kinds, e.names, e.rcode) for e in events] == [
+            (("unknown",), ("ch.example.com",), "FORMERR")]
+        assert server.zones[APEX] is before
+
     @pytest.mark.parametrize("zone_section", [(), (Question(APEX, RType.A),),
                                               (Question(APEX, RType.SOA),) * 2],
                              ids=["none", "not-soa", "two"])

@@ -8,7 +8,7 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from zptoolkit.cli import main
+from zptoolkit.cli import ATTRIBUTION_ENV, main
 from zptoolkit.transport import UdpTransport
 from zptoolkit.tsig import TsigKey, sign_message
 from zptoolkit.wire import (
@@ -150,6 +150,14 @@ class TestScan:
         code = main(["scan", "--pairs", pairs_file, "--out", str(tmp_path / "o.jsonl")])
         assert code == 2
 
+    def test_auto_resolve_scan_without_resolver_is_2(self, tmp_path, fleet_file, capsys):
+        domains = tmp_path / "zones.txt"
+        domains.write_text("example.com\n")
+        assert main(["scan", "--domains", str(domains), "--fleet", fleet_file,
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "zptool: auto-resolve mode needs --resolver"]
+
     def test_auto_resolve_scan_mode(self, tmp_path):
         fleet = tmp_path / "fleet.txt"
         fleet.write_text("""\
@@ -212,6 +220,35 @@ class TestSim:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("zptool: @server 10.0.0.1: line 2: ")
         assert message in line
+
+    @pytest.mark.parametrize("fleet, message", [
+        pytest.param("@server 10.0.0.1\n@policy ipacl\n" + SOA_LINE,
+                     "@server 10.0.0.1: ipacl policy needs a source list", id="ipacl-without-list"),
+        pytest.param("@server 10.0.0.1\n@policy key\n" + SOA_LINE,
+                     "@server 10.0.0.1: key policy needs a key name", id="key-without-name"),
+        pytest.param("@server 10.0.0.1\n" + SOA_LINE + "www.example.com. 60 IN A\n",
+                     "@server 10.0.0.1: line 2: expected 'name TTL class type rdata'",
+                     id="four-fields"),
+        pytest.param("@server 10.0.0.1\n" + SOA_LINE + "www.example.com. 60 CH A 192.0.2.1\n",
+                     "@server 10.0.0.1: line 2: only class IN zone data is supported",
+                     id="class-ch"),
+        pytest.param("@server 10.0.0.1\nexample.com. 60 IN A 192.0.2.1\n",
+                     "@server 10.0.0.1: zone seed must contain exactly one SOA record",
+                     id="no-soa"),
+        pytest.param("# a fleet\n@policy open\n@server 10.0.0.1\n" + SOA_LINE,
+                     "line 2: fleet file must start with a @server line", id="text-before-server"),
+    ])
+    def test_malformed_seed_file_is_2_with_one_line(self, tmp_path, capsys, fleet, message):
+        path = tmp_path / "fleet.txt"
+        path.write_text(fleet)
+        assert main(["sim", "--fleet", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"zptool: {message}")
+
+    def test_bind_on_a_fleet_of_two_servers_is_2(self, fleet_file, capsys):
+        assert main(["sim", "--fleet", fleet_file, "--bind", "127.0.0.1:0"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "zptool: --bind serves exactly one fleet server; split the fleet file"]
 
     def test_summary_mode(self, fleet_file, capsys):
         assert main(["sim", "--fleet", fleet_file]) == 0
@@ -324,6 +361,23 @@ class TestIngest:
         assert main(["ingest", "--domains", str(domains), "--domains-out", str(out)]) == 0
         assert out.read_text() == "example.co.uk\n"
 
+    def test_custom_suffix_list_is_read_from_psl(self, tmp_path):
+        psl = tmp_path / "psl.dat"
+        psl.write_text("// a private suffix below a public one\ntest\nalpha.test\n")
+        domains = tmp_path / "domains.txt"
+        domains.write_text("www.shop.alpha.test\nwww.beta.test\n")
+        out = tmp_path / "registrable.txt"
+        assert main(["ingest", "--domains", str(domains), "--psl", str(psl),
+                     "--domains-out", str(out)]) == 0
+        assert out.read_text() == "shop.alpha.test\nbeta.test\n"
+
+    def test_resolver_without_fleet_is_2(self, tmp_path, capsys):
+        domains = tmp_path / "domains.txt"
+        domains.write_text("www.alpha.test\n")
+        assert main(["ingest", "--domains", str(domains), "--resolver", "10.0.53.53"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "zptool: --resolver needs --fleet (simulated resolution)"]
+
     def test_resolution_to_pairs(self, tmp_path):
         fleet = tmp_path / "resolver.txt"
         fleet.write_text("""\
@@ -412,6 +466,14 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "rates", "--snapshot", str(snap), "--key", "asn"]) == 1
         assert capsys.readouterr().err.splitlines()[-1].endswith("unrecognized arguments: --key asn")
+
+    def test_aggregate_without_an_attribution_map_is_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(ATTRIBUTION_ENV, raising=False)
+        snap = tmp_path / "s.json"
+        self.write_snapshot(snap, 1.0, {("a.test", "10.0.0.1")})
+        assert main(["report", "aggregate", "--snapshot", str(snap)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"zptool: attribution map required: --attribution or ${ATTRIBUTION_ENV}"]
 
     def test_aggregate(self, tmp_path, capsys):
         attribution = tmp_path / "prefix.csv"

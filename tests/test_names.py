@@ -18,8 +18,9 @@ from zptoolkit.wire import (MAX_LABEL_LENGTH, MAX_NAME_WIRE_LENGTH, DecodeError,
                             DnsName, InvalidLabel, Question, RClass, ResourceRecord, RType,
                             decode_message, encode_message)
 
-# letters in both cases, bytes that read as length bytes (0x01-0x3F), and a dot
-_BYTES = [0x01, 0x02, 0x03, 0x3F, ord("."), ord("-"), ord("0"),
+# letters in both cases, bytes that read as length bytes (0x01-0x3F), a dot,
+# a backslash and a byte outside ASCII
+_BYTES = [0x01, 0x02, 0x03, 0x3F, ord("."), ord("\\"), 0xC8, ord("-"), ord("0"),
           ord("a"), ord("A"), ord("b"), ord("B"), ord("m"), ord("M")]
 _short = st.lists(st.sampled_from(_BYTES), min_size=1, max_size=3).map(bytes)
 # a short label repeated to 40-63 bytes: long names without drawing every byte
@@ -29,6 +30,13 @@ _labels = st.one_of(_short, _short, _short, _long)
 
 def wire_of(labels) -> bytes:
     return b"".join(bytes((len(label),)) + label for label in labels) + b"\x00"
+
+
+def text_of(label: bytes) -> str:
+    """A label in master-file text: ``\\`` and ``.`` escaped (RFC 1035 §5.1), other
+    bytes outside ASCII as ``\\xNN``."""
+    return label.replace(b"\\", b"\\\\").replace(b".", b"\\.").decode(
+        "ascii", errors="backslashreplace")
 
 
 def valid(labels) -> bool:
@@ -86,8 +94,7 @@ def test_names_match_the_label_tuple_model(pair):
         assert name.key == key_of(labels)
         assert len(name) == len(labels)
         assert name.to_wire() == wire_of(labels)
-        assert name.to_text() == (".".join(l.decode("ascii", errors="backslashreplace")
-                                           for l in labels) or ".")
+        assert name.to_text() == (".".join(text_of(l) for l in labels) or ".")
         assert name.parent() == DnsName(labels[1:])
         assert name.parent().labels == labels[1:]
         assert [s.labels for s in name.suffixes()] == [labels[i:] for i in range(len(labels) + 1)]
@@ -100,6 +107,22 @@ def test_names_match_the_label_tuple_model(pair):
     assert y.is_subdomain_of(x) == below(b, a)
     assert x.labels_below(y) == (len(a) - len(b) if below(a, b) else -1)
     assert sorted([x, y]) == [DnsName(t) for t in sorted([a, b], key=key_of)]
+
+
+@given(pairs())
+@example(((b"a.b", b"example"), (b"a", b"b", b"example")))
+@example(((b"a\\", b"x"), (b"a\\.x",)))
+@settings(max_examples=300, deadline=None)
+def test_text_is_one_to_one_and_reads_back(pair):
+    """Two names print the same only when their labels are the same bytes, and
+    an ASCII name's text reads back as the name, case kept."""
+    a, b = pair
+    x, y = DnsName(a), DnsName(b)
+    assert (x.to_text() == y.to_text()) == (a == b)
+    for labels, name in ((a, x), (b, y)):
+        if all(label.isascii() for label in labels):
+            assert DnsName.from_text(name.to_text()).labels == labels
+            assert DnsName.from_text(name.to_text() + ".").labels == labels
 
 
 @given(label_tuples, _labels)

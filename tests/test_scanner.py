@@ -370,9 +370,10 @@ class TestRunScan:
         assert snap.vulnerable_pairs == {("example.com", "10.0.0.1"), ("example.com", "10.0.0.2")}
 
     def test_a_label_holding_a_dot_is_not_two_labels(self, bus):
-        # one text form, two names: each is its own pair, and case variants stay one
+        # two names that differ only in where a dot sits: each is its own pair,
+        # and case variants stay one
         dotted, split = DnsName([b"a.b", b"example"]), DnsName.from_text("a.b.example")
-        assert dotted != split and dotted.to_text() == split.to_text()
+        assert dotted != split and dotted.to_text() == "a\\.b.example"
         attach_server(bus, "10.0.0.1")
         targets = [ProbeTarget(dotted, "10.0.0.1"), ProbeTarget(split, "10.0.0.1"),
                    ProbeTarget(DnsName([b"A.B", b"EXAMPLE"]), "10.0.0.1")]
@@ -380,6 +381,21 @@ class TestRunScan:
                           random.Random(1))
         assert [o.target.zone for o in result.outcomes] == [dotted, split]
         assert result.snapshot.tested.pairs == 2 and result.snapshot.tested.domains == 2
+
+    def test_zones_that_differ_in_a_dot_are_two_vulnerable_domains(self, bus):
+        """Their texts differ (RFC 1035 §5.1 escapes), so the snapshot and the
+        outcomes' JSON keep the two vulnerable zones apart."""
+        dotted, split = DnsName([b"a.b", b"example"]), DnsName.from_text("a.b.example")
+        attach_server(bus, "10.0.0.1", *(authsim.ZoneConfig.build(
+            apex, authsim.Primary(), Open(), [authsim.make_soa(apex)]) for apex in (dotted, split)))
+        result = run_scan([ProbeTarget(dotted, "10.0.0.1"), ProbeTarget(split, "10.0.0.1")], CFG,
+                          SimTransport(bus, SCANNER_SOURCE), bus.clock, random.Random(1))
+        assert [o.verdict for o in result.outcomes] == [Verdict.VULNERABLE_CONFIRMED] * 2
+        snap = result.snapshot
+        assert snap.tested.domains == snap.vulnerable.domains == 2
+        zones = [o.to_json_obj()["zone"] for o in result.outcomes]
+        assert zones == ["a\\.b.example", "a.b.example"]
+        assert [DnsName.from_text(zone) for zone in zones] == [dotted, split]
 
     def test_faulty_update_handler_answers_servfail(self, bus, monkeypatch, caplog):
         broken = DnsName.from_text("broken.example")

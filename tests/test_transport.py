@@ -2,20 +2,24 @@
 
 import dataclasses
 import random
+import socket
+import threading
+import time
 
 import pytest
 
+from zptoolkit import transport
 from zptoolkit.transport import (
     ClientEndpoint,
     DatagramBus,
     ManualClock,
     SimDatagram,
     TapEntry,
+    UdpTransport,
     exchange_message,
     parse_endpoint,
 )
 from zptoolkit.wire import (
-    DecodeError,
     DnsName,
     Opcode,
     Question,
@@ -122,6 +126,19 @@ def test_spoofing_disabled_endpoint_refuses_forged_source():
         raise AssertionError("expected PermissionError")
 
 
+def test_pump_stops_a_datagram_storm(monkeypatch):
+    """Two handlers that answer each other forever: the pump gives up after
+    ``PUMP_MAX_STEPS`` deliveries instead of running on."""
+    monkeypatch.setattr(transport, "PUMP_MAX_STEPS", 50)
+    bus = DatagramBus(clock=ManualClock())
+    bus.attach("ping", echo_server("ping"))
+    bus.attach("pong", echo_server("pong"))
+    bus.send(SimDatagram("pong", "ping", b""))
+    with pytest.raises(RuntimeError, match="datagram storm"):
+        bus.pump()
+    assert len(bus.tap) == 51  # the first datagram and the 50 delivered ones' replies
+
+
 def dns_server(address, reply_to):
     """A server answering each request with ``reply_to(request)`` bytes."""
 
@@ -154,12 +171,11 @@ def test_exchange_message_returns_the_matching_reply():
 ], ids=["wrong-id", "wrong-question", "wrong-opcode", "not-a-response", "undecodable"])
 def test_exchange_message_rejects_a_reply_that_does_not_answer(reply_to, sends):
     """A reply that decodes but does not answer is dropped and the request resent,
-    the same bytes each time; only when every attempt got such a reply does the
-    exchange fail. A reply that does not decode fails it at once."""
+    the same bytes each time; when every attempt got such a reply, nothing
+    answered. A reply that does not decode ends the exchange at once, as no answer."""
     bus = DatagramBus(clock=ManualClock())
     bus.attach("srv", dns_server("srv", reply_to))
-    with pytest.raises(DecodeError):
-        exchange_message(ClientEndpoint(bus, "cli"), "srv", QUERY, retries=2)
+    assert exchange_message(ClientEndpoint(bus, "cli"), "srv", QUERY, retries=2) is None
     requests = [e.datagram.payload for e in bus.tap if e.datagram.destination == "srv"]
     assert requests == [encode_message(QUERY)] * sends
     assert len(bus.tap) == 2 * sends  # one reply to each
@@ -177,6 +193,21 @@ def test_exchange_message_waits_out_a_late_reply_to_an_earlier_request():
     assert reply.id == QUERY.id and reply.question == QUERY.question
     assert [decode_message(e.datagram.payload).id for e in bus.tap
             if e.datagram.destination == "srv"] == [7, QUERY.id, QUERY.id]
+
+
+def test_the_answer_behind_a_late_reply_is_taken_without_a_resend():
+    """A late reply to an earlier request and the answer land in one window: the
+    exchange takes the datagram that carries the request's id, so the request
+    goes out once."""
+    bus = DatagramBus(clock=ManualClock(), delay_fn=lambda d: 0.25 if d.source == "srv" else 0.0)
+    bus.attach("srv", dns_server("srv", answer))
+    client = ClientEndpoint(bus, "cli")
+    earlier = make_query(DnsName.from_text("earlier.example.com"), RType.A, msg_id=7)
+    assert exchange_message(client, "srv", earlier, timeout=0.2) is None
+    reply = exchange_message(client, "srv", QUERY, timeout=0.3, retries=2)
+    assert reply.id == QUERY.id and reply.question == QUERY.question
+    assert [decode_message(e.datagram.payload).id for e in bus.tap
+            if e.datagram.destination == "srv"] == [7, QUERY.id]
 
 
 def test_exchange_takes_the_reply_from_the_destination_only():
@@ -201,6 +232,44 @@ def test_exchange_message_timeout_after_retries_plus_one_sends():
                             timeout=0.5, retries=2) is None
     assert [e.datagram.payload for e in bus.tap] == [encode_message(QUERY)] * 3
     assert bus.clock.now() == 1.5
+
+
+def _free_port() -> int:
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_udp_exchange_takes_the_reply_from_the_destination_port_only():
+    """Over loopback, a datagram from a second port reaches the client before the
+    server's answer; the connected socket drops it and the answer is returned."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as server, \
+            socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as intruder:
+        server.bind(("127.0.0.1", 0))
+        intruder.bind(("127.0.0.1", 0))
+        server.settimeout(5.0)
+
+        def serve():
+            request, client = server.recvfrom(512)
+            intruder.sendto(b"wrong port", client)
+            time.sleep(0.05)  # the intruder's datagram is queued first
+            server.sendto(b"answer:" + request, client)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            reply = UdpTransport().exchange(b"hi", f"127.0.0.1:{server.getsockname()[1]}", 5.0)
+        finally:
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert reply == b"answer:hi"
+
+
+def test_udp_exchange_to_a_closed_port_is_none_before_the_timeout():
+    """The refused port's ICMP error ends the attempt at once."""
+    started = time.monotonic()
+    assert UdpTransport().exchange(b"hi", f"127.0.0.1:{_free_port()}", 5.0) is None
+    assert time.monotonic() - started < 2.5
 
 
 def test_parse_endpoint_forms():
