@@ -57,6 +57,7 @@ from .wire import (
     _record,
     _slot_init,
     _soa,
+    content_lines,
     decode_message,
     encode_message,
     encode_stream,
@@ -256,20 +257,14 @@ class ZoneConfig:
         touched: dict[DnsName, list[ResourceRecord]] = {}  # owner name -> its records as they become
         for rr in removed:
             name = rr.name
-            before = by_name.get(name, ())
-            for old in before:
-                if _same(old, rr):
-                    break
-            else:
-                raise ValueError("a removed record is not in the zone")
             now = touched.get(name)
             if now is None:
-                now = touched[name] = list(before)
-            kept = []
-            for old in now:
-                if not _same(old, rr):
-                    kept.append(old)
-            now[:] = kept
+                now = touched[name] = list(by_name.get(name, ()))
+            i = _find_same(now, rr)
+            if i >= 0:
+                del now[i]
+            elif _find_same(by_name.get(name, ()), rr) < 0:  # not removed twice: never there
+                raise ValueError("a removed record is not in the zone")
         for rr in added:
             name = rr.name
             now = touched.get(name)
@@ -416,6 +411,12 @@ def _find(rrs: Sequence[ResourceRecord], rtype: int, rdata) -> int:
     return -1
 
 
+def _find_same(rrs: Sequence[ResourceRecord], rr: ResourceRecord) -> int:
+    """Index of the record in ``rrs`` equal to ``rr``, or -1."""
+    i = _find(rrs, rr.rtype, rr.rdata)
+    return i if i >= 0 and _same(rrs[i], rr) else -1
+
+
 def _count_ancestors(below: dict[DnsName, int], name: DnsName, step: int, depth: int) -> None:
     """Add ``step`` to the count of every name strictly between ``name`` and
     the apex, which ``name`` lies ``depth`` labels below, dropping zeros."""
@@ -440,47 +441,25 @@ def _with_serial(soa: ResourceRecord, serial: int) -> ResourceRecord:
 # --- ACL evaluation ---
 
 
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Allow:
-    """Update may proceed; ``message`` is the (possibly TSIG-stripped) core message."""
+def acl_check(policy: UpdatePolicy, datagram_source: str, msg: DnsMessage,
+              now: float) -> Union[DnsMessage, Rcode]:
+    """The message an UPDATE from a claimed source applies, or the rcode that refuses it.
 
-    message: DnsMessage
-
-
-@dataclass(frozen=True)
-class Refuse:
-    rcode: Rcode
-
-
-AclResult = Union[Allow, Refuse]
-
-# a refusal carries nothing but its rcode, so every refusal is one of these
-_REFUSE = Refuse(Rcode.REFUSED)
-_REFUSE_NOTAUTH = Refuse(Rcode.NOTAUTH)
-
-
-def acl_check(policy: UpdatePolicy, datagram_source: str, msg: DnsMessage, now: float) -> AclResult:
-    """Decide whether an UPDATE from a claimed source may proceed.
-
+    The message is ``msg`` itself, or under SignedKey its core without the TSIG record.
     The IpAcl arm trusts the datagram's source field as-is: that naivety is
     the spoofing vulnerability this toolkit demonstrates, so it must stay.
     """
     if isinstance(policy, Deny):
-        return _REFUSE
+        return _REFUSED
     if isinstance(policy, Open):
-        return Allow(msg)
+        return msg
     if isinstance(policy, IpAcl):
-        if datagram_source in policy.allowed:
-            return Allow(msg)
-        return _REFUSE
+        return msg if datagram_source in policy.allowed else _REFUSED
     if isinstance(policy, SignedKey):
         result = tsig_mod.verify_message(msg, policy.keyring, now)
         if isinstance(result, tsig_mod.Accept):
-            return Allow(result.message)
-        if result.reason is tsig_mod.RejectReason.NO_SIGNATURE:
-            return _REFUSE
-        return _REFUSE_NOTAUTH
+            return result.message
+        return _REFUSED if result.reason is tsig_mod.RejectReason.NO_SIGNATURE else _NOTAUTH
     raise TypeError(f"not an UpdatePolicy: {policy!r}")
 
 
@@ -662,10 +641,11 @@ def _survivors_then_added(before: tuple[ResourceRecord, ...],
     added = []
     for rr in now:
         if id(rr) not in old_ids:
-            rr = _survivor_equal_to(before, rr)
-            if id(rr) not in old_ids:
+            i = _find_same(before, rr)
+            if i < 0:
                 added.append(rr)
                 continue
+            rr = before[i]
         kept.add(id(rr))
     survivors = []
     for rr in before:
@@ -674,12 +654,6 @@ def _survivors_then_added(before: tuple[ResourceRecord, ...],
     if len(survivors) == len(now) == len(before):
         return before
     return (*survivors, *added)
-
-
-def _survivor_equal_to(before: tuple[ResourceRecord, ...], rr: ResourceRecord) -> ResourceRecord:
-    """The record in ``before`` equal to ``rr``, or ``rr`` when there is none."""
-    i = _find(before, rr.rtype, rr.rdata)
-    return before[i] if i >= 0 and _same(before[i], rr) else rr
 
 
 # --- zone transfers (RFC 1995 IXFR diffs, RFC 5936 AXFR streams) ---
@@ -926,8 +900,8 @@ class NameServer:
             rc = _FORMERR
         elif (zone := self.zones.get(question[0].name)) is None:
             rc = _NOTAUTH
-        elif isinstance(acl := acl_check(zone.policy, dgram.source, msg, now), Refuse):
-            rc = acl.rcode
+        elif (core := acl_check(zone.policy, dgram.source, msg, now)).__class__ is not DnsMessage:
+            rc = core
         elif isinstance(zone.role, Secondary):
             # no local write: hand the request to the primary and relay
             # whatever rcode it returns
@@ -935,7 +909,6 @@ class NameServer:
             self._journal(now, dgram, msg, "FORWARDED")
             return [forwarded]
         else:
-            core = acl.message
             rc = evaluate_prerequisites(zone, core.prerequisites)
             new_zone = zone
             if rc == _NOERROR:
@@ -1164,37 +1137,41 @@ class NameServer:
 
 def parse_zone_text(text: str, keys: Optional[Mapping[str, tsig_mod.TsigKey]] = None) -> ZoneConfig:
     """Parse one zone seed: '@policy ...', '@role ...', then 'name TTL class type rdata' lines."""
+    return _seed_zone(content_lines(text.splitlines()), keys)
+
+
+def _seed_zone(lines: Iterable[tuple[int, str]], keys: Optional[Mapping[str, tsig_mod.TsigKey]],
+               opened_at: Optional[int] = None) -> ZoneConfig:
+    """The zone of one seed's numbered lines. An error names its line; one about
+    the seed as a whole names ``opened_at``, the fleet line that opens it, if any."""
     policy: UpdatePolicy = Deny()
     role: Role = Primary()
     records = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("@policy"):
-            arg = line[len("@policy"):].strip()
-            if not arg:
-                raise ValueError(f"line {lineno}: expected '@policy <policy>'")
-            policy = parse_policy(arg, keys)
-            continue
-        if line.startswith("@role"):
-            parts = line.split()[1:]
-            kind = parts[0].lower() if parts else ""
-            if kind == "primary":
-                role = Primary()
-            elif kind == "secondary" and len(parts) > 1:
-                role = Secondary(parts[1])
-            else:
-                raise ValueError(f"line {lineno}: expected '@role primary' or "
-                                 "'@role secondary <primary address>'")
-            continue
-        fields = line.split(None, 4)
-        if len(fields) != 5:
-            raise ValueError(f"line {lineno}: expected 'name TTL class type rdata'")
-        name_text, ttl_text, rclass_text, rtype_text, rdata_text = fields
-        if rclass_text.upper() != "IN":
-            raise ValueError(f"line {lineno}: only class IN zone data is supported")
+    for lineno, line in lines:
         try:
+            if line.startswith("@policy"):
+                arg = line[len("@policy"):].strip()
+                if not arg:
+                    raise ValueError("expected '@policy <policy>'")
+                policy = parse_policy(arg, keys)
+                continue
+            if line.startswith("@role"):
+                parts = line.split()[1:]
+                kind = parts[0].lower() if parts else ""
+                if kind == "primary":
+                    role = Primary()
+                elif kind == "secondary" and len(parts) > 1:
+                    role = Secondary(parts[1])
+                else:
+                    raise ValueError("expected '@role primary' or "
+                                     "'@role secondary <primary address>'")
+                continue
+            fields = line.split(None, 4)
+            if len(fields) != 5:
+                raise ValueError("expected 'name TTL class type rdata'")
+            name_text, ttl_text, rclass_text, rtype_text, rdata_text = fields
+            if rclass_text.upper() != "IN":
+                raise ValueError("only class IN zone data is supported")
             rtype = rtype_from_text(rtype_text)
             records.append(ResourceRecord(
                 DnsName.from_text(name_text), rtype, RClass.IN,
@@ -1203,34 +1180,37 @@ def parse_zone_text(text: str, keys: Optional[Mapping[str, tsig_mod.TsigKey]] = 
             ))
         except (ValueError, WireError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    soas = [rr for rr in records if rr.rtype == RType.SOA]
-    if len(soas) != 1:
-        raise ValueError("zone seed must contain exactly one SOA record")
-    return ZoneConfig.build(soas[0].name, role, policy, records)
+    try:
+        soas = [rr for rr in records if rr.rtype == RType.SOA]
+        if len(soas) != 1:
+            raise ValueError("zone seed must contain exactly one SOA record")
+        return ZoneConfig.build(soas[0].name, role, policy, records)
+    except ValueError as exc:
+        if opened_at is None:
+            raise
+        raise ValueError(f"line {opened_at}: {exc}") from None
 
 
 def parse_fleet_text(text: str, keys: Optional[Mapping[str, tsig_mod.TsigKey]] = None) -> list[tuple[str, ZoneConfig]]:
-    """Parse a fleet file: '@server <address>' opens a block holding one zone seed."""
-    blocks: list[tuple[str, list[str]]] = []
-    current: Optional[list[str]] = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped.startswith("@server"):
-            parts = stripped.split()
+    """Parse a fleet file: '@server <address>' opens a block holding one zone seed.
+
+    An error names the address of its block and its line in the file.
+    """
+    blocks: list[tuple[int, str, list[tuple[int, str]]]] = []
+    for lineno, line in content_lines(text.splitlines()):
+        if line.startswith("@server"):
+            parts = line.split()
             if len(parts) < 2:
                 raise ValueError(f"line {lineno}: expected '@server <address>'")
-            current = []
-            blocks.append((parts[1], current))
-            continue
-        if current is None:
-            if stripped:
-                raise ValueError(f"line {lineno}: fleet file must start with a @server line")
-            continue
-        current.append(line)
+            blocks.append((lineno, parts[1], []))
+        elif blocks:
+            blocks[-1][2].append((lineno, line))
+        else:
+            raise ValueError(f"line {lineno}: fleet file must start with a @server line")
     fleet = []
-    for addr, lines in blocks:
+    for lineno, addr, lines in blocks:
         try:
-            fleet.append((addr, parse_zone_text("\n".join(lines), keys)))
+            fleet.append((addr, _seed_zone(lines, keys, lineno)))
         except ValueError as exc:
             raise ValueError(f"@server {addr}: {exc}") from None
     return fleet

@@ -28,7 +28,7 @@ from .transport import (
     parse_endpoint,
 )
 from .tsig import TsigKey
-from .wire import DnsName, WireError
+from .wire import DnsName, WireError, content_lines
 
 ATTRIBUTION_ENV = "ZPTOOL_ATTRIBUTION"
 
@@ -48,12 +48,12 @@ def _load_keys(path: str | None) -> dict[str, TsigKey]:
         return {}
     keys = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in content_lines(fh):
             name, _, secret = line.partition(" ")
-            keys[name] = TsigKey(DnsName.from_text(name), secret.strip().encode("utf-8"))
+            try:
+                keys[name] = TsigKey(DnsName.from_text(name), secret.strip().encode("utf-8"))
+            except (ValueError, WireError) as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return keys
 
 

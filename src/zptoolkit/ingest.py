@@ -11,7 +11,7 @@ from importlib import resources
 from typing import Iterable, Optional
 
 from .transport import Transport, exchange_message
-from .wire import DnsName, InvalidLabel, Rcode, RType, make_query
+from .wire import DnsName, InvalidLabel, Rcode, RType, WireError, content_lines, make_query
 
 _DEFAULT_SNAPSHOT = "data/public_suffix_snapshot.dat"
 QUERY_TIMEOUT = 1.0  # seconds per attempt at the resolver
@@ -241,9 +241,11 @@ def resolve_targets(domains: Iterable[DnsName], resolver_address: str,
 
 
 def read_domain_lines(lines: Iterable[str]) -> list[DnsName]:
+    """One domain per line; blank lines and #-comments skipped."""
     out = []
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if line:
+    for lineno, line in content_lines(lines):
+        try:
             out.append(DnsName.from_text(line))
+        except (ValueError, WireError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return out

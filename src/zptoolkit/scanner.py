@@ -31,12 +31,14 @@ from .wire import (
     RClass,
     Rcode,
     RType,
+    WireError,
     _bounded,
     _builder,
     _message,
     _question,
     _record,
     _slot_init,
+    content_lines,
     encode_message,
 )
 
@@ -366,11 +368,12 @@ def run_scan(targets: Iterable[ProbeTarget], cfg: ProbeConfig, transport: Transp
 
 def parse_pair_lines(lines: Iterable[str]) -> Iterator[ProbeTarget]:
     """`zone,nameserver` records, one per line; blank lines and #-comments skipped."""
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(lines):
         zone_text, _, ns = line.partition(",")
-        if not ns:
-            raise ValueError(f"pair line needs 'zone,nameserver': {line!r}")
-        yield ProbeTarget(DnsName.from_text(zone_text.strip()), ns.strip())
+        try:
+            if not ns:
+                raise ValueError(f"pair line needs 'zone,nameserver': {line!r}")
+            target = ProbeTarget(DnsName.from_text(zone_text.strip()), ns.strip())
+        except (ValueError, WireError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        yield target

@@ -89,9 +89,10 @@ _pack_fudge_error_other = struct.Struct("!HHH").pack
 
 
 def _find_tsig(msg: DnsMessage) -> ResourceRecord | None:
-    for rr in msg.additional:
-        if rr.rtype == _TSIG:
-            return rr
+    """The TSIG record, which must be the last additional record (RFC 8945 §5.2)."""
+    additional = msg.additional
+    if additional and additional[-1].rtype == _TSIG:
+        return additional[-1]
     return None
 
 
@@ -99,14 +100,6 @@ def _with_additional(msg: DnsMessage, additional: tuple[ResourceRecord, ...]) ->
     """``msg`` with its additional section replaced, filled positionally."""
     return _message(msg.id, msg.opcode, msg.rcode, msg.is_response, msg.authoritative,
                     msg.question, msg.answers, msg.authority, additional, msg.extra_flags)
-
-
-def _strip_tsig(msg: DnsMessage) -> DnsMessage:
-    kept = []
-    for rr in msg.additional:
-        if rr.rtype != _TSIG:
-            kept.append(rr)
-    return _with_additional(msg, tuple(kept))
 
 
 # HMAC-SHA256 states keyed with a secret and fed nothing yet, by secret: a MAC
@@ -137,7 +130,7 @@ def _compute_mac(secret: bytes, core_wire: bytes, name_wire: bytes, rclass: int,
 
 def sign_message(msg: DnsMessage, key: TsigKey, now: int) -> DnsMessage:
     """Append a TSIG meta-record computed over the rendered message."""
-    if _find_tsig(msg) is not None:
+    if any(rr.rtype == _TSIG for rr in msg.additional):  # wherever it stands
         raise AlreadySigned("message already carries a TSIG record")
     time_signed = int(now)
     name = key.key_name
@@ -168,7 +161,7 @@ def verify_message(msg: DnsMessage, keyring: Iterable[TsigKey], now: int) -> Ver
         if key.key_name != name:
             continue
         if core is None:
-            core = _strip_tsig(msg)
+            core = _with_additional(msg, msg.additional[:-1])
             # the MAC is checked over a re-encoding of the unsigned message, not
             # over the bytes received: a signer that compresses names differently
             # is rejected (RFC 8945 §4.3.3 wants the received prefix; ROADMAP item 2)

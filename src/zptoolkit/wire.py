@@ -140,6 +140,13 @@ _OPCODES = {int(op): op for op in Opcode}
 _RCODES = {int(rc): rc for rc in Rcode}
 
 
+# bytes that a name's text holds as themselves, besides the dots between labels
+_PLAIN = bytes(b for b in range(0x21, 0x7F) if b != 0x5C)
+# the text of each byte inside a label (RFC 1035 §5.1)
+_LABEL_TEXT = tuple("\\" + chr(b) if b in b".\\" else chr(b) if b in _PLAIN else f"\\{b:03d}"
+                    for b in range(256))
+
+
 class DnsName:
     """A domain name, held as its uncompressed wire form (RFC 1035 §3.1).
 
@@ -168,31 +175,51 @@ class DnsName:
 
     @classmethod
     def from_text(cls, text: str) -> "DnsName":
-        """Labels between dots, where ``\\.`` and ``\\\\`` are a dot and a backslash."""
+        """Labels between dots, where ``\\X`` is the character X and ``\\DDD`` the
+        byte of decimal value DDD (RFC 1035 §5.1)."""
         raw = text.encode("ascii")
         if b"\\" not in raw:
             raw = raw.rstrip(b".")
             return cls(raw.split(b".") if raw else ())
-        # each escape becomes a byte that ASCII text cannot hold, and goes back once split
-        raw = raw.replace(b"\\\\", b"\x81").replace(b"\\.", b"\x80").rstrip(b".")
-        return cls([label.replace(b"\x80", b".").replace(b"\x81", b"\\")
-                    for label in raw.split(b".")])
+        labels, label, pos = [], bytearray(), 0
+        while pos < len(raw):
+            byte = raw[pos]
+            pos += 1
+            if byte == 0x2E:  # "."
+                labels.append(label)
+                label = bytearray()
+            elif byte != 0x5C:  # "\\"
+                label.append(byte)
+            elif len(digits := raw[pos:pos + 3]) == 3 and digits.isdigit() and int(digits) <= 0xFF:
+                label.append(int(digits))
+                pos += 3
+            elif digits and not digits[:1].isdigit():
+                label.append(digits[0])
+                pos += 1
+            else:
+                raise InvalidLabel(f"{text!r}: a backslash takes a character or three digits "
+                                   "up to 255")
+        labels.append(label)
+        while not labels[-1]:  # trailing dots
+            labels.pop()
+        return cls(labels)
 
     def to_text(self) -> str:
-        """Labels between dots, a label's dot and backslash escaped (RFC 1035 §5.1)."""
+        """Labels between dots; in a label, ``.`` and ``\\`` are escaped as ``\\.`` and
+        ``\\\\``, and a byte outside 0x21-0x7E as ``\\DDD`` (RFC 1035 §5.1)."""
         wire = self._wire
         if len(wire) == 1:
             return "."
-        if b"\\" in wire or b"." in wire:  # the "." may be only a length byte of 46
-            return ".".join(label.replace(b"\\", b"\\\\").replace(b".", b"\\.")
-                            .decode("ascii", errors="backslashreplace") for label in _split(wire))
-        text = bytearray(wire[1:-1])  # the labels, with a length byte between each two
-        pos = wire[0]
-        while pos < len(text):
-            step = text[pos] + 1
-            text[pos] = 0x2E  # "."
-            pos += step
-        return text.decode("ascii", errors="backslashreplace")
+        if b"." not in wire:  # the "." may be only a length byte of 46
+            text = bytearray(wire[1:-1])  # the labels, with a length byte between each two
+            pos = wire[0]
+            while pos < len(text):
+                step = text[pos] + 1
+                text[pos] = 0x2E  # "."
+                pos += step
+            if not text.translate(None, _PLAIN):  # every byte stands for itself
+                return text.decode("ascii")
+        return ".".join("".join(map(_LABEL_TEXT.__getitem__, label)) for label in _split(wire))
 
     @property
     def labels(self) -> tuple[bytes, ...]:
@@ -871,6 +898,16 @@ def decode_message(data: bytes) -> DnsMessage:
 
 
 # --- zone-file style text forms (seed files, reports) ---
+
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number from 1, text) for each line that keeps any text once its
+    ``#`` comment and the blanks around it are cut: the one reader of every
+    line-based input file, so that an error can name its line."""
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
+
 
 _TYPE_BY_NAME = {t.name: t for t in RType}
 

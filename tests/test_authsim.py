@@ -17,14 +17,12 @@ from hypothesis import strategies as st
 
 from zptoolkit import authsim
 from zptoolkit.authsim import (
-    Allow,
     Deny,
     HoneypotEvent,
     IpAcl,
     NameServer,
     Open,
     Primary,
-    Refuse,
     Secondary,
     SignedKey,
     ZoneConfig,
@@ -116,35 +114,36 @@ READ_PATH_CASES = {
 
 class TestAclCheck:
     def test_open_allows_any_source(self):
-        assert acl_check(Open(), "203.0.113.9", add_sentinel(), 0) == Allow(add_sentinel())
+        msg = add_sentinel()
+        assert acl_check(Open(), "203.0.113.9", msg, 0) is msg
 
     def test_deny_refuses(self):
-        assert acl_check(Deny(), "203.0.113.9", add_sentinel(), 0) == Refuse(Rcode.REFUSED)
+        assert acl_check(Deny(), "203.0.113.9", add_sentinel(), 0) is Rcode.REFUSED
 
     def test_ipacl_trusts_the_claimed_source(self):
         policy = IpAcl(frozenset({"192.0.2.10"}))
+        msg = add_sentinel()
         # the source field is attacker-controlled; a forged listed value passes
-        assert isinstance(acl_check(policy, "192.0.2.10", add_sentinel(), 0), Allow)
-        assert acl_check(policy, "203.0.113.9", add_sentinel(), 0) == Refuse(Rcode.REFUSED)
+        assert acl_check(policy, "192.0.2.10", msg, 0) is msg
+        assert acl_check(policy, "203.0.113.9", msg, 0) is Rcode.REFUSED
 
     def test_ipacl_depends_only_on_source_field(self):
         policy = IpAcl(frozenset({"192.0.2.10"}))
         for msg in (add_sentinel(1), add_sentinel(999, ttl=7)):
-            assert isinstance(acl_check(policy, "192.0.2.10", msg, 0), Allow)
-            assert isinstance(acl_check(policy, "198.51.100.1", msg, 0), Refuse)
+            assert acl_check(policy, "192.0.2.10", msg, 0) is msg
+            assert acl_check(policy, "198.51.100.1", msg, 0) is Rcode.REFUSED
 
     def test_signedkey_paths(self):
         policy = SignedKey((KEY,))
         unsigned = add_sentinel()
-        assert acl_check(policy, "x", unsigned, 0) == Refuse(Rcode.REFUSED)  # NoSignature
+        assert acl_check(policy, "x", unsigned, 0) is Rcode.REFUSED  # NoSignature
         signed = sign_message(unsigned, KEY, now=100)
         allowed = acl_check(policy, "x", signed, 100)
-        assert isinstance(allowed, Allow)
-        assert allowed.message == unsigned  # TSIG stripped before application
+        assert allowed == unsigned  # TSIG stripped before application
         wrong = sign_message(unsigned, TsigKey(DnsName.from_text("other"), b"0123456789abcdef"), 100)
-        assert acl_check(policy, "x", wrong, 100) == Refuse(Rcode.NOTAUTH)
+        assert acl_check(policy, "x", wrong, 100) is Rcode.NOTAUTH
         stale = sign_message(unsigned, KEY, now=100)
-        assert acl_check(policy, "x", stale, 100 + 301) == Refuse(Rcode.NOTAUTH)
+        assert acl_check(policy, "x", stale, 100 + 301) is Rcode.NOTAUTH
 
     def test_ipacl_requires_nonempty_set(self):
         with pytest.raises(ValueError):
@@ -1175,6 +1174,24 @@ def test_signedkey_policy_sound_unsigned_never_mutates(changes, msg_id):
     raw = c.exchange(encode_message(sign_message(msg, wrong_key, 0)), "10.0.0.1", 1.0)
     assert decode_message(raw).rcode == Rcode.NOTAUTH
     assert server.zones[APEX].records == zone.records
+
+
+def test_a_primary_reads_only_the_last_additional_record_as_tsig(bus):
+    zone = basic_zone("example.com", SignedKey((KEY,)))
+    server = attach_server(bus, "10.0.0.1", zone)
+    c = client(bus)
+    glue = ResourceRecord(APEX.prepend("ns1"), RType.A, RClass.IN, 60, IPv4Address("192.0.2.53"))
+    signed = sign_message(add_sentinel(), KEY, now=0)
+    (tsig_rr,) = signed.additional
+    for additional, rcode in [((tsig_rr, tsig_rr), Rcode.NOTAUTH),   # TSIG repeated
+                              ((tsig_rr, glue), Rcode.REFUSED)]:     # TSIG not last: unsigned
+        raw = c.exchange(encode_message(dataclasses.replace(signed, additional=additional)),
+                         "10.0.0.1", 1.0)
+        assert decode_message(raw).rcode == rcode
+        assert server.zones[APEX].records == zone.records
+    raw = c.exchange(encode_message(signed), "10.0.0.1", 1.0)
+    assert decode_message(raw).rcode == Rcode.NOERROR
+    assert server.zones[APEX].rrset(SENTINEL, RType.A)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))

@@ -5,9 +5,11 @@ import socket
 import threading
 import time
 from ipaddress import IPv4Address
+from pathlib import Path
 
 import pytest
 
+from zptoolkit.authsim import parse_fleet_text
 from zptoolkit.cli import ATTRIBUTION_ENV, main
 from zptoolkit.transport import UdpTransport
 from zptoolkit.tsig import TsigKey, sign_message
@@ -191,12 +193,12 @@ SOA_LINE = ("example.com. 3600 IN SOA ns1.example.com. hostmaster.example.com. "
 
 class TestSim:
     @pytest.mark.parametrize("fleet, where", [
-        pytest.param("@server 10.0.0.1\n@role\n" + SOA_LINE, "@server 10.0.0.1: line 1:",
+        pytest.param("@server 10.0.0.1\n@role\n" + SOA_LINE, "@server 10.0.0.1: line 2:",
                      id="bare-role"),
-        pytest.param("@server 10.0.0.1\n@role secondary\n" + SOA_LINE, "@server 10.0.0.1: line 1:",
+        pytest.param("@server 10.0.0.1\n@role secondary\n" + SOA_LINE, "@server 10.0.0.1: line 2:",
                      id="secondary-without-address"),
         pytest.param("@server 10.0.0.1\n@role primary\n@policy\n" + SOA_LINE,
-                     "@server 10.0.0.1: line 2:", id="policy-without-argument"),
+                     "@server 10.0.0.1: line 3:", id="policy-without-argument"),
         pytest.param("@server\n" + SOA_LINE, "line 1:", id="server-without-address"),
     ])
     def test_malformed_seed_directive_is_2_with_one_line(self, tmp_path, capsys, fleet, where):
@@ -218,25 +220,31 @@ class TestSim:
         path.write_text("@server 10.0.0.1\n" + SOA_LINE + record + "\n")
         assert main(["sim", "--fleet", str(path)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("zptool: @server 10.0.0.1: line 2: ")
+        assert line.startswith("zptool: @server 10.0.0.1: line 3: ")
         assert message in line
 
     @pytest.mark.parametrize("fleet, message", [
         pytest.param("@server 10.0.0.1\n@policy ipacl\n" + SOA_LINE,
-                     "@server 10.0.0.1: ipacl policy needs a source list", id="ipacl-without-list"),
+                     "@server 10.0.0.1: line 2: ipacl policy needs a source list",
+                     id="ipacl-without-list"),
         pytest.param("@server 10.0.0.1\n@policy key\n" + SOA_LINE,
-                     "@server 10.0.0.1: key policy needs a key name", id="key-without-name"),
+                     "@server 10.0.0.1: line 2: key policy needs a key name", id="key-without-name"),
         pytest.param("@server 10.0.0.1\n" + SOA_LINE + "www.example.com. 60 IN A\n",
-                     "@server 10.0.0.1: line 2: expected 'name TTL class type rdata'",
+                     "@server 10.0.0.1: line 3: expected 'name TTL class type rdata'",
                      id="four-fields"),
         pytest.param("@server 10.0.0.1\n" + SOA_LINE + "www.example.com. 60 CH A 192.0.2.1\n",
-                     "@server 10.0.0.1: line 2: only class IN zone data is supported",
+                     "@server 10.0.0.1: line 3: only class IN zone data is supported",
                      id="class-ch"),
         pytest.param("@server 10.0.0.1\nexample.com. 60 IN A 192.0.2.1\n",
-                     "@server 10.0.0.1: zone seed must contain exactly one SOA record",
+                     "@server 10.0.0.1: line 1: zone seed must contain exactly one SOA record",
                      id="no-soa"),
         pytest.param("# a fleet\n@policy open\n@server 10.0.0.1\n" + SOA_LINE,
                      "line 2: fleet file must start with a @server line", id="text-before-server"),
+        # line 7 of the file, and line 2 of its block
+        pytest.param("@server 10.0.0.1\n" + SOA_LINE + "\n# the second server\n@server 10.0.0.2\n"
+                     + SOA_LINE + "www.example.com. 60 IN A\n",
+                     "@server 10.0.0.2: line 7: expected 'name TTL class type rdata'",
+                     id="second-block"),
     ])
     def test_malformed_seed_file_is_2_with_one_line(self, tmp_path, capsys, fleet, message):
         path = tmp_path / "fleet.txt"
@@ -244,6 +252,23 @@ class TestSim:
         assert main(["sim", "--fleet", str(path)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"zptool: {message}")
+
+    def test_readme_fleet_example_loads(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### Fleet files\n", 1)[1].split("\n### ", 1)[0]
+        example = section.split("```text\n", 1)[1].split("```", 1)[0]
+        assert [addr for addr, _ in parse_fleet_text(example)] == ["10.0.0.1"]
+        path = tmp_path / "fleet.txt"
+        path.write_text(example)
+        assert main(["sim", "--fleet", str(path)]) == 0
+        assert "example.com" in capsys.readouterr().out
+
+    def test_bad_key_line_is_2_naming_the_line(self, tmp_path, fleet_file, capsys):
+        keys = tmp_path / "keys.txt"
+        keys.write_text("# lab keys\nlab-key 0123456789abcdef\nshort-key 0123\n")
+        assert main(["sim", "--fleet", fleet_file, "--keys", str(keys)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "zptool: line 3: TSIG secret must be at least 16 bytes"]
 
     def test_bind_on_a_fleet_of_two_servers_is_2(self, fleet_file, capsys):
         assert main(["sim", "--fleet", fleet_file, "--bind", "127.0.0.1:0"]) == 2

@@ -3,6 +3,7 @@
 import random
 from ipaddress import IPv4Address
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,3 +248,5 @@ class TestResolveTargets:
 def test_read_domain_lines():
     names = read_domain_lines(["example.com", "", "# note", "www.other.test # glue"])
     assert names == [N("example.com"), N("www.other.test")]
+    with pytest.raises(ValueError, match="^line 3: label"):
+        read_domain_lines(["example.com", "# note", "a..example.com"])

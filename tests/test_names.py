@@ -33,10 +33,10 @@ def wire_of(labels) -> bytes:
 
 
 def text_of(label: bytes) -> str:
-    """A label in master-file text: ``\\`` and ``.`` escaped (RFC 1035 §5.1), other
-    bytes outside ASCII as ``\\xNN``."""
-    return label.replace(b"\\", b"\\\\").replace(b".", b"\\.").decode(
-        "ascii", errors="backslashreplace")
+    """A label in master-file text (RFC 1035 §5.1): ``\\`` and ``.`` escaped as
+    ``\\\\`` and ``\\.``, a byte outside 0x21-0x7E as ``\\DDD``, its decimal value."""
+    return "".join("\\" + chr(b) if b in b"\\." else chr(b) if 0x21 <= b <= 0x7E
+                   else f"\\{b:03d}" for b in label)
 
 
 def valid(labels) -> bool:
@@ -115,14 +115,35 @@ def test_names_match_the_label_tuple_model(pair):
 @settings(max_examples=300, deadline=None)
 def test_text_is_one_to_one_and_reads_back(pair):
     """Two names print the same only when their labels are the same bytes, and
-    an ASCII name's text reads back as the name, case kept."""
+    a name's text reads back as the name, case kept."""
     a, b = pair
     x, y = DnsName(a), DnsName(b)
     assert (x.to_text() == y.to_text()) == (a == b)
     for labels, name in ((a, x), (b, y)):
-        if all(label.isascii() for label in labels):
-            assert DnsName.from_text(name.to_text()).labels == labels
-            assert DnsName.from_text(name.to_text() + ".").labels == labels
+        assert DnsName.from_text(name.to_text()).labels == labels
+        assert DnsName.from_text(name.to_text() + ".").labels == labels
+
+
+_any_labels = st.lists(st.binary(min_size=1, max_size=MAX_LABEL_LENGTH), max_size=4).map(tuple) \
+    .filter(valid)
+
+
+@given(_any_labels)
+@example((b"\xc8t\xc3", b"example"))
+@example((b"\x00", b" ", b"\x7f", b"\\065", b"a.b"))
+@settings(max_examples=300, deadline=None)
+def test_every_name_reads_back_from_its_text(labels):
+    """Over all 256 byte values: the text is printable ASCII without blanks, and
+    reads back as the name's labels, case kept (RFC 1035 §5.1)."""
+    text = DnsName(labels).to_text()
+    assert text.isascii() and text.isprintable() and " " not in text
+    assert DnsName.from_text(text).labels == labels
+
+
+@pytest.mark.parametrize("text", ["a\\", "a\\1", "a\\12.b", "a\\256", "a\\12x"])
+def test_an_escape_without_a_character_or_three_digits_is_refused(text):
+    with pytest.raises(InvalidLabel, match="backslash"):
+        DnsName.from_text(text)
 
 
 @given(label_tuples, _labels)

@@ -518,8 +518,10 @@ def test_parse_pair_lines():
     targets = list(parse_pair_lines(lines))
     assert [(t.zone.to_text(), t.nameserver) for t in targets] == [
         ("example.com", "10.0.0.1"), ("other.test", "10.0.0.2")]
-    with pytest.raises(ValueError):
-        list(parse_pair_lines(["no-comma-here"]))
+    with pytest.raises(ValueError, match="^line 2: pair line needs"):
+        list(parse_pair_lines(["# pairs", "no-comma-here"]))
+    with pytest.raises(ValueError, match="^line 3: label"):
+        list(parse_pair_lines(["example.com,10.0.0.1", "", "a..example.com,10.0.0.1"]))
 
 
 @pytest.mark.parametrize("nameserver", ["127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:",

@@ -13,7 +13,7 @@ import pytest
 
 from zptoolkit import analytics, authsim, transport, wire
 from zptoolkit.analytics import RemediationSubject
-from zptoolkit.authsim import (Allow, HoneypotEvent, Open, Primary, Secondary, ZoneConfig,
+from zptoolkit.authsim import (HoneypotEvent, Open, Primary, Secondary, ZoneConfig,
                                apply_update, make_soa)
 from zptoolkit.scanner import ProbeConfig, ProbeOutcome, ProbeTarget, Verdict, parse_pair_lines, \
     run_probe
@@ -49,7 +49,7 @@ DEEP = WWW.prepend("a").prepend("b")  # three labels below the apex: two ancesto
 KEY = TsigKey(DnsName.from_text("update-key"), b"update-key-secret-123456")
 
 SLOTTED = (ResourceRecord, SoaData, MxData, TxtData, TsigData, DnsMessage, Question, SimDatagram,
-           TapEntry, ProbeTarget, ProbeOutcome, ZoneConfig, HoneypotEvent, Accept, Allow)
+           TapEntry, ProbeTarget, ProbeOutcome, ZoneConfig, HoneypotEvent, Accept)
 
 
 def constructed_records() -> list[ResourceRecord]:
@@ -341,7 +341,6 @@ VALID = {
     HoneypotEvent: dict(ts=1.5, source="198.51.100.1", zone="example.com", kinds=("add",),
                         names=("www.example.com",), rcode="NOERROR", raw=b"raw"),
     Accept: dict(message=DnsMessage(7)),
-    Allow: dict(message=DnsMessage(7)),
 }
 
 # arguments that each class's ``__post_init__`` refuses

@@ -68,6 +68,18 @@ def test_other_additional_record_is_kept_and_signed():
     assert verify_message(tampered, {KEY_A}, now=1000) == Reject(RejectReason.BAD_SIGNATURE)
 
 
+def test_tsig_record_is_read_only_as_the_last_additional_record():
+    # RFC 8945 §5.2: the TSIG record comes last, and there is at most one
+    glue = ResourceRecord(DnsName.from_text("ns1.example.com"), RType.A, RClass.IN, 60,
+                          IPv4Address("192.0.2.53"))
+    signed = sign_message(probe_update(), KEY_A, now=1000)
+    (tsig_rr,) = signed.additional
+    repeated = dataclasses.replace(signed, additional=(tsig_rr, tsig_rr))
+    assert verify_message(repeated, {KEY_A}, now=1000) == Reject(RejectReason.BAD_SIGNATURE)
+    not_last = dataclasses.replace(signed, additional=(tsig_rr, glue))
+    assert verify_message(not_last, {KEY_A}, now=1000) == Reject(RejectReason.NO_SIGNATURE)
+
+
 def test_tampered_payload_rejected():
     signed = sign_message(probe_update(), KEY_A, now=1000)
     blob = bytearray(encode_message(signed))
@@ -136,6 +148,11 @@ def test_double_sign_refused():
     signed = sign_message(probe_update(), KEY_A, now=0)
     with pytest.raises(AlreadySigned):
         sign_message(signed, KEY_A, now=0)
+    # a TSIG record that is not last still counts as a signature
+    glue = ResourceRecord(DnsName.from_text("ns1.example.com"), RType.A, RClass.IN, 60,
+                          IPv4Address("192.0.2.53"))
+    with pytest.raises(AlreadySigned):
+        sign_message(dataclasses.replace(signed, additional=(*signed.additional, glue)), KEY_A, 0)
 
 
 def test_secret_never_in_repr():

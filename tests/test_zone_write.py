@@ -178,9 +178,10 @@ def test_golden_tap_is_unchanged():
 # sha256 of the journal file ``_golden_journal_run`` leaves: accepted, refused and
 # forwarded updates from the golden fleet run, then malformed and odd-named ones.
 # Recorded while the sink still rendered each line with ``json.dumps``; re-recorded
-# when name texts began to escape a label's backslash, which moved only the four
-# lines of the odd-named update (b8f55ed3... before)
-GOLDEN_JOURNAL_DIGEST = "3b7e30f88371b234ff8cc9fb8c3746b877ce481fc12507b830c635e573f23fd7"
+# when name texts began to escape a label's backslash (b8f55ed3... before), and when
+# they began to write a byte outside 0x21-0x7E as \DDD (3b7e30f8... before); each
+# moved only the four lines of the odd-named update
+GOLDEN_JOURNAL_DIGEST = "80a9541db5ecf6f3e67942b532877a1365649084480c9a44fb46fa2a82130bb4"
 
 
 def _golden_journal_run(path) -> None:
