@@ -270,6 +270,10 @@ def _csv_rows(text: str, width: int, header_key: str) -> list[list[str]]:
 # --- aggregation by attribution key ---
 
 
+# nameservers whose share of the vulnerable domains ``aggregate`` reports
+TOP_K = 3
+
+
 class AggregationKey(Enum):
     ASN = "asn"
     COUNTRY = "country"
@@ -330,14 +334,8 @@ def _top_share(zones_by_ns: Mapping[str, set[str]], k: int, total_domains: int) 
     return len(set().union(*(domains for _, domains in ranked[:k]))) / total_domains
 
 
-def nameserver_concentration(pairs: Iterable[Pair], k: int = 3) -> float:
-    """Fraction of vulnerable domains covered by the k nameservers serving the most."""
-    zones_by_ns = _zones_by_nameserver(pairs)
-    return _top_share(zones_by_ns, k, len(set().union(*zones_by_ns.values())))
-
-
 def aggregate(snapshot: ScanSnapshot, attribution: AttributionMap,
-              key: AggregationKey, top_k: int = 3) -> AggregateReport:
+              key: AggregationKey) -> AggregateReport:
     """Distinct vulnerable domains/nameservers per attribution key, ranked; each nameserver attributed once."""
     snapshot._need_pairs("aggregation")
     zones_by_ns = _zones_by_nameserver(snapshot.vulnerable_pairs)
@@ -348,8 +346,8 @@ def aggregate(snapshot: ScanSnapshot, attribution: AttributionMap,
     ))
     counts = snapshot.vulnerable
     concentration = ConcentrationStats(
-        top_k=top_k,
-        top_share=_top_share(zones_by_ns, top_k, counts.domains),
+        top_k=TOP_K,
+        top_share=_top_share(zones_by_ns, TOP_K, counts.domains),
         mean_domains_per_nameserver=counts.domains / counts.nameservers if counts.nameservers else 0.0,
         mean_pairs_per_nameserver=counts.pairs / counts.nameservers if counts.nameservers else 0.0,
     )
@@ -391,10 +389,6 @@ class DiffSets:
     @property
     def remediated_rate(self) -> float:
         return len(self.remediated) / self.earlier_count if self.earlier_count else 0.0
-
-    @property
-    def persistent_rate(self) -> float:
-        return len(self.persistent) / self.earlier_count if self.earlier_count else 0.0
 
 
 @dataclass(frozen=True)
@@ -636,6 +630,8 @@ def subjects_from_snapshots(snapshots: Sequence[ScanSnapshot], notified_at: floa
 
 
 SUBJECT_TEMPLATE = "{xx} domain(s) still vulnerable to zone poisoning, {yy} nameservers fixed"
+# the signature of every notification body
+NOTIFICATION_SENDER = "security research team"
 
 
 @dataclass(frozen=True)
@@ -651,7 +647,6 @@ class NotificationEntry:
 @dataclass(frozen=True)
 class NotificationTemplate:
     guide_url: str
-    sender: str = "security research team"
 
 
 @dataclass(frozen=True)
@@ -703,7 +698,7 @@ def make_notification_batch(entries: Sequence[NotificationEntry],
             _REMEDIATION_STEPS,
             f"Guide: {template.guide_url}",
             "",
-            f"-- {template.sender}",
+            f"-- {NOTIFICATION_SENDER}",
         ])
         batch.append(Notification(entry.recipient, subject, body))
     return batch
@@ -731,33 +726,3 @@ def notification_entries(baseline: ScanSnapshot, current: ScanSnapshot,
             managing_orgs=tuple(sorted({f"AS{asn_of[addr]}" for addr in nameservers})),
         ))
     return entries
-
-
-# --- popularity-rank distribution ---
-
-
-@dataclass(frozen=True)
-class RankDistribution:
-    bucket_width: int
-    histogram: tuple[tuple[int, int], ...]  # (bucket start rank, matches in bucket)
-    matches: tuple[tuple[str, int], ...]    # (domain, rank), rank ascending
-    min_rank: Optional[int]
-
-
-def rank_distribution(vulnerable_domains: Iterable[str], popularity: Sequence[str],
-                      bucket_width: int = 100_000) -> RankDistribution:
-    """Locate vulnerable domains inside a rank-ordered popularity list."""
-    rank_of = {name: i + 1 for i, name in enumerate(popularity)}
-    matches = sorted(((d, rank_of[d]) for d in set(vulnerable_domains) if d in rank_of),
-                     key=lambda e: e[1])
-    buckets: dict[int, int] = {}
-    for _, rank in matches:
-        start = ((rank - 1) // bucket_width) * bucket_width + 1
-        buckets[start] = buckets.get(start, 0) + 1
-    histogram = tuple(sorted(buckets.items()))
-    return RankDistribution(
-        bucket_width=bucket_width,
-        histogram=histogram,
-        matches=tuple(matches),
-        min_rank=matches[0][1] if matches else None,
-    )

@@ -92,22 +92,6 @@ def registrable_domain(name: DnsName, rules: SuffixRuleSet) -> Optional[DnsName]
     return tails[-2 - count]
 
 
-@dataclass(frozen=True)
-class SubdomainSplit:
-    registrable: Optional[DnsName]
-    subdomain_zone: Optional[DnsName]
-
-
-def subdomain_split(name: DnsName, rules: SuffixRuleSet) -> SubdomainSplit:
-    """Candidate delegated subdomain zone: the parent of ``name`` when it sits
-    strictly below the registrable domain."""
-    reg = registrable_domain(name, rules)
-    if reg is None:
-        return SubdomainSplit(None, None)
-    parent = name.parent()
-    return SubdomainSplit(reg, parent if len(parent) > len(reg) else None)
-
-
 # --- resolution into the pair universe ---
 
 

@@ -85,7 +85,8 @@ class ProbeConfig:
     ``RETRIES_CLEANUP``. A reply counts only when it answers the request
     (id, opcode and question); one that does not is dropped and the
     request resent, and a reply that does not decode, or only such replies
-    to every attempt, make a ``MALFORMED_REPLY``.
+    to every attempt, make a ``MALFORMED_REPLY``. A truncated reply counts
+    as a lost attempt.
     """
 
     probe_address: Union[IPv4Address, IPv6Address] = IPv4Address("192.0.2.80")
@@ -203,7 +204,9 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     or only replies that do not answer the request, are MalformedReply, as
     in phase 2; the probe may have landed all the same, so it is deleted
     as in phase 3. Phase 2 queries the nameserver directly for the
-    sentinel record. Phase 3 deletes it and confirms the removal. Every path is an outcome, never an exception: a zone too long
+    sentinel record. Phase 3 follows every NOERROR, whatever phase 2 saw:
+    it deletes the record and confirms the removal. Every path is an
+    outcome, never an exception: a zone too long
     to carry the sentinel label is NotProbed, with nothing sent. Times come
     from ``clock``, by default the transport's own, read once as each phase
     ends; the outcome's ``ts`` is when phase 1 began.
@@ -247,19 +250,15 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
         answers, verdict = None, _MALFORMED_REPLY
     t2 = clock.now()
     t_verify = (t2 - t1) * 1000
-    probe_address = cfg.probe_address
-    if answers is not None and probe_address not in answers:
-        # nothing of ours is visible; issue no deletion for data we did not create
-        return _outcome(target, _NOT_VISIBLE, _NOERROR, t_update, t_verify, 0.0, None,
-                        detection_sends, 0, started)
 
-    # phase 3: our record may be in the zone; delete exactly it and confirm removal.
-    # Only a check that saw our record alone confirms the insert: a timeout, a
-    # bad reply or a pre-existing sentinel rrset keeps the weaker verdict
+    # phase 3: the server took our record, though a lagging copy may not show it
+    # yet; delete exactly it whatever the check saw, and confirm removal. Only a
+    # check that saw our record alone confirms the insert: an empty answer, a
+    # timeout, a bad reply or a pre-existing sentinel rrset keeps the weaker verdict
     removed, cleanup_sends = _cleanup_own_record(target, probe.question, record, question, cfg,
                                                  transport, rng)
     t_cleanup = (clock.now() - t2) * 1000
-    if answers is not None and answers.count(probe_address) == len(answers):
+    if answers and answers.count(cfg.probe_address) == len(answers):
         verdict = _VULNERABLE_CONFIRMED if removed else _CLEANUP_FAILED
     return _outcome(target, verdict, _NOERROR, t_update, t_verify, t_cleanup, removed,
                     detection_sends, cleanup_sends, started)

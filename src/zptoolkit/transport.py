@@ -329,7 +329,9 @@ def exchange_message(transport: Transport, destination: str, msg: "wire.DnsMessa
     opcode and question (RFC 5452 section 9.1). A reply that does not
     answer, such as a late reply to an earlier exchange, is dropped and its
     attempt counts as timed out; a reply that does not decode reads as no
-    answer too.
+    answer too. A truncated reply (TC set) counts as a lost attempt and the
+    request is resent: RFC 7766 section 5 has the client retry over TCP,
+    which neither transport speaks.
     """
     reply, _ = _exchange(transport, destination, msg, timeout, retries)
     return reply if isinstance(reply, wire.DnsMessage) else None
@@ -350,6 +352,8 @@ def _exchange(transport: Transport, destination: str, msg: "wire.DnsMessage", ti
             reply = wire.decode_message(raw)
         except wire.DecodeError as exc:
             return exc, sends
+        if reply.extra_flags & 0x0200:  # TC: a truncated reply is a lost attempt
+            continue
         if reply.is_response and reply.id == msg.id and reply.opcode == msg.opcode \
                 and reply.question == msg.question:
             return reply, sends

@@ -1,4 +1,4 @@
-"""Campaign analytics: rates, aggregation, diffing, survival, notifications, ranks."""
+"""Campaign analytics: rates, aggregation, diffing, survival, notifications."""
 
 import math
 import random
@@ -24,6 +24,7 @@ from zptoolkit.analytics import (
     NotificationTemplate,
     RemediationSubject,
     ScanSnapshot,
+    TOP_K,
     UNKNOWN,
     ZeroTested,
     aggregate,
@@ -34,9 +35,7 @@ from zptoolkit.analytics import (
     diff_scans,
     kaplan_meier,
     make_notification_batch,
-    nameserver_concentration,
     notification_entries,
-    rank_distribution,
     remediation_summary,
     subjects_from_snapshots,
     survival_by_group,
@@ -54,6 +53,16 @@ def pair_snapshot(ts, pairs, tested=None):
     pairs = frozenset(pairs)
     tested = tested or derive_counts(pairs)
     return ScanSnapshot.from_pairs(ts, tested, pairs)
+
+
+def top_share_by_hand(pairs, k=TOP_K):
+    """Share of the domains served by the k nameservers that serve the most, ties on the address."""
+    domains_by_ns = {}
+    for zone, addr in pairs:
+        domains_by_ns.setdefault(addr, set()).add(zone)
+    ranked = sorted(domains_by_ns, key=lambda a: (-len(domains_by_ns[a]), a))[:k]
+    covered = {z for z, a in pairs if a in ranked}
+    return len(covered) / len({z for z, _ in pairs}) if pairs else 0.0
 
 
 class TestComputeRates:
@@ -126,7 +135,9 @@ class TestAggregate:
         snap = pair_snapshot(0.0, pairs)
         assert snap.vulnerable.nameservers == 20
         assert snap.vulnerable.domains == 100
-        assert nameserver_concentration(pairs, 3) == pytest.approx(0.87)
+        concentration = aggregate(snap, self.attribution(), AggregationKey.ASN).concentration
+        assert concentration.top_k == TOP_K == 3
+        assert concentration.top_share == top_share_by_hand(pairs) == pytest.approx(0.87)
 
     def test_uniform_fixture_symmetry(self):
         pairs = {(f"d{a}{n}{i}.test", f"10.{a}.{n}.1")
@@ -230,7 +241,7 @@ class TestDiffScans:
         earlier = pair_snapshot(1.0, {(f"d{i}.test", f"n{i}") for i in range(1000)})
         keep = {(f"d{i}.test", f"n{i}") for i in range(214)}
         diff = diff_scans(earlier, pair_snapshot(2.0, keep))
-        assert diff.domains.persistent_rate == pytest.approx(0.214)
+        assert len(diff.domains.persistent) / diff.domains.earlier_count == pytest.approx(0.214)
 
     @given(st.sets(st.tuples(st.sampled_from([f"d{i}.t" for i in range(20)]),
                              st.sampled_from([f"n{i}" for i in range(8)]))),
@@ -547,14 +558,9 @@ class TestAttributionFold:
                                         if cid in amap.lookup(a).csirt_ids})),
         ) for cid in sorted(set(before) | set(after))]
         assert notification_entries(baseline, current, amap) == expected_entries
-        domains_by_ns = {}
-        for zone, addr in current_pairs:
-            domains_by_ns.setdefault(addr, set()).add(zone)
-        for k in (1, 3):
-            ranked = sorted(domains_by_ns, key=lambda a: (-len(domains_by_ns[a]), a))[:k]
-            covered = {z for z, a in current_pairs if a in ranked}
-            share = len(covered) / len({z for z, _ in current_pairs}) if current_pairs else 0.0
-            assert nameserver_concentration(current_pairs, k) == share
+        for key in AggregationKey:
+            assert aggregate(current, amap, key).concentration.top_share == \
+                top_share_by_hand(current_pairs)
 
     def test_each_nameserver_looked_up_once(self):
         amap = CountingMap([("10.1.0.0/16", Attribution("64500", "JP", ("jp-cert", "jp-gov"))),
@@ -628,27 +634,6 @@ class TestAttributionLookup:
     def test_csv_prefix_with_host_bits_raises(self):
         with pytest.raises(ValueError):
             AttributionMap.from_csv("prefix,asn,country,csirt_id\n10.1.2.3/16,64500,JP,jp-cert\n")
-
-
-class TestRankDistribution:
-    def test_min_rank_matches_embedded_fixture(self):
-        popularity = [f"site{i}.test" for i in range(1, 1001)]
-        popularity[243] = "victim.test"  # rank 244
-        dist = rank_distribution(["victim.test", "absent.test"], popularity, bucket_width=100)
-        assert dist.min_rank == 244
-        assert dist.matches == (("victim.test", 244),)
-        assert dist.histogram == ((201, 1),)
-
-    def test_no_overlap(self):
-        dist = rank_distribution(["x.test"], ["a.test", "b.test"])
-        assert dist.histogram == () and dist.min_rank is None
-
-    def test_uniform_synthetic_overlap_is_flat(self):
-        popularity = [f"d{i}.test" for i in range(1000)]
-        vulnerable = [f"d{i}.test" for i in range(0, 1000, 10)]
-        dist = rank_distribution(vulnerable, popularity, bucket_width=100)
-        assert len(dist.histogram) == 10
-        assert {count for _, count in dist.histogram} == {10}
 
 
 # --- the one-pass report functions against the implementations they replaced ---
@@ -788,11 +773,11 @@ class TestOnePassAgainstRescans:
         with pytest.raises(AnalyticsError):
             subjects_from_snapshots(snapshots, 1.0, "pair")
 
-    @given(_FOLD_PAIRS, _FOLD_MAPS, st.sampled_from(list(AggregationKey)), st.integers(0, 4))
+    @given(_FOLD_PAIRS, _FOLD_MAPS, st.sampled_from(list(AggregationKey)))
     @settings(max_examples=100, deadline=None)
-    def test_aggregate_share_is_the_concentration(self, pairs, amap, key, k):
-        report = aggregate(pair_snapshot(1.0, pairs), amap, key, top_k=k)
-        assert report.concentration.top_share == nameserver_concentration(pairs, k)
+    def test_aggregate_share_is_the_concentration(self, pairs, amap, key):
+        report = aggregate(pair_snapshot(1.0, pairs), amap, key)
+        assert report.concentration.top_share == top_share_by_hand(pairs)
 
 
 _REPEATED_ADDRESSES = ("10.1.2.3:53", "10.1.2.3", "[2001:db8::1]:53", "[2001:db8::1]", "2001:db8::1",

@@ -52,7 +52,7 @@ def serve_one(args, request: bytes, host: str = "127.0.0.1", bind_prefix: str | 
         port = free.getsockname()[1]
     bind = f"{host}:{port}" if bind_prefix is None else f"{bind_prefix}{port}"
     server = threading.Thread(target=main, args=(
-        [*args, "--bind", bind, "--max-requests", "1"],))
+        [*args, "--bind", bind, "--max-requests", "1"],), daemon=True)
     server.start()
     try:
         with socket.socket(family, socket.SOCK_DGRAM) as client:
@@ -263,6 +263,15 @@ class TestSim:
         assert main(["sim", "--fleet", str(path)]) == 0
         assert "example.com" in capsys.readouterr().out
 
+    def test_readme_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library use\n", 1)[1]
+        example = section.split("```python\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "zone.txt").write_text("@policy open\n" + SOA_LINE)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(example, "README.md", "exec"), {})
+        assert capsys.readouterr().out == "Verdict.VULNERABLE_CONFIRMED\n"
+
     def test_bad_key_line_is_2_naming_the_line(self, tmp_path, fleet_file, capsys):
         keys = tmp_path / "keys.txt"
         keys.write_text("# lab keys\nlab-key 0123456789abcdef\nshort-key 0123\n")
@@ -298,13 +307,26 @@ class TestSim:
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe_sock:
             probe_sock.bind(("127.0.0.1", 0))
             port = probe_sock.getsockname()[1]
-        # the scanner sends 5 datagrams against an open zone: probe update,
-        # verify query, delete update, absence query -> serve them all
+        # the scanner sends 4 datagrams against an open zone: probe update,
+        # verify query, delete update, absence query. A SOA query first waits
+        # for the server to bind, since a probe sent before that is refused at
+        # once (ICMP port unreachable) and the pair reads unreachable: serve 5
         server = threading.Thread(target=main, args=(
             ["sim", "--fleet", str(single), "--bind", f"127.0.0.1:{port}",
-             "--max-requests", "4"],))
+             "--max-requests", "5"],), daemon=True)
         server.start()
         try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                client.settimeout(2.0)
+                client.connect(("127.0.0.1", port))
+                for _ in range(100):
+                    client.send(encode_message(make_query(DnsName.from_text("example.com"),
+                                                          RType.SOA)))
+                    try:
+                        client.recv(65535)
+                        break
+                    except ConnectionRefusedError:
+                        time.sleep(0.05)
             real_pairs = tmp_path / "real_pairs.csv"
             real_pairs.write_text(f"example.com,127.0.0.1:{port}\n")
             out = tmp_path / "real.jsonl"

@@ -1,4 +1,4 @@
-"""Input shaping: public-suffix rules, subdomain splitting, NS/glue resolution."""
+"""Input shaping: public-suffix rules, delegated subdomain zones, NS/glue resolution."""
 
 import random
 from ipaddress import IPv4Address
@@ -15,7 +15,6 @@ from zptoolkit.ingest import (
     read_domain_lines,
     registrable_domain,
     resolve_targets,
-    subdomain_split,
 )
 from zptoolkit.scanner import ProbeConfig, ProbeTarget, Verdict, run_scan
 from zptoolkit.transport import SimDatagram, SimTransport
@@ -78,44 +77,24 @@ class TestRegistrableDomain:
         assert registrable_domain(N("example.github.io"), rules) == N("example.github.io")
 
 
-class TestSubdomainSplit:
-    def test_deep_name_yields_parent_zone(self):
-        split = subdomain_split(N("x.y.example.com"), RULES)
-        assert split.registrable == N("example.com")
-        assert split.subdomain_zone == N("y.example.com")
-
-    def test_registrable_name_has_no_subdomain_zone(self):
-        split = subdomain_split(N("example.com"), RULES)
-        assert split.registrable == N("example.com")
-        assert split.subdomain_zone is None
-
-    def test_three_label_name_parent_equals_registrable(self):
-        split = subdomain_split(N("www.example.com"), RULES)
-        assert split.subdomain_zone is None
-
-    def test_bare_suffix(self):
-        assert subdomain_split(N("com"), RULES) == subdomain_split(N("com"), RULES)
-        assert subdomain_split(N("com"), RULES).registrable is None
-
-    def test_parent_vs_child_policy_divergence(self, bus):
-        # parent zone refuses updates; a delegated child zone accepts them:
-        # only the child shows up vulnerable
-        parent = basic_zone("example.com", Deny())
-        child_apex = N("y.example.com")
-        child = ZoneConfig.build(child_apex, authsim.Primary(), Open(), [
-            make_soa(child_apex),
-            ResourceRecord(child_apex, RType.NS, RClass.IN, 60, child_apex.prepend("ns1")),
-        ])
-        attach_server(bus, "10.0.0.1", parent)
-        attach_server(bus, "10.0.0.2", child)
-        split = subdomain_split(N("x.y.example.com"), RULES)
-        targets = [ProbeTarget(split.registrable, "10.0.0.1"),
-                   ProbeTarget(split.subdomain_zone, "10.0.0.2")]
-        result = run_scan(targets, ProbeConfig(), SimTransport(bus, SCANNER_SOURCE),
-                          bus.clock, random.Random(1))
-        by_zone = {o.target.zone.to_text(): o.verdict for o in result.outcomes}
-        assert by_zone["example.com"] is Verdict.NOT_VULNERABLE
-        assert by_zone["y.example.com"] is Verdict.VULNERABLE_CONFIRMED
+def test_parent_vs_child_policy_divergence(bus):
+    # a delegated subdomain zone is a scan target apart from its registrable
+    # parent: the parent refuses updates, the child accepts them, and only the
+    # child shows up vulnerable
+    parent = basic_zone("example.com", Deny())
+    child_apex = N("y.example.com")
+    child = ZoneConfig.build(child_apex, authsim.Primary(), Open(), [
+        make_soa(child_apex),
+        ResourceRecord(child_apex, RType.NS, RClass.IN, 60, child_apex.prepend("ns1")),
+    ])
+    attach_server(bus, "10.0.0.1", parent)
+    attach_server(bus, "10.0.0.2", child)
+    targets = [ProbeTarget(N("example.com"), "10.0.0.1"), ProbeTarget(child_apex, "10.0.0.2")]
+    result = run_scan(targets, ProbeConfig(), SimTransport(bus, SCANNER_SOURCE),
+                      bus.clock, random.Random(1))
+    by_zone = {o.target.zone.to_text(): o.verdict for o in result.outcomes}
+    assert by_zone["example.com"] is Verdict.NOT_VULNERABLE
+    assert by_zone["y.example.com"] is Verdict.VULNERABLE_CONFIRMED
 
 
 def resolver_fixture(bus):

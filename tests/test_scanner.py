@@ -144,6 +144,24 @@ class TestRunProbe:
         assert primary.zones[APEX].normalized_records() == primary_zone.normalized_records()
         assert secondary.zones[APEX].normalized_records() == secondary_zone.normalized_records()
 
+    def test_lagging_secondary_probe_is_deleted(self, bus):
+        # the primary's IXFR pushes land after the verify and the re-check, so
+        # neither sees the record the primary took from the forwarded probe
+        primary_zone = basic_zone("example.com", IpAcl(frozenset({"10.0.1.2"})))
+        secondary_zone = dataclasses.replace(primary_zone, role=Secondary("10.0.1.1"),
+                                             policy=Open())
+        primary = attach_server(bus, "10.0.1.1", primary_zone)
+        secondary = attach_server(bus, "10.0.1.2", secondary_zone)
+        primary.register_secondary(APEX, "10.0.1.2")
+        bus.delay_fn = lambda d: 5.0 if d.source == "10.0.1.1" and any(
+            q.rtype == RType.IXFR for q in decode_message(d.payload).question) else 0.0
+        out = probe(bus, "10.0.1.2", ProbeConfig(timeout=3))
+        assert out.verdict is Verdict.UPDATE_ACCEPTED_NOT_VISIBLE
+        assert out.cleanup_confirmed is not None
+        bus.pump()
+        assert primary.zones[APEX].normalized_records() == primary_zone.normalized_records()
+        assert secondary.zones[APEX].normalized_records() == secondary_zone.normalized_records()
+
     def test_unreachable_after_retries(self, bus):
         bus.drop_filter = lambda d: d.destination == "10.9.9.9"
         out = probe(bus, "10.9.9.9")
@@ -205,6 +223,30 @@ class TestRunProbe:
         out = probe(bus, "10.0.0.9")
         assert out.verdict is Verdict.UPDATE_ACCEPTED_NOT_VISIBLE
         assert out.update_rcode == Rcode.NOERROR
+
+    @pytest.mark.parametrize("truncated, verdict", [
+        (lambda n: n == 1, Verdict.VULNERABLE_CONFIRMED),  # the retried verify sees the record
+        (lambda n: True, Verdict.UPDATE_ACCEPTED_NOT_VISIBLE),
+    ], ids=["first-query", "every-query"])
+    def test_truncated_query_answers_are_retried(self, bus, truncated, verdict):
+        # the n-th query gets an empty TC=1 answer when truncated(n), as a rate
+        # limiter's "slip" sends; the probe is deleted either way
+        zone = basic_zone("example.com", Open())
+        server = attach_server(bus, "10.0.0.1", zone)
+        queries = []
+
+        def slipping(dgram, now):
+            msg = decode_message(dgram.payload)
+            if msg.opcode == Opcode.QUERY:
+                queries.append(msg)
+                if truncated(len(queries)):
+                    reply = dataclasses.replace(msg, is_response=True, extra_flags=0x0200)
+                    return [SimDatagram("10.0.0.1", dgram.source, encode_message(reply))]
+            return server.handle_datagram(dgram, now)
+
+        bus.attach("10.0.0.1", slipping)
+        assert probe(bus, "10.0.0.1").verdict is verdict
+        assert server.zones[APEX].normalized_records() == zone.normalized_records()
 
     def test_malformed_reply(self, bus):
         bus.attach("10.0.0.9", lambda d, now: [SimDatagram("10.0.0.9", d.source, b"\xff\xff\xff")])

@@ -167,12 +167,15 @@ def test_exchange_message_returns_the_matching_reply():
     (lambda m: answer(m, question=(Question(DnsName.from_text("other.test"), RType.A),)), 3),
     (lambda m: answer(m, opcode=Opcode.UPDATE), 3),
     (lambda m: encode_message(m), 3),  # the request echoed back, not a response
+    (lambda m: answer(m, extra_flags=0x0200), 3),  # TC set: no TCP to retry over
     (lambda m: b"\xff\xff\xff", 1),
-], ids=["wrong-id", "wrong-question", "wrong-opcode", "not-a-response", "undecodable"])
+], ids=["wrong-id", "wrong-question", "wrong-opcode", "not-a-response", "truncated",
+        "undecodable"])
 def test_exchange_message_rejects_a_reply_that_does_not_answer(reply_to, sends):
-    """A reply that decodes but does not answer is dropped and the request resent,
-    the same bytes each time; when every attempt got such a reply, nothing
-    answered. A reply that does not decode ends the exchange at once, as no answer."""
+    """A reply that decodes but does not answer, or is truncated, is dropped and the
+    request resent, the same bytes each time; when every attempt got such a reply,
+    nothing answered. A reply that does not decode ends the exchange at once, as no
+    answer."""
     bus = DatagramBus(clock=ManualClock())
     bus.attach("srv", dns_server("srv", reply_to))
     assert exchange_message(ClientEndpoint(bus, "cli"), "srv", QUERY, retries=2) is None
