@@ -312,18 +312,24 @@ def _zones_by_nameserver(pairs: Iterable[Pair]) -> dict[str, set[str]]:
     return zones_by_ns
 
 
-def _attribution_fold(zones_by_ns: Mapping[str, set[str]], attribution: AttributionMap,
-                      key: AggregationKey) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-    """Vulnerable (domains, nameservers) per ``key`` value, one lookup per nameserver."""
+def _nameservers_by_value(nameservers: Iterable[str], attribution: AttributionMap,
+                          key: AggregationKey) -> dict[str, list[str]]:
+    """The distinct ``nameservers`` under each ``key`` value, one lookup per nameserver."""
     nameservers_of: dict[str, list[str]] = {}
-    for addr in zones_by_ns:
+    for addr in nameservers:
         attr = attribution.lookup(addr)
         values = (attr.asn,) if key is AggregationKey.ASN else \
             (attr.country,) if key is AggregationKey.COUNTRY else attr.csirt_ids
         for value in values:
             nameservers_of.setdefault(value, []).append(addr)
+    return nameservers_of
+
+
+def _attribution_fold(zones_by_ns: Mapping[str, set[str]], attribution: AttributionMap,
+                      key: AggregationKey) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+    """Vulnerable (domains, nameservers) per ``key`` value, one lookup per nameserver."""
     return {v: (frozenset().union(*map(zones_by_ns.__getitem__, addrs)), frozenset(addrs))
-            for v, addrs in nameservers_of.items()}
+            for v, addrs in _nameservers_by_value(zones_by_ns, attribution, key).items()}
 
 
 def _top_share(zones_by_ns: Mapping[str, set[str]], k: int, total_domains: int) -> float:
@@ -398,19 +404,26 @@ class ScanDiff:
     nameservers: DiffSets
 
 
-def _diff(earlier: frozenset, later: frozenset) -> DiffSets:
-    return DiffSets(remediated=earlier - later, persistent=earlier & later, new=later - earlier)
-
-
 def diff_scans(earlier: ScanSnapshot, later: ScanSnapshot) -> ScanDiff:
-    """Partition earlier/later vulnerable sets into remediated, persistent, and new."""
+    """Partition earlier/later vulnerable sets into remediated, persistent, and new.
+
+    The pairs are partitioned once: R = E - L, P = E & L and N = L - E for
+    the earlier and later pair sets E and L. Each scope's partition comes
+    from the projections r, p and n of those three sets, so each pair is
+    projected once per scope: remediated is r - p - n, persistent
+    p | (r & n), and new n - p - r.
+    """
     earlier._need_pairs("diffing")
     later._need_pairs("diffing")
-    return ScanDiff(
-        pairs=_diff(earlier.vulnerable_pairs, later.vulnerable_pairs),
-        domains=_diff(earlier.domains(), later.domains()),
-        nameservers=_diff(earlier.nameservers(), later.nameservers()),
-    )
+    before, after = earlier.vulnerable_pairs, later.vulnerable_pairs
+    pairs = DiffSets(remediated=before - after, persistent=before & after, new=after - before)
+
+    def scope(project) -> DiffSets:
+        r, p, n = (frozenset(map(project, part))
+                   for part in (pairs.remediated, pairs.persistent, pairs.new))
+        return DiffSets(remediated=r - p - n, persistent=p | (r & n), new=n - p - r)
+
+    return ScanDiff(pairs=pairs, domains=scope(_zone_of), nameservers=scope(_nameserver_of))
 
 
 def csirt_view(snapshot: ScanSnapshot,
@@ -419,6 +432,15 @@ def csirt_view(snapshot: ScanSnapshot,
     snapshot._need_pairs("per-CSIRT view")
     return _attribution_fold(_zones_by_nameserver(snapshot.vulnerable_pairs), attribution,
                              AggregationKey.CSIRT)
+
+
+def _csirt_nameservers(snapshot: ScanSnapshot,
+                       attribution: AttributionMap) -> dict[str, frozenset[str]]:
+    """The nameservers of ``csirt_view``, without its domains, at the same lookups."""
+    snapshot._need_pairs("per-CSIRT view")
+    nameservers = dict.fromkeys(map(_nameserver_of, snapshot.vulnerable_pairs))
+    return {cid: frozenset(addrs) for cid, addrs in
+            _nameservers_by_value(nameservers, attribution, AggregationKey.CSIRT).items()}
 
 
 @dataclass(frozen=True)
@@ -451,15 +473,17 @@ def remediation_summary(baseline: ScanSnapshot, current: ScanSnapshot,
     A CSIRT's remediated count is its baseline resources no longer
     vulnerable in the current scan.
     """
-    if scope not in ("domains", "nameservers"):
+    if scope == "nameservers":
+        before = _csirt_nameservers(baseline, attribution)
+        after = _csirt_nameservers(current, attribution)
+    elif scope == "domains":
+        before = {cid: domains for cid, (domains, _) in csirt_view(baseline, attribution).items()}
+        after = {cid: domains for cid, (domains, _) in csirt_view(current, attribution).items()}
+    else:
         raise ValueError(f"scope must be domains or nameservers, not {scope!r}")
-    index = 0 if scope == "domains" else 1
-    before = csirt_view(baseline, attribution)
-    after = csirt_view(current, attribution)
     per_group: dict[str, list[tuple[int, int]]] = {}
-    for cid, sets in before.items():
-        baseline_items = sets[index]
-        still = baseline_items & (after.get(cid, (frozenset(), frozenset()))[index])
+    for cid, baseline_items in before.items():
+        still = baseline_items & after.get(cid, frozenset())
         per_group.setdefault(group_of(cid), []).append(
             (len(baseline_items) - len(still), len(still)))
     out = {}
@@ -707,7 +731,7 @@ def make_notification_batch(entries: Sequence[NotificationEntry],
 def notification_entries(baseline: ScanSnapshot, current: ScanSnapshot,
                          attribution: AttributionMap) -> list[NotificationEntry]:
     """Assemble per-CSIRT notification inputs from a baseline and the current scan."""
-    before = csirt_view(baseline, attribution)
+    before = _csirt_nameservers(baseline, attribution)
     current._need_pairs("per-CSIRT view")
     zones_by_ns = _zones_by_nameserver(current.vulnerable_pairs)
     after = _attribution_fold(zones_by_ns, attribution, AggregationKey.CSIRT)
@@ -722,7 +746,7 @@ def notification_entries(baseline: ScanSnapshot, current: ScanSnapshot,
             recipient=info.name if info else cid,
             vulnerable_domains=tuple(sorted(domains)),
             vulnerable_nameservers=tuple(sorted(nameservers)),
-            nameservers_fixed=len(before.get(cid, empty)[1] - nameservers),
+            nameservers_fixed=len(before.get(cid, frozenset()) - nameservers),
             managing_orgs=tuple(sorted({f"AS{asn_of[addr]}" for addr in nameservers})),
         ))
     return entries

@@ -145,6 +145,7 @@ Role = Union[Primary, Secondary]
 # query and refusal paths a few per request, and each ``RType.X`` is a class
 # attribute lookup several times dearer than a global
 _SOA, _NS, _CNAME, _ANY, _AXFR = RType.SOA, RType.NS, RType.CNAME, RType.ANY, RType.AXFR
+_A, _AAAA = RType.A, RType.AAAA
 _IXFR, _TSIG = RType.IXFR, RType.TSIG
 _IN, _CLASS_ANY, _CLASS_NONE = RClass.IN, RClass.ANY, RClass.NONE
 _NOERROR, _FORMERR, _NXDOMAIN = Rcode.NOERROR, Rcode.FORMERR, Rcode.NXDOMAIN
@@ -851,9 +852,13 @@ class NameServer:
         cut = zone.delegation(name)
         if cut is not None:
             ns_rrset = zone.rrset(cut, _NS)
+            by_name = zone.by_name
             glue = []
-            for ns in ns_rrset:
-                glue += zone.rrset(ns.rdata, RType.A) + zone.rrset(ns.rdata, RType.AAAA)
+            for ns in ns_rrset:  # one owner lookup per target: its A records, then its AAAA
+                at_target = by_name.get(ns.rdata)
+                if at_target:
+                    glue += [rr for rr in at_target if rr.rtype == _A]
+                    glue += [rr for rr in at_target if rr.rtype == _AAAA]
             return _message(msg.id, msg.opcode, _NOERROR, True, False, question, (), ns_rrset,
                             tuple(glue), 0)
         at_name = zone.by_name.get(name)

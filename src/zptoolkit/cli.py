@@ -118,7 +118,11 @@ def _cmd_scan(args) -> int:
     if args.snapshot:
         _write_or_print(args.snapshot, snapshot_json)
     vulnerable = sum(1 for o in result.outcomes if o.vulnerable)
-    print(f"scanned {len(result.outcomes)} pairs: {vulnerable} vulnerable", file=sys.stderr)
+    failed = sum(1 for o in result.outcomes if o.verdict is scanner.Verdict.CLEANUP_FAILED)
+    # pairs whose record may remain though no failed delete showed it, as an unanswered probe
+    unconfirmed = sum(1 for o in result.outcomes if o.cleanup_confirmed is False) - failed
+    print(f"scanned {len(result.outcomes)} pairs: {vulnerable} vulnerable, {failed} cleanup failed, "
+          f"{unconfirmed} unconfirmed", file=sys.stderr)
     return 0
 
 

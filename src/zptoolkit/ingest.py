@@ -22,13 +22,15 @@ QUERY_RETRIES = 1
 class SuffixRuleSet:
     """Public-suffix rules: plain, wildcard (`*.`), and exception (`!`) entries.
 
-    Lookup is deterministic longest-match; names that match no rule fall to
-    the implicit `*` rule (the rightmost label is the suffix).
+    Each rule is held as its lower-cased wire key (``DnsName._key``), so a
+    rule is matched by probing a byte slice of a name's key. Lookup is
+    deterministic longest-match; names that match no rule fall to the
+    implicit `*` rule (the rightmost label is the suffix).
     """
 
-    rules: frozenset[DnsName]
-    wildcards: frozenset[DnsName]   # the name after the `*.` label
-    exceptions: frozenset[DnsName]
+    rules: frozenset[bytes]
+    wildcards: frozenset[bytes]   # the key of the name after the `*.` label
+    exceptions: frozenset[bytes]
     version: str = "custom"
 
     @classmethod
@@ -43,11 +45,11 @@ class SuffixRuleSet:
             except (UnicodeEncodeError, InvalidLabel):
                 continue  # unicode rules and invalid names never match a wire-format name
             if line.startswith("!"):
-                exceptions.add(rule)
+                exceptions.add(rule._key)
             elif rule.labels[:1] == (b"*",):
-                wildcards.add(rule.parent())
+                wildcards.add(rule.parent()._key)
             else:
-                rules.add(rule)
+                rules.add(rule._key)
         return cls(frozenset(rules), frozenset(wildcards), frozenset(exceptions), version)
 
     @classmethod
@@ -65,31 +67,32 @@ class SuffixRuleSet:
         with open(path, encoding="utf-8") as fh:
             return cls.from_text(fh.read(), version=path)
 
-    def suffix_label_count(self, name: DnsName) -> int:
-        """Number of trailing labels forming the public suffix of ``name``."""
-        tails = [*name.suffixes()][::-1]  # tails[k] is the suffix of k labels
-        best_exception = 0
-        best = 0
-        for k in range(1, len(tails)):
-            tail = tails[k]
-            if tail in self.exceptions:
-                best_exception = max(best_exception, k - 1)
-            if tail in self.rules:
-                best = max(best, k)
-            if k >= 2 and tails[k - 1] in self.wildcards:
-                best = max(best, k)
-        if best_exception:
-            return best_exception
-        return best if best else min(1, len(tails) - 1)
-
 
 def registrable_domain(name: DnsName, rules: SuffixRuleSet) -> Optional[DnsName]:
-    """Suffix-plus-one-label, or None when the name is a bare public suffix."""
-    count = rules.suffix_label_count(name)
-    tails = [*name.suffixes()]  # tails[-1 - k] is the suffix of k labels
-    if len(tails) - 1 <= count:
+    """Suffix-plus-one-label, or None when the name is a bare public suffix.
+
+    One walk over the label boundaries of ``name._key``, longest suffix
+    first, probes each suffix's key. The first exception rule of two or more
+    labels met decides: the suffix is that rule less its leftmost label.
+    Otherwise the suffix is the longest one a plain or wildcard rule
+    matches, or else the rightmost label. The answer is the slice of
+    ``name`` one label longer than the suffix.
+    """
+    key = name._key
+    plain, wildcards, exceptions = rules.rules, rules.wildcards, rules.exceptions
+    found = above = -1  # where the suffix starts, and the label boundary just left of it
+    prev, pos = -1, 0
+    while key[pos]:
+        nxt = pos + key[pos] + 1
+        tail = key[pos:]
+        if key[nxt] and tail in exceptions:
+            return name._suffix_at(pos) if pos else name
+        if found < 0 and (not key[nxt] or tail in plain or key[nxt:] in wildcards):
+            found, above = pos, prev
+        prev, pos = pos, nxt
+    if above < 0:  # the root, or a bare suffix
         return None
-    return tails[-2 - count]
+    return name._suffix_at(above) if above else name
 
 
 # --- resolution into the pair universe ---
@@ -146,11 +149,12 @@ def resolve_targets(domains: Iterable[DnsName], resolver_address: str,
     contribute no pairs and are counted, never fatal; a reply that does not
     decode or does not answer its query counts as no answer. A domain listed
     twice is resolved once. Query ids come from ``rng``, else the global ``random``.
+    The per-run caches are keyed by each name's lower-cased wire key.
     """
     universe = TargetUniverse()
     stats = ResolutionStats()
-    address_cache: dict[DnsName, set[str]] = {}
-    negative: set[DnsName] = set()
+    address_cache: dict[bytes, set[str]] = {}
+    negative: set[bytes] = set()
     address_types = (RType.A, RType.AAAA) if cfg.include_ipv6 else (RType.A,)
 
     def query(name: DnsName, rtype: int):
@@ -160,33 +164,37 @@ def resolve_targets(domains: Iterable[DnsName], resolver_address: str,
             return None
         for rr in reply.additional:
             if rr.rtype in address_types:
-                address_cache.setdefault(rr.name, set()).add(str(rr.rdata))
+                address_cache.setdefault(rr.name._key, set()).add(str(rr.rdata))
         return reply
 
     def ns_set(zone: DnsName) -> set[DnsName]:
         reply = query(zone, RType.NS)
         if reply is None:
             return set()
-        records = [rr for rr in reply.answers if rr.rtype == RType.NS and rr.name == zone]
+        key = zone._key
+        records = [rr for rr in reply.answers if rr.rtype == RType.NS and rr.name._key == key]
         if not records:  # a referral carries the delegation in the authority section
-            records = [rr for rr in reply.authority if rr.rtype == RType.NS and rr.name == zone]
+            records = [rr for rr in reply.authority
+                       if rr.rtype == RType.NS and rr.name._key == key]
         return {rr.rdata for rr in records if isinstance(rr.rdata, DnsName)}
 
     def addresses_for(ns: DnsName) -> set[str]:
-        if address_cache.get(ns):
-            return address_cache[ns]
-        if ns in negative:
+        key = ns._key
+        found = address_cache.get(key)
+        if found:
+            return found
+        if key in negative:
             return set()
         for rtype in address_types:
             reply = query(ns, rtype)
             if reply is None:
                 continue
             for rr in reply.answers:
-                if rr.rtype == rtype and rr.name == ns:
-                    address_cache.setdefault(ns, set()).add(str(rr.rdata))
-        found = address_cache.get(ns, set())
+                if rr.rtype == rtype and rr.name._key == key:
+                    address_cache.setdefault(key, set()).add(str(rr.rdata))
+        found = address_cache.get(key, set())
         if not found:
-            negative.add(ns)
+            negative.add(key)
             stats.unresolved_ns += 1
         return found
 
@@ -197,11 +205,11 @@ def resolve_targets(domains: Iterable[DnsName], resolver_address: str,
         return any(rr.rtype == RType.SOA and rr.name == zone
                    for rr in reply.answers + reply.authority)
 
-    seen: set[DnsName] = set()
+    seen: set[bytes] = set()
     for zone in domains:
-        if zone in seen:
+        if zone._key in seen:
             continue
-        seen.add(zone)
+        seen.add(zone._key)
         if cfg.require_soa and not has_soa(zone):
             stats.domains_without_soa += 1
             continue

@@ -199,13 +199,14 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
               clock=None, rng: Optional[random.Random] = None) -> ProbeOutcome:
     """Classify one domain-nameserver pair.
 
-    Phase 1 sends the probe UPDATE: a refusal rcode is NotVulnerable,
-    silence after retries is Unreachable, and a reply that does not decode,
-    or only replies that do not answer the request, are MalformedReply, as
-    in phase 2; the probe may have landed all the same, so it is deleted
-    as in phase 3. Phase 2 queries the nameserver directly for the
-    sentinel record. Phase 3 follows every NOERROR, whatever phase 2 saw:
-    it deletes the record and confirms the removal. Every path is an
+    Phase 1 sends the probe UPDATE: a refusal rcode is NotVulnerable, and
+    silence after retries is Unreachable, with ``cleanup_confirmed`` False,
+    since a send may have landed with only its reply lost. A reply that
+    does not decode, or only replies that do not answer the request, are
+    MalformedReply, as in phase 2; the probe may have landed all the same,
+    so it is deleted as in phase 3. Phase 2 queries the nameserver directly
+    for the sentinel record. Phase 3 follows every NOERROR, whatever phase
+    2 saw: it deletes the record and confirms the removal. Every path is an
     outcome, never an exception: a zone too long
     to carry the sentinel label is NotProbed, with nothing sent. Times come
     from ``clock``, by default the transport's own, read once as each phase
@@ -227,7 +228,7 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     t1 = clock.now()
     t_update = (t1 - started) * 1000
     if reply is None:
-        return _outcome(target, _UNREACHABLE, None, t_update, 0.0, 0.0, None, detection_sends, 0,
+        return _outcome(target, _UNREACHABLE, None, t_update, 0.0, 0.0, False, detection_sends, 0,
                         started)
     if not isinstance(reply, DnsMessage):
         # no reply answered the probe, yet a send of it may have been applied:
@@ -296,13 +297,16 @@ def _cleanup_own_record(target, zone_question, record, question, cfg, transport,
     The delete names our rdata, so a record another client holds in the
     sentinel rrset is never touched. Each round sends a fresh delete under
     the probe's zone section, and its reply is not read: the re-check
-    decides. Returns whether the removal was confirmed, and the deletes sent.
+    decides. A port that refuses the delete ends the cleanup unconfirmed.
+    Returns whether the removal was confirmed, and the deletes sent.
     """
     deleted = (_record(record.name, record.rtype, _NONE, 0, record.rdata),)
     for sends in range(1, RETRIES_CLEANUP + 1):
         delete = _message(rng.randrange(0x10000), _UPDATE, _NOERROR, False, False, zone_question,
                           (), deleted, (), 0)
         transport.exchange(encode_message(delete), target.nameserver, cfg.timeout)
+        if getattr(transport, "refused", False):  # a closed port: nothing is resent
+            return False, sends
         try:
             answers = _query_addresses(transport, target.nameserver, question, cfg, rng)
         except DecodeError:

@@ -265,7 +265,15 @@ class ClientEndpoint:
 class Transport(Protocol):
     """What the scanner and ingest send through. The bus endpoints and
     ``UdpTransport`` also carry the ``clock`` their exchanges run on, which
-    the scanner reads when it is given no clock of its own."""
+    the scanner reads when it is given no clock of its own.
+
+    ``exchange`` is one attempt: the reply, or None when none came. A
+    transport that learns that the destination refused the datagram (ICMP
+    port unreachable), as ``UdpTransport`` does, returns None at once and
+    sets its ``refused`` attribute, which it clears on every exchange; the
+    scanner and ingest then resend nothing. The bus never refuses, so its
+    endpoints carry no such attribute.
+    """
 
     def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
         ...
@@ -298,8 +306,10 @@ class UdpTransport:
 
     def __init__(self):
         self.clock = SystemClock()
+        self.refused = False  # whether the port refused the last exchange's datagram
 
     def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
+        self.refused = False
         host, port = parse_endpoint(destination)
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         with socket.socket(family, socket.SOCK_DGRAM) as sock:
@@ -308,7 +318,10 @@ class UdpTransport:
                 sock.connect((host, port))  # the kernel drops datagrams from anyone else
                 sock.send(payload)
                 return sock.recv(65535)
-            except OSError:  # a timeout, or the port refused (ICMP), which ends it at once
+            except ConnectionRefusedError:  # ICMP port unreachable, which ends it at once
+                self.refused = True
+                return None
+            except OSError:  # a timeout
                 return None
 
 
@@ -331,7 +344,8 @@ def exchange_message(transport: Transport, destination: str, msg: "wire.DnsMessa
     attempt counts as timed out; a reply that does not decode reads as no
     answer too. A truncated reply (TC set) counts as a lost attempt and the
     request is resent: RFC 7766 section 5 has the client retry over TCP,
-    which neither transport speaks.
+    which neither transport speaks. A destination that refuses the datagram
+    ends the exchange unanswered, with nothing resent.
     """
     reply, _ = _exchange(transport, destination, msg, timeout, retries)
     return reply if isinstance(reply, wire.DnsMessage) else None
@@ -347,6 +361,8 @@ def _exchange(transport: Transport, destination: str, msg: "wire.DnsMessage", ti
     for sends in range(1, retries + 2):
         raw = transport.exchange(payload, destination, timeout)
         if raw is None:
+            if getattr(transport, "refused", False):  # a closed port: nothing is resent
+                return None, sends
             continue
         try:
             reply = wire.decode_message(raw)

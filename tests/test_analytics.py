@@ -249,12 +249,19 @@ class TestDiffScans:
                              st.sampled_from([f"n{i}" for i in range(8)]))))
     @settings(max_examples=120, deadline=None)
     def test_partition_invariants(self, earlier_pairs, later_pairs):
-        diff = diff_scans(pair_snapshot(1.0, earlier_pairs), pair_snapshot(2.0, later_pairs))
+        earlier_snap, later_snap = pair_snapshot(1.0, earlier_pairs), pair_snapshot(2.0, later_pairs)
+        diff = diff_scans(earlier_snap, later_snap)
         for scope in (diff.pairs, diff.domains, diff.nameservers):
             earlier = scope.remediated | scope.persistent
             assert scope.remediated & scope.persistent == set()
             assert scope.new & earlier == set()
         assert diff.pairs.remediated | diff.pairs.persistent == frozenset(earlier_pairs)
+        # each scope is the set definition over that scope's projections
+        for scope, e, l in ((diff.pairs, frozenset(earlier_pairs), frozenset(later_pairs)),
+                            (diff.domains, earlier_snap.domains(), later_snap.domains()),
+                            (diff.nameservers, earlier_snap.nameservers(),
+                             later_snap.nameservers())):
+            assert (scope.remediated, scope.persistent, scope.new) == (e - l, e & l, l - e)
 
     def test_counts_only_snapshot_refused(self):
         counted = ScanSnapshot.from_counts(0.0, GLOBAL_TESTED, GLOBAL_VULNERABLE)
@@ -576,6 +583,35 @@ class TestAttributionFold:
         amap.looked_up.clear()
         csirt_view(snap, amap)
         assert sorted(amap.looked_up) == sorted(snap.nameservers())
+        for scope in ("domains", "nameservers"):  # once in the baseline, once in the current scan
+            amap.looked_up.clear()
+            remediation_summary(snap, snap, amap, str, scope=scope)
+            assert sorted(amap.looked_up) == sorted([*snap.nameservers()] * 2)
+        amap.looked_up.clear()
+        notification_entries(snap, snap, amap)
+        assert sorted(amap.looked_up) == sorted([*snap.nameservers()] * 3)  # and the ASNs
+
+    @given(_FOLD_PAIRS, _FOLD_PAIRS, _FOLD_MAPS)
+    @settings(max_examples=200, deadline=None)
+    def test_remediation_summary_matches_per_pair_oracle(self, baseline_pairs, current_pairs,
+                                                        amap):
+        baseline, current = pair_snapshot(1.0, baseline_pairs), pair_snapshot(2.0, current_pairs)
+        before = per_pair_view(baseline_pairs, amap, _VALUES_OF[AggregationKey.CSIRT])
+        after = per_pair_view(current_pairs, amap, _VALUES_OF[AggregationKey.CSIRT])
+        group_of = lambda cid: {"cert-a": "a", "cert-b": "a"}.get(cid, "other")
+        for index, scope in enumerate(("domains", "nameservers")):
+            counts = {}  # group -> per-CSIRT (remediated, still vulnerable)
+            for cid, sets in before.items():
+                still = sets[index] & after.get(cid, (frozenset(), frozenset()))[index]
+                counts.setdefault(group_of(cid), []).append(
+                    (len(sets[index]) - len(still), len(still)))
+            summary = remediation_summary(baseline, current, amap, group_of, scope=scope)
+            assert sorted(summary) == sorted(counts)
+            for group, rows in counts.items():
+                stats = summary[group]
+                assert (stats.csirts, stats.remediated_total, stats.vulnerable_total) == \
+                    (len(rows), sum(r for r, _ in rows), sum(v for _, v in rows))
+                assert stats.max == tuple(map(max, zip(*rows)))
 
 
 # lookup targets and prefix bases share a small pool, so prefixes nest, repeat and cover

@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv6Address
 from pathlib import Path
 
 import pytest
@@ -476,6 +476,29 @@ class TestQueries:
         assert set(reply.answers) == set(answers) and len(reply.answers) == len(answers)
         assert reply.authority == authority
         assert reply.additional == additional
+
+    def test_referral_glue_is_a_then_aaaa_for_each_target(self, bus):
+        """A referral's glue, in bytes: for each NS target in the order the cut
+        holds them, its A records and then its AAAA records, in the order the
+        zone holds each type, whatever the types' order at the target."""
+        ns1, ns2 = CUT_A.prepend("ns1"), CUT_A.prepend("ns2")
+
+        def aaaa(name, address):
+            return ResourceRecord(name, RType.AAAA, RClass.IN, 3600, IPv6Address(address))
+
+        cut = (ns_record(CUT_A, ns2), ns_record(CUT_A, ns1))
+        mx = ResourceRecord(ns1, RType.MX, RClass.IN, 3600, MxData(10, APEX))
+        extra = [*cut, aaaa(ns1, "2001:db8::11"), mx, a_record(ns1, "192.0.2.11"),
+                 aaaa(ns1, "2001:db8::12"), a_record(ns2, "192.0.2.21"),
+                 aaaa(ns2, "2001:db8::21"), a_record(ns2, "192.0.2.22")]
+        attach_server(bus, "10.0.0.1", basic_zone("example.com", Open(), extra=extra))
+        query = make_query(CUT_A.prepend("www"), RType.A, msg_id=4)
+        raw = client(bus).exchange(encode_message(query), "10.0.0.1", timeout=1.0)
+        glue = (a_record(ns2, "192.0.2.21"), a_record(ns2, "192.0.2.22"),
+                aaaa(ns2, "2001:db8::21"), a_record(ns1, "192.0.2.11"),
+                aaaa(ns1, "2001:db8::11"), aaaa(ns1, "2001:db8::12"))
+        assert raw == encode_message(DnsMessage(id=4, is_response=True, question=query.question,
+                                                authority=cut, additional=glue))
 
     @pytest.mark.parametrize("questions", [0, 2])
     def test_query_without_exactly_one_question_gets_formerr(self, bus, questions):

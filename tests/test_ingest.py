@@ -1,6 +1,7 @@
 """Input shaping: public-suffix rules, delegated subdomain zones, NS/glue resolution."""
 
 import random
+from importlib import resources
 from ipaddress import IPv4Address
 
 import pytest
@@ -18,7 +19,7 @@ from zptoolkit.ingest import (
 )
 from zptoolkit.scanner import ProbeConfig, ProbeTarget, Verdict, run_scan
 from zptoolkit.transport import SimDatagram, SimTransport
-from zptoolkit.wire import DnsName, RClass, ResourceRecord, RType
+from zptoolkit.wire import DnsName, InvalidLabel, RClass, ResourceRecord, RType
 
 from conftest import SCANNER_SOURCE, attach_server, basic_zone
 
@@ -75,6 +76,73 @@ class TestRegistrableDomain:
         assert rules.version == "2024-01-15 curated"
         assert registrable_domain(N("www.example.co.uk"), rules) == N("example.co.uk")
         assert registrable_domain(N("example.github.io"), rules) == N("example.github.io")
+
+
+def per_suffix_registrable(name: DnsName, text: str):
+    """The oracle: rules read into sets of names, and every suffix of ``name``
+    built as a name and looked up in each set, longest exception first."""
+    rules, wildcards, exceptions = set(), set(), set()
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("//") or line.startswith("#"):
+            continue
+        try:
+            rule = DnsName.from_text(line.lstrip("!"))
+        except (UnicodeEncodeError, InvalidLabel):
+            continue
+        if line.startswith("!"):
+            exceptions.add(rule)
+        elif rule.labels[:1] == (b"*",):
+            wildcards.add(rule.parent())
+        else:
+            rules.add(rule)
+    tails = [*name.suffixes()][::-1]  # tails[k] is the suffix of k labels
+    best_exception = best = 0
+    for k in range(1, len(tails)):
+        if tails[k] in exceptions:
+            best_exception = max(best_exception, k - 1)
+        if tails[k] in rules:
+            best = max(best, k)
+        if k >= 2 and tails[k - 1] in wildcards:
+            best = max(best, k)
+    count = best_exception or best or min(1, len(tails) - 1)
+    return None if len(tails) - 1 <= count else tails[count + 1]
+
+
+# label texts: case variants, a label holding a "." byte, and the wildcard label
+_LABELS = st.sampled_from(["a", "B", "co", "CO", "uk", "ck", "Ck", "www", "x\\.y", "*"])
+_RULE = st.tuples(st.sampled_from(["", "!", "*."]), st.lists(_LABELS, min_size=1, max_size=3))
+_RULE_TEXT = st.lists(_RULE, max_size=8).map(
+    lambda rules: "\n".join(kind + ".".join(labels) for kind, labels in rules))
+
+
+class TestRegistrableDomainOracle:
+    @given(_RULE_TEXT, st.lists(_LABELS, max_size=3), st.lists(_LABELS, max_size=3),
+           st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_suffix_oracle(self, text, head, tail, data):
+        """Names are the root, bare rules, and rules with labels before them."""
+        bodies = [line.lstrip("!*.") for line in text.splitlines()]
+        body = data.draw(st.sampled_from(bodies)) if bodies and data.draw(st.booleans()) else \
+            ".".join(tail)
+        name = DnsName.from_text(".".join([*head, body]) if body else ".".join(head))
+        found = registrable_domain(name, SuffixRuleSet.from_text(text))
+        expected = per_suffix_registrable(name, text)
+        assert found == expected
+        if expected is not None:
+            assert found.to_text() == expected.to_text()  # the case of the input is kept
+
+    def test_bundled_rules_match_the_oracle(self):
+        text = resources.files("zptoolkit").joinpath("data/public_suffix_snapshot.dat") \
+            .read_text("utf-8")
+        rules = SuffixRuleSet.bundled()
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("//"):
+                continue
+            body = line.lstrip("!*.")
+            for name in (N(body), N("x." + body), N("Y.x." + body.upper()), N("a.b.c." + body)):
+                assert registrable_domain(name, rules) == per_suffix_registrable(name, text)
 
 
 def test_parent_vs_child_policy_divergence(bus):

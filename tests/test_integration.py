@@ -173,3 +173,32 @@ def test_a_late_reply_is_dropped_and_a_probe_that_may_have_landed_is_cleaned_up(
     assert [verdicts[f"misnumbered{i}.example"] for i in range(3)] == [Verdict.MALFORMED_REPLY] * 3
     assert {zone: verdicts[zone] for zone in changed
             if verdicts[zone] is not Verdict.UNREACHABLE} == {}
+
+
+def _lossy_scan(seed: int):
+    """The fleet of 200 zones scanned with a 0.5 s timeout on a bus that loses a
+    fifth of all datagrams, then left to go quiet: the outcome of each zone, and
+    the zones whose records changed."""
+    bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed), loss_rate=0.2)
+    servers, targets, _ = random_fleet(bus, random.Random(seed), 200)
+    before = {address: server.zones[target.zone].normalized_records()
+              for (address, server), target in zip(servers.items(), targets)}
+    result = run_scan(targets, ProbeConfig(timeout=0.5), SimTransport(bus, SCANNER_SOURCE),
+                      bus.clock, random.Random(seed))
+    bus.pump(until=bus.clock.now() + 10.0)
+    changed = {target.zone.to_text() for (address, server), target in zip(servers.items(), targets)
+               if server.zones[target.zone].normalized_records() != before[address]}
+    return {o.target.zone.to_text(): o for o in result.outcomes}, changed
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8, 9])
+def test_a_probe_that_may_have_landed_is_flagged(seed):
+    """Under loss, a probe whose every reply was lost may still have been applied.
+    Each zone left changed belongs to an outcome that does not claim a confirmed
+    cleanup: its ``cleanup_confirmed`` is False, never None."""
+    outcomes, changed = _lossy_scan(seed)
+    assert changed, "the repro leaves some sentinel behind"
+    assert {zone: outcomes[zone].cleanup_confirmed for zone in changed
+            if outcomes[zone].cleanup_confirmed is not False} == {}
+    assert all(o.cleanup_confirmed is False for o in outcomes.values()
+               if o.verdict is Verdict.UNREACHABLE)

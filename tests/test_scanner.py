@@ -340,6 +340,30 @@ class TestRunProbe:
         remaining = server.zones[APEX].rrset(SENTINEL, RType.A)
         assert [rr.rdata for rr in remaining] == [IPv4Address("198.51.100.77")]
 
+    def test_a_port_that_refuses_the_delete_ends_the_cleanup(self, bus):
+        """A refusal is read as an unanswered exchange with nothing resent: the
+        cleanup stops at its first delete, unconfirmed."""
+        server = attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()))
+        inner = SimTransport(bus, SCANNER_SOURCE)
+        sent = []
+
+        class RefusingDeletes:  # the bus, where the port refuses every delete
+            clock = bus.clock
+            refused = False
+
+            def exchange(self, payload, destination, timeout):
+                sent.append(payload)
+                msg = decode_message(payload)
+                self.refused = msg.opcode == Opcode.UPDATE and msg.updates[0].rclass == RClass.NONE
+                return None if self.refused else inner.exchange(payload, destination, timeout)
+
+        out = run_probe(ProbeTarget(APEX, "10.0.0.1"), CFG, RefusingDeletes(), bus.clock,
+                        random.Random(1))
+        assert out.verdict is Verdict.CLEANUP_FAILED
+        assert (out.cleanup_confirmed, out.cleanup_updates_sent) == (False, 1)
+        assert len(sent) == 3  # probe, verify, one refused delete
+        assert server.zones[APEX].rrset(SENTINEL, RType.A)
+
     def test_attestation_gate_for_udp(self):
         with pytest.raises(AttestationRequired):
             run_probe(ProbeTarget(APEX, "127.0.0.1:5399"), ProbeConfig(), UdpTransport())

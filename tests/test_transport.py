@@ -275,6 +275,39 @@ def test_udp_exchange_to_a_closed_port_is_none_before_the_timeout():
     assert time.monotonic() - started < 2.5
 
 
+class CountingUdp(UdpTransport):
+    """A UdpTransport that counts its exchanges, one datagram each."""
+
+    sends = 0
+
+    def exchange(self, payload, destination, timeout):
+        self.sends += 1
+        return super().exchange(payload, destination, timeout)
+
+
+def test_a_probe_of_a_closed_port_sends_one_datagram():
+    """The refusal ends the whole exchange: the probe is not resent, and the pair
+    is unreachable, its one send possibly landed, so its cleanup is unconfirmed."""
+    from zptoolkit.scanner import ProbeConfig, ProbeTarget, Verdict, run_probe
+
+    udp = CountingUdp()
+    target = ProbeTarget(DnsName.from_text("example.com"), f"127.0.0.1:{_free_port()}")
+    started = time.monotonic()
+    outcome = run_probe(target, ProbeConfig(timeout=5.0, probe_address_attested=True), udp,
+                        rng=random.Random(1))
+    assert time.monotonic() - started < 2.5
+    assert udp.sends == 1
+    assert (outcome.verdict, outcome.detection_updates_sent) == (Verdict.UNREACHABLE, 1)
+    assert outcome.cleanup_confirmed is False
+
+
+def test_a_query_to_a_closed_port_is_not_resent():
+    udp = CountingUdp()
+    query = make_query(DnsName.from_text("example.com"), RType.SOA, rng=random.Random(1))
+    assert exchange_message(udp, f"127.0.0.1:{_free_port()}", query, 5.0, retries=3) is None
+    assert udp.sends == 1
+
+
 def test_parse_endpoint_forms():
     assert parse_endpoint("192.0.2.1") == ("192.0.2.1", 53)
     assert parse_endpoint("192.0.2.1:5300") == ("192.0.2.1", 5300)
