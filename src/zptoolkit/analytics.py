@@ -312,12 +312,12 @@ def _zones_by_nameserver(pairs: Iterable[Pair]) -> dict[str, set[str]]:
     return zones_by_ns
 
 
-def _nameservers_by_value(nameservers: Iterable[str], attribution: AttributionMap,
+def _nameservers_by_value(nameservers: Iterable[str], lookup: Callable[[str], Attribution],
                           key: AggregationKey) -> dict[str, list[str]]:
     """The distinct ``nameservers`` under each ``key`` value, one lookup per nameserver."""
     nameservers_of: dict[str, list[str]] = {}
     for addr in nameservers:
-        attr = attribution.lookup(addr)
+        attr = lookup(addr)
         values = (attr.asn,) if key is AggregationKey.ASN else \
             (attr.country,) if key is AggregationKey.COUNTRY else attr.csirt_ids
         for value in values:
@@ -325,11 +325,11 @@ def _nameservers_by_value(nameservers: Iterable[str], attribution: AttributionMa
     return nameservers_of
 
 
-def _attribution_fold(zones_by_ns: Mapping[str, set[str]], attribution: AttributionMap,
+def _attribution_fold(zones_by_ns: Mapping[str, set[str]], lookup: Callable[[str], Attribution],
                       key: AggregationKey) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
     """Vulnerable (domains, nameservers) per ``key`` value, one lookup per nameserver."""
     return {v: (frozenset().union(*map(zones_by_ns.__getitem__, addrs)), frozenset(addrs))
-            for v, addrs in _nameservers_by_value(zones_by_ns, attribution, key).items()}
+            for v, addrs in _nameservers_by_value(zones_by_ns, lookup, key).items()}
 
 
 def _top_share(zones_by_ns: Mapping[str, set[str]], k: int, total_domains: int) -> float:
@@ -345,9 +345,10 @@ def aggregate(snapshot: ScanSnapshot, attribution: AttributionMap,
     """Distinct vulnerable domains/nameservers per attribution key, ranked; each nameserver attributed once."""
     snapshot._need_pairs("aggregation")
     zones_by_ns = _zones_by_nameserver(snapshot.vulnerable_pairs)
+    folded = _attribution_fold(zones_by_ns, attribution.lookup, key)
     rows = tuple(sorted(
         (AggregateRow(v, len(domains), len(nameservers))
-         for v, (domains, nameservers) in _attribution_fold(zones_by_ns, attribution, key).items()),
+         for v, (domains, nameservers) in folded.items()),
         key=lambda r: (-r.vulnerable_domains, -r.vulnerable_nameservers, r.key),
     ))
     counts = snapshot.vulnerable
@@ -430,7 +431,7 @@ def csirt_view(snapshot: ScanSnapshot,
                attribution: AttributionMap) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
     """Vulnerable (domains, nameservers) under each CSIRT's jurisdiction; each nameserver attributed once."""
     snapshot._need_pairs("per-CSIRT view")
-    return _attribution_fold(_zones_by_nameserver(snapshot.vulnerable_pairs), attribution,
+    return _attribution_fold(_zones_by_nameserver(snapshot.vulnerable_pairs), attribution.lookup,
                              AggregationKey.CSIRT)
 
 
@@ -440,7 +441,7 @@ def _csirt_nameservers(snapshot: ScanSnapshot,
     snapshot._need_pairs("per-CSIRT view")
     nameservers = dict.fromkeys(map(_nameserver_of, snapshot.vulnerable_pairs))
     return {cid: frozenset(addrs) for cid, addrs in
-            _nameservers_by_value(nameservers, attribution, AggregationKey.CSIRT).items()}
+            _nameservers_by_value(nameservers, attribution.lookup, AggregationKey.CSIRT).items()}
 
 
 @dataclass(frozen=True)
@@ -465,22 +466,23 @@ class GroupPhaseStats:
 def remediation_summary(baseline: ScanSnapshot, current: ScanSnapshot,
                         attribution: AttributionMap,
                         group_of: Callable[[str], str],
-                        scope: str = "nameservers") -> dict[str, GroupPhaseStats]:
+                        scope: str = "nameserver") -> dict[str, GroupPhaseStats]:
     """Per-group remediation statistics over per-CSIRT counts.
 
     ``group_of`` maps a CSIRT id to its campaign group (e.g. notified vs
-    control, or constituency type); ``scope`` picks domains or nameservers.
-    A CSIRT's remediated count is its baseline resources no longer
-    vulnerable in the current scan.
+    control, or constituency type); ``scope`` is ``"domain"`` or
+    ``"nameserver"``, as in ``subjects_from_snapshots``. A CSIRT's
+    remediated count is its baseline resources no longer vulnerable in the
+    current scan.
     """
-    if scope == "nameservers":
+    if scope == "nameserver":
         before = _csirt_nameservers(baseline, attribution)
         after = _csirt_nameservers(current, attribution)
-    elif scope == "domains":
+    elif scope == "domain":
         before = {cid: domains for cid, (domains, _) in csirt_view(baseline, attribution).items()}
         after = {cid: domains for cid, (domains, _) in csirt_view(current, attribution).items()}
     else:
-        raise ValueError(f"scope must be domains or nameservers, not {scope!r}")
+        raise ValueError(f"scope must be domain or nameserver, not {scope!r}")
     per_group: dict[str, list[tuple[int, int]]] = {}
     for cid, baseline_items in before.items():
         still = baseline_items & after.get(cid, frozenset())
@@ -541,7 +543,6 @@ class SurvivalCurve:
     at_risk: tuple[int, ...]
     events: tuple[int, ...]
     survival: tuple[float, ...]
-    censoring_intervals: tuple[tuple[float, Optional[float]], ...]
 
     def survival_at(self, t: float) -> float:
         s = 1.0
@@ -565,14 +566,12 @@ def kaplan_meier(subjects: Sequence[RemediationSubject]) -> SurvivalCurve:
     """
     sample_times: list[float] = []  # time since notification, event or censored
     events_at: Counter[float] = Counter()
-    intervals: list[tuple[float, Optional[float]]] = []
     for s in subjects:
         lo = s.last_seen_vulnerable - s.notified_at
         if s.first_seen_remediated is None:
             if lo < 0:
                 raise NegativeTime(f"censoring time {lo} precedes notification")
             sample_times.append(lo)
-            intervals.append((lo, None))
         else:
             hi = s.first_seen_remediated - s.notified_at
             t = (lo + hi) / 2
@@ -580,7 +579,6 @@ def kaplan_meier(subjects: Sequence[RemediationSubject]) -> SurvivalCurve:
                 raise NegativeTime(f"event time {t} precedes notification")
             sample_times.append(t)
             events_at[t] += 1
-            intervals.append((lo, hi))
     sample_times.sort()
     times, at_risk, events, survival = [], [], [], []
     s = 1.0
@@ -593,8 +591,7 @@ def kaplan_meier(subjects: Sequence[RemediationSubject]) -> SurvivalCurve:
         at_risk.append(n)
         events.append(d)
         survival.append(s)
-    return SurvivalCurve(tuple(times), tuple(at_risk), tuple(events), tuple(survival),
-                         tuple(intervals))
+    return SurvivalCurve(tuple(times), tuple(at_risk), tuple(events), tuple(survival))
 
 
 def survival_by_group(subjects: Sequence[RemediationSubject]) -> dict[str, SurvivalCurve]:
@@ -734,8 +731,8 @@ def notification_entries(baseline: ScanSnapshot, current: ScanSnapshot,
     before = _csirt_nameservers(baseline, attribution)
     current._need_pairs("per-CSIRT view")
     zones_by_ns = _zones_by_nameserver(current.vulnerable_pairs)
-    after = _attribution_fold(zones_by_ns, attribution, AggregationKey.CSIRT)
-    asn_of = {addr: attribution.lookup(addr).asn for addr in zones_by_ns}
+    attributions = {addr: attribution.lookup(addr) for addr in zones_by_ns}
+    after = _attribution_fold(zones_by_ns, attributions.__getitem__, AggregationKey.CSIRT)
     empty = (frozenset(), frozenset())
     entries = []
     for cid in sorted(set(before) | set(after)):
@@ -747,6 +744,6 @@ def notification_entries(baseline: ScanSnapshot, current: ScanSnapshot,
             vulnerable_domains=tuple(sorted(domains)),
             vulnerable_nameservers=tuple(sorted(nameservers)),
             nameservers_fixed=len(before.get(cid, frozenset()) - nameservers),
-            managing_orgs=tuple(sorted({f"AS{asn_of[addr]}" for addr in nameservers})),
+            managing_orgs=tuple(sorted({f"AS{attributions[addr].asn}" for addr in nameservers})),
         ))
     return entries

@@ -392,13 +392,6 @@ class TaxonomyMatrix:
     policies: tuple[str, ...]
     cells: tuple[tuple[ScenarioName, tuple[bool, ...]], ...]
 
-    def result(self, scenario: ScenarioName, policy: str) -> bool:
-        column = self.policies.index(policy)
-        for name, row in self.cells:
-            if name is scenario:
-                return row[column]
-        raise KeyError(scenario)
-
     def to_csv(self) -> str:
         lines = ["scenario," + ",".join(self.policies)]
         for name, row in self.cells:

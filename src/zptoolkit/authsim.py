@@ -903,6 +903,9 @@ class NameServer:
         pushes = ()
         if len(question) != 1 or question[0].rtype != _SOA:
             rc = _FORMERR
+        elif len(additional := msg.additional) > 1 and \
+                any(rr.rtype == _TSIG for rr in additional[:-1]):  # a TSIG not last: RFC 8945 §5.2
+            rc = _FORMERR
         elif (zone := self.zones.get(question[0].name)) is None:
             rc = _NOTAUTH
         elif (core := acl_check(zone.policy, dgram.source, msg, now)).__class__ is not DnsMessage:

@@ -31,10 +31,9 @@ class SuffixRuleSet:
     rules: frozenset[bytes]
     wildcards: frozenset[bytes]   # the key of the name after the `*.` label
     exceptions: frozenset[bytes]
-    version: str = "custom"
 
     @classmethod
-    def from_text(cls, text: str, version: str = "custom") -> "SuffixRuleSet":
+    def from_text(cls, text: str) -> "SuffixRuleSet":
         rules, wildcards, exceptions = set(), set(), set()
         for line in text.splitlines():
             line = line.strip()
@@ -50,22 +49,17 @@ class SuffixRuleSet:
                 wildcards.add(rule.parent()._key)
             else:
                 rules.add(rule._key)
-        return cls(frozenset(rules), frozenset(wildcards), frozenset(exceptions), version)
+        return cls(frozenset(rules), frozenset(wildcards), frozenset(exceptions))
 
     @classmethod
     def bundled(cls) -> "SuffixRuleSet":
-        text = resources.files(__package__).joinpath(_DEFAULT_SNAPSHOT).read_text("utf-8")
-        version = "bundled"
-        for line in text.splitlines():
-            if line.startswith("// snapshot:"):
-                version = line.split(":", 1)[1].strip()
-                break
-        return cls.from_text(text, version)
+        return cls.from_text(
+            resources.files(__package__).joinpath(_DEFAULT_SNAPSHOT).read_text("utf-8"))
 
     @classmethod
     def from_file(cls, path: str) -> "SuffixRuleSet":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), version=path)
+            return cls.from_text(fh.read())
 
 
 def registrable_domain(name: DnsName, rules: SuffixRuleSet) -> Optional[DnsName]:

@@ -304,8 +304,9 @@ def _cleanup_own_record(target, zone_question, record, question, cfg, transport,
     for sends in range(1, RETRIES_CLEANUP + 1):
         delete = _message(rng.randrange(0x10000), _UPDATE, _NOERROR, False, False, zone_question,
                           (), deleted, (), 0)
-        transport.exchange(encode_message(delete), target.nameserver, cfg.timeout)
-        if getattr(transport, "refused", False):  # a closed port: nothing is resent
+        try:
+            transport.exchange(encode_message(delete), target.nameserver, cfg.timeout)
+        except ConnectionRefusedError:  # a closed port: nothing is resent
             return False, sends
         try:
             answers = _query_addresses(transport, target.nameserver, question, cfg, rng)

@@ -269,10 +269,9 @@ class Transport(Protocol):
 
     ``exchange`` is one attempt: the reply, or None when none came. A
     transport that learns that the destination refused the datagram (ICMP
-    port unreachable), as ``UdpTransport`` does, returns None at once and
-    sets its ``refused`` attribute, which it clears on every exchange; the
-    scanner and ingest then resend nothing. The bus never refuses, so its
-    endpoints carry no such attribute.
+    port unreachable), as ``UdpTransport`` does, raises
+    ``ConnectionRefusedError`` at once; the scanner and ingest then resend
+    nothing. The bus never refuses.
     """
 
     def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
@@ -306,10 +305,8 @@ class UdpTransport:
 
     def __init__(self):
         self.clock = SystemClock()
-        self.refused = False  # whether the port refused the last exchange's datagram
 
     def exchange(self, payload: bytes, destination: str, timeout: float) -> Optional[bytes]:
-        self.refused = False
         host, port = parse_endpoint(destination)
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         with socket.socket(family, socket.SOCK_DGRAM) as sock:
@@ -318,9 +315,8 @@ class UdpTransport:
                 sock.connect((host, port))  # the kernel drops datagrams from anyone else
                 sock.send(payload)
                 return sock.recv(65535)
-            except ConnectionRefusedError:  # ICMP port unreachable, which ends it at once
-                self.refused = True
-                return None
+            except ConnectionRefusedError:  # ICMP port unreachable: the caller resends nothing
+                raise
             except OSError:  # a timeout
                 return None
 
@@ -359,10 +355,11 @@ def _exchange(transport: Transport, destination: str, msg: "wire.DnsMessage", ti
     payload = wire.encode_message(msg)
     mismatched = 0  # attempts whose reply decoded but did not answer: each is dropped
     for sends in range(1, retries + 2):
-        raw = transport.exchange(payload, destination, timeout)
+        try:
+            raw = transport.exchange(payload, destination, timeout)
+        except ConnectionRefusedError:  # a closed port: nothing is resent
+            return None, sends
         if raw is None:
-            if getattr(transport, "refused", False):  # a closed port: nothing is resent
-                return None, sends
             continue
         try:
             reply = wire.decode_message(raw)

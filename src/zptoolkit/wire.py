@@ -226,11 +226,6 @@ class DnsName:
         """The labels as given, leftmost first."""
         return _split(self._wire)
 
-    @property
-    def key(self) -> tuple[bytes, ...]:
-        """The lower-cased labels, leftmost first."""
-        return _split(self._key)
-
     def to_wire(self) -> bytes:
         return self._wire
 
@@ -475,9 +470,9 @@ _question = _builder(Question)
 class DnsMessage:
     """One DNS message; carries both QUERY and UPDATE payloads.
 
-    Section names follow RFC 1035; for UPDATE messages the ``zone``,
-    ``prerequisites``, and ``updates`` properties give the RFC 2136 view
-    of the same four sections.
+    Section names follow RFC 1035. An UPDATE's zone section is ``question``,
+    and the ``prerequisites`` and ``updates`` properties give the RFC 2136
+    names of its answer and authority sections.
     """
 
     id: int
@@ -491,10 +486,6 @@ class DnsMessage:
     additional: tuple[ResourceRecord, ...] = ()
     # tc/rd/ra/z bits, preserved so decode -> encode is byte-faithful
     extra_flags: int = 0
-
-    @property
-    def zone(self) -> Optional[Question]:
-        return self.question[0] if self.question else None
 
     @property
     def prerequisites(self) -> tuple[ResourceRecord, ...]:

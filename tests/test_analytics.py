@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from ipaddress import ip_address, ip_network
 
 import pytest
@@ -311,11 +312,29 @@ class TestKaplanMeier:
         subject = RemediationSubject(10.0, 14.0, 20.0)
         curve = kaplan_meier([subject])
         assert curve.times == (7.0,)  # midpoint of (4, 10] after notification
-        assert curve.censoring_intervals == ((4.0, 10.0),)
 
     def test_negative_time_raises(self):
         with pytest.raises(NegativeTime):
             kaplan_meier([RemediationSubject(10.0, 2.0, None)])
+
+    def test_a_curve_holds_its_event_times_not_its_subjects(self):
+        """The bytes a curve keeps do not grow with the subjects behind the same
+        event times (the estimator keeps no per-subject record)."""
+        def retained_bytes(n):
+            # four event times and one censoring time, whatever the subject count
+            subjects = [RemediationSubject(0.0, float(i % 5), None if i % 5 == 4 else i % 5 + 1.0)
+                        for i in range(n)]
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                curve = kaplan_meier(subjects)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(curve.times) == 4
+            return kept
+
+        assert abs(retained_bytes(10_000) - retained_bytes(1_000)) < 2_000
         with pytest.raises(NegativeTime):
             kaplan_meier([RemediationSubject(10.0, 2.0, 4.0)])
 
@@ -456,7 +475,7 @@ class TestRemediationSummary:
         baseline, current = self.snapshots()
         groups = {f"cert{i}": ("notified" if i < 2 else "control") for i in range(4)}
         stats = remediation_summary(baseline, current, amap, groups.__getitem__,
-                                    scope="nameservers")
+                                    scope="nameserver")
         notified = stats["notified"]   # cert0 (3 fixed, 1 left), cert1 (1 fixed, 1 left)
         assert notified.csirts == 2
         assert notified.remediated_total == 4 and notified.vulnerable_total == 2
@@ -472,7 +491,7 @@ class TestRemediationSummary:
         amap = self.attribution()
         baseline, current = self.snapshots()
         by_type = lambda cid: amap.csirts[cid].type.value
-        stats = remediation_summary(baseline, current, amap, by_type, scope="domains")
+        stats = remediation_summary(baseline, current, amap, by_type, scope="domain")
         assert set(stats) == {"national", "military"}
         national = stats["national"]
         assert national.remediated_total == 4 and national.vulnerable_total == 2
@@ -480,8 +499,9 @@ class TestRemediationSummary:
     def test_bad_scope_rejected(self):
         amap = self.attribution()
         baseline, current = self.snapshots()
-        with pytest.raises(ValueError):
-            remediation_summary(baseline, current, amap, lambda c: "all", scope="pairs")
+        for scope in ("pairs", "domains", "nameservers"):
+            with pytest.raises(ValueError, match="scope must be domain or nameserver"):
+                remediation_summary(baseline, current, amap, lambda c: "all", scope=scope)
 
     def test_csirt_view_shapes(self):
         amap = self.attribution()
@@ -583,13 +603,13 @@ class TestAttributionFold:
         amap.looked_up.clear()
         csirt_view(snap, amap)
         assert sorted(amap.looked_up) == sorted(snap.nameservers())
-        for scope in ("domains", "nameservers"):  # once in the baseline, once in the current scan
+        for scope in ("domain", "nameserver"):  # once in the baseline, once in the current scan
             amap.looked_up.clear()
             remediation_summary(snap, snap, amap, str, scope=scope)
             assert sorted(amap.looked_up) == sorted([*snap.nameservers()] * 2)
         amap.looked_up.clear()
         notification_entries(snap, snap, amap)
-        assert sorted(amap.looked_up) == sorted([*snap.nameservers()] * 3)  # and the ASNs
+        assert sorted(amap.looked_up) == sorted([*snap.nameservers()] * 2)
 
     @given(_FOLD_PAIRS, _FOLD_PAIRS, _FOLD_MAPS)
     @settings(max_examples=200, deadline=None)
@@ -599,7 +619,7 @@ class TestAttributionFold:
         before = per_pair_view(baseline_pairs, amap, _VALUES_OF[AggregationKey.CSIRT])
         after = per_pair_view(current_pairs, amap, _VALUES_OF[AggregationKey.CSIRT])
         group_of = lambda cid: {"cert-a": "a", "cert-b": "a"}.get(cid, "other")
-        for index, scope in enumerate(("domains", "nameservers")):
+        for index, scope in enumerate(("domain", "nameserver")):
             counts = {}  # group -> per-CSIRT (remediated, still vulnerable)
             for cid, sets in before.items():
                 still = sets[index] & after.get(cid, (frozenset(), frozenset()))[index]
@@ -677,21 +697,19 @@ class TestAttributionLookup:
 
 def rescan_kaplan_meier(subjects):
     """Oracle: the estimator that rescans every sample once per event time."""
-    samples, intervals = [], []
+    samples = []
     for s in subjects:
         lo = s.last_seen_vulnerable - s.notified_at
         if s.first_seen_remediated is None:
             if lo < 0:
                 raise NegativeTime(f"censoring time {lo} precedes notification")
             samples.append((lo, False))
-            intervals.append((lo, None))
         else:
             hi = s.first_seen_remediated - s.notified_at
             t = (lo + hi) / 2
             if t < 0:
                 raise NegativeTime(f"event time {t} precedes notification")
             samples.append((t, True))
-            intervals.append((lo, hi))
     event_times = sorted({t for t, is_event in samples if is_event})
     times, at_risk, events, survival = [], [], [], []
     s = 1.0
@@ -703,7 +721,7 @@ def rescan_kaplan_meier(subjects):
         at_risk.append(n)
         events.append(d)
         survival.append(s)
-    return (tuple(times), tuple(at_risk), tuple(events), tuple(survival), tuple(intervals))
+    return (tuple(times), tuple(at_risk), tuple(events), tuple(survival))
 
 
 def rescan_survival_by_group(subjects):
@@ -732,7 +750,7 @@ def rescan_subjects(snapshots, notified_at, scope="domain", group_of=None):
 
 
 def curve_tuple(curve):
-    return (curve.times, curve.at_risk, curve.events, curve.survival, curve.censoring_intervals)
+    return (curve.times, curve.at_risk, curve.events, curve.survival)
 
 
 def outcome(fn, *args, **kwargs):

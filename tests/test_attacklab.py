@@ -166,13 +166,10 @@ class TestMatrix:
     def test_matrix_shape_and_columns(self):
         matrix = run_taxonomy_matrix(seed=1)
         assert matrix.policies == ("deny", "open", "ipacl", "signedkey")
-        assert len(matrix.cells) == len(ScenarioName)
-        for scenario in ScenarioName:
-            assert matrix.result(scenario, "open") is True
-            assert matrix.result(scenario, "signedkey") is False
-            assert matrix.result(scenario, "deny") is False
+        assert [name for name, _ in matrix.cells] == list(ScenarioName)
+        for scenario, row in matrix.cells:
             expected_ipacl = scenario is ScenarioName.SPOOFED_ACL_BYPASS
-            assert matrix.result(scenario, "ipacl") is expected_ipacl
+            assert row == (False, True, expected_ipacl, False)
 
     def test_matrix_deterministic_under_fixed_seed(self):
         assert run_taxonomy_matrix(seed=5) == run_taxonomy_matrix(seed=5)

@@ -1200,21 +1200,30 @@ def test_signedkey_policy_sound_unsigned_never_mutates(changes, msg_id):
 
 
 def test_a_primary_reads_only_the_last_additional_record_as_tsig(bus):
-    zone = basic_zone("example.com", SignedKey((KEY,)))
-    server = attach_server(bus, "10.0.0.1", zone)
+    """A TSIG record anywhere but last, a repeated one included, makes the
+    UPDATE FORMERR (RFC 8945 §5.2) before the zone's policy is read: answered
+    and journaled so, on a signed-key zone and on an open one alike."""
+    events = []
+    zones = {"10.0.0.1": basic_zone("example.com", SignedKey((KEY,))),
+             "10.0.0.2": basic_zone("example.com", Open())}
+    servers = {address: attach_server(bus, address, zone, honeypot=True,
+                                      journal_sink=events.append)
+               for address, zone in zones.items()}
     c = client(bus)
     glue = ResourceRecord(APEX.prepend("ns1"), RType.A, RClass.IN, 60, IPv4Address("192.0.2.53"))
     signed = sign_message(add_sentinel(), KEY, now=0)
     (tsig_rr,) = signed.additional
-    for additional, rcode in [((tsig_rr, tsig_rr), Rcode.NOTAUTH),   # TSIG repeated
-                              ((tsig_rr, glue), Rcode.REFUSED)]:     # TSIG not last: unsigned
-        raw = c.exchange(encode_message(dataclasses.replace(signed, additional=additional)),
-                         "10.0.0.1", 1.0)
-        assert decode_message(raw).rcode == rcode
-        assert server.zones[APEX].records == zone.records
+    for address, zone in zones.items():
+        for additional in [(tsig_rr, tsig_rr), (tsig_rr, glue)]:  # repeated; not last
+            events.clear()
+            raw = c.exchange(encode_message(dataclasses.replace(signed, additional=additional)),
+                             address, 1.0)
+            assert decode_message(raw).rcode == Rcode.FORMERR
+            assert [event.rcode for event in events] == ["FORMERR"]
+            assert servers[address].zones[APEX].records == zone.records
     raw = c.exchange(encode_message(signed), "10.0.0.1", 1.0)
     assert decode_message(raw).rcode == Rcode.NOERROR
-    assert server.zones[APEX].rrset(SENTINEL, RType.A)
+    assert servers["10.0.0.1"].zones[APEX].rrset(SENTINEL, RType.A)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))

@@ -91,7 +91,7 @@ def test_names_match_the_label_tuple_model(pair):
     x, y = DnsName(a), DnsName(b)
     for labels, name in ((a, x), (b, y)):
         assert name.labels == labels
-        assert name.key == key_of(labels)
+        assert name == DnsName(key_of(labels)) and hash(name) == hash(DnsName(key_of(labels)))
         assert len(name) == len(labels)
         assert name.to_wire() == wire_of(labels)
         assert name.to_text() == (".".join(text_of(l) for l in labels) or ".")

@@ -341,21 +341,21 @@ class TestRunProbe:
         assert [rr.rdata for rr in remaining] == [IPv4Address("198.51.100.77")]
 
     def test_a_port_that_refuses_the_delete_ends_the_cleanup(self, bus):
-        """A refusal is read as an unanswered exchange with nothing resent: the
-        cleanup stops at its first delete, unconfirmed."""
+        """A refusal (``ConnectionRefusedError``) is read as an unanswered exchange
+        with nothing resent: the cleanup stops at its first delete, unconfirmed."""
         server = attach_server(bus, "10.0.0.1", basic_zone("example.com", Open()))
         inner = SimTransport(bus, SCANNER_SOURCE)
         sent = []
 
         class RefusingDeletes:  # the bus, where the port refuses every delete
             clock = bus.clock
-            refused = False
 
             def exchange(self, payload, destination, timeout):
                 sent.append(payload)
                 msg = decode_message(payload)
-                self.refused = msg.opcode == Opcode.UPDATE and msg.updates[0].rclass == RClass.NONE
-                return None if self.refused else inner.exchange(payload, destination, timeout)
+                if msg.opcode == Opcode.UPDATE and msg.updates[0].rclass == RClass.NONE:
+                    raise ConnectionRefusedError
+                return inner.exchange(payload, destination, timeout)
 
         out = run_probe(ProbeTarget(APEX, "10.0.0.1"), CFG, RefusingDeletes(), bus.clock,
                         random.Random(1))
@@ -681,7 +681,7 @@ def test_every_scan_input_is_an_outcome(scan):
             return False
         msg = decode_message(dgram.payload)
         return msg.updates[0].rclass == RClass.NONE and (dgram.destination,
-                                                         msg.zone.name) in sticky
+                                                         msg.question[0].name) in sticky
 
     bus = DatagramBus(clock=ManualClock(), rng=random.Random(0), drop_filter=lose_deletes)
     servers = {}

@@ -268,10 +268,11 @@ def test_udp_exchange_takes_the_reply_from_the_destination_port_only():
         assert reply == b"answer:hi"
 
 
-def test_udp_exchange_to_a_closed_port_is_none_before_the_timeout():
-    """The refused port's ICMP error ends the attempt at once."""
+def test_udp_exchange_to_a_closed_port_raises_before_the_timeout():
+    """The refused port's ICMP error ends the attempt at once, as the exception."""
     started = time.monotonic()
-    assert UdpTransport().exchange(b"hi", f"127.0.0.1:{_free_port()}", 5.0) is None
+    with pytest.raises(ConnectionRefusedError):
+        UdpTransport().exchange(b"hi", f"127.0.0.1:{_free_port()}", 5.0)
     assert time.monotonic() - started < 2.5
 
 

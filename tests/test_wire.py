@@ -233,7 +233,7 @@ class TestMakeUpdate:
         rr = ResourceRecord(SENTINEL, RType.A, RClass.IN, 120, PROBE_IP)
         msg = make_update(EXAMPLE, [AddRecord(rr)], msg_id=3)
         assert msg.opcode == Opcode.UPDATE
-        assert msg.zone == Question(EXAMPLE, RType.SOA, RClass.IN)
+        assert msg.question == (Question(EXAMPLE, RType.SOA, RClass.IN),)
         (update,) = msg.updates
         assert (update.rclass, update.ttl, update.rdata) == (RClass.IN, 120, PROBE_IP)
 

@@ -102,7 +102,7 @@ def _changes(draw, zone: ZoneConfig) -> list:
             out.append(AddRecord(draw(records())))
             continue
         name = draw(st.sampled_from(owners))
-        name = DnsName(_cased(draw, name.key))
+        name = DnsName(_cased(draw, name.labels))
         if kind == "all":
             out.append(DeleteAllAtName(name))
         elif kind == "rrset":

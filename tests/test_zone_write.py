@@ -360,9 +360,9 @@ def oracle_derive(zone, removed, added):
 
 def oracle_apply(zone, msg):
     """(rcode, serial after, {name: records in order} for every name the UPDATE touched)."""
-    if msg.zone is None or msg.zone.rtype != RType.SOA:
+    if len(msg.question) != 1 or msg.question[0].rtype != RType.SOA:
         return Rcode.FORMERR, zone.soa_serial, {}
-    if msg.zone.name != zone.apex:
+    if msg.question[0].name != zone.apex:
         return Rcode.NOTZONE, zone.soa_serial, {}
     rc = _oracle_prescan(zone.apex, msg.updates)
     if rc != Rcode.NOERROR:
