@@ -68,11 +68,15 @@ class ScenarioName(Enum):
 
 @dataclass(frozen=True)
 class AttackReport:
+    """A scenario's verdict against one policy, with what its checks saw.
+
+    The datagrams a scenario sent stay on its lab's ``bus.tap``.
+    """
+
     scenario: ScenarioName
     policy: str
     succeeded: bool
     observations: tuple[str, ...]
-    datagrams_sent: tuple[tuple[str, str, int], ...]  # (source, destination, bytes)
 
 
 # --- the lab fixture (victim zone, attacker assets, traffic stubs) ---
@@ -160,7 +164,6 @@ class AttackLab:
         self.web_sink = ClientEndpoint(self.bus, str(VICTIM_WEB))  # records what reaches it
         self.proxy = RelayStub(self.bus, str(ATTACKER_PROXY), str(VICTIM_WEB))
         self.fixture_records = self.zone().normalized_records()
-        self._tap_start = len(self.bus.tap)
 
     # -- attacker actions --
 
@@ -203,10 +206,6 @@ class AttackLab:
 
     def fixture_intact(self) -> bool:
         return self.zone().normalized_records() == self.fixture_records
-
-    def sent_datagrams(self) -> tuple[tuple[str, str, int], ...]:
-        return tuple((e.datagram.source, e.datagram.destination, len(e.datagram.payload))
-                     for e in self.bus.tap[self._tap_start:])
 
     def require_fixture(self, *needed: tuple[DnsName, int]) -> None:
         zone = self.zone()
@@ -383,7 +382,6 @@ def execute_scenario(scenario: ScenarioName, policy: UpdatePolicy = Open(), *,
         policy=policy_label(lab.policy),
         succeeded=succeeded,
         observations=tuple(observations),
-        datagrams_sent=lab.sent_datagrams(),
     )
 
 

@@ -152,7 +152,6 @@ _NOERROR, _FORMERR, _NXDOMAIN = Rcode.NOERROR, Rcode.FORMERR, Rcode.NXDOMAIN
 _REFUSED, _YXDOMAIN, _YXRRSET, _NXRRSET = Rcode.REFUSED, Rcode.YXDOMAIN, Rcode.YXRRSET, Rcode.NXRRSET
 _NOTAUTH, _NOTZONE = Rcode.NOTAUTH, Rcode.NOTZONE
 _QUERY, _UPDATE = Opcode.QUERY, Opcode.UPDATE
-_RCODE_NAME = {rcode: rcode.name for rcode in Rcode}  # the journal's names, without ``.name``
 
 
 @_slot_init
@@ -1135,7 +1134,7 @@ class NameServer:
                 kinds.append(_change_kind(rr))
                 names.append(rr.name.to_text())
             kinds, names = tuple(kinds), tuple(names)
-        rcode = outcome if isinstance(outcome, str) else _RCODE_NAME[outcome]
+        rcode = outcome if isinstance(outcome, str) else outcome.name
         self.journal_sink(_honeypot_event(now, dgram.source, zone_name, kinds, names, rcode,
                                           dgram.payload))
 

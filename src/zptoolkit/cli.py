@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import random
@@ -313,11 +314,13 @@ def build_parser() -> _Parser:
     p.add_argument("--keys", help="TSIG key file (name secret per line)")
     p.add_argument("--out", help="outcome JSONL path (default stdout)")
     p.add_argument("--snapshot", help="snapshot JSON path")
-    p.add_argument("--probe-address", default="192.0.2.80")
-    p.add_argument("--sentinel", default="researchstudyzp")
-    p.add_argument("--ttl", type=int, default=120)
-    p.add_argument("--timeout", type=float, default=3.0)
-    p.add_argument("--rate", type=float, default=2.0, help="per-nameserver probes/second")
+    probe = scanner.ProbeConfig()  # the one source of each probe default
+    p.add_argument("--probe-address", default=str(probe.probe_address))
+    p.add_argument("--sentinel", default=probe.sentinel_label.decode("ascii"))
+    p.add_argument("--ttl", type=int, default=probe.ttl)
+    p.add_argument("--timeout", type=float, default=probe.timeout)
+    p.add_argument("--rate", type=float, default=probe.per_nameserver_rate,
+                   help="per-nameserver probes/second")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--i-own-the-probe-address", action="store_true",
                    help="attest the probe address is operator-owned (required for udp)")
@@ -359,7 +362,8 @@ def build_parser() -> _Parser:
 
     m = modes.add_parser("rates", help="vulnerable share of tested domains, nameservers, pairs")
     m.add_argument("--snapshot", required=True)
-    m.add_argument("--decimals", type=int, default=3)
+    m.add_argument("--decimals", type=int,
+                   default=inspect.signature(analytics.compute_rates).parameters["decimals"].default)
 
     m = modes.add_parser("aggregate", help="vulnerable resources per ASN, country or CSIRT")
     m.add_argument("--snapshot", required=True)

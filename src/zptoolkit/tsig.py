@@ -7,7 +7,6 @@ validity window is a fixed fudge of 300 seconds around the signing time.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import struct
 from dataclasses import dataclass, field
@@ -102,30 +101,16 @@ def _with_additional(msg: DnsMessage, additional: tuple[ResourceRecord, ...]) ->
                     msg.question, msg.answers, msg.authority, additional, msg.extra_flags)
 
 
-# HMAC-SHA256 states keyed with a secret and fed nothing yet, by secret: a MAC
-# copies one instead of keying a fresh state. A secret past the bound evicts
-# the oldest. Kept here rather than on TsigKey, which must stay picklable
-KEYED_STATES_MAX = 256
-_keyed_states: dict[bytes, hmac.HMAC] = {}
-
-
 def _compute_mac(secret: bytes, core_wire: bytes, name_wire: bytes, rclass: int, ttl: int,
                  algorithm_wire: bytes, time_signed: int, fudge: int, error: int,
                  other: bytes) -> bytes:
-    # RFC 2845 §3.4 composition: whole message (sans TSIG) + the TSIG
-    # variables. Name and algorithm enter exactly as carried on the wire so
-    # that every bit of the signed datagram stays tamper-evident.
+    """RFC 2845 §3.4: one HMAC-SHA256 under ``secret`` over the message without its
+    TSIG, then the TSIG variables. Name and algorithm enter exactly as carried on
+    the wire, so that every bit of the signed datagram stays tamper-evident."""
     variables = (name_wire + _pack_class_ttl(rclass, ttl) + algorithm_wire
                  + time_signed.to_bytes(6, "big") + _pack_fudge_error_other(fudge, error, len(other))
                  + other)
-    keyed = _keyed_states.get(secret)
-    if keyed is None:
-        if len(_keyed_states) >= KEYED_STATES_MAX:
-            del _keyed_states[next(iter(_keyed_states))]
-        keyed = _keyed_states[secret] = hmac.new(secret, digestmod=hashlib.sha256)
-    mac = keyed.copy()
-    mac.update(core_wire + variables)
-    return mac.digest()
+    return hmac.digest(secret, core_wire + variables, "sha256")
 
 
 def sign_message(msg: DnsMessage, key: TsigKey, now: int) -> DnsMessage:

@@ -201,6 +201,9 @@ class TestPrerequisites:
         assert evaluate_prerequisites(self.zone(), [nonzero_ttl]) == Rcode.FORMERR
         out_of_zone = self.prereq(DnsName.from_text("other.test"), RType.A, RClass.ANY)
         assert evaluate_prerequisites(self.zone(), [out_of_zone]) == Rcode.NOTZONE
+        for rclass in (RClass.ANY, RClass.NONE):  # an existence form that names a value
+            valued = ResourceRecord(APEX.prepend("www"), RType.A, rclass, 0, PROBE_IP)
+            assert evaluate_prerequisites(self.zone(), [valued]) == Rcode.FORMERR
 
 
 class TestApplyUpdate:

@@ -214,6 +214,8 @@ class TestSim:
         pytest.param("example.com. 60 IN SOA ns1.example.com. hostmaster.example.com. 1 2 3",
                      "SOA needs 7 fields", id="five-field-soa"),
         pytest.param("a..example.com. 60 IN A 192.0.2.1", "label", id="empty-label"),
+        pytest.param("www.example.com. 60 IN BOGUS 192.0.2.1", "unknown record type 'BOGUS'",
+                     id="unknown-type"),
     ])
     def test_malformed_record_line_is_2_naming_the_line(self, tmp_path, capsys, record, message):
         path = tmp_path / "fleet.txt"
@@ -448,6 +450,34 @@ ns1.alpha.test. 3600 IN A 10.1.0.2
         assert pairs_out.read_text() == "alpha.test,10.1.0.1\nalpha.test,10.1.0.2\n"
         counts = json.loads(universe_out.read_text())
         assert counts["pairs"] == 2 and counts["domains"] == 1
+
+    @pytest.mark.parametrize("flags, pairs, without_ns", [
+        pytest.param([], ["alpha.test,10.1.0.1"], 1, id="ipv4-only"),
+        pytest.param(["--ipv6"], ["alpha.test,10.1.0.1", "alpha.test,2001:db8::1",
+                                  "beta.test,2001:db8::2"], 0, id="ipv6"),
+    ])
+    def test_ipv6_collects_aaaa_glue(self, tmp_path, capsys, flags, pairs, without_ns):
+        fleet = tmp_path / "resolver.txt"
+        fleet.write_text("""\
+@server 10.0.53.53
+@policy deny
+@role primary
+test. 3600 IN SOA ns1.test. hostmaster.test. 1 7200 900 1209600 86400
+test. 3600 IN NS ns1.test.
+alpha.test. 3600 IN NS ns1.alpha.test.
+ns1.alpha.test. 3600 IN A 10.1.0.1
+ns1.alpha.test. 3600 IN AAAA 2001:db8::1
+beta.test. 3600 IN NS ns1.beta.test.
+ns1.beta.test. 3600 IN AAAA 2001:db8::2
+""")
+        domains = tmp_path / "domains.txt"
+        domains.write_text("alpha.test\nbeta.test\n")
+        pairs_out = tmp_path / "pairs.csv"
+        assert main(["ingest", "--domains", str(domains), "--resolver", "10.0.53.53",
+                     "--fleet", str(fleet), "--pairs-out", str(pairs_out), *flags]) == 0
+        assert pairs_out.read_text().splitlines() == pairs
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["pairs"] == len(pairs) and summary["domains_without_ns"] == without_ns
 
 
 class TestReport:

@@ -2,7 +2,7 @@
 
 import random
 from importlib import resources
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv6Address
 
 import pytest
 from hypothesis import given, settings
@@ -208,7 +208,37 @@ def glueless_fixture(bus):
                          ZoneConfig.build(other, authsim.Primary(), Deny(), other_records))
 
 
+def dual_stack_fixture(bus):
+    """The server for .test: ``alpha.test``'s nameserver has A and AAAA glue,
+    ``beta.test``'s only AAAA glue."""
+    apex = N("test")
+    records = [make_soa(apex), ResourceRecord(apex, RType.NS, RClass.IN, 60, apex.prepend("ns1"))]
+    for zone_text, ns_text, addresses in (("alpha.test", "ns1.alpha.test",
+                                           (IPv4Address("10.1.0.1"), IPv6Address("2001:db8::1"))),
+                                          ("beta.test", "ns1.beta.test",
+                                           (IPv6Address("2001:db8::2"),))):
+        records.append(ResourceRecord(N(zone_text), RType.NS, RClass.IN, 60, N(ns_text)))
+        for addr in addresses:
+            rtype = RType.AAAA if addr.version == 6 else RType.A
+            records.append(ResourceRecord(N(ns_text), rtype, RClass.IN, 60, addr))
+    return attach_server(bus, "10.0.53.53", ZoneConfig.build(apex, authsim.Primary(), Deny(),
+                                                             records))
+
+
 class TestResolveTargets:
+    @pytest.mark.parametrize("include_ipv6, pairs, without_ns", [
+        (False, {("alpha.test", "10.1.0.1")}, 1),
+        (True, {("alpha.test", "10.1.0.1"), ("alpha.test", "2001:db8::1"),
+                ("beta.test", "2001:db8::2")}, 0),
+    ])
+    def test_include_ipv6_collects_aaaa_glue(self, bus, sim_transport, include_ipv6, pairs,
+                                             without_ns):
+        dual_stack_fixture(bus)
+        universe, stats = resolve_targets([N("alpha.test"), N("beta.test")], "10.0.53.53",
+                                          sim_transport, IngestConfig(include_ipv6=include_ipv6))
+        assert universe.pairs == {(N(zone), addr) for zone, addr in pairs}
+        assert stats.domains_without_ns == without_ns
+
     def test_nameserver_without_glue_is_resolved_by_its_own_query(self, bus, sim_transport):
         glueless_fixture(bus)
         universe, stats = resolve_targets([N("child.example")], "10.0.53.53", sim_transport)
@@ -272,6 +302,11 @@ class TestResolveTargets:
                                           IngestConfig(require_soa=True))
         assert not universe.domains
         assert stats.domains_without_soa == 1
+        # a resolver nobody serves gives no SOA either
+        universe, stats = resolve_targets([N("alpha.test")], "10.0.53.99", sim_transport,
+                                          IngestConfig(require_soa=True))
+        assert not universe.domains
+        assert stats.domains_without_soa == 1 and stats.domains_without_ns == 0
 
     def test_undecodable_resolver_reply_counts_as_no_answer(self, bus, sim_transport):
         bus.attach("10.0.53.53", lambda d, now: [SimDatagram("10.0.53.53", d.source, b"\xff\xff")])

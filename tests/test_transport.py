@@ -276,6 +276,21 @@ def test_udp_exchange_to_a_closed_port_raises_before_the_timeout():
     assert time.monotonic() - started < 2.5
 
 
+def test_udp_exchange_to_a_silent_socket_is_none_after_the_timeout():
+    """A bound socket that never answers: the attempt waits out its timeout."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+        try:
+            silent.bind(("127.0.0.1", 0))
+        except OSError:
+            pytest.skip("no loopback UDP")
+        started = time.monotonic()
+        reply = UdpTransport().exchange(b"hi", f"127.0.0.1:{silent.getsockname()[1]}", 0.2)
+        waited = time.monotonic() - started
+        assert silent.recv(512) == b"hi"
+    assert reply is None
+    assert waited >= 0.15
+
+
 class CountingUdp(UdpTransport):
     """A UdpTransport that counts its exchanges, one datagram each."""
 

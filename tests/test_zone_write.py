@@ -613,6 +613,25 @@ def test_secondary_matches_its_primary_name_by_name(zone, steps):
     _assert_same_zone(primary.zones[APEX], secondary.zones[APEX])
 
 
+def test_push_with_a_second_soa_inside_its_difference_sequence_is_dropped():
+    """RFC 1995: one SOA parts the deleted records from the added ones. A push with
+    another SOA between them is not one difference sequence, so the secondary keeps
+    its copy, even where the sequence from the later SOA on would apply cleanly."""
+    zone = ZoneConfig.build(APEX, Primary(), Open(), [
+        make_soa(APEX), ResourceRecord(APEX, RType.NS, RClass.IN, 3600, NS_TARGETS[0])])
+    _, _, secondary = _primary_and_secondary(zone)
+    good = secondary.zones[APEX]
+    old_soa, new_soa = zone.soa, authsim._with_serial(zone.soa, 2)
+    added = ResourceRecord(APEX, RType.A, RClass.IN, 300, A1)
+    push = DnsMessage(id=2, is_response=True, authoritative=True,
+                      question=(Question(APEX, RType.IXFR),),
+                      answers=(new_soa, old_soa, old_soa, new_soa, added, new_soa))
+    assert secondary.handle_datagram(transport.SimDatagram(PRIMARY, SECONDARY,
+                                                           encode_message(push)), 0.0) == []
+    assert secondary.zones[APEX] is good
+    assert secondary.faults == 0
+
+
 # --- IXFR pushes against the message they replaced, encoded whole ---
 
 

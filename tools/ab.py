@@ -1,11 +1,12 @@
 """Run one measurement on this tree and on a parent revision, in alternating pairs.
 
 Usage: python3 tools/ab.py --parent REV (--harness NAME | --perfbench WORKLOAD)
-                           [--pairs N] [--seed S] [--seconds T]
+                           [--pairs N] [--seed S] [--seconds T] [--repeats R]
 
 The parent runs from a temporary ``git worktree`` of REV, removed at the end;
 the first side alternates. NAME is a harness as its record names it, T is
-BENCHMARK.json's ``run_seconds`` by default. A number in a run's record with a
+BENCHMARK.json's ``run_seconds`` by default, R the harness's repeats (its own
+default when not given; harness mode only). A number in a run's record with a
 unit part in its dotted name (``op_ms_p50``) is measured: both medians, the
 parent's IQR, pairs won (higher wins for ``*per_s``). Others must be equal.
 """
@@ -56,8 +57,13 @@ def main() -> None:
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float)
+    p.add_argument("--repeats", type=int)
     args = p.parse_args()
+    if args.repeats is not None and args.perfbench:
+        p.error("--repeats sets a harness's repeats; it needs --harness")
     cmd = [f"tools/{args.harness}.py", "--seed", str(args.seed)]
+    if args.repeats is not None:
+        cmd += ["--repeats", str(args.repeats)]
     if args.perfbench:
         seconds = args.seconds if args.seconds is not None else \
             json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
