@@ -30,14 +30,22 @@ ints; the opcode and rcode are ``Opcode`` and ``Rcode`` members.
 Records, their rdata, questions and messages are slotted frozen
 dataclasses: an instance holds its fields in slots and has no dict,
 however it was built. One generator, ``_slot_filler``, writes the code
-that fills those slots, each through its descriptor, for every slotted
-value in the package, in two forms. ``@_slot_init`` makes it the class's
-``__init__``, with the parameters, defaults and ``__post_init__`` check of
-the one ``dataclasses`` makes, which set each field through
-``object.__setattr__`` at about twice the cost. ``_builder(cls)`` makes a
-function that takes every field, in field order, and skips ``__init__``
-and ``__post_init__``, so its caller must already hold what that check
-would check, and says so at the call. Each builder is bound once, at
+that fills those slots for every slotted value in the package, in two
+forms. ``@_slot_init`` makes it the class's ``__init__``, with the
+parameters, defaults and ``__post_init__`` check of the one
+``dataclasses`` makes; it fills each slot through its descriptor, where
+that one goes through ``object.__setattr__`` at about twice the cost.
+``_builder(cls)`` makes a function that takes every field, in field order,
+and skips ``__init__`` and ``__post_init__``, so its caller must already
+hold what that check would check, and says so at the call. A builder
+fills a layout twin of the class, the same slots on ``object`` with no
+frozen ``__setattr__``, by plain attribute stores, which the interpreter
+turns into direct slot writes, and then retypes it to the class, so a
+record is built at about half the cost of descriptor fills and what comes
+back is an instance of the class itself. Constructors keep their
+descriptor fills: their instance is already of the class when
+``__init__`` runs, and making it any other way would change how it
+unpickles and the ``__init__`` signature. Each builder is bound once, at
 module level: ``_record``, the rdata builders ``_soa``, ``_mx``, ``_txt``
 and ``_tsig_data``, ``_question`` and ``_message`` here, and those of
 datagrams, tap entries, zone versions, honeypot events, probe outcomes
@@ -331,34 +339,40 @@ def _split(wire: bytes) -> tuple[bytes, ...]:
 
 def _slot_filler(cls, init: bool):
     """The function that fills the slots of the slotted dataclass ``cls``
-    through their descriptors, past a frozen ``__setattr__``.
+    past its frozen ``__setattr__``.
 
     With ``init`` it is ``cls.__init__``: the parameters, defaults and
     annotations of the ``__init__`` that ``dataclasses`` made, which it
-    replaces, and then ``__post_init__`` when the class has one. Without, it
-    is the class's builder: one parameter per field, ``init=False`` ones
-    too, no defaults, and it makes the instance by ``object.__new__`` and
-    returns it, with no ``__init__`` or ``__post_init__`` run. The source is
-    generated from the field names, as ``dataclasses`` generates
-    ``__init__``, so the fills are unrolled, and its globals are the
-    constructor and the setters alone, so each is one specialised global
-    load. No field name can clash with those: a class body mangles a name
-    that starts with two underscores and does not end with two. A field
-    that only the ``dataclasses`` ``__init__`` handles (a default factory, a
-    keyword-only field, an ``init=False`` default, a field named ``self``)
-    raises TypeError.
+    replaces. Its instance is already a ``cls``, so it fills each slot
+    through its descriptor, and then runs ``__post_init__`` when the class
+    has one. Without, it is the class's builder: one parameter per field,
+    ``init=False`` ones too, no defaults, and no ``__init__`` or
+    ``__post_init__`` run. It makes an instance of the class's twin, a plain
+    class of the same ``__slots__`` on ``object`` made here once, fills each
+    field by an ordinary attribute store, which the interpreter specialises
+    to a direct slot write, and then sets its ``__class__`` to ``cls``, which
+    CPython allows between two identical layouts. What it returns is a
+    ``cls`` like any other, frozen and pickling as one. A class whose layout
+    the twin cannot copy (a base besides ``object``, no ``__slots__``, or a
+    ``__dict__``) raises TypeError here, and so does a retype that the
+    interpreter refuses, tried once on a throwaway instance.
+
+    The source is generated from the field names, as ``dataclasses``
+    generates ``__init__``, so the fills are unrolled, and its globals are
+    few, so each is one specialised global load. No field name can clash
+    with them: a class body mangles a name that starts with two underscores
+    and does not end with two. A field that only the ``dataclasses``
+    ``__init__`` handles (a default factory, a keyword-only field, an
+    ``init=False`` default, a field named ``self``) raises TypeError.
     """
     for f in fields(cls):
         if (f.default_factory is not MISSING or f.kw_only or f.name == "self"
                 or (not f.init and f.default is not MISSING)):
             raise TypeError(f"{cls.__name__}.{f.name}: only plain fields are filled by slot")
     filled = [f.name for f in fields(cls) if f.init or not init]
-    namespace = {"__new": _new, "__cls": cls}
-    body = ""
-    for i, name in enumerate(filled):
-        namespace[f"__set_{i}"] = cls.__dict__[name].__set__
-        body += f"    __set_{i}(self, {name})\n"
     if init:
+        namespace = {f"__set_{i}": cls.__dict__[name].__set__ for i, name in enumerate(filled)}
+        body = "".join(f"    __set_{i}(self, {name})\n" for i, name in enumerate(filled))
         if hasattr(cls, "__post_init__"):
             body += "    self.__post_init__()\n"
         exec(f"def __init__({', '.join(['self', *filled])}):\n{body}", namespace)
@@ -366,8 +380,14 @@ def _slot_filler(cls, init: bool):
         init_fn.__defaults__, init_fn.__annotations__ = made.__defaults__, dict(made.__annotations__)
         init_fn.__qualname__, init_fn.__module__ = made.__qualname__, made.__module__
         return init_fn
-    exec(f"def build({', '.join(filled)}):\n    self = __new(__cls)\n{body}    return self\n",
-         namespace)
+    if cls.__bases__ != (object,) or "__slots__" not in cls.__dict__ or "__dict__" in cls.__dict__:
+        raise TypeError(f"{cls.__name__}: a builder needs a slotted class on object alone")
+    twin = type(f"{cls.__name__}Twin", (), {"__slots__": cls.__slots__})
+    _new(twin).__class__ = cls  # a layout the interpreter refuses fails here, not on a call
+    body = "".join(f"    self.{name} = {name}\n" for name in filled)
+    namespace = {"__new": _new, "__twin": twin, "__cls": cls}
+    exec(f"def build({', '.join(filled)}):\n    self = __new(__twin)\n{body}"
+         "    self.__class__ = __cls\n    return self\n", namespace)
     build = namespace["build"]
     build.__qualname__ = f"_builder({cls.__name__})"
     build.__doc__ = f"``{cls.__name__}({', '.join(filled)})``, filled slot by slot."
@@ -377,7 +397,8 @@ def _slot_filler(cls, init: bool):
 def _builder(cls):
     """A function of one argument per field of the slotted dataclass ``cls``,
     in field order, that returns the instance holding those values and runs
-    no check (see ``_slot_filler``)."""
+    no check: it fills a twin of ``cls``'s layout by plain stores and
+    retypes it to ``cls`` (see ``_slot_filler``)."""
     return _slot_filler(cls, init=False)
 
 

@@ -3,15 +3,18 @@ no instance dict, whichever way a value is made (constructor, decoder, message
 builders, zone patch, ``derive``, ``dataclasses.replace``), and the same
 equality, hashing and pickling as the plain dataclasses had."""
 
+import copy
 import dataclasses
+import functools
 import inspect
 import pickle
 import random
+import sys
 from ipaddress import IPv4Address, IPv6Address
 
 import pytest
 
-from zptoolkit import analytics, authsim, transport, wire
+from zptoolkit import analytics, authsim, scanner, transport, wire
 from zptoolkit.analytics import RemediationSubject
 from zptoolkit.authsim import (HoneypotEvent, Open, Primary, Secondary, ZoneConfig,
                                apply_update, make_soa)
@@ -270,6 +273,8 @@ def test_positional_builders_equal_the_constructors():
         (analytics._swept_subject, RemediationSubject, (1.0, 2.0, 3.0, "eu")),
         (authsim._honeypot_event, HoneypotEvent, (1.5, "198.51.100.1", "example.com", ("add",),
                                                   ("www.example.com",), "NOERROR", b"raw")),
+        (scanner._outcome, ProbeOutcome, (TARGET, Verdict.VULNERABLE_CONFIRMED, Rcode.NOERROR, 1.5,
+                                          2.5, 3.5, True, 1, 2, 4.0)),
     ]
     for build, cls, args in inputs:
         fields = dataclasses.fields(cls)
@@ -282,11 +287,68 @@ def test_positional_builders_equal_the_constructors():
             assert getattr(built, f.name) == getattr(made, f.name), (cls.__name__, f.name)
         if cls.__eq__ is not object.__eq__:  # zones compare by identity
             assert built == made and hash(built) == hash(made)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, fields[0].name, None)
+        for again in (pickle.loads(pickle.dumps(built)), copy.copy(built),
+                      dataclasses.replace(built)):
+            assert type(again) is cls and again is not built, cls.__name__
+            assert fields_of(again) == fields_of(built), cls.__name__
+            if cls.__eq__ is not object.__eq__:
+                assert again == built and hash(again) == hash(built), cls.__name__
         with pytest.raises(TypeError):
             build(*args[:-1])
         with pytest.raises(TypeError):
             build(*args, None)
     assert make_query(WWW, RType.A, msg_id=3) == DnsMessage(3, question=(Question(WWW, RType.A),))
+
+
+def test_builder_refuses_a_class_whose_layout_its_twin_cannot_take():
+    class Base:
+        __slots__ = ("a",)
+
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class OnASlottedBase(Base):
+        b: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Unslotted:
+        b: int
+
+    for cls in (OnASlottedBase, Unslotted):
+        with pytest.raises(TypeError):
+            wire._builder(cls)
+
+
+def public_class_values(value, seen=None):
+    """Every value of a class defined in ``zptoolkit`` reachable from ``value``
+    through tuples, lists, dicts and dataclass fields."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, (tuple, list)):
+        items = value
+    elif isinstance(value, dict):
+        items = [*value, *value.values()]
+    else:
+        items = fields_of(value) if dataclasses.is_dataclass(value) else ()
+        if type(value).__module__.startswith("zptoolkit"):
+            yield value
+    for item in items:
+        yield from public_class_values(item, seen)
+
+
+def test_built_values_are_never_of_a_twin_type():
+    """Values out of the decoder, an UPDATE, a zone patch and a probe are each an
+    instance of the class their module names, never of a builder's twin."""
+    made = [decode_message(encode_message(signed_update())), *patched_zones(), probed_outcome()]
+    values = list(public_class_values(made))
+    assert {ResourceRecord, TsigData, DnsMessage, Question, ZoneConfig, ProbeOutcome,
+            ProbeTarget, SoaData} <= set(map(type, values))
+    for value in values:
+        cls = type(value)
+        named = functools.reduce(getattr, cls.__qualname__.split("."), sys.modules[cls.__module__])
+        assert named is cls, cls
 
 
 def test_make_update_builds_the_constructed_records():

@@ -72,3 +72,20 @@ def test_ab_runner_reads_every_number_of_a_record_and_tells_measured_from_determ
     measured = {name for name in flat if any(map(ab.MEASURED.search, name.split(".")))}
     assert measured == {"probe_us_min.dark", "shapes.0.encode_us_median", "op_ms_p50",
                         "peak_rss_mb", "pairs_per_s"}
+
+
+def test_ab_runner_refuses_seconds_in_harness_mode_before_any_git_call(monkeypatch, capsys):
+    calls = []
+
+    def no_subprocess(argv, *args, **kwargs):
+        calls.append(argv)
+        raise AssertionError(f"ran {argv}")
+
+    monkeypatch.setattr(ab.subprocess, "run", no_subprocess)
+    monkeypatch.setattr(sys, "argv", ["ab.py", "--parent", "HEAD", "--harness", "bench_exchange",
+                                      "--seconds", "5"])
+    with pytest.raises(SystemExit) as exit_:
+        ab.main()
+    assert exit_.value.code == 2
+    assert "--seconds" in capsys.readouterr().err
+    assert calls == []  # no git call, so no worktree

@@ -1,14 +1,15 @@
 """Run one measurement on this tree and on a parent revision, in alternating pairs.
 
-Usage: python3 tools/ab.py --parent REV (--harness NAME | --perfbench WORKLOAD)
-                           [--pairs N] [--seed S] [--seconds T] [--repeats R]
+Usage: python3 tools/ab.py --parent REV [--pairs N] [--seed S]
+                           (--harness NAME [--repeats R] | --perfbench WORKLOAD [--seconds T])
 
 The parent runs from a temporary ``git worktree`` of REV, removed at the end;
-the first side alternates. NAME is a harness as its record names it, T is
-BENCHMARK.json's ``run_seconds`` by default, R the harness's repeats (its own
-default when not given; harness mode only). A number in a run's record with a
-unit part in its dotted name (``op_ms_p50``) is measured: both medians, the
-parent's IQR, pairs won (higher wins for ``*per_s``). Others must be equal.
+the first side alternates. NAME is a harness as its record names it, R the
+harness's repeats (its own default when not given), T a perfbench run's
+seconds (BENCHMARK.json's ``run_seconds`` when not given); each mode refuses
+the other's option. A number in a run's record with a unit part in its
+dotted name (``op_ms_p50``) is measured: both medians, the parent's IQR,
+pairs won (higher wins for ``*per_s``). Others must be equal.
 """
 
 import argparse
@@ -61,6 +62,8 @@ def main() -> None:
     args = p.parse_args()
     if args.repeats is not None and args.perfbench:
         p.error("--repeats sets a harness's repeats; it needs --harness")
+    if args.seconds is not None and args.harness:
+        p.error("--seconds sets a perfbench run's length; it needs --perfbench")
     cmd = [f"tools/{args.harness}.py", "--seed", str(args.seed)]
     if args.repeats is not None:
         cmd += ["--repeats", str(args.repeats)]
