@@ -14,8 +14,8 @@ new record tuple of every owner name it touched, and hands those tuples,
 with the apex and its bumped SOA, to one patch primitive, which copies the
 index once and checks only the patched names. A record that survives keeps
 its object across versions, so the IXFR diff of an update is read off the
-touched names by identity. Nothing on that path hashes a record or its
-rdata: records at one name are compared field by field.
+touched names by identity. No path that builds or changes a zone hashes a
+record or its rdata: records at one name are compared field by field.
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ class ZoneConfig:
     all such zones share. Every owner lies at or below the
     apex: the constructor and ``_patch`` raise ValueError for any other.
 
-    ``build`` hashes each record's owner name once and hashes rdata only at
-    names given more than one record, where it drops a repeated (type,
-    rdata); a zone whose names each hold one record costs one dict
-    operation per record.
+    ``build`` hashes each record's owner name once, and again for each
+    further record a name keeps, which it matches field by field, as
+    ``derive`` does. The constructor checks the rules owner by owner in index
+    order, so a bad zone is refused for its first faulty owner.
 
     Each later version comes from ``_patch``, which copies ``by_name`` once
     and replaces only the patched names' tuples, and copies ``_below`` only
@@ -208,11 +208,14 @@ class ZoneConfig:
                 raise ValueError(_OUTSIDE.format(name.to_text(), apex.to_text()))
             _count_ancestors(below, name, 1, d)
         # a name breaks a rule only through an SOA or a CNAME, so only those
-        # names, and the apex that must hold the SOA, are checked
-        marked = {rr.name for rrs in self.by_name.values() for rr in rrs
-                  if rr.rtype == _SOA or rr.rtype == _CNAME}
-        for name in marked | {apex}:
-            _check_name(apex, name, self.by_name.get(name, ()))
+        # names, and the apex that must hold the SOA, are checked, in index order
+        for name, rrs in self.by_name.items():
+            for rr in rrs:
+                if rr.rtype == _SOA or rr.rtype == _CNAME or name._key == tail:
+                    _check_name(apex, name, rrs)
+                    break
+        if not self.by_name.get(apex):
+            _check_name(apex, apex, ())
         object.__setattr__(self, "_below", below or _NO_ANCESTORS)
 
     @classmethod
@@ -224,22 +227,16 @@ class ZoneConfig:
         share name, type and rdata but not TTL or class.
         """
         by_name: dict[DnsName, tuple[ResourceRecord, ...]] = {}
-        # owner name -> its records by (type, rdata), for names given more than one
-        crowded: dict[DnsName, dict[tuple, ResourceRecord]] = {}
         for rr in records:
             alone = (rr,)
-            first = by_name.setdefault(rr.name, alone)
-            if first is alone:
+            now = by_name.setdefault(rr.name, alone)
+            if now is alone:
                 continue
-            kept = crowded.setdefault(rr.name, {})
-            if not kept:  # the name's second record: index its first
-                (head,) = first
-                kept[(head.rtype, head.rdata)] = head
-            old = kept.setdefault((rr.rtype, rr.rdata), rr)
-            if old is not rr and not _same(old, rr):
+            i = _find(now, rr.rtype, rr.rdata)
+            if i < 0:
+                by_name[rr.name] = now + alone
+            elif not _same(now[i], rr):
                 raise ValueError(_CLASH.format(rr.name.to_text()))
-        for name, kept in crowded.items():
-            by_name[name] = tuple(kept.values())
         return cls(apex, role, policy, by_name)
 
     def derive(self, removed: Iterable[ResourceRecord],

@@ -175,12 +175,13 @@ def serve_udp(server: authsim.NameServer, host: str, port: int,
 
 # --- attack ---
 
+_POLICIES = {authsim.policy_label(p): p for p in attacklab.all_policies()}
+
 
 def _cmd_attack(args) -> int:
     if args.scenario:
-        policies = {authsim.policy_label(p): p for p in attacklab.all_policies()}
         report = attacklab.execute_scenario(
-            attacklab.ScenarioName(args.scenario), policies[args.policy],
+            attacklab.ScenarioName(args.scenario), _POLICIES[args.policy],
             spoofing_enabled=not args.no_spoofing, seed=args.seed)
         print(f"{report.scenario.value} vs {report.policy}: "
               f"{'success' if report.succeeded else 'fail'}")
@@ -336,7 +337,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("attack", help="run the attack taxonomy")
     p.add_argument("--scenario", choices=[s.value for s in attacklab.ScenarioName])
-    p.add_argument("--policy", choices=["deny", "open", "ipacl", "signedkey"], default="open")
+    p.add_argument("--policy", choices=list(_POLICIES), default="open")
     p.add_argument("--no-spoofing", action="store_true")
     p.add_argument("--out", help="matrix CSV path")
     p.add_argument("--seed", type=int, default=0)

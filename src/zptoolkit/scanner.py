@@ -121,9 +121,6 @@ class Verdict(Enum):
     NOT_PROBED = "not_probed"
 
 
-VULNERABLE_VERDICTS = {Verdict.VULNERABLE_CONFIRMED, Verdict.CLEANUP_FAILED}
-
-
 @_slot_init
 @dataclass(frozen=True, slots=True)
 class ProbeOutcome:
@@ -146,7 +143,8 @@ class ProbeOutcome:
 
     @property
     def vulnerable(self) -> bool:
-        return self.verdict in VULNERABLE_VERDICTS
+        verdict = self.verdict
+        return verdict is Verdict.VULNERABLE_CONFIRMED or verdict is Verdict.CLEANUP_FAILED
 
     def to_json_obj(self) -> dict:
         return {

@@ -842,7 +842,8 @@ def _read_records(data: bytes, pos: int, count: int) -> tuple[tuple[ResourceReco
     A later record whose bytes repeat those of the section's first is the
     first record's object, read once: the same bytes further on decode to
     the same values, as a pointer valid at one place is valid at any later
-    one. An IXFR diff repeats its new SOA, and an AXFR stream its SOA.
+    one. An IXFR diff repeats its new SOA, and an AXFR stream its SOA. A
+    record with opaque rdata is no template: its name may have run past it.
     """
     size = len(data)
     records = []
@@ -868,7 +869,7 @@ def _read_records(data: bytes, pos: int, count: int) -> tuple[tuple[ResourceReco
             rdata = _decode_rdata(data, pos, end, rtype)
         rr = _record(name, rtype, rclass, ttl, rdata)
         append(rr)
-        if first is None and count > 1:
+        if first is None and count > 1 and rdata.__class__ is not bytes:
             first, first_wire = rr, data[start:end]
         pos = end
     return tuple(records), pos

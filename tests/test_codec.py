@@ -421,8 +421,14 @@ def _compressed(blob: bytes, choices) -> bytes:
     return bytes(out)
 
 
+# two equal MX records whose exchange runs past their rdata: the first into
+# the second, opaque, the second off the end of the message
+_OVERRUN_MX = ResourceRecord(DnsName.from_text("."), RType.MX, RClass.IN, 0, b"\x00\x00\x02\x00\x00")
+
+
 @given(messages(), st.lists(st.booleans(), max_size=40))
 @settings(max_examples=250, deadline=None)
+@example(DnsMessage(0, additional=(_OVERRUN_MX, _OVERRUN_MX)), [])
 def test_codec_matches_the_oracle_on_messages(msg, choices):
     blob, error = _encoded(msg)
     if error is not None:

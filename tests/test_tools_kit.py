@@ -89,3 +89,32 @@ def test_ab_runner_refuses_seconds_in_harness_mode_before_any_git_call(monkeypat
     assert exit_.value.code == 2
     assert "--seconds" in capsys.readouterr().err
     assert calls == []  # no git call, so no worktree
+
+
+def test_ab_runner_counts_the_full_collections_inside_the_last_perfbench_workload_run(tmp_path):
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "workloads.py").write_text(
+        "import gc\n"
+        "class Collecting:\n"
+        "    runs = 0\n"
+        "    def run(self):\n"
+        "        Collecting.runs += 1\n"
+        "        gc.collect(1)\n"  # not a full collection
+        "        for _ in range(Collecting.runs):\n"
+        "            gc.collect()\n"
+        "WORKLOADS = {'collecting': Collecting}\n")
+    (bench / "run.py").write_text(
+        "import gc, json, sys\n"
+        "from workloads import WORKLOADS\n"
+        "workload = WORKLOADS['collecting']()\n"
+        "workload.run()\n"
+        "gc.collect()\n"  # outside run
+        "workload.run()\n"
+        "gc.collect()\n"
+        "print(json.dumps({'correct': True, 'metrics': {'setup_s': {'value': float(sys.argv[1])}}}))\n"
+        "sys.exit(1)\n")
+    metrics = ab.run(tmp_path, ["perfbench/run.py", "0.5"])
+    assert list(metrics) == ["correct", "gc2_in_run", "gc2_in_run_s", "setup_s"]
+    assert (metrics["correct"], metrics["gc2_in_run"], metrics["setup_s"]) == (1, 2, 0.5)
+    assert 0 < metrics["gc2_in_run_s"] < 60

@@ -9,8 +9,12 @@ with repeated and clashing records, and SOAs and CNAMEs where they may not
 be.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 from ipaddress import IPv4Address, IPv6Address
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -56,10 +60,11 @@ def oracle_index(apex: DnsName, by_name) -> dict:
     if min(depths, default=0) < 0:
         outside = next(name for name, d in zip(by_name, depths) if d < 0)
         raise ValueError(authsim._OUTSIDE.format(outside.to_text(), apex.to_text()))
-    marked = {rr.name for rrs in by_name.values() for rr in rrs
-              if rr.rtype == RType.SOA or rr.rtype == RType.CNAME}
-    for name in marked | {apex}:
-        authsim._check_name(apex, name, by_name.get(name, ()))
+    for name, rrs in by_name.items():  # the rules, owner by owner in index order
+        if name == apex or any(rr.rtype in (RType.SOA, RType.CNAME) for rr in rrs):
+            authsim._check_name(apex, name, rrs)
+    if apex not in by_name:
+        authsim._check_name(apex, apex, ())
     below: dict = {}
     for name, d in zip(by_name, depths):
         if d > 1:
@@ -105,8 +110,21 @@ SHALLOW = [make_soa(APEXES[0]),
            ResourceRecord(INSIDE[2], RType.A, RClass.IN, 60, RDATA[0][1])]
 
 
+# six owners that each hold two CNAMEs; a set of them iterates in an order
+# that follows the hash seed
+TWO_CNAMES_TEXT = "\n".join([
+    "example.com. 3600 IN SOA ns1.example.com. hostmaster.example.com. 1 7200 900 1209600 86400",
+    *(f"{owner}.example.com. 300 IN CNAME t{k}.example.net." for owner in "abcdef" for k in (1, 2))])
+TWO_CNAMES = [make_soa(APEXES[0]), *(
+    ResourceRecord(APEXES[0].prepend(owner), RType.CNAME, RClass.IN, 300,
+                   DnsName.from_text(f"t{k}.example.net")) for owner in "abcdef" for k in (1, 2))]
+
+
 @given(zone_records())
 @example((APEXES[0], SHALLOW))  # a clash at a name given two records
+# one record given with its type and class as members and again as plain numbers
+@example((APEXES[0], [*SHALLOW[:2], ResourceRecord(INSIDE[2], 1, 1, 300, RDATA[0][1])]))
+@example((APEXES[0], TWO_CNAMES))
 @example((APEXES[0], [*SHALLOW[:2], ResourceRecord(OUTSIDE[-1], RType.A, RClass.IN, 1, b"x")]))
 @example((APEXES[0], [*SHALLOW[:2], ResourceRecord(OUTSIDE[3], RType.A, RClass.IN, 1, b"x")]))
 @settings(max_examples=400, deadline=None)
@@ -173,7 +191,40 @@ def test_build_hashes_no_rdata_where_each_name_holds_one_record(monkeypatch):
     monkeypatch.setattr(DnsName, "labels_below", counted_labels_below)
     zone = ZoneConfig.build(apex, Primary(), Open(), [make_soa(apex), *hosts])
     assert calls == {"rdata": 0, "labels_below": 0}
-    # a second record at one name de-duplicates there, and only there
+    # a second record at one name is matched there field by field
     ZoneConfig.build(apex, Primary(), Open(), [make_soa(apex), *hosts, hosts[3]])
-    assert calls == {"rdata": 2, "labels_below": 0}
+    assert calls == {"rdata": 0, "labels_below": 0}
     assert len(zone.by_name) == 51
+
+
+# the error of the seed given as the first argument, built by ``build`` and
+# loaded as a fleet file, one line each
+_FIRST_FAULT_SCRIPT = """
+import sys
+from zptoolkit.authsim import Open, Primary, ZoneConfig, parse_fleet_text
+from zptoolkit.wire import DnsName, RClass, ResourceRecord, rdata_from_text, rtype_from_text
+text = sys.argv[1]
+records = []
+for line in text.splitlines():
+    name, ttl, _, rtype, rdata = line.split(None, 4)
+    rtype = rtype_from_text(rtype)
+    records.append(ResourceRecord(DnsName.from_text(name), rtype, RClass.IN, int(ttl),
+                                  rdata_from_text(rtype, rdata)))
+for load in (lambda: ZoneConfig.build(records[0].name, Primary(), Open(), records),
+             lambda: parse_fleet_text("@server 192.0.2.53\\n" + text)):
+    try:
+        load()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_a_zone_with_several_faults_names_its_first_owner_under_every_hash_seed():
+    src = str(Path(authsim.__file__).parents[1])
+    for seed in (0, 1, 2):
+        out = subprocess.run(
+            [sys.executable, "-c", _FIRST_FAULT_SCRIPT, TWO_CNAMES_TEXT], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+        ).stdout.splitlines()
+        assert out == ["a.example.com holds more than one CNAME",
+                       "@server 192.0.2.53: line 1: a.example.com holds more than one CNAME"], seed

@@ -10,6 +10,12 @@ seconds (BENCHMARK.json's ``run_seconds`` when not given); each mode refuses
 the other's option. A number in a run's record with a unit part in its
 dotted name (``op_ms_p50``) is measured: both medians, the parent's IQR,
 pairs won (higher wins for ``*per_s``). Others must be equal.
+
+A perfbench run also reports the generation-2 collections that fell inside
+its last pass's ``run`` (``gc2_in_run``, which must be equal: passes after
+the first repeat the same allocations) and the seconds they took
+(``gc2_in_run_s``), so a wall-clock change can be told from a collection
+that moved into or out of the timed items.
 """
 
 import argparse
@@ -25,6 +31,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 META = {"harness", "command", "python", "nproc", "seed", "repeats"}
 MEASURED = re.compile(r"(^|_)(ns|us|ms|s|mb)(_|$)")
+# perfbench/run.py, run by ``python3 -c`` with each workload class's ``run``
+# marked; its last stdout line is then the generation-2 collections that fell
+# inside the last ``run``, and their seconds
+PERFBENCH_GC = """
+import gc, json, runpy, sys, time
+sys.path.insert(0, "perfbench")
+import workloads
+inside, held = [False], {"gc2_in_run": 0, "gc2_in_run_s": 0.0}
+def on_collect(phase, info):
+    if inside[0] and info["generation"] == 2:
+        if phase == "start":
+            held["gc2_in_run_s"] -= time.perf_counter()
+        else:
+            held["gc2_in_run"] += 1
+            held["gc2_in_run_s"] += time.perf_counter()
+def marked(run):
+    def run_marked(*args):
+        held.update(gc2_in_run=0, gc2_in_run_s=0.0)
+        inside[0] = True
+        try:
+            return run(*args)
+        finally:
+            inside[0] = False
+    return run_marked
+for cls in workloads.WORKLOADS.values():
+    cls.run = marked(cls.run)
+gc.callbacks.append(on_collect)
+try:
+    runpy.run_path("perfbench/run.py", run_name="__main__")
+except SystemExit:  # run.py's own exit; a crash prints nothing more
+    print(json.dumps(held))
+    raise
+"""
 
 
 def flatten(value, path: str = ""):
@@ -38,14 +77,16 @@ def flatten(value, path: str = ""):
 
 def run(tree: Path, argv: list[str]) -> dict:
     """The metrics of one run of ``argv`` in ``tree``, against that tree's ``src``."""
-    out = subprocess.run([sys.executable, *argv], cwd=tree, capture_output=True, text=True,
+    perfbench = argv[0] == "perfbench/run.py"
+    cmd = [sys.executable, *(["-c", PERFBENCH_GC, *argv[1:]] if perfbench else argv)]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
     if out.returncode not in (0, 1) or not out.stdout.strip():  # perfbench: 1 is a failed gate
         raise SystemExit(f"{tree}: {' '.join(argv)} exited {out.returncode}\n{out.stderr}")
-    if argv[0] != "perfbench/run.py":
+    if not perfbench:
         return dict(flatten({k: v for k, v in json.loads(out.stdout).items() if k not in META}))
-    record = json.loads(out.stdout.splitlines()[-1])
-    return {"correct": int(record["correct"]),
+    record, held = map(json.loads, out.stdout.splitlines()[-2:])
+    return {"correct": int(record["correct"]), **held,
             **{name: m["value"] for name, m in record["metrics"].items()}}
 
 
@@ -85,8 +126,9 @@ def main() -> None:
         finally:
             subprocess.run([*git, "worktree", "remove", "--force", tmp + "/parent"], check=True)
     print("python3 tools/ab.py " + " ".join(sys.argv[1:]))
-    print(f"each run: PYTHONPATH=src python3 {' '.join(cmd)}, in this tree and in a worktree "
-          f"of {args.parent} ({sha[:12]}); {args.pairs} pairs, the first side alternating")
+    marked = " (each workload's run marked for gc)" if args.perfbench else ""
+    print(f"each run: PYTHONPATH=src python3 {' '.join(cmd)}{marked}, in this tree and in a "
+          f"worktree of {args.parent} ({sha[:12]}); {args.pairs} pairs, the first side alternating")
     for metric in runs["change"][0]:
         before = [r.get(metric, float("nan")) for r in runs["parent"]]
         after = [r[metric] for r in runs["change"]]
