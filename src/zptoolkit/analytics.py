@@ -553,10 +553,6 @@ class SurvivalCurve:
                 break
         return s
 
-    def series(self) -> list[tuple[float, float, int, int]]:
-        return [(t, s, n, d) for t, s, n, d in
-                zip(self.times, self.survival, self.at_risk, self.events)]
-
 
 def kaplan_meier(subjects: Sequence[RemediationSubject]) -> SurvivalCurve:
     """Product-limit estimate over interval-censored remediation observations.
@@ -604,7 +600,7 @@ def survival_by_group(subjects: Sequence[RemediationSubject]) -> dict[str, Survi
 
 def survival_series_csv(curve: SurvivalCurve) -> str:
     lines = ["t,S(t),n_risk,d"]
-    for t, s, n, d in curve.series():
+    for t, s, n, d in zip(curve.times, curve.survival, curve.at_risk, curve.events):
         lines.append(f"{t:g},{s:.10g},{n},{d}")
     return "\n".join(lines) + "\n"
 

@@ -165,6 +165,11 @@ class AttackLab:
         self.proxy = RelayStub(self.bus, str(ATTACKER_PROXY), str(VICTIM_WEB))
         self.fixture_records = self.zone().normalized_records()
 
+    def run(self, scenario: ScenarioName) -> AttackReport:
+        """Run one scenario on this lab and evaluate its effect predicate."""
+        succeeded, observations = _SCENARIOS[scenario](self)
+        return AttackReport(scenario, policy_label(self.policy), succeeded, tuple(observations))
+
     # -- attacker actions --
 
     def send_update(self, changes: Iterable, *, source: Optional[str] = None) -> None:
@@ -372,17 +377,9 @@ def all_policies() -> tuple[UpdatePolicy, ...]:
 
 
 def execute_scenario(scenario: ScenarioName, policy: UpdatePolicy = Open(), *,
-                     spoofing_enabled: bool = True, seed: int = 0,
-                     lab: Optional[AttackLab] = None) -> AttackReport:
+                     spoofing_enabled: bool = True, seed: int = 0) -> AttackReport:
     """Run one scenario on a fresh fixture and evaluate its effect predicate."""
-    lab = lab or AttackLab(policy, spoofing_enabled=spoofing_enabled, seed=seed)
-    succeeded, observations = _SCENARIOS[scenario](lab)
-    return AttackReport(
-        scenario=scenario,
-        policy=policy_label(lab.policy),
-        succeeded=succeeded,
-        observations=tuple(observations),
-    )
+    return AttackLab(policy, spoofing_enabled=spoofing_enabled, seed=seed).run(scenario)
 
 
 @dataclass(frozen=True)

@@ -197,18 +197,18 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
               clock=None, rng: Optional[random.Random] = None) -> ProbeOutcome:
     """Classify one domain-nameserver pair.
 
-    Phase 1 sends the probe UPDATE: a refusal rcode is NotVulnerable, and
+    Phase 1 sends the probe UPDATE and decides whether the probe goes on:
     silence after retries is Unreachable, with ``cleanup_confirmed`` False,
-    since a send may have landed with only its reply lost. A reply that
-    does not decode, or only replies that do not answer the request, are
-    MalformedReply, as in phase 2; the probe may have landed all the same,
-    so it is deleted as in phase 3. Phase 2 queries the nameserver directly
-    for the sentinel record. Phase 3 follows every NOERROR, whatever phase
-    2 saw: it deletes the record and confirms the removal. Every path is an
-    outcome, never an exception: a zone too long
-    to carry the sentinel label is NotProbed, with nothing sent. Times come
-    from ``clock``, by default the transport's own, read once as each phase
-    ends; the outcome's ``ts`` is when phase 1 began.
+    since a send may have landed with only its reply lost, and a refusal
+    rcode is NotVulnerable. After a NOERROR, phase 2 queries the nameserver
+    directly for the sentinel record; a probe that drew only replies that do
+    not decode or do not answer it is a MalformedReply with no rcode and
+    skips it. Phase 3 follows either way, as the probe may have landed: it
+    deletes the record and confirms the removal. Every path is an outcome,
+    never an exception: a zone too long to carry the sentinel label is
+    NotProbed, with nothing sent. Times come from ``clock``, by default the
+    transport's own, read once as each phase ends; the outcome's ``ts`` is
+    when phase 1 began.
     """
     _require_attestation(cfg, transport)
     clock = clock or transport.clock
@@ -228,38 +228,32 @@ def run_probe(target: ProbeTarget, cfg: ProbeConfig, transport: Transport,
     if reply is None:
         return _outcome(target, _UNREACHABLE, None, t_update, 0.0, 0.0, False, detection_sends, 0,
                         started)
-    if not isinstance(reply, DnsMessage):
-        # no reply answered the probe, yet a send of it may have been applied:
-        # delete exactly our record, as after phase 2
-        removed, cleanup_sends = _cleanup_own_record(
-            target, probe.question, record, (_question(record.name, record.rtype, _IN),), cfg,
-            transport, rng)
-        return _outcome(target, _MALFORMED_REPLY, None, t_update, 0.0, (clock.now() - t1) * 1000,
-                        removed, detection_sends, cleanup_sends, started)
-    if reply.rcode is not _NOERROR:
+    answered = isinstance(reply, DnsMessage)
+    if answered and reply.rcode is not _NOERROR:
         return _outcome(target, _NOT_VULNERABLE, reply.rcode, t_update, 0.0, 0.0, None,
                         detection_sends, 0, started)
-
-    # phase 2: the update claims success; look for the sentinel record
     question = (_question(record.name, record.rtype, _IN),)
-    verdict = _NOT_VISIBLE
-    try:
-        answers = _query_addresses(transport, target.nameserver, question, cfg, rng)
-    except DecodeError:
-        answers, verdict = None, _MALFORMED_REPLY
-    t2 = clock.now()
-    t_verify = (t2 - t1) * 1000
+    # no reply answered the probe, yet a send of it may have been applied
+    rcode, verdict, answers, t2 = None, _MALFORMED_REPLY, None, t1
+    if answered:
+        # phase 2: the update claims success; look for the sentinel record
+        rcode, verdict = _NOERROR, _NOT_VISIBLE
+        try:
+            answers = _query_addresses(transport, target.nameserver, question, cfg, rng)
+        except DecodeError:
+            verdict = _MALFORMED_REPLY
+        t2 = clock.now()
 
-    # phase 3: the server took our record, though a lagging copy may not show it
-    # yet; delete exactly it whatever the check saw, and confirm removal. Only a
+    # phase 3: the server may hold our record, though a lagging copy may not show
+    # it yet; delete exactly it whatever phase 2 saw, and confirm removal. Only a
     # check that saw our record alone confirms the insert: an empty answer, a
     # timeout, a bad reply or a pre-existing sentinel rrset keeps the weaker verdict
-    removed, cleanup_sends = _cleanup_own_record(target, probe.question, record, question, cfg,
+    removed, cleanup_sends = _cleanup_own_record(target.nameserver, probe, question, cfg,
                                                  transport, rng)
     t_cleanup = (clock.now() - t2) * 1000
     if answers and answers.count(cfg.probe_address) == len(answers):
         verdict = _VULNERABLE_CONFIRMED if removed else _CLEANUP_FAILED
-    return _outcome(target, verdict, _NOERROR, t_update, t_verify, t_cleanup, removed,
+    return _outcome(target, verdict, rcode, t_update, (t2 - t1) * 1000, t_cleanup, removed,
                     detection_sends, cleanup_sends, started)
 
 
@@ -289,25 +283,27 @@ def _query_addresses(transport, destination, question, cfg, rng):
             if rr.rtype == rtype and rr.name == name and isinstance(rr.rdata, _ADDRESSES)]
 
 
-def _cleanup_own_record(target, zone_question, record, question, cfg, transport, rng):
+def _cleanup_own_record(nameserver, probe, question, cfg, transport, rng):
     """Delete exactly our sentinel record (RFC 2136 §2.5.4) and confirm its absence.
 
-    The delete names our rdata, so a record another client holds in the
-    sentinel rrset is never touched. Each round sends a fresh delete under
-    the probe's zone section, and its reply is not read: the re-check
-    decides. A port that refuses the delete ends the cleanup unconfirmed.
-    Returns whether the removal was confirmed, and the deletes sent.
+    The delete names the rdata of ``probe``'s one update record, so a record
+    another client holds in the sentinel rrset is never touched. Each round
+    sends a fresh delete under the probe's zone section, and its reply is not
+    read: the re-check, asking ``question``, decides. A port that refuses the
+    delete ends the cleanup unconfirmed. Returns whether the removal was
+    confirmed, and the deletes sent.
     """
+    record = probe.updates[0]
     deleted = (_record(record.name, record.rtype, _NONE, 0, record.rdata),)
     for sends in range(1, RETRIES_CLEANUP + 1):
-        delete = _message(rng.randrange(0x10000), _UPDATE, _NOERROR, False, False, zone_question,
+        delete = _message(rng.randrange(0x10000), _UPDATE, _NOERROR, False, False, probe.question,
                           (), deleted, (), 0)
         try:
-            transport.exchange(encode_message(delete), target.nameserver, cfg.timeout)
+            transport.exchange(encode_message(delete), nameserver, cfg.timeout)
         except ConnectionRefusedError:  # a closed port: nothing is resent
             return False, sends
         try:
-            answers = _query_addresses(transport, target.nameserver, question, cfg, rng)
+            answers = _query_addresses(transport, nameserver, question, cfg, rng)
         except DecodeError:
             continue
         if answers is not None and cfg.probe_address not in answers:

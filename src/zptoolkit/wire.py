@@ -297,17 +297,7 @@ class DnsName:
         return isinstance(other, DnsName) and self._key == other._key
 
     def __lt__(self, other: "DnsName") -> bool:
-        # label by label, as tuples of lower-cased labels compare
-        a, b = self._key, other._key
-        pos = 0
-        while True:
-            n, m = a[pos], b[pos]
-            if not n or not m:
-                return not n and m != 0
-            left, right = a[pos + 1:pos + 1 + n], b[pos + 1:pos + 1 + m]
-            if left != right:
-                return left < right
-            pos += n + 1
+        return _split(self._key) < _split(other._key)
 
     def __hash__(self) -> int:
         return hash(self._key)

@@ -23,7 +23,7 @@ from zptoolkit.analytics import (
     kaplan_meier,
     make_notification_batch,
 )
-from zptoolkit.attacklab import AttackLab, ScenarioName, execute_scenario, run_taxonomy_matrix
+from zptoolkit.attacklab import AttackLab, ScenarioName, run_taxonomy_matrix
 from zptoolkit.authsim import IpAcl, Open, Secondary
 from zptoolkit.scanner import ProbeConfig, Verdict, run_scan
 from zptoolkit.transport import ClientEndpoint, DatagramBus, ManualClock, SimTransport
@@ -250,17 +250,17 @@ def test_criterion_6_taxonomy_matrix():
         for scenario in sorted(dos, key=lambda s: s.value):
             lab = AttackLab(Open(), seed=6)
             before = {(rr.name, rr.rtype): rr for rr in lab.zone().normalized_records()}
-            execute_scenario(scenario, Open(), lab=lab)
+            lab.run(scenario)
             after = {(rr.name, rr.rtype): rr for rr in lab.zone().normalized_records()}
             assert any(before[k] != after.get(k) for k in before)  # existing names changed
         for scenario in sorted(shadow, key=lambda s: s.value):
             lab = AttackLab(Open(), seed=6)
             before = lab.zone().normalized_records()
-            execute_scenario(scenario, Open(), lab=lab)
+            lab.run(scenario)
             assert before <= lab.zone().normalized_records()  # additions only
         for scenario in sorted(dcv, key=lambda s: s.value):
             lab = AttackLab(Open(), seed=6)
-            report = execute_scenario(scenario, Open(), lab=lab)
+            report = lab.run(scenario)
             assert report.succeeded and lab.fixture_intact()
 
 

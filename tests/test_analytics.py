@@ -388,6 +388,10 @@ class TestSubjectsFromSnapshots:
         for scope, expected in (("domain", 3), ("nameserver", 2), ("pair", 3)):
             assert len(subjects_from_snapshots(self.snapshots(), 10.0, scope=scope)) == expected
 
+    def test_no_snapshot_refused(self):
+        with pytest.raises(ValueError, match="baseline"):
+            subjects_from_snapshots([], 10.0)
+
     def test_bad_scope_rejected(self):
         with pytest.raises(ValueError):
             subjects_from_snapshots(self.snapshots(), 10.0, scope="pairs")
@@ -686,6 +690,13 @@ class TestAttributionLookup:
         # an endpoint whose port is not a port names no address
         for address in ("10.1.2.3:abc", "10.1.2.3:70000", "[2001:db8::1]x"):
             assert amap.lookup(address) == UNKNOWN
+
+    def test_csv_comment_rows_skipped_and_short_rows_refused(self):
+        header = "prefix,asn,country,csirt_id\n"
+        amap = AttributionMap.from_csv(header + "# JP space\n10.1.0.0/16,64500,JP,jp-cert\n")
+        assert amap.lookup("10.1.2.3").country == "JP"
+        with pytest.raises(ValueError, match="expected 4 CSV fields"):
+            AttributionMap.from_csv(header + "10.1.0.0/16,64500,JP\n")
 
     def test_csv_prefix_with_host_bits_raises(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Attack taxonomy: per-scenario effects, policy columns, stealth bookkeeping."""
 
 import hashlib
+from ipaddress import IPv4Address
 
 import pytest
 
@@ -11,6 +12,7 @@ from zptoolkit.attacklab import (
     ATTACKER_WEB,
     TRUSTED_SOURCE,
     VICTIM_APEX,
+    VICTIM_NS_ADDRESS,
     VICTIM_WEB,
     AttackLab,
     FixtureMismatch,
@@ -21,7 +23,7 @@ from zptoolkit.attacklab import (
     victim_zone,
 )
 from zptoolkit.authsim import IpAcl, Open, ZoneConfig
-from zptoolkit.wire import RType
+from zptoolkit.wire import AddRecord, RClass, ResourceRecord, RType
 
 IPACL = IpAcl(frozenset({TRUSTED_SOURCE}))
 
@@ -41,7 +43,7 @@ def _sent(lab: AttackLab, start: int) -> tuple[tuple[str, str, int], ...]:
 def test_every_scenario_succeeds_against_open(scenario):
     lab = AttackLab(Open(), seed=3)
     start = len(lab.bus.tap)
-    report = execute_scenario(scenario, Open(), lab=lab)
+    report = lab.run(scenario)
     assert report.succeeded, report.observations
     assert _sent(lab, start)  # every datagram is on the record
 
@@ -50,7 +52,7 @@ def test_every_scenario_succeeds_against_open(scenario):
 def test_every_scenario_fails_against_signedkey_and_zone_unchanged(scenario):
     lab = AttackLab(signed_key_policy(), seed=4)
     fixture = lab.zone().records
-    report = execute_scenario(scenario, signed_key_policy(), lab=lab)
+    report = lab.run(scenario)
     assert not report.succeeded
     assert lab.zone().records == fixture  # not even the serial moved
 
@@ -71,35 +73,35 @@ def test_spoofed_bypass_needs_a_forgeable_transport():
 class TestScenarioEffects:
     def test_dos_delete_a_empties_the_answer(self):
         lab = AttackLab(Open())
-        execute_scenario(ScenarioName.DOS_DELETE_A, Open(), lab=lab)
+        lab.run(ScenarioName.DOS_DELETE_A)
         assert lab.addresses(VICTIM_APEX) == set()
         assert not lab.zone().rrset(VICTIM_APEX, RType.A)
 
     def test_dos_delete_mx_removes_the_rrset(self):
         lab = AttackLab(Open())
-        execute_scenario(ScenarioName.DOS_DELETE_MX, Open(), lab=lab)
+        lab.run(ScenarioName.DOS_DELETE_MX)
         assert not lab.zone().rrset(VICTIM_APEX, RType.MX)
 
     def test_dos_spf_lockout_rewrites_the_policy_record(self):
         lab = AttackLab(Open())
-        execute_scenario(ScenarioName.DOS_SPF_LOCKOUT, Open(), lab=lab)
+        lab.run(ScenarioName.DOS_SPF_LOCKOUT)
         (txt,) = lab.zone().rrset(VICTIM_APEX, RType.TXT)
         assert txt.rdata.to_text() == "v=spf1 -all"
 
     def test_hijack_a_redirects_to_attacker(self):
         lab = AttackLab(Open())
-        execute_scenario(ScenarioName.HIJACK_A, Open(), lab=lab)
+        lab.run(ScenarioName.HIJACK_A)
         assert lab.addresses(VICTIM_APEX) == {ATTACKER_WEB}
 
     def test_hijack_mx_points_exchange_at_attacker(self):
         lab = AttackLab(Open())
-        execute_scenario(ScenarioName.HIJACK_MX, Open(), lab=lab)
+        lab.run(ScenarioName.HIJACK_MX)
         (mx,) = lab.zone().rrset(VICTIM_APEX, RType.MX)
         assert mx.rdata.exchange == ATTACKER_MAIL
 
     def test_mitm_relays_traffic_to_the_original_host(self):
         lab = AttackLab(Open())
-        report = execute_scenario(ScenarioName.MITM_REDIRECT, Open(), lab=lab)
+        report = lab.run(ScenarioName.MITM_REDIRECT)
         assert report.succeeded
         assert lab.addresses(VICTIM_APEX) == {ATTACKER_PROXY}
         assert lab.proxy.forwarded  # the relay stub carried the client request
@@ -108,7 +110,7 @@ class TestScenarioEffects:
     def test_shadow_add_a_is_additions_only(self):
         lab = AttackLab(Open())
         before = lab.zone().normalized_records()
-        execute_scenario(ScenarioName.SHADOW_ADD_A, Open(), lab=lab)
+        lab.run(ScenarioName.SHADOW_ADD_A)
         after = lab.zone().normalized_records()
         assert before < after                      # strictly grew
         assert lab.addresses(VICTIM_APEX) == {VICTIM_WEB}  # apex untouched
@@ -118,7 +120,7 @@ class TestScenarioEffects:
 
     def test_shadow_delegation_served_by_attacker_instance(self):
         lab = AttackLab(Open())
-        report = execute_scenario(ScenarioName.SHADOW_DELEGATE_NS, Open(), lab=lab)
+        report = lab.run(ScenarioName.SHADOW_DELEGATE_NS)
         assert report.succeeded
         target = VICTIM_APEX.prepend("account").prepend("paypal")
         assert lab.resolve_following_referrals(target, RType.A) == {ATTACKER_WEB}
@@ -126,13 +128,13 @@ class TestScenarioEffects:
     @pytest.mark.parametrize("scenario", sorted(DCV_SCENARIOS, key=lambda s: s.value))
     def test_dcv_scenarios_leave_fixture_equal_zone(self, scenario):
         lab = AttackLab(Open())
-        report = execute_scenario(scenario, Open(), lab=lab)
+        report = lab.run(scenario)
         assert report.succeeded
         assert lab.fixture_intact()
 
     def test_dcv_cname_served_during_the_window(self):
         lab = AttackLab(Open())
-        execute_scenario(ScenarioName.DCV_CNAME_INSERT, Open(), lab=lab)
+        lab.run(ScenarioName.DCV_CNAME_INSERT)
         # after completion the challenge name is gone again
         challenge = VICTIM_APEX.prepend("_dcv-challenge")
         assert not lab.zone().rrset(challenge, RType.CNAME)
@@ -141,14 +143,14 @@ class TestScenarioEffects:
         for scenario in sorted(DOS_SCENARIOS, key=lambda s: s.value):
             lab = AttackLab(Open())
             before = {(rr.name, rr.rtype): rr for rr in lab.zone().normalized_records()}
-            execute_scenario(scenario, Open(), lab=lab)
+            lab.run(scenario)
             after = {(rr.name, rr.rtype): rr for rr in lab.zone().normalized_records()}
             touched = {k for k in before if before[k] != after.get(k)}
             assert touched, scenario  # an existing name's answer changed
         for scenario in sorted(SHADOW_SCENARIOS, key=lambda s: s.value):
             lab = AttackLab(Open())
             before = lab.zone().normalized_records()
-            execute_scenario(scenario, Open(), lab=lab)
+            lab.run(scenario)
             assert before <= lab.zone().normalized_records(), scenario
 
 
@@ -161,14 +163,35 @@ class TestFixtureChecks:
         lab = AttackLab(Open())
         lab.victim.add_zone(stripped)
         with pytest.raises(FixtureMismatch):
-            execute_scenario(ScenarioName.HIJACK_MX, Open(), lab=lab)
+            lab.run(ScenarioName.HIJACK_MX)
 
     def test_fresh_lab_restores_fixture_between_runs(self):
         lab1, lab2 = AttackLab(Open(), seed=9), AttackLab(Open(), seed=9)
-        report1 = execute_scenario(ScenarioName.DOS_DELETE_A, Open(), lab=lab1)
-        report2 = execute_scenario(ScenarioName.DOS_DELETE_A, Open(), lab=lab2)
+        report1 = lab1.run(ScenarioName.DOS_DELETE_A)
+        report2 = lab2.run(ScenarioName.DOS_DELETE_A)
         assert report1.succeeded and report2.succeeded
         assert list(lab1.bus.tap) == list(lab2.bus.tap)
+
+
+class TestSilence:
+    def test_lookups_when_nothing_answers(self):
+        lab = AttackLab(Open())
+        lab.bus.drop_filter = lambda dgram: True
+        assert lab.addresses(VICTIM_APEX) == set()
+        assert lab.resolve_following_referrals(VICTIM_APEX, RType.A) == set()
+
+    def test_referral_chase_gives_up_after_its_hops(self):
+        # a delegation whose glue names the victim itself refers every hop back there
+        lab = AttackLab(Open())
+        delegated = VICTIM_APEX.prepend("loop")
+        ns_name = delegated.prepend("ns1")
+        lab.send_update([
+            AddRecord(ResourceRecord(delegated, RType.NS, RClass.IN, 300, ns_name)),
+            AddRecord(ResourceRecord(ns_name, RType.A, RClass.IN, 300,
+                                     IPv4Address(VICTIM_NS_ADDRESS)))])
+        start = len(lab.bus.tap)
+        assert lab.resolve_following_referrals(delegated.prepend("www"), RType.A) == set()
+        assert len(_sent(lab, start)) == 2 * attacklab.REFERRAL_HOPS  # a query and a referral each
 
 
 class TestMatrix:
@@ -205,7 +228,7 @@ def _lab_digest() -> str:
                 for policy in attacklab.all_policies():
                     lab = AttackLab(policy, spoofing_enabled=spoofing, seed=seed)
                     start = len(lab.bus.tap)
-                    report = execute_scenario(scenario, policy, lab=lab)
+                    report = lab.run(scenario)
                     digest.update(repr((report.scenario.value, report.policy, report.succeeded,
                                         report.observations, _sent(lab, start))).encode())
     return digest.hexdigest()

@@ -215,6 +215,14 @@ class TestApplyUpdate:
         assert new_zone.soa_serial == zone.soa_serial + 1
         assert new_zone.soa.rdata.serial == new_zone.soa_serial
 
+    def test_update_without_an_soa_zone_section_is_formerr(self):
+        zone = basic_zone("example.com", Open())
+        add = add_sentinel()
+        for question in ((), (Question(APEX, RType.A),)):
+            after, rcode = apply_update(zone, dataclasses.replace(add, question=question))
+            assert rcode == Rcode.FORMERR
+            assert after is zone
+
     def test_idempotent_delete(self):
         zone, _ = apply_update(basic_zone("example.com", Open()), add_sentinel())
         delete = make_update(APEX, [DeleteRRset(SENTINEL, RType.A)], msg_id=2)

@@ -57,6 +57,11 @@ class TestRegistrableDomain:
         assert registrable_domain(N("example.zz"), RULES) == N("example.zz")
         assert registrable_domain(N("zz"), RULES) is None
 
+    def test_non_ascii_and_invalid_rules_are_skipped(self):
+        rules = SuffixRuleSet.from_text("bücher.de\n" + "x" * 64 + ".uk\nuk\nco.uk\n")
+        assert registrable_domain(N("www.example.co.uk"), rules) == N("example.co.uk")
+        assert registrable_domain(N("co.uk"), rules) is None
+
     def test_case_preserved_in_result(self):
         reg = registrable_domain(N("WWW.Example.CO.UK"), RULES)
         assert reg == N("example.co.uk")

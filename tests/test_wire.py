@@ -207,6 +207,32 @@ class TestEncodeDecode:
         blob = struct.pack("!HHHHHH", 1, 0, 1, 0, 0, 0) + longest + fixed
         assert decode_message(blob).question[0].name.to_wire() == longest
 
+    def test_label_reached_through_a_pointer_ending_at_the_message_end(self):
+        # the pointer at offset 12 names offset 11, the header's last byte: a
+        # 2-byte label there spans the pointer itself and ends the message
+        blob = struct.pack("!HHHHHH", 1, 0, 1, 0, 0, 2) + b"\xc0\x0b"
+        with pytest.raises(TruncatedMessage, match="name ran off"):
+            decode_message(blob)
+
+    @pytest.mark.parametrize("rtype, rdata, match", [
+        # root names, then 19 of the 20 bytes of serial, refresh, retry, expire, minimum
+        (RType.SOA, b"\x00\x00" + b"\x00" * 19, "SOA numeric fields"),
+        # a root algorithm name, then 9 of the 10 bytes of time, fudge and MAC size
+        (RType.TSIG, b"\x00" + b"\x00" * 9, "TSIG fixed fields"),
+    ])
+    def test_rdata_short_of_its_fixed_fields(self, rtype, rdata, match):
+        blob = (struct.pack("!HHHHHH", 1, 0, 0, 0, 0, 1)
+                + b"\x00" + struct.pack("!HHIH", rtype, RClass.ANY, 0, len(rdata)) + rdata)
+        with pytest.raises(TruncatedMessage, match=match):
+            decode_message(blob)
+
+    def test_rdata_the_encoder_cannot_carry(self):
+        long_string = ResourceRecord(EXAMPLE, RType.TXT, RClass.IN, 60, TxtData((b"x" * 256,)))
+        untyped = ResourceRecord(EXAMPLE, 999, RClass.IN, 60, PROBE_IP)
+        for rr in (long_string, untyped):
+            with pytest.raises(WireError):
+                encode_message(DnsMessage(id=1, answers=(rr,)))
+
     def test_unknown_rtype_survives_round_trip_as_opaque(self):
         rr = ResourceRecord(EXAMPLE, 999, RClass.IN, 60, b"\x01\x02\x03")
         msg = DnsMessage(id=5, question=(Question(EXAMPLE, 999),), answers=(rr,))
@@ -252,6 +278,14 @@ class TestMakeUpdate:
     def test_empty_change_list(self):
         with pytest.raises(EmptyChangeList):
             make_update(EXAMPLE, [])
+
+    def test_root_zone_and_non_change_refused(self):
+        add = AddRecord(ResourceRecord(SENTINEL, RType.A, RClass.IN, 120, PROBE_IP))
+        root = DnsName(())
+        with pytest.raises(InvalidLabel):
+            make_update(root, [add])
+        with pytest.raises(TypeError):
+            make_update(EXAMPLE, [add, SENTINEL])
 
     def test_message_id_from_injected_rng(self):
         import random

@@ -2,7 +2,7 @@
 
 Usage: PYTHONPATH=src python3 tools/bench_exchange.py [--seed N] [--repeats N]
 
-It prints six measurements:
+It prints five measurements:
 
 - probe_us: µs per ``run_probe`` on a small bus with one server per kind,
   the minimum over the repeats of a batch of probes, each repeat on a
@@ -37,17 +37,11 @@ It prints six measurements:
   GC-tracked objects (``gc.get_objects()`` before and after) and retained
   bytes (``tracemalloc``), the payload included, over 2,000 datagrams of
   40-79 bytes, each payload made for its send, that the bus then drops.
-- fleet_scan: the full (generation 2) collections that one ``run_scan``
-  of a fleet-scan-shaped fleet triggers, counted and timed by
-  ``gc.callbacks``: 10,000 one-zone servers under the four policy
-  archetypes, 10% dark, 5-105 ms seeded one-way delays. Set-up is not
-  counted, and the collector stays on for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import gc
 import os
 import random
 import tempfile
@@ -57,7 +51,7 @@ from ipaddress import IPv4Address
 
 import _kit as kit
 from zptoolkit import authsim, scanner, tsig
-from zptoolkit.authsim import Deny, IpAcl, Open, Primary, Secondary, SignedKey, ZoneConfig, make_soa
+from zptoolkit.authsim import Deny, Open, Primary, Secondary, SignedKey, ZoneConfig, make_soa
 from zptoolkit.transport import DatagramBus, ManualClock, SimDatagram, SimTransport, exchange_message
 from zptoolkit.wire import (AddRecord, DeleteExactRecord, DnsName, RClass, Rcode, ResourceRecord,
                             RType, make_update)
@@ -73,7 +67,6 @@ TENANT = "tenant.client"
 PRIMARY, SECONDARY = "10.0.1.1", "10.0.1.2"
 TENANT_PAIRS = 300
 TAP_DATAGRAMS = 2_000
-FLEET = 10_000
 KEY = tsig.TsigKey(DnsName.from_text("fleet-key"), b"fleet-secret-0123456789")
 
 
@@ -245,72 +238,13 @@ def tap_entry(seed: int) -> dict:
             "payload_bytes": round(sum(map(len, payloads)) / TAP_DATAGRAMS, 1)}
 
 
-def _fleet(seed: int):
-    rng = random.Random(f"fleet:{seed}")
-    dark = set(rng.sample(range(FLEET), FLEET // 10))
-    fleet, targets, delays = [], [], {}
-    for i in range(FLEET):
-        apex = DnsName.from_text(f"zone{i}.example")
-        address = f"10.{(i >> 16) & 0xFF}.{(i >> 8) & 0xFF}.{i & 0xFF}"
-        choice = rng.randrange(4)
-        if choice == 2:
-            allowed = {SCANNER} if rng.random() < 0.5 else set()
-            policy = IpAcl(frozenset(allowed | {"203.0.113.7"}))
-        else:
-            policy = (Deny(), Open(), None, SignedKey((KEY,)))[choice]
-        targets.append(scanner.ProbeTarget(apex, address))
-        zone = _zone(apex, policy, 4 + rng.randrange(9), rng)
-        if i not in dark:
-            fleet.append((address, zone))
-            delays[address] = 0.005 + 0.1 * rng.random()
-
-    def delay(dgram) -> float:
-        return delays.get(dgram.destination, delays.get(dgram.source, 0.0))
-
-    bus = DatagramBus(clock=ManualClock(), rng=random.Random(seed), delay_fn=delay)
-    authsim.build_fleet(bus, fleet)
-    return bus, targets
-
-
-def fleet_scan(seed: int) -> dict:
-    """Full collections during one fleet-scan-shaped ``run_scan``."""
-    bus, targets = _fleet(seed)
-    full, started = [], []
-
-    def on_gc(phase: str, info: dict) -> None:
-        if info["generation"] != 2:
-            return
-        if phase == "start":
-            started.append(time.perf_counter())
-        else:
-            full.append(time.perf_counter() - started.pop())
-
-    gc.collect()
-    gc.callbacks.append(on_gc)
-    try:
-        t0 = time.perf_counter()
-        result = scanner.run_scan(targets, scanner.ProbeConfig(), SimTransport(bus, SCANNER),
-                                  clock=bus.clock, rng=random.Random(seed))
-        scan_s = time.perf_counter() - t0
-    finally:
-        gc.callbacks.remove(on_gc)
-    return {
-        "pairs": len(result.outcomes),
-        "tap_entries": len(bus.tap),
-        "scan_s": round(scan_s, 3),
-        "full_collections": len(full),
-        "full_collection_s": round(sum(full), 3),
-    }
-
-
 def measure(seed: int, repeats: int) -> dict:
     exchanges, server = split_us(seed, repeats)
     return {"probe_us_min": {kind: probe_us(kind, seed, repeats) for kind in BATCH},
             "vulnerable_exchanges_us_min": exchanges,
             "server_us_min": server,
             "tenant_pair_us_min": tenant_pair_us(seed, repeats),
-            "tap_entry": tap_entry(seed),
-            "fleet_scan": fleet_scan(seed)}
+            "tap_entry": tap_entry(seed)}
 
 
 if __name__ == "__main__":
